@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from dnakernel.statevector import Statevector, zero_state
 from dnakernel.circuits import KernelParams, feature_state
-from dnakernel.kernel import kernel_eval, kernel_gradient
-from dnakernel.edm import levenshtein, edm_exact, similarity
+from dnakernel.kernel import kernel_eval
+from dnakernel.edm import levenshtein, edm_exact
 
 __all__ = [
     "Statevector",
@@ -19,9 +19,7 @@ __all__ = [
     "KernelParams",
     "feature_state",
     "kernel_eval",
-    "kernel_gradient",
     "levenshtein",
     "edm_exact",
-    "similarity",
     "__version__",
 ]

@@ -62,12 +62,6 @@ def base_angles(base: str) -> tuple[float, float]:
         raise ValueError(f"unknown nucleotide symbol {base!r}") from None
 
 
-def base_state(base: str) -> Statevector:
-    """Single-qubit encoded state of one nucleotide."""
-    ry, ph = base_angles(base)
-    return apply_phase(apply_ry(zero_state(1), 0, ry), 0, ph)
-
-
 @dataclass(frozen=True)
 class KernelParams:
     """Trainable angles of the kernel circuit: ``num_layers`` rows of

@@ -14,14 +14,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from dnakernel.baselines import HEADS, ClassicalKernelModel
 from dnakernel.dataset import (
     DatasetError,
     generate_triplets,
     load_triplets,
     save_triplets,
+    write_atomic,
 )
 from dnakernel.edm import MAX_EDM_LENGTH, BudgetExceededError, edm_exact
 from dnakernel.kernel import QuantumKernelModel
@@ -107,7 +106,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_command(args, model) -> int:
+def _train_command(args, make_model) -> int:
+    """Load both triplet files once, then train ``make_model(sequence length)``."""
     if args.out_summary is None:
         base = os.path.splitext(args.out_curves)[0]
         args.out_summary = f"{base}.summary.json"
@@ -115,9 +115,9 @@ def _train_command(args, model) -> int:
     train_set = load_triplets(args.train)
     test_set = load_triplets(args.test)
     load_seconds = time.perf_counter() - t0
+    model = make_model(train_set[0].length)
 
     config = TrainingConfig(
-        num_layers=args.layers,
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch,
@@ -156,7 +156,6 @@ def _train_command(args, model) -> int:
     flag_config = {
         "train": args.train,
         "test": args.test,
-        "layers": args.layers,
         "lr": args.lr,
         "epochs": args.epochs,
         "batch": args.batch,
@@ -166,8 +165,9 @@ def _train_command(args, model) -> int:
         "optimizer": OPTIMIZER,
         "num_parameters": model.num_parameters,
     }
-    if hasattr(args, "kernel"):
-        flag_config["kernel"] = args.kernel
+    for key in ("layers", "kernel"):
+        if hasattr(args, key):
+            flag_config[key] = getattr(args, key)
     write_manifest(
         args.out_curves,
         args.command,
@@ -185,23 +185,16 @@ def _train_command(args, model) -> int:
     return 0
 
 
-def _sequence_length(path) -> int:
-    triplets = load_triplets(path, verify_fraction=0.0)
-    return len(triplets[0].a)
-
-
 def cmd_train_quantum(args) -> int:
-    model = QuantumKernelModel(
-        num_qubits=_sequence_length(args.train), num_layers=args.layers
+    return _train_command(
+        args, lambda length: QuantumKernelModel(num_qubits=length, num_layers=args.layers)
     )
-    return _train_command(args, model)
 
 
 def cmd_train_classical(args) -> int:
-    model = ClassicalKernelModel(
-        seq_length=_sequence_length(args.train), head=args.kernel
+    return _train_command(
+        args, lambda length: ClassicalKernelModel(seq_length=length, head=args.kernel)
     )
-    return _train_command(args, model)
 
 
 def cmd_edm(args) -> int:
@@ -231,12 +224,8 @@ def cmd_report(args) -> int:
         if args.out_dir is not None:
             os.makedirs(args.out_dir, exist_ok=True)
             out = os.path.join(args.out_dir, f"mean_best_so_far_{label}.csv")
-            tmp = f"{out}.tmp.{os.getpid()}"
-            with open(tmp, "w") as fh:
-                fh.write("epoch,mean_best_so_far\n")
-                for epoch, value in enumerate(mean_curve):
-                    fh.write(f"{epoch},{value!r}\n")
-            os.replace(tmp, out)
+            lines = [f"{epoch},{value!r}\n" for epoch, value in enumerate(mean_curve)]
+            write_atomic(out, "epoch,mean_best_so_far\n" + "".join(lines))
             artifacts.append(out)
 
     width = max(5, max(len(r[0]) for r in rows))
@@ -259,15 +248,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_train_flags(parser, default_layers=24):
+def _add_train_flags(parser):
+    defaults = TrainingConfig()
     parser.add_argument("--train", required=True, help="training triplet file")
     parser.add_argument("--test", required=True, help="test triplet file")
-    parser.add_argument("--layers", type=int, default=default_layers)
-    parser.add_argument("--lr", type=float, default=0.01)
-    parser.add_argument("--epochs", type=int, default=100)
-    parser.add_argument("--batch", type=int, default=32)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--lr", type=float, default=defaults.learning_rate)
+    parser.add_argument("--epochs", type=int, default=defaults.epochs)
+    parser.add_argument("--batch", type=int, default=defaults.batch_size)
+    parser.add_argument("--runs", type=int, default=defaults.runs)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--out-curves", required=True)
     parser.add_argument("--out-checkpoints", required=True)
     parser.add_argument("--out-summary", default=None,
@@ -292,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-quantum", help="train the variational kernel")
+    p.add_argument("--layers", type=int, default=24)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train_quantum)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnakernel.circuits import ALPHABET, validate_sequence
-from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, similarity
+from dnakernel.edm import MAX_EDM_LENGTH, edm_exact
 
 
 class DatasetError(ValueError):
@@ -44,13 +44,13 @@ def random_sequence(rng: np.random.Generator, length: int) -> str:
     return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
 
 
-def _make_triplet(rng: np.random.Generator, length: int, budget=None) -> LabeledTriplet:
+def _make_triplet(rng: np.random.Generator, length: int) -> LabeledTriplet:
     while True:
         a = random_sequence(rng, length)
         b = random_sequence(rng, length)
         c = random_sequence(rng, length)
-        d_ab = edm_exact(a, b, budget=budget)
-        d_ac = edm_exact(a, c, budget=budget)
+        d_ab = edm_exact(a, b)
+        d_ac = edm_exact(a, c)
         if d_ab == d_ac:
             continue
         return LabeledTriplet(
@@ -100,14 +100,17 @@ def _triplet_to_json(t: LabeledTriplet) -> str:
     )
 
 
-def save_triplets(triplets, path) -> None:
-    """Write one JSON object per line, atomically (write then rename)."""
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        for t in triplets:
-            fh.write(_triplet_to_json(t))
-            fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def save_triplets(triplets, path) -> None:
+    """Write one JSON object per line, atomically (write then rename)."""
+    write_atomic(path, "".join(_triplet_to_json(t) + "\n" for t in triplets))
 
 
 def _parse_line(line: str, lineno: int) -> LabeledTriplet:
@@ -166,12 +169,3 @@ def load_triplets(path, verify_fraction: float = 0.01):
                     f"line {idx + 1}: stored distances fail recomputation"
                 )
     return triplets
-
-
-def recompute_labels(t: LabeledTriplet) -> LabeledTriplet:
-    """Relabel a triplet from scratch through the oracle (for audits)."""
-    d_ab = edm_exact(t.a, t.b)
-    d_ac = edm_exact(t.a, t.c)
-    return LabeledTriplet(
-        t.a, t.b, t.c, d_ab, d_ac, similarity(t.a, t.b), similarity(t.a, t.c)
-    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from dnakernel.circuits import ALPHABET, validate_sequence
+from dnakernel.circuits import ALPHABET
 
 MAX_EDM_LENGTH = 10
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -44,29 +44,6 @@ def levenshtein(x: str, y: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (cx != cy)))
         prev = cur
     return prev[-1]
-
-
-def edm_neighbors(s: str) -> set[str]:
-    """All strings exactly one operation away from ``s`` (s itself excluded)."""
-    _check_string(s)
-    out = set()
-    n = len(s)
-    for i in range(n):
-        for c in ALPHABET:
-            if c != s[i]:
-                out.add(s[:i] + c + s[i + 1 :])
-    for i in range(n + 1):
-        for c in ALPHABET:
-            out.add(s[:i] + c + s[i:])
-    for i in range(n):
-        out.add(s[:i] + s[i + 1 :])
-    for i, j in itertools.combinations(range(n + 1), 2):
-        block = s[i:j]
-        rest = s[:i] + s[j:]
-        for k in range(len(rest) + 1):
-            out.add(rest[:k] + block + rest[k:])
-    out.discard(s)
-    return out
 
 
 def _counts(s: str):
@@ -230,10 +207,3 @@ def edm_exact(x: str, y: str, budget: int | None = None) -> int:
             break
         best = _expand(side, other, best, len_lo, len_hi, remaining)
     return best
-
-
-def similarity(x: str, y: str) -> float:
-    """Normalized similarity (N - EDM(x, y)) / N for equal-length strings."""
-    if len(x) != len(y):
-        raise ValueError(f"similarity needs equal lengths, got {len(x)} and {len(y)}")
-    return (len(x) - edm_exact(x, y)) / len(x)

@@ -49,11 +49,6 @@ def _zdiag(num_qubits: int) -> np.ndarray:
     return _ZDIAG_CACHE[num_qubits]
 
 
-def _ry2(angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def _kron_rows(mats) -> np.ndarray:
     """Per-row Kronecker product of (batch, k, 2, 2) matrices, qubit 0 first."""
     batch = mats.shape[0]
@@ -68,7 +63,7 @@ def _kron_rows(mats) -> np.ndarray:
 
 def _ry_all(angle: float, num_qubits: int) -> np.ndarray:
     """Ry(angle) on each of ``num_qubits`` qubits as one 2^k x 2^k matrix."""
-    return _kron_rows(np.broadcast_to(_ry2(angle), (1, num_qubits, 2, 2)))[0]
+    return _kron_rows(np.broadcast_to(ry_matrix(angle), (1, num_qubits, 2, 2)))[0]
 
 
 _JSUM_CACHE: dict[int, np.ndarray] = {}
@@ -242,15 +237,6 @@ def kernel_eval(x: str, y: str, params: KernelParams) -> float:
     fx = feature_state(x, params)
     fy = feature_state(y, params)
     return float(abs(inner_product(fy, fx)) ** 2)
-
-
-def kernel_gradient(x: str, y: str, params: KernelParams) -> np.ndarray:
-    """Exact dK/dtheta for one pair, ordered like KernelParams.angles.flat."""
-    _check_pair(x, y)
-    _, grads = kernel_values_and_gradients(
-        encode_sequences([x]), encode_sequences([y]), params
-    )
-    return grads[0]
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,3 @@ def inner_product(a: Statevector, b: Statevector) -> complex:
             f"qubit count mismatch: {a.num_qubits} vs {b.num_qubits}"
         )
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def swap_qubits(state: Statevector, i: int, j: int) -> Statevector:
-    """Exchange two qubits of the state (the SWAP_ij gate)."""
-    _check_qubit(state, i)
-    _check_qubit(state, j)
-    if i == j:
-        return state
-    t = state.amplitudes.reshape((2,) * state.num_qubits)
-    t = np.swapaxes(t, i, j)
-    return Statevector(state.num_qubits, t.reshape(-1))

@@ -12,12 +12,12 @@ kernel_and_grad_batch over code arrays and a flat parameter vector.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
+from dnakernel.dataset import write_atomic
 from dnakernel.kernel import encode_sequences
 
 EVAL_CHUNK = 1024
@@ -37,7 +37,6 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    num_layers: int = 24
     learning_rate: float = 0.01
     epochs: int = 100
     batch_size: int = 32
@@ -82,11 +81,6 @@ class RunSummary:
     mean_best_so_far: tuple  # averaged across runs, indexed by record order
 
 
-def mse_loss(pred: float, target: float) -> float:
-    """Squared error of one prediction."""
-    return (pred - target) ** 2
-
-
 @dataclass(frozen=True)
 class PairSet:
     """Training pairs as aligned code arrays plus similarity targets."""
@@ -116,11 +110,11 @@ def pairs_from_triplets(triplets) -> PairSet:
     )
 
 
-def dataset_mse(model, params, pairs: PairSet, chunk: int = EVAL_CHUNK) -> float:
+def dataset_mse(model, params, pairs: PairSet) -> float:
     """Mean squared error over a pair set without updating parameters."""
     total = 0.0
-    for lo in range(0, len(pairs), chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, len(pairs), EVAL_CHUNK):
+        sl = slice(lo, lo + EVAL_CHUNK)
         k = model.kernel_batch(params, pairs.codes_a[sl], pairs.codes_b[sl])
         total += float(np.sum((k - pairs.targets[sl]) ** 2))
     return total / len(pairs)
@@ -164,7 +158,7 @@ def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
     return params, total_loss / len(pairs)
 
 
-def order_accuracy(model, params, triplets, chunk: int = EVAL_CHUNK) -> float:
+def order_accuracy(model, params, triplets) -> float:
     """Fraction of triplets whose kernel ranking matches the ground truth.
 
     A predicted exact tie counts as incorrect; a ground-truth tie is a
@@ -180,8 +174,8 @@ def order_accuracy(model, params, triplets, chunk: int = EVAL_CHUNK) -> float:
     codes_b = encode_sequences([t.b for t in triplets])
     codes_c = encode_sequences([t.c for t in triplets])
     correct = 0
-    for lo in range(0, len(triplets), chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, len(triplets), EVAL_CHUNK):
+        sl = slice(lo, lo + EVAL_CHUNK)
         k_ab = model.kernel_batch(params, codes_a[sl], codes_b[sl])
         k_ac = model.kernel_batch(params, codes_a[sl], codes_c[sl])
         correct += int(np.sum(np.sign(k_ab - k_ac) == np.sign(s_ab[sl] - s_ac[sl])))
@@ -263,16 +257,12 @@ def _train_run_star(arg):
 
 def save_curves(path, curves) -> None:
     """Learning curves as delimited text, one row per (run, epoch)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(CURVE_HEADER + "\n")
-        for c in curves:
-            for r in c.records:
-                fh.write(
-                    f"{c.run},{r.epoch},{r.train_mse!r},"
-                    f"{r.test_order_accuracy!r},{r.best_so_far!r}\n"
-                )
-    os.replace(tmp, path)
+    rows = [
+        f"{c.run},{r.epoch},{r.train_mse!r},{r.test_order_accuracy!r},{r.best_so_far!r}\n"
+        for c in curves
+        for r in c.records
+    ]
+    write_atomic(path, CURVE_HEADER + "\n" + "".join(rows))
 
 
 def load_curves(path):
@@ -296,8 +286,4 @@ def load_curves(path):
 
 
 def save_json(path, payload: dict) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_statevector import swap_qubits
 
 from dnakernel.circuits import (
     ALPHABET,
@@ -13,11 +14,10 @@ from dnakernel.circuits import (
     apply_encoding_layer,
     apply_param_layer,
     base_angles,
-    base_state,
     feature_state,
     validate_sequence,
 )
-from dnakernel.statevector import Statevector, inner_product, swap_qubits, zero_state
+from dnakernel.statevector import Statevector, inner_product, zero_state
 
 TILT = 2 * np.arccos(1 / np.sqrt(3))
 
@@ -65,15 +65,15 @@ class TestBaseAngles:
 
     @pytest.mark.parametrize("base", ALPHABET)
     def test_base_state_matches_reference(self, base):
-        np.testing.assert_allclose(
-            base_state(base).amplitudes, REF_STATES[base], atol=1e-14
-        )
+        state = apply_encoding_layer(zero_state(1), base)
+        np.testing.assert_allclose(state.amplitudes, REF_STATES[base], atol=1e-14)
 
 
 def test_sic_pairwise_overlaps_are_one_third():
     """All six unordered base pairs overlap with |<a|b>|^2 = 1/3."""
     for a, b in itertools.combinations(ALPHABET, 2):
-        ov = abs(np.vdot(REF_STATES[a], base_state(b).amplitudes)) ** 2
+        state_b = apply_encoding_layer(zero_state(1), b)
+        ov = abs(np.vdot(REF_STATES[a], state_b.amplitudes)) ** 2
         assert abs(ov - 1 / 3) < 1e-12, (a, b, ov)
 
 

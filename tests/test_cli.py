@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from dnakernel import cli
 from dnakernel.cli import JOBS_ENV_VAR, main
 from dnakernel.dataset import load_triplets
 
@@ -128,6 +129,19 @@ class TestTrainQuantum:
         assert self._train(tmp_path, train, test) == 0
         assert (tmp_path / "curves.csv").read_bytes() == first
 
+    def test_train_file_loaded_once(self, tmp_path, datasets, monkeypatch):
+        train, test = datasets
+        loads = {}
+        load = cli.load_triplets
+
+        def counting_load(path, *args, **kwargs):
+            loads[str(path)] = loads.get(str(path), 0) + 1
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_triplets", counting_load)
+        assert self._train(tmp_path, train, test, runs=1, epochs=1) == 0
+        assert loads == {str(train): 1, str(test): 1}
+
     def test_missing_dataset_errors(self, tmp_path, capsys):
         rc = run_cli("train-quantum", "--train", tmp_path / "nope.jsonl",
                      "--test", tmp_path / "nope.jsonl",
@@ -154,6 +168,22 @@ class TestTrainClassical:
         checkpoints = read_json(tmp_path / "k.json")
         assert all(p["kernel_head"] == "rbf" for p in checkpoints["runs"])
         assert all(len(p["params"]) == model_params for p in checkpoints["runs"])
+
+    def test_layers_flag_refused(self, tmp_path):
+        # classical models have no layers: the flag is an argparse error and
+        # the manifest records no layer count
+        train = gen_tiny_dataset(tmp_path, "train.jsonl", seed=1)
+        test = gen_tiny_dataset(tmp_path, "test.jsonl", seed=2)
+        argv = ["train-classical", "--kernel", "cosine", "--train", train,
+                "--test", test, "--epochs", 1, "--runs", 1, "--batch", 4,
+                "--out-curves", tmp_path / "c.csv",
+                "--out-checkpoints", tmp_path / "k.json"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--layers", 3)
+        assert exc.value.code != 0
+        assert not (tmp_path / "c.csv").exists()
+        assert run_cli(*argv) == 0
+        assert "layers" not in read_json(tmp_path / "c.csv.manifest.json")["config"]
 
     def test_unknown_kernel_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):

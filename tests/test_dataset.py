@@ -11,7 +11,6 @@ from dnakernel.dataset import (
     generate_triplets,
     load_triplets,
     random_sequence,
-    recompute_labels,
     save_triplets,
 )
 from dnakernel.edm import edm_exact
@@ -54,8 +53,9 @@ class TestGenerateTriplets:
     def test_labels_match_oracle(self):
         trips = generate_triplets(seed=3, count=10, length=5)
         for t in trips:
-            r = recompute_labels(t)
-            assert (t.d_ab, t.d_ac, t.s_ab, t.s_ac) == (r.d_ab, r.d_ac, r.s_ab, r.s_ac)
+            d_ab, d_ac = edm_exact(t.a, t.b), edm_exact(t.a, t.c)
+            labels = (d_ab, d_ac, (5 - d_ab) / 5, (5 - d_ac) / 5)
+            assert (t.d_ab, t.d_ac, t.s_ab, t.s_ac) == labels
 
     def test_determinism(self):
         assert generate_triplets(seed=4, count=8, length=4) == generate_triplets(

@@ -1,26 +1,25 @@
 """Edit-distance tests: DP, neighbor enumeration, and exact move-aware search.
 
 Oracles here are deliberately primitive: a memoized recursive Levenshtein, a
-brute-force neighbor enumerator coded separately from the library one, and a
-plain unidirectional BFS for exact EDM. The library must agree with all of
-them.
+brute-force one-operation neighbor enumerator, and a plain unidirectional BFS
+for exact EDM. The library must agree with them.
 """
 
 import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnakernel.dataset import DatasetError, load_triplets
 from dnakernel.edm import (
     MAX_EDM_LENGTH,
     BudgetExceededError,
     edm_exact,
-    edm_neighbors,
     levenshtein,
-    similarity,
 )
 
 ALPHABET = "ATGC"
@@ -103,7 +102,7 @@ def random_string(rng, length):
 def mutate(rng, s, ops):
     """Apply ``ops`` random one-step operations, staying within length 10."""
     for _ in range(ops):
-        choices = [v for v in edm_neighbors(s) if len(v) <= MAX_EDM_LENGTH]
+        choices = [v for v in neighbors_oracle(s) if len(v) <= MAX_EDM_LENGTH]
         s = choices[rng.integers(0, len(choices))]
     return s
 
@@ -137,35 +136,31 @@ class TestLevenshtein:
 
 
 class TestEdmNeighbors:
+    """Sanity checks of the neighbor oracle that the BFS oracle expands."""
+
     def test_single_letter(self):
-        nb = edm_neighbors("A")
+        nb = neighbors_oracle("A")
         assert {"C", "G", "T", ""} <= nb
         for c in ALPHABET:
             assert ("A" + c) in nb and (c + "A") in nb
 
     def test_move_reaches_gcat(self):
-        assert "GCAT" in edm_neighbors("ATGC")
+        assert "GCAT" in neighbors_oracle("ATGC")
 
     def test_self_excluded(self):
         for s in ("A", "AT", "AAAA", "ATGC"):
-            assert s not in edm_neighbors(s)
+            assert s not in neighbors_oracle(s)
 
     def test_homogeneous_string_count(self):
         # AAAA: 12 substitutions, 1 deletion, 16 distinct insertions, no
         # effective moves
-        assert len(edm_neighbors("AAAA")) == 29
-
-    def test_against_oracle_enumerator(self):
-        rng = np.random.default_rng(2)
-        for _ in range(60):
-            s = random_string(rng, int(rng.integers(1, 7)))
-            assert edm_neighbors(s) == neighbors_oracle(s)
+        assert len(neighbors_oracle("AAAA")) == 29
 
     def test_every_neighbor_is_one_away(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             s = random_string(rng, int(rng.integers(1, 6)))
-            for v in edm_neighbors(s):
+            for v in neighbors_oracle(s):
                 assert edm_exact(s, v) == 1
 
 
@@ -175,6 +170,9 @@ class TestEdmExact:
 
     def test_single_move(self):
         assert edm_exact("ATGC", "GCAT") == 1
+
+    def test_two_substitutions(self):
+        assert edm_exact("ATGCATGC", "TTGCATGA") == 2
 
     def test_block_move_beats_levenshtein(self):
         # moving "ATT" in one step, where plain edits need several
@@ -257,22 +255,27 @@ class TestEdmExact:
 
 
 class TestSimilarity:
-    def test_identical(self):
-        assert similarity("ATGCATGC", "ATGCATGC") == 1.0
+    """The normalized label (N - EDM)/N, as the dataset loader checks it."""
 
-    def test_one_move_length_four(self):
-        assert similarity("ATGC", "GCAT") == 0.75
+    @staticmethod
+    def load_one(tmp_path, a, b, c, s_ab, s_ac):
+        """Load a one-triplet file with exact distances and the given labels."""
+        row = dict(a=a, b=b, c=c, d_ab=edm_exact(a, b), d_ac=edm_exact(a, c))
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps(dict(row, s_ab=s_ab, s_ac=s_ac)) + "\n")
+        return load_triplets(path, verify_fraction=1.0)[0]
 
-    def test_arithmetic(self):
-        # N=8 with distance 2
-        x = "ATGCATGC"
-        y = "TTGCATGA"  # two substitutions
-        assert edm_exact(x, y) == 2
-        assert similarity(x, y) == 0.75
+    def test_identical(self, tmp_path):
+        t = self.load_one(tmp_path, "ATGCATGC", "ATGCATGC", "TTGCATGA", 1.0, 0.75)
+        assert t.d_ab == 0 and t.s_ab == 1.0
+        with pytest.raises(DatasetError, match="do not match"):
+            self.load_one(tmp_path, "ATGCATGC", "ATGCATGC", "TTGCATGA", 0.875, 0.75)
 
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal lengths"):
-            similarity("AT", "ATG")
+    def test_one_move_length_four(self, tmp_path):
+        t = self.load_one(tmp_path, "ATGC", "GCAT", "ATGC", 0.75, 1.0)
+        assert t.d_ab == 1 and t.s_ab == 0.75
+        with pytest.raises(DatasetError, match="do not match"):
+            self.load_one(tmp_path, "ATGC", "GCAT", "ATGC", 0.5, 1.0)
 
 
 @settings(max_examples=60, deadline=None)

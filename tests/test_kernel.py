@@ -15,7 +15,6 @@ from dnakernel.kernel import (
     encode_sequences,
     feature_states,
     kernel_eval,
-    kernel_gradient,
     kernel_values,
     kernel_values_and_gradients,
 )
@@ -45,6 +44,13 @@ def assert_gradient_close(analytic, fd):
     np.testing.assert_array_less(
         np.abs(analytic - fd), FD_RTOL * np.maximum(np.abs(fd), FD_FLOOR) + 1e-300
     )
+
+
+def kernel_gradient(x, y, params):
+    """Engine gradient of one pair, ordered like KernelParams.flat()."""
+    codes_x, codes_y = encode_sequences([x]), encode_sequences([y])
+    _, grads = kernel_values_and_gradients(codes_x, codes_y, params)
+    return grads[0]
 
 
 def random_seq(rng, n):

@@ -1,0 +1,33 @@
+"""Smoke run of the experiment driver script on a tiny configuration."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+CURVES = [f"qkernel{layers}_curves.csv" for layers in (6, 12, 24)] + [
+    f"ckernel_{head}_curves.csv" for head in ("cosine", "rbf", "poly2")
+]
+LABELS = ["QKernel-6", "QKernel-12", "QKernel-24",
+          "CKernel-cosine", "CKernel-rbf", "CKernel-poly2"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_comparison_smoke(tmp_path, capsys):
+    script = load_script("run_comparison")
+    rc = script.run(["--out-dir", str(tmp_path), "--count", "8", "--length", "4",
+                     "--epochs", "1", "--runs", "2"])
+    assert rc == 0
+    for name in CURVES:
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) == 1 + 2 * 2  # header + 2 runs x (epoch 0 + 1 epoch)
+    for label in LABELS:
+        assert (tmp_path / f"mean_best_so_far_{label}.csv").exists()
+    assert (tmp_path / "report.manifest.json").exists()
+    out = capsys.readouterr().out
+    assert all(label in out for label in LABELS)

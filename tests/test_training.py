@@ -22,7 +22,6 @@ from dnakernel.training import (
     aggregate_runs,
     dataset_mse,
     load_curves,
-    mse_loss,
     order_accuracy,
     pairs_from_triplets,
     run_experiment,
@@ -98,7 +97,6 @@ def toy_pairs(num=12, seed=3):
 class TestConfig:
     def test_defaults(self):
         cfg = TrainingConfig()
-        assert cfg.num_layers == 24
         assert cfg.learning_rate == 0.01
         assert cfg.epochs == 100
         assert cfg.batch_size == 32
@@ -136,10 +134,6 @@ class TestPairs:
             )
             assert pairs.targets[2 * i] == t.s_ab
             assert pairs.targets[2 * i + 1] == t.s_ac
-
-    def test_mse_loss(self):
-        assert mse_loss(0.75, 0.5) == pytest.approx(0.0625)
-        assert mse_loss(0.5, 0.5) == 0.0
 
 
 class TestTrainEpoch:
@@ -453,7 +447,7 @@ class TestRealModels:
         train = make_triplets(4, length=3, seed=1)
         test = make_triplets(4, length=3, seed=2)
         model = QuantumKernelModel(num_qubits=3, num_layers=1)
-        cfg = TrainingConfig(num_layers=1, epochs=2, batch_size=4)
+        cfg = TrainingConfig(epochs=2, batch_size=4)
         curve, params = train_run(model, cfg, train, test, run_seed=0)
         assert len(curve.records) == 3
         for r in curve.records:
