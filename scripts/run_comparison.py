@@ -1,70 +1,145 @@
 #!/usr/bin/env python3
 """Full model comparison: quantum kernels at 3 depths vs classical baselines.
 
-Reuses one train/test dataset pair for six models (quantum with 6, 12, and
-24 layers; classical deep kernels with cosine, RBF, and degree-2 polynomial
-heads) and prints a single summary table. At full scale this is a multi-hour
-job; scale down with --runs/--epochs/--count for a smoke pass.
+This file is the one written record of the experiment protocol: three
+labelled triplet sets (train, test, and a fresh set for the untrained-kernel
+calibration), six models (the quantum kernel with 6, 12 and 24 layers; the
+classical deep kernels with cosine, RBF and degree-2 polynomial heads), their
+frozen seeds, and the scale. The acceptance fixtures in
+tests/test_acceptance.py call the functions below with these tables.
+
+Every step runs one command of the pipeline, and every command writes a
+manifest. A step is skipped when its manifest records the command and
+configuration the step would run and every file it lists matches its hash,
+so an interrupted run resumes at the first missing or stale step, and a run
+on a finished directory only prints the report. The default run writes to
+results/comparison the same datasets, curves, checkpoints and summaries as
+the committed results/acceptance (about two CPU-hours);
+``--out-dir results/acceptance`` verifies the committed set in seconds.
+Smaller ``--count/--length/--epochs/--runs`` give a smoke pass. Set the
+worker count with the DNAKERNEL_JOBS environment variable; outputs do not
+depend on it.
 """
 
 import argparse
+import hashlib
+import json
 import os
-import sys
+from collections import namedtuple
+from pathlib import Path
 
-from dnakernel.cli import main as cli
+from dnakernel.cli import main as cli_main
+from dnakernel.training import OPTIMIZER
+
+DATASETS = {"train": 101, "test": 202, "fresh": 303}
+SHAPE = {"count": 3200, "length": 8}
+TRAINING = {"epochs": 100, "batch": 32, "lr": 0.01, "runs": 3}
+
+Model = namedtuple("Model", "label prefix command config seed")
+MODELS = (
+    Model("QKernel-6", "qk6", "train-quantum", {"layers": 6}, 13),
+    Model("QKernel-12", "qk12", "train-quantum", {"layers": 12}, 12),
+    Model("QKernel-24", "qk24", "train-quantum", {"layers": 24}, 11),
+    Model("CKernel-cosine", "ck_cosine", "train-classical", {"kernel": "cosine"}, 21),
+    Model("CKernel-rbf", "ck_rbf", "train-classical", {"kernel": "rbf"}, 22),
+    Model("CKernel-poly2", "ck_poly2", "train-classical", {"kernel": "poly2"}, 23),
+)
+
+
+def run_cli(argv):
+    # paths go in relative to the working directory, so the manifests they
+    # end up in do not depend on where the checkout lives
+    argv = [os.path.relpath(a) if isinstance(a, Path) else str(a) for a in argv]
+    if cli_main(argv) != 0:
+        raise RuntimeError(f"pipeline command failed: {argv}")
+
+
+def _flags(config):
+    return [item for key, value in config.items() for item in (f"--{key}", value)]
+
+
+def artifacts_ok(manifest_owner, expected_paths, command, config):
+    """True when the manifest records this command and config, and every
+    expected file matches its hash.
+
+    ``config`` holds the manifest config entries the caller would run with;
+    the "train" and "test" entries are compared by file name. Entries not
+    named (such as "jobs", which leaves the output unchanged) are ignored.
+    """
+    manifest_path = Path(f"{manifest_owner}.manifest.json")
+    if not manifest_path.exists():
+        return False
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        recorded = manifest["config"]
+        entries = {Path(a["path"]).name: a["sha256"] for a in manifest["artifacts"]}
+    except (ValueError, KeyError, TypeError):
+        return False
+    if manifest.get("command") != command:
+        return False
+    for key, want in config.items():
+        got = recorded.get(key)
+        if key in ("train", "test"):
+            got = None if got is None else Path(got).name
+            want = Path(want).name
+        if got != want:
+            return False
+    for path in expected_paths:
+        path = Path(path)
+        want = entries.get(path.name)
+        if want is None or not path.exists():
+            return False
+        if hashlib.sha256(path.read_bytes()).hexdigest() != want:
+            return False
+    return True
+
+
+def ensure_dataset(directory, name, seed, shape=SHAPE):
+    """Path of one triplet set, generating it unless the file on disk was
+    made by this exact seed and shape."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    out = Path(directory) / f"{name}.jsonl"
+    config = {"seed": seed, **shape}
+    if not artifacts_ok(out, [out], "gen-data", config):
+        run_cli(["gen-data", *_flags(config), "--out", out])
+    return out
+
+
+def ensure_training(directory, model, datasets, training=TRAINING):
+    """Summary of one trained model, retraining unless the artifacts on disk
+    were made by this exact command, training scale, seed and model."""
+    curves = Path(directory) / f"{model.prefix}_curves.csv"
+    checkpoints = Path(directory) / f"{model.prefix}_checkpoints.json"
+    summary = Path(directory) / f"{model.prefix}_curves.summary.json"
+    flags = {**training, "seed": model.seed, **model.config}
+    recorded = {**flags, "train": datasets["train"], "test": datasets["test"],
+                "optimizer": OPTIMIZER}
+    if not artifacts_ok(curves, [curves, checkpoints, summary], model.command, recorded):
+        run_cli([model.command, "--train", datasets["train"], "--test", datasets["test"],
+                 *_flags(flags),
+                 "--out-curves", curves, "--out-checkpoints", checkpoints])
+    return json.loads(summary.read_text())
 
 
 def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out-dir", default="results/comparison")
-    parser.add_argument("--count", type=int, default=3200)
-    parser.add_argument("--length", type=int, default=8)
-    parser.add_argument("--epochs", type=int, default=100)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--out-dir", type=Path, default=Path("results/comparison"))
+    parser.add_argument("--count", type=int, default=SHAPE["count"])
+    parser.add_argument("--length", type=int, default=SHAPE["length"])
+    parser.add_argument("--epochs", type=int, default=TRAINING["epochs"])
+    parser.add_argument("--runs", type=int, default=TRAINING["runs"])
     args = parser.parse_args(argv)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    train = os.path.join(args.out_dir, "train.jsonl")
-    test = os.path.join(args.out_dir, "test.jsonl")
-
-    for seed, path in [(args.seed, train), (args.seed + 1, test)]:
-        rc = cli(["gen-data", "--seed", str(seed), "--count", str(args.count),
-                  "--length", str(args.length), "--out", path,
-                  "--jobs", str(args.jobs)])
-        if rc != 0:
-            return rc
-
-    common = ["--train", train, "--test", test, "--epochs", str(args.epochs),
-              "--runs", str(args.runs), "--jobs", str(args.jobs)]
-    labels = []
-    for i, layers in enumerate((6, 12, 24)):
-        label = f"QKernel-{layers}"
-        curves = os.path.join(args.out_dir, f"qkernel{layers}_curves.csv")
-        rc = cli(["train-quantum", *common, "--layers", str(layers),
-                  "--seed", str(args.seed + 2 + i),
-                  "--out-curves", curves,
-                  "--out-checkpoints",
-                  os.path.join(args.out_dir, f"qkernel{layers}_checkpoints.json")])
-        if rc != 0:
-            return rc
-        labels.append(f"{label}={curves}")
-
-    for i, head in enumerate(("cosine", "rbf", "poly2")):
-        label = f"CKernel-{head}"
-        curves = os.path.join(args.out_dir, f"ckernel_{head}_curves.csv")
-        rc = cli(["train-classical", "--kernel", head, *common,
-                  "--seed", str(args.seed + 5 + i),
-                  "--out-curves", curves,
-                  "--out-checkpoints",
-                  os.path.join(args.out_dir, f"ckernel_{head}_checkpoints.json")])
-        if rc != 0:
-            return rc
-        labels.append(f"{label}={curves}")
-
-    return cli(["report", "--curves", *labels, "--out-dir", args.out_dir])
+    shape = {"count": args.count, "length": args.length}
+    training = {**TRAINING, "epochs": args.epochs, "runs": args.runs}
+    datasets = {name: ensure_dataset(args.out_dir, name, seed, shape)
+                for name, seed in DATASETS.items()}
+    for model in MODELS:
+        ensure_training(args.out_dir, model, datasets, training)
+    curves = [f"{model.label}={os.path.relpath(args.out_dir / f'{model.prefix}_curves.csv')}"
+              for model in MODELS]
+    run_cli(["report", "--curves", *curves, "--out-dir", args.out_dir])
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -19,6 +19,9 @@ from dnakernel.circuits import ALPHABET
 
 HEADS = ("cosine", "rbf", "poly2")
 _HEAD_PARAMS = {"cosine": 0, "rbf": 1, "poly2": 2}
+EMBED_DIM = 4
+HIDDEN_DIM = 16
+FEATURE_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,6 @@ class ClassicalKernelModel:
 
     head: str
     seq_length: int = 8
-    embed_dim: int = 4
-    hidden_dim: int = 16
-    feature_dim: int = 16
 
     def __post_init__(self):
         if self.head not in HEADS:
@@ -43,22 +43,22 @@ class ClassicalKernelModel:
 
     @property
     def flat_in(self) -> int:
-        return self.seq_length * self.embed_dim
+        return self.seq_length * EMBED_DIM
 
     @property
     def num_parameters(self) -> int:
-        n_emb = len(ALPHABET) * self.embed_dim
-        n_l1 = self.flat_in * self.hidden_dim + self.hidden_dim
-        n_l2 = self.hidden_dim * self.feature_dim + self.feature_dim
+        n_emb = len(ALPHABET) * EMBED_DIM
+        n_l1 = self.flat_in * HIDDEN_DIM + HIDDEN_DIM
+        n_l2 = HIDDEN_DIM * FEATURE_DIM + FEATURE_DIM
         return n_emb + n_l1 + n_l2 + _HEAD_PARAMS[self.head]
 
     def _slices(self):
         sizes = [
-            len(ALPHABET) * self.embed_dim,
-            self.flat_in * self.hidden_dim,
-            self.hidden_dim,
-            self.hidden_dim * self.feature_dim,
-            self.feature_dim,
+            len(ALPHABET) * EMBED_DIM,
+            self.flat_in * HIDDEN_DIM,
+            HIDDEN_DIM,
+            HIDDEN_DIM * FEATURE_DIM,
+            FEATURE_DIM,
             _HEAD_PARAMS[self.head],
         ]
         bounds = np.cumsum([0] + sizes)
@@ -72,27 +72,23 @@ class ClassicalKernelModel:
             )
         s_emb, s_w1, s_b1, s_w2, s_b2, s_head = self._slices()
         return {
-            "emb": flat[s_emb].reshape(len(ALPHABET), self.embed_dim),
-            "w1": flat[s_w1].reshape(self.flat_in, self.hidden_dim),
+            "emb": flat[s_emb].reshape(len(ALPHABET), EMBED_DIM),
+            "w1": flat[s_w1].reshape(self.flat_in, HIDDEN_DIM),
             "b1": flat[s_b1],
-            "w2": flat[s_w2].reshape(self.hidden_dim, self.feature_dim),
+            "w2": flat[s_w2].reshape(HIDDEN_DIM, FEATURE_DIM),
             "b2": flat[s_b2],
             "head": flat[s_head],
         }
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform +-1/sqrt(fan_in) weights, zero biases, neutral head."""
-        emb = rng.uniform(-1, 1, size=len(ALPHABET) * self.embed_dim) / np.sqrt(
-            self.embed_dim
-        )
-        w1 = rng.uniform(-1, 1, size=self.flat_in * self.hidden_dim) / np.sqrt(
+        emb = rng.uniform(-1, 1, size=len(ALPHABET) * EMBED_DIM) / np.sqrt(EMBED_DIM)
+        w1 = rng.uniform(-1, 1, size=self.flat_in * HIDDEN_DIM) / np.sqrt(
             self.flat_in
         )
-        b1 = np.zeros(self.hidden_dim)
-        w2 = rng.uniform(-1, 1, size=self.hidden_dim * self.feature_dim) / np.sqrt(
-            self.hidden_dim
-        )
-        b2 = np.zeros(self.feature_dim)
+        b1 = np.zeros(HIDDEN_DIM)
+        w2 = rng.uniform(-1, 1, size=HIDDEN_DIM * FEATURE_DIM) / np.sqrt(HIDDEN_DIM)
+        b2 = np.zeros(FEATURE_DIM)
         if self.head == "rbf":
             head = np.array([0.0])  # log_gamma = 0 -> gamma = 1
         elif self.head == "poly2":
@@ -181,12 +177,12 @@ class ClassicalKernelModel:
         dw1 = np.einsum("bi,bh->bih", x, dpre)
         db1 = dpre
         dx = dpre @ p["w1"].T
-        demb = np.zeros((batch, len(ALPHABET), self.embed_dim))
+        demb = np.zeros((batch, len(ALPHABET), EMBED_DIM))
         rows = np.repeat(np.arange(batch), self.seq_length)
         np.add.at(
             demb,
             (rows, codes.reshape(-1)),
-            dx.reshape(batch, self.seq_length, self.embed_dim).reshape(-1, self.embed_dim),
+            dx.reshape(batch, self.seq_length, EMBED_DIM).reshape(-1, EMBED_DIM),
         )
         return np.concatenate(
             [

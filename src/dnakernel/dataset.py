@@ -75,7 +75,7 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
     if jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, count)) as pool:
             return pool.map(_triplet_from_seedseq, [(ss, length) for ss in children])
     return [_triplet_from_seedseq((ss, length)) for ss in children]
 

@@ -2,21 +2,18 @@
 
 Criteria that need only seconds are computed inline. The experiment-backed
 criteria (calibration, headline accuracy, depth trend, classical gap) read
-artifacts under results/acceptance/ and regenerate anything missing or
-corrupt through the command-line pipeline with frozen seeds, so a clean
-checkout reproduces every number in this file; a cold regeneration takes
-hours on one core, a warm run seconds. An artifact counts only if its manifest
-records the command and configuration the fixture would run, so artifacts left
-by an earlier protocol are regenerated rather than graded. Protocol scale:
-3200-triplet sets, length 8, 100 epochs, batch 32, Adam at lr 0.01, 3
-independent runs per model.
+artifacts under results/acceptance/ through the protocol steps of
+scripts/run_comparison.py, which holds the frozen seeds and the scale and
+regenerates anything missing or corrupt through the command-line pipeline,
+so a clean checkout reproduces every number in this file; a cold
+regeneration takes hours on one core, a warm run seconds. An artifact counts
+only if its manifest records the command and configuration the protocol
+would run, so artifacts left by an earlier protocol are regenerated rather
+than graded.
 """
 
-import hashlib
 import itertools
 import json
-import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +24,10 @@ from test_baselines import safe_instance
 from test_edm import bfs_edm_oracle, lev_oracle
 from test_kernel import fd_gradient as quantum_fd
 from test_kernel import random_params, random_seq
+from test_scripts import load_script
 
 from dnakernel.baselines import ClassicalKernelModel
 from dnakernel.circuits import ALPHABET, KernelParams, apply_encoding_layer
-from dnakernel.cli import main as cli_main
 from dnakernel.dataset import load_triplets
 from dnakernel.edm import edm_exact, levenshtein
 from dnakernel.kernel import QuantumKernelModel, encode_sequences
@@ -38,140 +35,68 @@ from dnakernel.statevector import inner_product, zero_state
 from dnakernel.training import OPTIMIZER, order_accuracy
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
-
-DATASET_SEEDS = {"train": 101, "test": 202, "fresh": 303}
-DATASET_SHAPE = {"count": 3200, "length": 8}
-QUANTUM_SEEDS = {24: 11, 12: 12, 6: 13}
-CLASSICAL_SEEDS = {"cosine": 21, "rbf": 22, "poly2": 23}
-PROTOCOL = {"epochs": 100, "batch": 32, "lr": 0.01, "runs": 3}
-
-
-def _run_cli(argv):
-    # paths go in relative to the working directory, so the manifests they
-    # end up in do not depend on where the checkout lives
-    rc = cli_main([os.path.relpath(a) if isinstance(a, Path) else str(a)
-                   for a in argv])
-    assert rc == 0, f"pipeline command failed: {argv}"
-
-
-def _flags(config):
-    return [item for key, value in config.items() for item in (f"--{key}", value)]
-
-
-def _artifacts_ok(manifest_owner, expected_paths, command, config):
-    """True when the manifest records this command and config, and every
-    expected file matches its hash.
-
-    ``config`` holds the manifest config entries the caller would run with;
-    the "train" and "test" entries are compared by file name. Entries not
-    named (such as "jobs", which leaves the output unchanged) are ignored.
-    """
-    manifest_path = Path(f"{manifest_owner}.manifest.json")
-    if not manifest_path.exists():
-        return False
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        recorded = manifest["config"]
-        entries = {Path(a["path"]).name: a["sha256"] for a in manifest["artifacts"]}
-    except (ValueError, KeyError, TypeError):
-        return False
-    if manifest.get("command") != command:
-        return False
-    for key, want in config.items():
-        got = recorded.get(key)
-        if key in ("train", "test"):
-            got = None if got is None else Path(got).name
-            want = Path(want).name
-        if got != want:
-            return False
-    for path in expected_paths:
-        path = Path(path)
-        want = entries.get(path.name)
-        if want is None or not path.exists():
-            return False
-        if hashlib.sha256(path.read_bytes()).hexdigest() != want:
-            return False
-    return True
-
-
-def _ensure_dataset(directory, name, seed, shape=DATASET_SHAPE):
-    out = Path(directory) / f"{name}.jsonl"
-    config = {"seed": seed, **shape}
-    if not _artifacts_ok(out, [out], "gen-data", config):
-        _run_cli(["gen-data", *_flags(config), "--out", out])
-    return out
+protocol = load_script("run_comparison")
 
 
 @pytest.fixture(scope="session")
 def datasets():
-    ACCEPT_DIR.mkdir(parents=True, exist_ok=True)
     return {
-        name: _ensure_dataset(ACCEPT_DIR, name, seed)
-        for name, seed in DATASET_SEEDS.items()
+        name: protocol.ensure_dataset(ACCEPT_DIR, name, seed)
+        for name, seed in protocol.DATASETS.items()
     }
 
 
-def _ensure_training(command, prefix, seed, datasets, model_config,
-                     directory=ACCEPT_DIR, protocol=PROTOCOL):
-    """Summary of one trained model, retraining unless the artifacts on disk
-    were made by this exact command, protocol, seed and model."""
-    curves = Path(directory) / f"{prefix}_curves.csv"
-    checkpoints = Path(directory) / f"{prefix}_checkpoints.json"
-    summary = Path(directory) / f"{prefix}_curves.summary.json"
-    flags = {**protocol, "seed": seed, **model_config}
-    recorded = {**flags, "train": datasets["train"], "test": datasets["test"],
-                "optimizer": OPTIMIZER}
-    if not _artifacts_ok(curves, [curves, checkpoints, summary], command, recorded):
-        _run_cli([command, "--train", datasets["train"], "--test", datasets["test"],
-                  *_flags(flags),
-                  "--out-curves", curves, "--out-checkpoints", checkpoints])
-    return json.loads(summary.read_text())
+def _summaries(datasets, command, key):
+    return {
+        model.config[key]: protocol.ensure_training(ACCEPT_DIR, model, datasets)
+        for model in protocol.MODELS if model.command == command
+    }
 
 
 @pytest.fixture(scope="session")
 def quantum_summaries(datasets):
-    return {
-        layers: _ensure_training(
-            "train-quantum", f"qk{layers}", seed, datasets, {"layers": layers}
-        )
-        for layers, seed in QUANTUM_SEEDS.items()
-    }
+    return _summaries(datasets, "train-quantum", "layers")
 
 
 @pytest.fixture(scope="session")
 def classical_summaries(datasets):
-    return {
-        head: _ensure_training(
-            "train-classical", f"ck_{head}", seed, datasets, {"kernel": head}
-        )
-        for head, seed in CLASSICAL_SEEDS.items()
-    }
+    return _summaries(datasets, "train-classical", "kernel")
+
+
+def test_committed_artifacts_are_fresh(monkeypatch):
+    # a change to the protocol table, to the manifest config the CLI writes,
+    # or to a committed file would silently start hours of regeneration in
+    # the slow suite; fail in seconds instead
+    calls = []
+    monkeypatch.setattr(protocol, "run_cli", lambda argv: calls.append(str(argv[0])))
+    protocol.run(["--out-dir", str(ACCEPT_DIR)])
+    assert calls == ["report"]
 
 
 class TestArtifactFixture:
-    """The regeneration fixtures on a tiny set in a temporary directory."""
+    """The regeneration steps on a tiny set in a temporary directory."""
 
     SHAPE = {"count": 4, "length": 4}
-    PROTOCOL = {"epochs": 1, "batch": 4, "lr": 0.01, "runs": 2}
+    TRAINING = {**protocol.TRAINING, "epochs": 1, "batch": 4, "runs": 2}
+    MODEL = next(m for m in protocol.MODELS if m.prefix == "ck_cosine")
 
     @pytest.fixture
     def spy(self, monkeypatch):
         calls = []
-        run = _run_cli
+        run = protocol.run_cli
 
         def record(argv):
             calls.append(str(argv[0]))
             run(argv)
 
-        monkeypatch.setattr(sys.modules[__name__], "_run_cli", record)
+        monkeypatch.setattr(protocol, "run_cli", record)
         return calls
 
     def _train(self, directory, data):
-        return _ensure_training("train-classical", "ck_cosine", 21, data,
-                                {"kernel": "cosine"}, directory, self.PROTOCOL)
+        return protocol.ensure_training(directory, self.MODEL, data, self.TRAINING)
 
     def _data(self, directory):
-        return {name: _ensure_dataset(directory, name, seed, self.SHAPE)
+        return {name: protocol.ensure_dataset(directory, name, seed, self.SHAPE)
                 for name, seed in (("train", 1), ("test", 2))}
 
     @staticmethod
@@ -206,7 +131,8 @@ class TestArtifactFixture:
         assert spy[3:] == ["train-classical"]
         regenerated = json.loads(Path(f"{owner}.manifest.json").read_text())["config"]
         assert regenerated["optimizer"] == OPTIMIZER
-        assert regenerated["seed"] == 21 and regenerated["lr"] == 0.01
+        assert regenerated["seed"] == self.MODEL.seed
+        assert regenerated["lr"] == self.TRAINING["lr"]
 
     def test_other_command_or_dataset_config_is_regenerated(self, tmp_path, spy):
         data = self._data(tmp_path)
@@ -348,9 +274,9 @@ class TestParameterCounts:
 @pytest.mark.slow
 class TestCalibration:
     def test_untrained_kernel_scores_near_chance(self, datasets):
-        # criterion 8: random parameters, fresh 3200-triplet set, 50% +/- 3%
+        # criterion 8: random parameters, the fresh protocol-scale set, 50% +/- 3%
         triplets = load_triplets(datasets["fresh"])
-        assert len(triplets) == 3200
+        assert len(triplets) == protocol.SHAPE["count"]
         model = QuantumKernelModel(num_qubits=8, num_layers=24)
         params = model.init_params(np.random.default_rng(80_000))
         acc = order_accuracy(model, params, triplets)

@@ -1,6 +1,7 @@
 """Dataset generation, serialization, and validation-on-load."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -78,6 +79,29 @@ class TestGenerateTriplets:
     def test_bad_count(self):
         with pytest.raises(ValueError, match="count"):
             generate_triplets(seed=0, count=0, length=4)
+
+    def test_worker_pool_capped_at_count(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Records the requested size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        trips = generate_triplets(seed=7, count=4, length=4, jobs=64)
+        assert sizes == [4]
+        assert trips == generate_triplets(seed=7, count=4, length=4)
 
 
 class TestSaveLoadRoundTrip:

@@ -8,6 +8,9 @@ for exact EDM. The library must agree with them.
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,9 +105,26 @@ def random_string(rng, length):
 def mutate(rng, s, ops):
     """Apply ``ops`` random one-step operations, staying within length 10."""
     for _ in range(ops):
-        choices = [v for v in neighbors_oracle(s) if len(v) <= MAX_EDM_LENGTH]
+        choices = [v for v in sorted(neighbors_oracle(s)) if len(v) <= MAX_EDM_LENGTH]
         s = choices[rng.integers(0, len(choices))]
     return s
+
+
+def test_mutate_independent_of_hash_seed():
+    # the neighbour set iterates in an order set by per-process string
+    # hashing; mutate must not inherit it, or test_against_bfs_oracle would
+    # check other pairs on every run and a failure would not reproduce
+    code = ("import numpy as np; from test_edm import mutate; "
+            "rng = np.random.default_rng(0); "
+            "print([mutate(rng, 'ATGCA', 3) for _ in range(3)])")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True, timeout=120)
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestLevenshtein:
