@@ -4,18 +4,25 @@ The move operation relocates one contiguous substring to another position in
 the string, at unit cost like insert, delete, and substitute. No reversal,
 and cost does not scale with block length. Exact EDM is NP-complete in
 general; at the sequence lengths used here (<= 10) it is computed exactly by
-a bidirectional breadth-first search that meets in the middle, with the
-Levenshtein distance as the initial upper bound.
+a bidirectional breadth-first search that meets in the middle.
+
+Levenshtein is the bit-parallel dynamic program of Myers (J. ACM 1999) in
+Hyyro's form for global edit distance: one bitmask per letter of the first
+string and a few integer operations per letter of the second. The search
+starts from an upper bound tightened below Levenshtein by one block move:
+every single move m of x gives 1 + levenshtein(m(x), y), in the spirit of
+the block-move bounds of Cormode & Muthukrishnan (SODA 2002). A move is
+enumerated as a swap of two adjacent non-empty blocks, s[i:j] and s[j:k].
 """
 
 from __future__ import annotations
-
-import itertools
 
 from dnakernel.circuits import ALPHABET
 
 MAX_EDM_LENGTH = 10
 DEFAULT_NODE_BUDGET = 20_000_000
+
+_LETTER_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 
 
 class BudgetExceededError(RuntimeError):
@@ -31,19 +38,70 @@ def _check_string(s: str) -> str:
     return s
 
 
+def _peq(x: str) -> dict:
+    """Bitmask of the positions of each letter in ``x`` (bit i = x[i])."""
+    peq = dict.fromkeys(ALPHABET, 0)
+    for i, c in enumerate(x):
+        peq[c] |= 1 << i
+    return peq
+
+
+def _lev_bits(peq: dict, m: int, y: str) -> int:
+    """Levenshtein distance between the length-``m`` string behind ``peq`` and ``y``.
+
+    Column j of the DP table is held as vertical deltas D[i][j] - D[i-1][j]
+    in two bitmasks: ``pv`` (bits where the delta is +1) and ``mv`` (-1).
+    The score tracks the bottom cell D[m][j]. Bits above m - 1 hold junk,
+    but carries and shifts only move information upward, so it never
+    reaches the low m bits and no masking is needed.
+    """
+    if m == 0:
+        return len(y)
+    top = 1 << (m - 1)
+    pv, mv, score = (1 << m) - 1, 0, m
+    for c in y:
+        eq = peq[c]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # row 0 of a global distance grows by one per column: carry in a +1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = mh | ~(xv | ph)
+        mv = ph & xv
+    return score
+
+
 def levenshtein(x: str, y: str) -> int:
-    """Unit-cost insert/delete/substitute distance by dynamic programming."""
+    """Unit-cost insert/delete/substitute distance by a bit-parallel DP."""
     _check_string(x)
     _check_string(y)
-    if len(x) < len(y):
-        x, y = y, x
-    prev = list(range(len(y) + 1))
-    for i, cx in enumerate(x, start=1):
-        cur = [i]
-        for j, cy in enumerate(y, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (cx != cy)))
-        prev = cur
-    return prev[-1]
+    return _lev_bits(_peq(x), len(x), y)
+
+
+def _one_move_bound(x: str, y: str) -> int:
+    """min over single moves m of x of 1 + levenshtein(m(x), y).
+
+    One move followed by that many edits turns x into y, so this is an upper
+    bound on the edit distance with moves.
+    """
+    peq, m = _peq(y), len(y)
+    n = len(x)
+    best = n + m + 1
+    for i in range(n - 1):
+        head = x[:i]
+        for j in range(i + 1, n):
+            left = x[i:j]
+            for k in range(j + 1, n + 1):
+                d = _lev_bits(peq, m, head + x[j:k] + left + x[k:])
+                if d < best:
+                    best = d
+    return best + 1
 
 
 def _counts(s: str):
@@ -61,7 +119,6 @@ class _Side:
     """One frontier of the bidirectional search."""
 
     def __init__(self, root: str, target: str):
-        self.target = target
         self.target_counts = _counts(target)
         root_counts = _counts(root)
         need, surplus = _deficits(root_counts, self.target_counts)
@@ -74,94 +131,107 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
     """Expand one full BFS level of ``side``; return the best bound found.
 
     A child at depth d+1 still needing h more operations by the letter-count
-    bound cannot beat ``best`` unless d+1+h < best, so it is dropped. Moves
-    never change letter counts, so when the parent already saturates the
-    bound the whole move fan-out is skipped at once.
+    bound h = max(need, surplus) cannot beat ``best`` unless d+1+h < best, so
+    it is dropped. Moves never change letter counts, so when the parent
+    already saturates the bound the whole move fan-out is skipped at once.
+    Every generated child string counts against ``budget``, checked once per
+    expanded node; a child already visited on this side is dropped before
+    any state is built for it.
     """
     depth1 = side.depth + 1
     visited = side.visited
     other_visited = other.visited
     tc = side.target_counts
     new_frontier = []
+    append = new_frontier.append
+    index = _LETTER_INDEX
+
     for s, counts, need, surplus in side.frontier:
         n = len(s)
-        h_parent = max(need, surplus)
-        children = []
-        if depth1 + h_parent < best:
-            for i, j in itertools.combinations(range(n + 1), 2):
-                block = s[i:j]
-                rest = s[:i] + s[j:]
-                for k in range(len(rest) + 1):
-                    children.append((rest[:k] + block + rest[k:], counts, need, surplus))
+        generated = 0
+        first_child = len(new_frontier)
+        if depth1 + (need if need > surplus else surplus) < best:
+            # moves: swap the adjacent blocks s[i:j] and s[j:k]
+            for i in range(n - 1):
+                head = s[:i]
+                for j in range(i + 1, n):
+                    left = s[i:j]
+                    for k in range(j + 1, n + 1):
+                        cs = head + s[j:k] + left + s[k:]
+                        generated += 1
+                        if cs not in visited:
+                            visited[cs] = depth1
+                            append((cs, counts, need, surplus))
         for i in range(n):
             old = s[i]
-            oi = ALPHABET.index(old)
-            dn_need, dn_sur = need, surplus
+            oi = index[old]
             # removing one `old`
             if counts[oi] > tc[oi]:
-                dn_sur -= 1
+                dn_need, dn_sur = need, surplus - 1
             else:
-                dn_need += 1
-            for c in ALPHABET:
-                if c == old:
-                    continue
-                ci = ALPHABET.index(c)
-                need2, sur2 = dn_need, dn_sur
-                if counts[ci] < tc[ci]:
-                    need2 -= 1
-                else:
-                    sur2 += 1
-                if depth1 + max(need2, sur2) >= best:
-                    continue
-                cc = list(counts)
-                cc[oi] -= 1
-                cc[ci] += 1
-                children.append((s[:i] + c + s[i + 1 :], tuple(cc), need2, sur2))
-        if n + 1 <= len_hi:
+                dn_need, dn_sur = need + 1, surplus
             for ci, c in enumerate(ALPHABET):
-                need2, sur2 = need, surplus
+                if ci == oi:
+                    continue
                 if counts[ci] < tc[ci]:
-                    need2 -= 1
+                    need2, sur2 = dn_need - 1, dn_sur
                 else:
-                    sur2 += 1
-                if depth1 + max(need2, sur2) >= best:
+                    need2, sur2 = dn_need, dn_sur + 1
+                if depth1 + (need2 if need2 > sur2 else sur2) >= best:
+                    continue
+                cs = s[:i] + c + s[i + 1 :]
+                generated += 1
+                if cs not in visited:
+                    cc = list(counts)
+                    cc[oi] -= 1
+                    cc[ci] += 1
+                    visited[cs] = depth1
+                    append((cs, tuple(cc), need2, sur2))
+        if n < len_hi:
+            for ci, c in enumerate(ALPHABET):
+                if counts[ci] < tc[ci]:
+                    need2, sur2 = need - 1, surplus
+                else:
+                    need2, sur2 = need, surplus + 1
+                if depth1 + (need2 if need2 > sur2 else sur2) >= best:
                     continue
                 cc = list(counts)
                 cc[ci] += 1
                 cc = tuple(cc)
                 for i in range(n + 1):
-                    children.append((s[:i] + c + s[i:], cc, need2, sur2))
-        if n - 1 >= len_lo and n > 0:
+                    cs = s[:i] + c + s[i:]
+                    generated += 1
+                    if cs not in visited:
+                        visited[cs] = depth1
+                        append((cs, cc, need2, sur2))
+        if n > len_lo:
             for i in range(n):
-                ci = ALPHABET.index(s[i])
-                need2, sur2 = need, surplus
+                ci = index[s[i]]
                 if counts[ci] > tc[ci]:
-                    sur2 -= 1
+                    need2, sur2 = need, surplus - 1
                 else:
-                    need2 += 1
-                if depth1 + max(need2, sur2) >= best:
+                    need2, sur2 = need + 1, surplus
+                if depth1 + (need2 if need2 > sur2 else sur2) >= best:
                     continue
-                cc = list(counts)
-                cc[ci] -= 1
-                children.append((s[:i] + s[i + 1 :], tuple(cc), need2, sur2))
+                cs = s[:i] + s[i + 1 :]
+                generated += 1
+                if cs not in visited:
+                    cc = list(counts)
+                    cc[ci] -= 1
+                    visited[cs] = depth1
+                    append((cs, tuple(cc), need2, sur2))
 
-        budget[0] -= len(children)
+        for child in new_frontier[first_child:]:
+            d_other = other_visited.get(child[0])
+            if d_other is not None and depth1 + d_other < best:
+                best = depth1 + d_other
+
+        budget[0] -= generated
         if budget[0] < 0:
             raise BudgetExceededError(
                 "edit-distance search exceeded its node budget; "
                 "pass a larger budget for an exact answer"
             )
-        for child in children:
-            cs = child[0]
-            if cs in visited:
-                continue
-            if not len_lo <= len(cs) <= len_hi:
-                continue
-            visited[cs] = depth1
-            d_other = other_visited.get(cs)
-            if d_other is not None and depth1 + d_other < best:
-                best = depth1 + d_other
-            new_frontier.append(child)
     side.frontier = new_frontier
     side.depth = depth1
     return best
@@ -170,12 +240,17 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
 def edm_exact(x: str, y: str, budget: int | None = None) -> int:
     """Exact edit distance with moves between two strings.
 
-    Bidirectional uniform-cost search (all operations cost 1, so plain BFS
-    levels) from both endpoints with visited-set deduplication. Levels
+    The upper bound starts at Levenshtein (bit-parallel) and, when above 2,
+    is lowered by the best single move followed by plain edits. Then a
+    bidirectional uniform-cost search (all operations cost 1, so plain BFS
+    levels) runs from both endpoints with visited-set deduplication. Levels
     alternate to whichever frontier is smaller; intermediate strings are
     pruned to lengths within the reachable band and by an admissible
-    letter-count bound. Raises BudgetExceededError if more than ``budget``
-    child nodes would be generated; the answer, when returned, is exact.
+    letter-count bound, and the search stops as soon as no meeting shorter
+    than the bound can remain. Raises BudgetExceededError once more than
+    ``budget`` child strings have been generated (counted per expanded
+    node, before duplicates are dropped); the answer, when returned, is
+    exact.
     """
     _check_string(x)
     _check_string(y)
@@ -189,6 +264,8 @@ def edm_exact(x: str, y: str, budget: int | None = None) -> int:
     best = levenshtein(x, y)
     if best <= 1:
         return best
+    if best > 2:
+        best = min(best, _one_move_bound(x, y))
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
     remaining = [int(budget)]
@@ -198,10 +275,12 @@ def edm_exact(x: str, y: str, budget: int | None = None) -> int:
     sx = _Side(x, y)
     sy = _Side(y, x)
     # after expanding to frontier depths (dx, dy) every node within dx of x
-    # and dy of y has been visited, so any true distance D <= dx + dy has
-    # produced a meeting candidate; nothing shorter than `best` remains once
-    # best <= dx + dy
-    while best > sx.depth + sy.depth:
+    # and dy of y has been visited (pruning drops only nodes that cannot lie
+    # on a path shorter than `best`), so any true distance D <= dx + dy has
+    # produced a meeting candidate. Hence once dx + dy >= best - 1, every
+    # distance up to best - 1 would already have lowered `best`, and `best`
+    # is exact: stop while best <= dx + dy + 1
+    while best > sx.depth + sy.depth + 1:
         side, other = (sx, sy) if len(sx.frontier) <= len(sy.frontier) else (sy, sx)
         if not side.frontier:
             break

@@ -11,13 +11,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnakernel.dataset import DatasetError, load_triplets
+from test_scripts import load_script
+
+from dnakernel.dataset import DatasetError, generate_triplets, load_triplets, save_triplets
 from dnakernel.edm import (
     MAX_EDM_LENGTH,
     BudgetExceededError,
@@ -26,6 +29,7 @@ from dnakernel.edm import (
 )
 
 ALPHABET = "ATGC"
+ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 
 short_strings = st.text(alphabet=ALPHABET, max_size=5)
 
@@ -154,6 +158,15 @@ class TestLevenshtein:
             y = random_string(rng, int(rng.integers(0, 9)))
             assert levenshtein(x, y) == lev_oracle(x, y)
 
+    def test_bit_masks_up_to_max_length(self):
+        # every pair of lengths 0..MAX_EDM_LENGTH, so the top bit of the
+        # masks is exercised at the longest supported strings
+        rng = np.random.default_rng(10)
+        for lx, ly in itertools.product(range(MAX_EDM_LENGTH + 1), repeat=2):
+            for _ in range(3):
+                x, y = random_string(rng, lx), random_string(rng, ly)
+                assert levenshtein(x, y) == lev_oracle(x, y), (x, y)
+
 
 class TestEdmNeighbors:
     """Sanity checks of the neighbor oracle that the BFS oracle expands."""
@@ -232,6 +245,39 @@ class TestEdmExact:
                     y = y[:5]
             assert edm_exact(x, y) == bfs_edm_oracle(x, y), (x, y)
 
+    def test_near_pairs_against_bfs_oracle(self):
+        # one or two operations apart at lengths 6-8: the one-move upper
+        # bound and the early stop decide these, and the oracle stops by
+        # depth 2
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            x = random_string(rng, int(rng.integers(6, 9)))
+            y = mutate(rng, x, int(rng.integers(1, 3)))
+            assert edm_exact(x, y) == bfs_edm_oracle(x, y), (x, y)
+
+    def test_unequal_lengths_against_bfs_oracle(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 40:
+            x = random_string(rng, int(rng.integers(0, 6)))
+            y = random_string(rng, int(rng.integers(0, 6)))
+            if len(x) == len(y):
+                continue
+            assert edm_exact(x, y) == bfs_edm_oracle(x, y), (x, y)
+            checked += 1
+        for _ in range(20):
+            x = random_string(rng, int(rng.integers(6, 9)))
+            y = mutate(rng, x, int(rng.integers(1, 3)))
+            if len(x) != len(y):
+                assert edm_exact(x, y) == bfs_edm_oracle(x, y), (x, y)
+
+    @pytest.mark.parametrize("name", ["train", "test", "fresh"])
+    def test_committed_labels(self, name):
+        # the committed length-8 labels were written by an earlier search;
+        # recompute every 20th line (load_triplets raises on a mismatch)
+        triplets = load_triplets(ACCEPT_DIR / f"{name}.jsonl", verify_fraction=0.05)
+        assert len(triplets) == 3200
+
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -296,6 +342,18 @@ class TestSimilarity:
         assert t.d_ab == 1 and t.s_ab == 0.75
         with pytest.raises(DatasetError, match="do not match"):
             self.load_one(tmp_path, "ATGC", "GCAT", "ATGC", 0.5, 1.0)
+
+
+@pytest.mark.slow
+def test_generation_matches_committed_prefix(tmp_path):
+    # each triplet draws from its own SeedSequence child, so the first 400
+    # triplets of a seed are the first 400 lines of its committed file;
+    # this reaches the tie-redraw path that per-pair checks do not
+    datasets = load_script("run_comparison").DATASETS
+    for name, seed in datasets.items():
+        save_triplets(generate_triplets(seed, 400, 8), tmp_path / name)
+        committed = (ACCEPT_DIR / f"{name}.jsonl").read_bytes().splitlines(keepends=True)
+        assert (tmp_path / name).read_bytes() == b"".join(committed[:400]), name
 
 
 @settings(max_examples=60, deadline=None)
