@@ -5,7 +5,8 @@ This file is the one written record of the experiment protocol: three
 labelled triplet sets (train, test, and a fresh set for the untrained-kernel
 calibration), six models (the quantum kernel with 6, 12 and 24 layers; the
 classical deep kernels with cosine, RBF and degree-2 polynomial heads), their
-frozen seeds, and the scale. The acceptance fixtures in
+frozen seeds, and the dataset scale. The training scale is the default
+TrainingConfig, which the command line also uses. The acceptance fixtures in
 tests/test_acceptance.py call the functions below with these tables.
 
 Every step runs one command of the pipeline, and every command writes a
@@ -29,11 +30,13 @@ from collections import namedtuple
 from pathlib import Path
 
 from dnakernel.cli import main as cli_main
-from dnakernel.training import OPTIMIZER
+from dnakernel.training import OPTIMIZER, TrainingConfig
 
 DATASETS = {"train": 101, "test": 202, "fresh": 303}
 SHAPE = {"count": 3200, "length": 8}
-TRAINING = {"epochs": 100, "batch": 32, "lr": 0.01, "runs": 3}
+_defaults = TrainingConfig()
+TRAINING = {"epochs": _defaults.epochs, "batch": _defaults.batch_size,
+            "lr": _defaults.learning_rate, "runs": _defaults.runs}
 
 Model = namedtuple("Model", "label prefix command config seed")
 MODELS = (

@@ -22,7 +22,7 @@ from dnakernel.dataset import (
     save_triplets,
     write_atomic,
 )
-from dnakernel.edm import MAX_EDM_LENGTH, BudgetExceededError, edm_exact
+from dnakernel.edm import BudgetExceededError, edm_exact
 from dnakernel.kernel import QuantumKernelModel
 from dnakernel.training import (
     OPTIMIZER,
@@ -81,15 +81,6 @@ def write_manifest(out_path, command: str, config: dict, seeds, artifacts,
 
 
 def cmd_gen_data(args) -> int:
-    if args.length < 1:
-        raise ValueError(f"--length must be >= 1, got {args.length}")
-    if args.length > MAX_EDM_LENGTH:
-        raise ValueError(
-            f"--length {args.length} exceeds the exact-distance cap of "
-            f"{MAX_EDM_LENGTH}; labels would be unverifiable"
-        )
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
     start = time.perf_counter()
     triplets = generate_triplets(args.seed, args.count, args.length, jobs=args.jobs)
     save_triplets(triplets, args.out)
@@ -108,9 +99,6 @@ def cmd_gen_data(args) -> int:
 
 def _train_command(args, make_model) -> int:
     """Load both triplet files once, then train ``make_model(sequence length)``."""
-    if args.out_summary is None:
-        base = os.path.splitext(args.out_curves)[0]
-        args.out_summary = f"{base}.summary.json"
     t0 = time.perf_counter()
     train_set = load_triplets(args.train)
     test_set = load_triplets(args.test)
@@ -138,20 +126,9 @@ def _train_command(args, make_model) -> int:
     }
     save_json(args.out_checkpoints, checkpoints)
 
-    summary: dict = {"per_run_best": [c.best for c in curves]}
-    if len(curves) >= 2:
-        agg = aggregate_runs(curves)
-        summary.update(
-            mean_best=agg.mean,
-            ci95_halfwidth=agg.ci95_halfwidth,
-            mean_best_so_far=list(agg.mean_best_so_far),
-        )
-    else:
-        summary.update(
-            mean_best=curves[0].best,
-            note="confidence interval omitted: requires at least 2 runs",
-        )
-    save_json(args.out_summary, summary)
+    summary = aggregate_runs(curves)
+    summary_path = f"{os.path.splitext(args.out_curves)[0]}.summary.json"
+    save_json(summary_path, summary)
 
     flag_config = {
         "train": args.train,
@@ -173,7 +150,7 @@ def _train_command(args, make_model) -> int:
         args.command,
         flag_config,
         [c.seed for c in curves],
-        [args.out_curves, args.out_checkpoints, args.out_summary],
+        [args.out_curves, args.out_checkpoints, summary_path],
         {"load": load_seconds, "train": train_seconds},
     )
     mean = summary["mean_best"]
@@ -211,31 +188,26 @@ def cmd_report(args) -> int:
                 f"--curves entries must look like LABEL=PATH, got {spec!r}"
             )
         label, path = spec.split("=", 1)
-        curves = load_curves(path)
-        if not curves:
-            raise ValueError(f"{path}: no learning curves found")
-        if len(curves) >= 2:
-            agg = aggregate_runs(curves)
-            rows.append((label, len(curves), agg.mean, agg.ci95_halfwidth))
-            mean_curve = agg.mean_best_so_far
-        else:
-            rows.append((label, 1, curves[0].best, None))
-            mean_curve = tuple(r.best_so_far for r in curves[0].records)
+        summary = aggregate_runs(load_curves(path))
+        rows.append((label, summary))
         if args.out_dir is not None:
             os.makedirs(args.out_dir, exist_ok=True)
             out = os.path.join(args.out_dir, f"mean_best_so_far_{label}.csv")
-            lines = [f"{epoch},{value!r}\n" for epoch, value in enumerate(mean_curve)]
+            lines = [f"{epoch},{value!r}\n"
+                     for epoch, value in enumerate(summary["mean_best_so_far"])]
             write_atomic(out, "epoch,mean_best_so_far\n" + "".join(lines))
             artifacts.append(out)
 
     width = max(5, max(len(r[0]) for r in rows))
     print(f"{'model':<{width}}  runs  best order accuracy")
-    for label, runs, mean, hw in rows:
-        if hw is None:
+    for label, summary in rows:
+        runs, mean = len(summary["per_run_best"]), summary["mean_best"]
+        if "ci95_halfwidth" in summary:
+            hw = summary["ci95_halfwidth"]
+            print(f"{label:<{width}}  {runs:>4}  {100 * mean:5.1f} +/- {100 * hw:3.1f}%")
+        else:
             print(f"{label:<{width}}  {runs:>4}  {100 * mean:5.1f}%  "
                   "(single run, no interval)")
-        else:
-            print(f"{label:<{width}}  {runs:>4}  {100 * mean:5.1f} +/- {100 * hw:3.1f}%")
     if artifacts:
         write_manifest(
             os.path.join(args.out_dir, "report"),
@@ -259,8 +231,6 @@ def _add_train_flags(parser):
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--out-curves", required=True)
     parser.add_argument("--out-checkpoints", required=True)
-    parser.add_argument("--out-summary", default=None,
-                        help="defaults to the curve path with a .summary.json suffix")
     parser.add_argument("--jobs", type=int, default=None)
 
 

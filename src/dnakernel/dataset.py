@@ -67,9 +67,12 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not 1 <= length <= MAX_EDM_LENGTH:
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    if length > MAX_EDM_LENGTH:
         raise ValueError(
-            f"length must be in 1..{MAX_EDM_LENGTH} for the exact oracle, got {length}"
+            f"length {length} exceeds the exact-distance cap of {MAX_EDM_LENGTH}; "
+            "labels would be unverifiable"
         )
     children = np.random.SeedSequence(seed).spawn(count)
     if jobs > 1:
@@ -132,7 +135,8 @@ def _parse_line(line: str, lineno: int) -> LabeledTriplet:
     if not (len(a) == len(b) == len(c)):
         raise DatasetError(f"line {lineno}: sequences have unequal lengths")
     n = len(a)
-    if not (isinstance(d_ab, int) and isinstance(d_ac, int)):
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if not (type(d_ab) is int and type(d_ac) is int):
         raise DatasetError(f"line {lineno}: distances must be integers")
     if not (0 <= d_ab <= n and 0 <= d_ac <= n):
         raise DatasetError(f"line {lineno}: distance out of range 0..{n}")
@@ -157,7 +161,13 @@ def load_triplets(path, verify_fraction: float = 0.01):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 raise DatasetError(f"line {lineno}: empty line")
-            triplets.append(_parse_line(line, lineno))
+            triplet = _parse_line(line, lineno)
+            if triplets and triplet.length != triplets[0].length:
+                raise DatasetError(
+                    f"line {lineno}: sequence length {triplet.length} differs "
+                    f"from {triplets[0].length} on line 1"
+                )
+            triplets.append(triplet)
     if not triplets:
         raise DatasetError(f"{path}: no triplets found")
     if verify_fraction > 0:

@@ -40,7 +40,7 @@ class TrainingConfig:
     learning_rate: float = 0.01
     epochs: int = 100
     batch_size: int = 32
-    runs: int = 10
+    runs: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -71,14 +71,6 @@ class LearningCurve:
     @property
     def best(self) -> float:
         return self.records[-1].best_so_far
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    per_run_best: tuple
-    mean: float
-    ci95_halfwidth: float
-    mean_best_so_far: tuple  # averaged across runs, indexed by record order
 
 
 @dataclass(frozen=True)
@@ -206,25 +198,32 @@ def train_run(model, config: TrainingConfig, train_triplets, test_triplets,
     return curve, params
 
 
-def aggregate_runs(curves) -> RunSummary:
-    """Mean and Student-t 95% interval of the per-run best accuracies."""
-    if len(curves) < 2:
-        raise ValueError("need at least 2 runs for summary statistics")
+def aggregate_runs(curves) -> dict:
+    """Summary of independent runs, as written to ``*.summary.json``.
+
+    Holds the per-run and mean best accuracies and the best-so-far curve
+    averaged across runs; the Student-t 95% interval of the mean needs at
+    least 2 runs, and a single run gets a note in its place.
+    """
+    if not curves:
+        raise ValueError("no runs to summarize")
     lengths = {len(c.records) for c in curves}
     if len(lengths) != 1:
         raise ValueError("runs have differing epoch counts")
     bests = np.array([c.best for c in curves])
-    mean = float(bests.mean())
-    sd = float(bests.std(ddof=1))
-    tcrit = float(stats.t.ppf(0.975, len(bests) - 1))
-    hw = tcrit * sd / np.sqrt(len(bests))
     per_epoch = np.array([[r.best_so_far for r in c.records] for c in curves])
-    return RunSummary(
-        per_run_best=tuple(float(b) for b in bests),
-        mean=mean,
-        ci95_halfwidth=float(hw),
-        mean_best_so_far=tuple(float(v) for v in per_epoch.mean(axis=0)),
-    )
+    summary = {
+        "per_run_best": [float(b) for b in bests],
+        "mean_best": float(bests.mean()),
+        "mean_best_so_far": [float(v) for v in per_epoch.mean(axis=0)],
+    }
+    if len(bests) < 2:
+        summary["note"] = "confidence interval omitted: requires at least 2 runs"
+    else:
+        sd = float(bests.std(ddof=1))
+        tcrit = float(stats.t.ppf(0.975, len(bests) - 1))
+        summary["ci95_halfwidth"] = float(tcrit * sd / np.sqrt(len(bests)))
+    return summary
 
 
 def run_experiment(model, config: TrainingConfig, train_triplets, test_triplets,
@@ -242,17 +241,12 @@ def run_experiment(model, config: TrainingConfig, train_triplets, test_triplets,
         from multiprocessing import Pool
 
         with Pool(min(jobs, len(args))) as pool:
-            results = pool.map(_train_run_star, args)
+            results = pool.starmap(train_run, args)
     else:
-        results = [_train_run_star(a) for a in args]
+        results = [train_run(*a) for a in args]
     curves = [r[0] for r in results]
     final_params = [r[1] for r in results]
     return curves, final_params
-
-
-def _train_run_star(arg):
-    model, config, train_triplets, test_triplets, seed, index = arg
-    return train_run(model, config, train_triplets, test_triplets, seed, index)
 
 
 def save_curves(path, curves) -> None:
@@ -280,6 +274,8 @@ def load_curves(path):
             runs.setdefault(run, []).append(
                 CurveRecord(epoch, float(parts[2]), float(parts[3]), float(parts[4]))
             )
+    if not runs:
+        raise ValueError(f"{path}: no learning curves found")
     return [
         LearningCurve(run, -1, tuple(records)) for run, records in sorted(runs.items())
     ]

@@ -215,6 +215,26 @@ class TestLoadValidation:
         with pytest.raises(DatasetError, match="integers"):
             load_triplets(path)
 
+    def test_boolean_distance_rejected(self, tmp_path):
+        # json true is an int subclass equal to 1, so it would pass the label
+        # and recomputation checks as distance 1 without a type check
+        a, b, c = "ATGC", "ATGG", "CCAA"
+        d_ac = edm_exact(a, c)
+        assert edm_exact(a, b) == 1 and d_ac != 1
+        line = json.dumps({"a": a, "b": b, "c": c, "d_ab": True, "d_ac": d_ac,
+                           "s_ab": 0.75, "s_ac": (4 - d_ac) / 4}, sort_keys=True)
+        path = tmp_path / "bad.jsonl"
+        _write_lines(path, [_valid_line(), line])
+        with pytest.raises(DatasetError, match="line 2: distances must be integers"):
+            load_triplets(path, verify_fraction=1.0)
+
+    def test_mixed_sequence_lengths_rejected(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        _write_lines(path, [_valid_line(length=8), _valid_line(length=8, seed=12),
+                            _valid_line(length=3)])
+        with pytest.raises(DatasetError, match="line 3: sequence length 3"):
+            load_triplets(path)
+
 
 def test_labeled_triplet_length():
     t = LabeledTriplet("ATGC", "GCAT", "AAAA", 1, 3, 0.75, 0.25)

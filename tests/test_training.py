@@ -5,6 +5,8 @@ and gradients are exact closed forms, so loop mechanics (shuffling, batching,
 epoch accounting, aggregation) are checked without circuit cost.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -30,6 +32,8 @@ from dnakernel.training import (
     train_epoch,
     train_run,
 )
+
+ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 
 
 class ToyModel:
@@ -100,7 +104,7 @@ class TestConfig:
         assert cfg.learning_rate == 0.01
         assert cfg.epochs == 100
         assert cfg.batch_size == 32
-        assert cfg.runs == 10
+        assert cfg.runs == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -350,29 +354,48 @@ class TestAggregate:
 
     def test_mean_and_halfwidth(self):
         summary = aggregate_runs([self._curve(0, [0.6, 0.7]), self._curve(1, [0.6, 0.8])])
-        assert summary.per_run_best == (0.7, 0.8)
-        assert summary.mean == pytest.approx(0.75)
+        assert summary["per_run_best"] == [0.7, 0.8]
+        assert summary["mean_best"] == pytest.approx(0.75)
         sd = np.std([0.7, 0.8], ddof=1)
         expected_hw = stats.t.ppf(0.975, 1) * sd / np.sqrt(2)
-        assert summary.ci95_halfwidth == pytest.approx(expected_hw)
+        assert summary["ci95_halfwidth"] == pytest.approx(expected_hw)
+        assert "note" not in summary
 
     def test_identical_runs_zero_halfwidth(self):
         curves = [self._curve(i, [0.5, 0.72]) for i in range(4)]
         summary = aggregate_runs(curves)
-        assert summary.ci95_halfwidth == 0.0
-        assert summary.mean == pytest.approx(0.72)
+        assert summary["ci95_halfwidth"] == 0.0
+        assert summary["mean_best"] == pytest.approx(0.72)
 
     def test_mean_best_so_far_curve(self):
         summary = aggregate_runs([self._curve(0, [0.2, 0.6]), self._curve(1, [0.4, 0.4])])
-        assert summary.mean_best_so_far == pytest.approx((0.3, 0.5))
+        assert summary["mean_best_so_far"] == pytest.approx([0.3, 0.5])
 
-    def test_single_run_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            aggregate_runs([self._curve(0, [0.5])])
+    def test_single_run_summary(self):
+        curve = self._curve(0, [0.5, 0.4, 0.7])
+        summary = aggregate_runs([curve])
+        assert "ci95_halfwidth" not in summary
+        assert "at least 2" in summary["note"]
+        assert summary["per_run_best"] == [0.7]
+        assert summary["mean_best"] == 0.7
+        assert summary["mean_best_so_far"] == [r.best_so_far for r in curve.records]
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="no runs"):
+            aggregate_runs([])
 
     def test_ragged_runs_rejected(self):
         with pytest.raises(ValueError, match="differing"):
             aggregate_runs([self._curve(0, [0.5]), self._curve(1, [0.5, 0.6])])
+
+    @pytest.mark.parametrize("prefix", ["qk6", "qk12", "qk24",
+                                        "ck_cosine", "ck_rbf", "ck_poly2"])
+    def test_committed_summaries_reproduced(self, tmp_path, prefix):
+        # the summaries train-quantum/train-classical wrote are recomputed
+        # byte for byte from their curve files alone
+        out = tmp_path / "summary.json"
+        save_json(out, aggregate_runs(load_curves(ACCEPT_DIR / f"{prefix}_curves.csv")))
+        assert out.read_bytes() == (ACCEPT_DIR / f"{prefix}_curves.summary.json").read_bytes()
 
 
 class TestRunExperiment:
@@ -419,6 +442,12 @@ class TestCurveIO:
         path = tmp_path / "curves.csv"
         path.write_text("run,epoch\n")
         with pytest.raises(ValueError, match="header"):
+            load_curves(path)
+
+    def test_no_rows_rejected(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        save_curves(path, [])
+        with pytest.raises(ValueError, match="no learning curves"):
             load_curves(path)
 
     def test_bad_field_count_rejected(self, tmp_path):
