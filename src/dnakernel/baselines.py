@@ -11,14 +11,19 @@ passes included, since the two inputs share every weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from dnakernel.circuits import ALPHABET
+from dnakernel.kernel import check_codes
 
-HEADS = ("cosine", "rbf", "poly2")
-_HEAD_PARAMS = {"cosine": 0, "rbf": 1, "poly2": 2}
+# initial values of each head's trainable parameters, which also fixes their
+# count: log_gamma = 0 (gamma = 1) for rbf, scale 1 and offset 0 for poly2
+_HEAD_INIT = {"cosine": (), "rbf": (0.0,), "poly2": (1.0, 0.0)}
+HEADS = tuple(_HEAD_INIT)
 EMBED_DIM = 4
 HIDDEN_DIM = 16
 FEATURE_DIM = 16
@@ -28,10 +33,7 @@ FEATURE_DIM = 16
 class ClassicalKernelModel:
     """Embedding + MLP feature map with a cosine, RBF, or poly2 head.
 
-    Parameters live in one flat vector laid out as
-    [embedding 4x4 | W1 32x16 | b1 16 | W2 16x16 | b2 16 | head...],
-    matching the slices below; heads append log_gamma (rbf) or
-    (scale, offset) (poly2).
+    Parameters live in one flat vector whose blocks ``_layout`` lists.
     """
 
     head: str
@@ -45,24 +47,29 @@ class ClassicalKernelModel:
     def flat_in(self) -> int:
         return self.seq_length * EMBED_DIM
 
+    @cached_property
+    def _layout(self) -> dict:
+        """Block name -> (slice of the flat vector, shape, fan-in of its
+        initial draw, None for a block that starts at fixed values), in the
+        order the blocks lie in the vector.
+        """
+        blocks = [
+            ("emb", (len(ALPHABET), EMBED_DIM), EMBED_DIM),
+            ("w1", (self.flat_in, HIDDEN_DIM), self.flat_in),
+            ("b1", (HIDDEN_DIM,), None),
+            ("w2", (HIDDEN_DIM, FEATURE_DIM), HIDDEN_DIM),
+            ("b2", (FEATURE_DIM,), None),
+            ("head", (len(_HEAD_INIT[self.head]),), None),
+        ]
+        layout, start = {}, 0
+        for name, shape, fan_in in blocks:
+            layout[name] = (slice(start, start + math.prod(shape)), shape, fan_in)
+            start += math.prod(shape)
+        return layout
+
     @property
     def num_parameters(self) -> int:
-        n_emb = len(ALPHABET) * EMBED_DIM
-        n_l1 = self.flat_in * HIDDEN_DIM + HIDDEN_DIM
-        n_l2 = HIDDEN_DIM * FEATURE_DIM + FEATURE_DIM
-        return n_emb + n_l1 + n_l2 + _HEAD_PARAMS[self.head]
-
-    def _slices(self):
-        sizes = [
-            len(ALPHABET) * EMBED_DIM,
-            self.flat_in * HIDDEN_DIM,
-            HIDDEN_DIM,
-            HIDDEN_DIM * FEATURE_DIM,
-            FEATURE_DIM,
-            _HEAD_PARAMS[self.head],
-        ]
-        bounds = np.cumsum([0] + sizes)
-        return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        return self._layout["head"][0].stop
 
     def unpack(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
@@ -70,40 +77,16 @@ class ClassicalKernelModel:
             raise ValueError(
                 f"expected {self.num_parameters} parameters, got shape {flat.shape}"
             )
-        s_emb, s_w1, s_b1, s_w2, s_b2, s_head = self._slices()
-        return {
-            "emb": flat[s_emb].reshape(len(ALPHABET), EMBED_DIM),
-            "w1": flat[s_w1].reshape(self.flat_in, HIDDEN_DIM),
-            "b1": flat[s_b1],
-            "w2": flat[s_w2].reshape(HIDDEN_DIM, FEATURE_DIM),
-            "b2": flat[s_b2],
-            "head": flat[s_head],
-        }
+        return {name: flat[sl].reshape(shape) for name, (sl, shape, _) in self._layout.items()}
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform +-1/sqrt(fan_in) weights, zero biases, neutral head."""
-        emb = rng.uniform(-1, 1, size=len(ALPHABET) * EMBED_DIM) / np.sqrt(EMBED_DIM)
-        w1 = rng.uniform(-1, 1, size=self.flat_in * HIDDEN_DIM) / np.sqrt(
-            self.flat_in
-        )
-        b1 = np.zeros(HIDDEN_DIM)
-        w2 = rng.uniform(-1, 1, size=HIDDEN_DIM * FEATURE_DIM) / np.sqrt(HIDDEN_DIM)
-        b2 = np.zeros(FEATURE_DIM)
-        if self.head == "rbf":
-            head = np.array([0.0])  # log_gamma = 0 -> gamma = 1
-        elif self.head == "poly2":
-            head = np.array([1.0, 0.0])  # scale 1, offset 0
-        else:
-            head = np.zeros(0)
-        return np.concatenate([emb, w1, b1, w2, b2, head])
-
-    def _check_codes(self, codes):
-        codes = np.asarray(codes)
-        if codes.ndim != 2 or codes.shape[1] != self.seq_length:
-            raise ValueError(
-                f"expected codes of width {self.seq_length}, got {codes.shape}"
-            )
-        return codes
+        flat = np.zeros(self.num_parameters)
+        for sl, _, fan_in in self._layout.values():
+            if fan_in is not None:
+                flat[sl] = rng.uniform(-1, 1, size=sl.stop - sl.start) / np.sqrt(fan_in)
+        flat[self._layout["head"][0]] = _HEAD_INIT[self.head]
+        return flat
 
     def _feature_forward(self, p, codes):
         x = p["emb"][codes].reshape(codes.shape[0], self.flat_in)
@@ -111,11 +94,6 @@ class ClassicalKernelModel:
         hid = np.maximum(pre, 0.0)
         out = hid @ p["w2"] + p["b2"]
         return x, pre, hid, out
-
-    def feature_map(self, flat_params, codes) -> np.ndarray:
-        """Feature vectors (batch, 16) for a batch of sequence codes."""
-        p = self.unpack(flat_params)
-        return self._feature_forward(p, self._check_codes(codes))[3]
 
     def _head_forward(self, head_params, u, v):
         """Kernel values plus the head's local gradients d k / d(u, v, head)."""
@@ -158,42 +136,29 @@ class ClassicalKernelModel:
 
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
         p = self.unpack(flat_params)
-        u = self._feature_forward(p, self._check_codes(codes_a))[3]
-        v = self._feature_forward(p, self._check_codes(codes_b))[3]
+        u = self._feature_forward(p, check_codes(codes_a, self.seq_length))[3]
+        v = self._feature_forward(p, check_codes(codes_b, self.seq_length))[3]
         return self._head_forward(p["head"], u, v)[0]
 
     def _backprop_features(self, p, codes, cache, dout):
-        """Per-pair gradients of sum(dout * features) w.r.t. the weights.
-
-        Returns flat gradient rows (batch, num_shared_parameters); shared
-        means everything before the head slice.
+        """Per-pair gradients of sum(dout * features) w.r.t. the weights:
+        one (batch, ...) array per feature-map block, keyed as in unpack.
         """
         x, pre, hid, _ = cache
         batch = codes.shape[0]
         dw2 = np.einsum("bh,bf->bhf", hid, dout)
-        db2 = dout
         dhid = dout @ p["w2"].T
         dpre = dhid * (pre > 0)
         dw1 = np.einsum("bi,bh->bih", x, dpre)
-        db1 = dpre
         dx = dpre @ p["w1"].T
-        demb = np.zeros((batch, len(ALPHABET), EMBED_DIM))
+        demb = np.zeros((batch,) + p["emb"].shape)
         rows = np.repeat(np.arange(batch), self.seq_length)
         np.add.at(
             demb,
             (rows, codes.reshape(-1)),
             dx.reshape(batch, self.seq_length, EMBED_DIM).reshape(-1, EMBED_DIM),
         )
-        return np.concatenate(
-            [
-                demb.reshape(batch, -1),
-                dw1.reshape(batch, -1),
-                db1,
-                dw2.reshape(batch, -1),
-                db2,
-            ],
-            axis=1,
-        )
+        return {"emb": demb, "w1": dw1, "b1": dpre, "w2": dw2, "b2": dout}
 
     def kernel_and_grad_batch(self, flat_params, codes_a, codes_b):
         """Kernel values and exact per-pair gradients dK/dparams.
@@ -201,15 +166,18 @@ class ClassicalKernelModel:
         Both feature passes share the weights, so their contributions add.
         """
         p = self.unpack(flat_params)
-        codes_a = self._check_codes(codes_a)
-        codes_b = self._check_codes(codes_b)
+        codes_a = check_codes(codes_a, self.seq_length)
+        codes_b = check_codes(codes_b, self.seq_length)
         cache_a = self._feature_forward(p, codes_a)
         cache_b = self._feature_forward(p, codes_b)
         k, du, dv, dhead = self._head_forward(p["head"], cache_a[3], cache_b[3])
-        grads_shared = self._backprop_features(
-            p, codes_a, cache_a, du
-        ) + self._backprop_features(p, codes_b, cache_b, dv)
-        grads = np.concatenate([grads_shared, dhead], axis=1)
+        back_a = self._backprop_features(p, codes_a, cache_a, du)
+        back_b = self._backprop_features(p, codes_b, cache_b, dv)
+        blocks = {name: back_a[name] + back_b[name] for name in back_a}
+        blocks["head"] = dhead
+        grads = np.concatenate(
+            [blocks[name].reshape(k.size, -1) for name in self._layout], axis=1
+        )
         if not np.isfinite(grads).all() or not np.isfinite(k).all():
             raise FloatingPointError("non-finite values in classical kernel gradient")
         return k, grads

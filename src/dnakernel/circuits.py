@@ -85,10 +85,6 @@ class KernelParams:
             )
         object.__setattr__(self, "angles", angles)
 
-    @property
-    def num_parameters(self) -> int:
-        return 3 * self.num_layers
-
     def flat(self) -> np.ndarray:
         return self.angles.reshape(-1).copy()
 
@@ -98,10 +94,6 @@ class KernelParams:
         if flat.ndim != 1 or flat.size % 3 != 0 or flat.size == 0:
             raise ValueError(f"flat parameter vector must have length 3L, got {flat.shape}")
         return cls(flat.size // 3, flat.reshape(-1, 3))
-
-    @classmethod
-    def zeros(cls, num_layers: int) -> "KernelParams":
-        return cls(num_layers, np.zeros((num_layers, 3)))
 
     @classmethod
     def random(cls, num_layers: int, rng: np.random.Generator) -> "KernelParams":

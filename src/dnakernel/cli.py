@@ -103,7 +103,13 @@ def _train_command(args, make_model) -> int:
     train_set = load_triplets(args.train)
     test_set = load_triplets(args.test)
     load_seconds = time.perf_counter() - t0
-    model = make_model(train_set[0].length)
+    length = train_set[0].length
+    if test_set[0].length != length:
+        raise ValueError(
+            f"test file {args.test} holds length-{test_set[0].length} sequences, "
+            f"train file {args.train} length-{length}"
+        )
+    model = make_model(length)
 
     config = TrainingConfig(
         learning_rate=args.lr,

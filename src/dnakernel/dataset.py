@@ -75,32 +75,23 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
             "labels would be unverifiable"
         )
     children = np.random.SeedSequence(seed).spawn(count)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(jobs, count)) as pool:
-            return pool.map(_triplet_from_seedseq, [(ss, length) for ss in children])
-    return [_triplet_from_seedseq((ss, length)) for ss in children]
+    return pool_starmap(_triplet_from_seedseq, [(ss, length) for ss in children], jobs)
 
 
-def _triplet_from_seedseq(arg) -> LabeledTriplet:
-    seedseq, length = arg
+def _triplet_from_seedseq(seedseq, length: int) -> LabeledTriplet:
     return _make_triplet(np.random.default_rng(seedseq), length)
 
 
-def _triplet_to_json(t: LabeledTriplet) -> str:
-    return json.dumps(
-        {
-            "a": t.a,
-            "b": t.b,
-            "c": t.c,
-            "d_ab": t.d_ab,
-            "d_ac": t.d_ac,
-            "s_ab": t.s_ab,
-            "s_ac": t.s_ac,
-        },
-        sort_keys=True,
-    )
+def pool_starmap(func, args: list, jobs: int) -> list:
+    """``[func(*a) for a in args]``, over min(jobs, len(args)) worker
+    processes when jobs > 1; results keep the order of ``args`` either way.
+    """
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        with Pool(min(jobs, len(args))) as pool:
+            return pool.starmap(func, args)
+    return [func(*a) for a in args]
 
 
 def write_atomic(path, text: str) -> None:
@@ -113,7 +104,8 @@ def write_atomic(path, text: str) -> None:
 
 def save_triplets(triplets, path) -> None:
     """Write one JSON object per line, atomically (write then rename)."""
-    write_atomic(path, "".join(_triplet_to_json(t) + "\n" for t in triplets))
+    lines = (json.dumps(vars(t), sort_keys=True) + "\n" for t in triplets)
+    write_atomic(path, "".join(lines))
 
 
 def _parse_line(line: str, lineno: int) -> LabeledTriplet:
@@ -138,6 +130,8 @@ def _parse_line(line: str, lineno: int) -> LabeledTriplet:
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass
     if not (type(d_ab) is int and type(d_ac) is int):
         raise DatasetError(f"line {lineno}: distances must be integers")
+    if not {type(s_ab), type(s_ac)} <= {int, float}:
+        raise DatasetError(f"line {lineno}: similarity labels must be numbers")
     if not (0 <= d_ab <= n and 0 <= d_ac <= n):
         raise DatasetError(f"line {lineno}: distance out of range 0..{n}")
     if d_ab == d_ac:

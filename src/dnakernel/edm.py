@@ -20,13 +20,13 @@ from __future__ import annotations
 from dnakernel.circuits import ALPHABET
 
 MAX_EDM_LENGTH = 10
-DEFAULT_NODE_BUDGET = 20_000_000
+NODE_BUDGET = 20_000_000
 
 _LETTER_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 
 
 class BudgetExceededError(RuntimeError):
-    """Search generated more nodes than the caller allowed."""
+    """Search generated more child strings than NODE_BUDGET allows."""
 
 
 def _check_string(s: str) -> str:
@@ -229,15 +229,15 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
         budget[0] -= generated
         if budget[0] < 0:
             raise BudgetExceededError(
-                "edit-distance search exceeded its node budget; "
-                "pass a larger budget for an exact answer"
+                f"edit-distance search exceeded its budget of {NODE_BUDGET} "
+                "generated strings without an exact answer"
             )
     side.frontier = new_frontier
     side.depth = depth1
     return best
 
 
-def edm_exact(x: str, y: str, budget: int | None = None) -> int:
+def edm_exact(x: str, y: str) -> int:
     """Exact edit distance with moves between two strings.
 
     The upper bound starts at Levenshtein (bit-parallel) and, when above 2,
@@ -248,7 +248,7 @@ def edm_exact(x: str, y: str, budget: int | None = None) -> int:
     pruned to lengths within the reachable band and by an admissible
     letter-count bound, and the search stops as soon as no meeting shorter
     than the bound can remain. Raises BudgetExceededError once more than
-    ``budget`` child strings have been generated (counted per expanded
+    NODE_BUDGET child strings have been generated (counted per expanded
     node, before duplicates are dropped); the answer, when returned, is
     exact.
     """
@@ -266,9 +266,7 @@ def edm_exact(x: str, y: str, budget: int | None = None) -> int:
         return best
     if best > 2:
         best = min(best, _one_move_bound(x, y))
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    remaining = [int(budget)]
+    remaining = [NODE_BUDGET]
     # any optimal intermediate stays within `best` length steps of both ends
     len_lo = max(0, min(len(x), len(y)) - best)
     len_hi = max(len(x), len(y)) + best

@@ -15,6 +15,7 @@ as in the statevector module (qubit 0 = most significant bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,16 +38,13 @@ _ENC_MATS = np.stack(
 # rows per circuit pass in kernel_values; bounds its working set
 VALUE_BLOCK = 256
 
-_ZDIAG_CACHE: dict[int, np.ndarray] = {}
 
-
+@cache
 def _zdiag(num_qubits: int) -> np.ndarray:
     """Diagonal of sum_q Z_q: entry i is n - 2*popcount(i)."""
-    if num_qubits not in _ZDIAG_CACHE:
-        idx = np.arange(1 << num_qubits, dtype=np.int64)
-        pop = ((idx[:, None] >> np.arange(num_qubits, dtype=np.int64)) & 1).sum(axis=1)
-        _ZDIAG_CACHE[num_qubits] = (num_qubits - 2 * pop).astype(np.float64)
-    return _ZDIAG_CACHE[num_qubits]
+    idx = np.arange(1 << num_qubits, dtype=np.int64)
+    pop = ((idx[:, None] >> np.arange(num_qubits, dtype=np.int64)) & 1).sum(axis=1)
+    return (num_qubits - 2 * pop).astype(np.float64)
 
 
 def _kron_rows(mats) -> np.ndarray:
@@ -66,18 +64,14 @@ def _ry_all(angle: float, num_qubits: int) -> np.ndarray:
     return _kron_rows(np.broadcast_to(ry_matrix(angle), (1, num_qubits, 2, 2)))[0]
 
 
-_JSUM_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def _jsum(num_qubits: int) -> np.ndarray:
     """sum_q J_q over a k-qubit register, J = -iY = [[0, -1], [1, 0]]."""
-    if num_qubits not in _JSUM_CACHE:
-        j = np.array([[0.0, -1.0], [1.0, 0.0]])
-        out = np.zeros((1 << num_qubits, 1 << num_qubits))
-        for q in range(num_qubits):
-            out += np.kron(np.kron(np.eye(1 << q), j), np.eye(1 << (num_qubits - q - 1)))
-        _JSUM_CACHE[num_qubits] = out.astype(np.complex128)
-    return _JSUM_CACHE[num_qubits]
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    out = np.zeros((1 << num_qubits, 1 << num_qubits))
+    for q in range(num_qubits):
+        out += np.kron(np.kron(np.eye(1 << q), j), np.eye(1 << (num_qubits - q - 1)))
+    return out.astype(np.complex128)
 
 
 def encode_sequences(seqs) -> np.ndarray:
@@ -91,6 +85,14 @@ def encode_sequences(seqs) -> np.ndarray:
         if len(s) != n:
             raise ValueError(f"sequence length mismatch in batch: {len(s)} vs {n}")
     return np.array([[_CODE[ch] for ch in s] for s in seqs], dtype=np.uint8)
+
+
+def check_codes(codes, width: int) -> np.ndarray:
+    """``codes`` as an array, checked to be (batch, width) base codes."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != width:
+        raise ValueError(f"expected codes of width {width}, got {codes.shape}")
+    return codes
 
 
 def _apply_rnx_batch(states, angle):
@@ -263,25 +265,19 @@ class QuantumKernelModel:
             )
         return params
 
-    def _check_codes(self, codes):
-        codes = np.asarray(codes)
-        if codes.ndim != 2 or codes.shape[1] != self.num_qubits:
-            raise ValueError(
-                f"expected codes of width {self.num_qubits}, got {codes.shape}"
-            )
-        return codes
-
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return KernelParams.random(self.num_layers, rng).flat()
 
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
+        n = self.num_qubits
         return kernel_values(
-            self._check_codes(codes_a), self._check_codes(codes_b), self._params(flat_params)
+            check_codes(codes_a, n), check_codes(codes_b, n), self._params(flat_params)
         )
 
     def kernel_and_grad_batch(self, flat_params, codes_a, codes_b):
+        n = self.num_qubits
         return kernel_values_and_gradients(
-            self._check_codes(codes_a), self._check_codes(codes_b), self._params(flat_params)
+            check_codes(codes_a, n), check_codes(codes_b, n), self._params(flat_params)
         )
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from dnakernel.dataset import write_atomic
+from dnakernel.dataset import pool_starmap, write_atomic
 from dnakernel.kernel import encode_sequences
 
 EVAL_CHUNK = 1024
@@ -75,7 +75,10 @@ class LearningCurve:
 
 @dataclass(frozen=True)
 class PairSet:
-    """Training pairs as aligned code arrays plus similarity targets."""
+    """Labeled pairs as aligned code arrays plus similarity targets.
+
+    Rows 2i and 2i + 1 are the pairs (a, b) and (a, c) of triplet i.
+    """
 
     codes_a: np.ndarray
     codes_b: np.ndarray
@@ -86,19 +89,19 @@ class PairSet:
 
 
 def pairs_from_triplets(triplets) -> PairSet:
-    """Two labeled pairs per triplet: (a, b, s_ab) and (a, c, s_ac)."""
-    seq_a, seq_b, targets = [], [], []
-    for t in triplets:
-        seq_a.append(t.a)
-        seq_b.append(t.b)
-        targets.append(t.s_ab)
-        seq_a.append(t.a)
-        seq_b.append(t.c)
-        targets.append(t.s_ac)
+    """Two labeled pairs per triplet: (a, b, s_ab) and (a, c, s_ac).
+
+    One encode_sequences call covers every a, b and c, so all of them pass
+    one width check and each a is encoded once.
+    """
+    if not triplets:
+        raise ValueError("empty triplet list")
+    codes = encode_sequences([s for t in triplets for s in (t.a, t.b, t.c)])
+    codes = codes.reshape(-1, 3, codes.shape[1])
     return PairSet(
-        encode_sequences(seq_a),
-        encode_sequences(seq_b),
-        np.asarray(targets, dtype=np.float64),
+        np.repeat(codes[:, 0], 2, axis=0),
+        codes[:, 1:].reshape(-1, codes.shape[2]),
+        np.array([(t.s_ab, t.s_ac) for t in triplets], dtype=np.float64).reshape(-1),
     )
 
 
@@ -156,22 +159,26 @@ def order_accuracy(model, params, triplets) -> float:
     A predicted exact tie counts as incorrect; a ground-truth tie is a
     dataset defect and rejected.
     """
-    if not triplets:
-        raise ValueError("empty triplet list")
-    s_ab = np.array([t.s_ab for t in triplets])
-    s_ac = np.array([t.s_ac for t in triplets])
-    if np.any(s_ab == s_ac):
+    return _pair_order_accuracy(model, params, pairs_from_triplets(triplets))
+
+
+def _pair_order_accuracy(model, params, pairs: PairSet) -> float:
+    """order_accuracy over the pair set of the triplets.
+
+    Each kernel_batch call gets the (a, b) or the (a, c) rows of one
+    EVAL_CHUNK of triplets, as strided slices of the pair arrays.
+    """
+    t = pairs.targets
+    if np.any(t[0::2] == t[1::2]):
         raise ValueError("ground-truth tie: order accuracy is undefined")
-    codes_a = encode_sequences([t.a for t in triplets])
-    codes_b = encode_sequences([t.b for t in triplets])
-    codes_c = encode_sequences([t.c for t in triplets])
     correct = 0
-    for lo in range(0, len(triplets), EVAL_CHUNK):
-        sl = slice(lo, lo + EVAL_CHUNK)
-        k_ab = model.kernel_batch(params, codes_a[sl], codes_b[sl])
-        k_ac = model.kernel_batch(params, codes_a[sl], codes_c[sl])
-        correct += int(np.sum(np.sign(k_ab - k_ac) == np.sign(s_ab[sl] - s_ac[sl])))
-    return correct / len(triplets)
+    for lo in range(0, len(pairs), 2 * EVAL_CHUNK):
+        ab = slice(lo, lo + 2 * EVAL_CHUNK, 2)
+        ac = slice(lo + 1, lo + 2 * EVAL_CHUNK, 2)
+        k_ab = model.kernel_batch(params, pairs.codes_a[ab], pairs.codes_b[ab])
+        k_ac = model.kernel_batch(params, pairs.codes_a[ac], pairs.codes_b[ac])
+        correct += int(np.sum(np.sign(k_ab - k_ac) == np.sign(t[ab] - t[ac])))
+    return correct / (len(pairs) // 2)
 
 
 def train_run(model, config: TrainingConfig, train_triplets, test_triplets,
@@ -185,13 +192,14 @@ def train_run(model, config: TrainingConfig, train_triplets, test_triplets,
     rng = np.random.default_rng(run_seed)
     params = model.init_params(rng)
     pairs = pairs_from_triplets(train_triplets)
+    test_pairs = pairs_from_triplets(test_triplets)
     records = []
-    acc = order_accuracy(model, params, test_triplets)
+    acc = _pair_order_accuracy(model, params, test_pairs)
     best = acc
     records.append(CurveRecord(0, dataset_mse(model, params, pairs), acc, best))
     for epoch in range(1, config.epochs + 1):
         params, train_mse = train_epoch(model, params, pairs, config, rng)
-        acc = order_accuracy(model, params, test_triplets)
+        acc = _pair_order_accuracy(model, params, test_pairs)
         best = max(best, acc)
         records.append(CurveRecord(epoch, train_mse, acc, best))
     curve = LearningCurve(run_index, run_seed, tuple(records))
@@ -237,16 +245,8 @@ def run_experiment(model, config: TrainingConfig, train_triplets, test_triplets,
         (model, config, train_triplets, test_triplets, seed, i)
         for i, seed in enumerate(run_seeds)
     ]
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(jobs, len(args))) as pool:
-            results = pool.starmap(train_run, args)
-    else:
-        results = [train_run(*a) for a in args]
-    curves = [r[0] for r in results]
-    final_params = [r[1] for r in results]
-    return curves, final_params
+    results = pool_starmap(train_run, args, jobs)
+    return [r[0] for r in results], [r[1] for r in results]
 
 
 def save_curves(path, curves) -> None:

@@ -264,7 +264,7 @@ class TestParameterCounts:
     def test_quantum(self, layers, count):
         # criterion 6: three shared angles per layer
         assert QuantumKernelModel(num_qubits=8, num_layers=layers).num_parameters == count
-        assert KernelParams.zeros(layers).num_parameters == count
+        assert KernelParams(layers, np.zeros((layers, 3))).flat().size == count
 
     @pytest.mark.parametrize("head,count", [("cosine", 816), ("rbf", 817), ("poly2", 818)])
     def test_classical(self, head, count):

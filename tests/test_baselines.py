@@ -28,6 +28,11 @@ def fd_gradient(model, flat, ca, cb, step=FD_STEP):
     return grad
 
 
+def feature_map(model, flat, codes):
+    """Feature vectors (batch, 16) of a batch of sequence codes."""
+    return model._feature_forward(model.unpack(flat), codes)[3]
+
+
 def safe_instance(model, rng):
     """Model parameters and a pair whose ReLU preactivations sit away from 0,
     so central differences are valid."""
@@ -75,24 +80,24 @@ class TestFeatureMap:
     def test_output_dim(self):
         rng = np.random.default_rng(1)
         m = ClassicalKernelModel("cosine")
-        out = m.feature_map(m.init_params(rng), random_codes(rng, 5))
+        out = feature_map(m, m.init_params(rng), random_codes(rng, 5))
         assert out.shape == (5, 16)
 
     def test_zero_weights_give_bias(self):
         m = ClassicalKernelModel("cosine")
         flat = np.zeros(m.num_parameters)
-        s_b2 = m._slices()[4]
         bias = np.arange(16, dtype=float)
-        flat[s_b2] = bias
+        flat[m._layout["b2"][0]] = bias
         rng = np.random.default_rng(2)
-        out = m.feature_map(flat, random_codes(rng, 3))
+        out = feature_map(m, flat, random_codes(rng, 3))
         np.testing.assert_array_equal(out, np.tile(bias, (3, 1)))
 
     def test_wrong_width_rejected(self):
         rng = np.random.default_rng(3)
         m = ClassicalKernelModel("cosine")
         with pytest.raises(ValueError, match="width"):
-            m.feature_map(m.init_params(rng), random_codes(rng, 2, length=5))
+            codes = random_codes(rng, 2, length=5)
+            m.kernel_batch(m.init_params(rng), codes, codes)
 
     def test_wrong_param_count_rejected(self):
         rng = np.random.default_rng(4)

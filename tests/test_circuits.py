@@ -178,8 +178,9 @@ class TestParamLayer:
 class TestKernelParams:
     @pytest.mark.parametrize("layers,count", [(24, 72), (12, 36), (6, 18)])
     def test_parameter_counts(self, layers, count):
-        assert KernelParams.zeros(layers).num_parameters == count
-        assert KernelParams.zeros(layers).flat().shape == (count,)
+        params = KernelParams.from_flat(np.zeros(count))
+        assert params.num_layers == layers
+        assert params.flat().shape == (count,)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -209,13 +210,13 @@ class TestKernelParams:
 
 class TestFeatureState:
     def test_zero_angles_is_encoding_only(self):
-        out = feature_state("AT", KernelParams.zeros(1))
+        out = feature_state("AT", KernelParams(1, np.zeros((1, 3))))
         np.testing.assert_allclose(
             out.amplitudes, np.kron(REF_STATES["A"], REF_STATES["T"]), atol=1e-14
         )
 
     def test_single_adenine_identity_chain(self):
-        out = feature_state("A", KernelParams.zeros(1))
+        out = feature_state("A", KernelParams(1, np.zeros((1, 3))))
         np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
 
     def test_norm_one_for_100_random_draws(self):

@@ -142,6 +142,15 @@ class TestTrainQuantum:
         assert self._train(tmp_path, train, test, runs=1, epochs=1) == 0
         assert loads == {str(train): 1, str(test): 1}
 
+    def test_sequence_length_mismatch_refused(self, tmp_path, capsys):
+        train = gen_tiny_dataset(tmp_path, "train.jsonl", seed=1, length=4)
+        test = gen_tiny_dataset(tmp_path, "test.jsonl", seed=2, length=6)
+        assert self._train(tmp_path, train, test, runs=1, epochs=1) == 1
+        err = capsys.readouterr().err
+        assert f"test file {test} holds length-6 sequences" in err
+        assert f"train file {train} length-4" in err
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_missing_dataset_errors(self, tmp_path, capsys):
         rc = run_cli("train-quantum", "--train", tmp_path / "nope.jsonl",
                      "--test", tmp_path / "nope.jsonl",

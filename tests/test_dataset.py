@@ -95,8 +95,8 @@ class TestGenerateTriplets:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, items):
-                return [func(item) for item in items]
+            def starmap(self, func, items):
+                return [func(*item) for item in items]
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         trips = generate_triplets(seed=7, count=4, length=4, jobs=64)
@@ -226,6 +226,18 @@ class TestLoadValidation:
         path = tmp_path / "bad.jsonl"
         _write_lines(path, [_valid_line(), line])
         with pytest.raises(DatasetError, match="line 2: distances must be integers"):
+            load_triplets(path, verify_fraction=1.0)
+
+    def test_boolean_similarity_rejected(self, tmp_path):
+        # json true equals 1.0, the label of distance 0, so only a type check
+        # refuses it
+        a, c = "ATGC", "CCAA"
+        d_ac = edm_exact(a, c)
+        line = json.dumps({"a": a, "b": a, "c": c, "d_ab": 0, "d_ac": d_ac,
+                           "s_ab": True, "s_ac": (4 - d_ac) / 4}, sort_keys=True)
+        path = tmp_path / "bad.jsonl"
+        _write_lines(path, [_valid_line(), line])
+        with pytest.raises(DatasetError, match="line 2: similarity labels must be numbers"):
             load_triplets(path, verify_fraction=1.0)
 
     def test_mixed_sequence_lengths_rejected(self, tmp_path):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from test_scripts import load_script
 
+from dnakernel import edm
 from dnakernel.dataset import DatasetError, generate_triplets, load_triplets, save_triplets
 from dnakernel.edm import (
     MAX_EDM_LENGTH,
@@ -229,9 +230,10 @@ class TestEdmExact:
         with pytest.raises(ValueError, match="lengths up to"):
             edm_exact("A" * 11, "C" * 11)
 
-    def test_budget_error(self):
-        with pytest.raises(BudgetExceededError):
-            edm_exact("ATGCATGC", "GGCCTTAA", budget=10)
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(edm, "NODE_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match="budget of 10"):
+            edm_exact("ATGCATGC", "GGCCTTAA")
 
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(4)

@@ -72,10 +72,10 @@ class TestKernelEval:
 
     def test_sic_overlap_single_mismatch(self):
         # zero angles, L=1: product of per-position SIC overlaps
-        assert abs(kernel_eval("AT", "AA", KernelParams.zeros(1)) - 1 / 3) < 1e-12
+        assert abs(kernel_eval("AT", "AA", KernelParams(1, np.zeros((1, 3)))) - 1 / 3) < 1e-12
 
     def test_sic_overlap_two_mismatches(self):
-        assert abs(kernel_eval("ATGC", "TAGC", KernelParams.zeros(1)) - 1 / 9) < 1e-12
+        assert abs(kernel_eval("ATGC", "TAGC", KernelParams(1, np.zeros((1, 3)))) - 1 / 9) < 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
@@ -95,7 +95,7 @@ class TestKernelEval:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            kernel_eval("AT", "ATG", KernelParams.zeros(1))
+            kernel_eval("AT", "ATG", KernelParams(1, np.zeros((1, 3))))
 
     def test_pairwise_permutation_invariance_sample(self):
         rng = np.random.default_rng(4)
@@ -188,7 +188,7 @@ class TestKernelGradient:
             np.testing.assert_allclose(grad, 0.0, atol=1e-11)
 
     def test_single_qubit_zero_angles_vs_fd(self):
-        params = KernelParams.zeros(1)
+        params = KernelParams(1, np.zeros((1, 3)))
         grad = kernel_gradient("A", "T", params)
         fd = fd_gradient("A", "T", params)
         assert_gradient_close(grad, fd)

@@ -5,6 +5,7 @@ and gradients are exact closed forms, so loop mechanics (shuffling, batching,
 epoch accounting, aggregation) are checked without circuit cost.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from scipy import stats
 
 from dnakernel.baselines import ClassicalKernelModel
-from dnakernel.dataset import LabeledTriplet, generate_triplets
+from dnakernel import training
+from dnakernel.dataset import LabeledTriplet, generate_triplets, load_triplets
 from dnakernel.kernel import QuantumKernelModel, encode_sequences
 from dnakernel.training import (
     CURVE_HEADER,
@@ -342,6 +344,43 @@ class TestTrainRun:
         c2, p2 = train_run(ToyModel(), cfg, train, test, run_seed=42)
         assert c1 == c2
         np.testing.assert_array_equal(p1, p2)
+
+    def test_sequences_encoded_once_per_run(self, monkeypatch):
+        # the train and test pairs are built once, whatever the epoch count
+        calls = []
+
+        def counting_encode(seqs):
+            calls.append(1)
+            return encode_sequences(seqs)
+
+        monkeypatch.setattr(training, "encode_sequences", counting_encode)
+        train = make_triplets(6, seed=1)
+        test = make_triplets(6, seed=2)
+        counts = []
+        for epochs in (1, 4):
+            calls.clear()
+            train_run(ToyModel(), TrainingConfig(epochs=epochs, batch_size=4),
+                      train, test, run_seed=42)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("head", ["cosine", "rbf", "poly2"])
+    def test_committed_classical_epoch0_reproduced(self, head):
+        # the epoch-0 row of every committed ck_* run follows from init_params
+        # and the run seed in its manifest alone
+        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        pairs = pairs_from_triplets(train)
+        manifest = json.loads(
+            (ACCEPT_DIR / f"ck_{head}_curves.csv.manifest.json").read_text())
+        curves = load_curves(ACCEPT_DIR / f"ck_{head}_curves.csv")
+        model = ClassicalKernelModel(head, seq_length=train[0].length)
+        assert len(manifest["seeds"]) == len(curves)
+        for seed, curve in zip(manifest["seeds"], curves):
+            params = model.init_params(np.random.default_rng(seed))
+            first = curve.records[0]
+            assert dataset_mse(model, params, pairs) == first.train_mse
+            assert order_accuracy(model, params, test) == first.test_order_accuracy
 
 
 class TestAggregate:
