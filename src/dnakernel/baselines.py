@@ -178,8 +178,6 @@ class ClassicalKernelModel:
         grads = np.concatenate(
             [blocks[name].reshape(k.size, -1) for name in self._layout], axis=1
         )
-        if not np.isfinite(grads).all() or not np.isfinite(k).all():
-            raise FloatingPointError("non-finite values in classical kernel gradient")
         return k, grads
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:

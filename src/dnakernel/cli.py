@@ -15,13 +15,7 @@ import sys
 import time
 
 from dnakernel.baselines import HEADS, ClassicalKernelModel
-from dnakernel.dataset import (
-    DatasetError,
-    generate_triplets,
-    load_triplets,
-    save_triplets,
-    write_atomic,
-)
+from dnakernel.dataset import generate_triplets, load_triplets, save_triplets, write_atomic
 from dnakernel.edm import BudgetExceededError, edm_exact
 from dnakernel.kernel import QuantumKernelModel
 from dnakernel.training import (
@@ -38,14 +32,18 @@ from dnakernel.training import (
 JOBS_ENV_VAR = "DNAKERNEL_JOBS"
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
+def _resolve_jobs(flag) -> int:
+    """Worker count: ``--jobs``, else the DNAKERNEL_JOBS variable, else 1."""
+    if flag is None:
+        source, raw = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR, "1")
+    else:
+        source, raw = "--jobs", flag
     try:
         jobs = int(raw)
     except ValueError:
-        raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}")
+        raise ValueError(f"{source} must be an integer, got {raw!r}")
     if jobs < 1:
-        raise ValueError(f"{JOBS_ENV_VAR} must be >= 1, got {jobs}")
+        raise ValueError(f"{source} must be >= 1, got {jobs}")
     return jobs
 
 
@@ -65,12 +63,21 @@ def _artifact_entry(path) -> dict:
     }
 
 
-def write_manifest(out_path, command: str, config: dict, seeds, artifacts,
-                   timings: dict) -> str:
-    """Manifest describing one command invocation; returns its path."""
+# parsed names that are not settings: the subcommand, its handler, and the
+# output files, which the manifest lists with their hashes
+_NOT_CONFIG = ("command", "func", "out", "out_curves", "out_checkpoints")
+
+
+def write_manifest(out_path, args, seeds, artifacts, timings: dict, **derived) -> str:
+    """Manifest describing one command invocation; returns its path.
+
+    Its config is the parsed command line without the output files, plus the
+    ``derived`` facts that the flags do not show.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     manifest = {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**config, **derived},
         "seeds": list(seeds),
         "artifacts": [_artifact_entry(p) for p in artifacts],
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
@@ -85,14 +92,7 @@ def cmd_gen_data(args) -> int:
     triplets = generate_triplets(args.seed, args.count, args.length, jobs=args.jobs)
     save_triplets(triplets, args.out)
     elapsed = time.perf_counter() - start
-    config = {
-        "seed": args.seed,
-        "count": args.count,
-        "length": args.length,
-        "jobs": args.jobs,
-    }
-    write_manifest(args.out, "gen-data", config, [args.seed], [args.out],
-                   {"total": elapsed})
+    write_manifest(args.out, args, [args.seed], [args.out], {"total": elapsed})
     print(f"wrote {len(triplets)} triplets to {args.out}")
     return 0
 
@@ -136,28 +136,14 @@ def _train_command(args, make_model) -> int:
     summary_path = f"{os.path.splitext(args.out_curves)[0]}.summary.json"
     save_json(summary_path, summary)
 
-    flag_config = {
-        "train": args.train,
-        "test": args.test,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch": args.batch,
-        "runs": args.runs,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "optimizer": OPTIMIZER,
-        "num_parameters": model.num_parameters,
-    }
-    for key in ("layers", "kernel"):
-        if hasattr(args, key):
-            flag_config[key] = getattr(args, key)
     write_manifest(
         args.out_curves,
-        args.command,
-        flag_config,
+        args,
         [c.seed for c in curves],
         [args.out_curves, args.out_checkpoints, summary_path],
         {"load": load_seconds, "train": train_seconds},
+        optimizer=OPTIMIZER,
+        num_parameters=model.num_parameters,
     )
     mean = summary["mean_best"]
     if "ci95_halfwidth" in summary:
@@ -186,14 +172,19 @@ def cmd_edm(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    artifacts = []
+    specs = {}
     for spec in args.curves:
         if "=" not in spec:
             raise ValueError(
                 f"--curves entries must look like LABEL=PATH, got {spec!r}"
             )
         label, path = spec.split("=", 1)
+        if label in specs:
+            raise ValueError(f"--curves label {label!r} is given more than once")
+        specs[label] = path
+    rows = []
+    artifacts = []
+    for label, path in specs.items():
         summary = aggregate_runs(load_curves(path))
         rows.append((label, summary))
         if args.out_dir is not None:
@@ -215,14 +206,7 @@ def cmd_report(args) -> int:
             print(f"{label:<{width}}  {runs:>4}  {100 * mean:5.1f}%  "
                   "(single run, no interval)")
     if artifacts:
-        write_manifest(
-            os.path.join(args.out_dir, "report"),
-            "report",
-            {"curves": list(args.curves), "out_dir": args.out_dir},
-            [],
-            artifacts,
-            {},
-        )
+        write_manifest(os.path.join(args.out_dir, "report"), args, [], artifacts, {})
     return 0
 
 
@@ -285,13 +269,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "jobs"):
-            if args.jobs is None:
-                args.jobs = _default_jobs()
-            if args.jobs < 1:
-                raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+            args.jobs = _resolve_jobs(args.jobs)
         return args.func(args)
-    except (ValueError, DatasetError, BudgetExceededError,
-            TrainingDivergedError, OSError) as exc:
+    except (ValueError, BudgetExceededError, TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,9 +28,11 @@ from dnakernel.circuits import (
 )
 from dnakernel.statevector import inner_product, phase_matrix, ry_matrix
 
-_CODE = {base: i for i, base in enumerate(ALPHABET)}
+# byte -> base code (index into ALPHABET); every other byte maps past the end
+_BYTE_CODE = np.full(256, len(ALPHABET), dtype=np.uint8)
+_BYTE_CODE[list(ALPHABET.encode("ascii"))] = np.arange(len(ALPHABET))
 
-# per-base encoding matrices P(phase) @ Ry(tilt), indexed by _CODE
+# per-base encoding matrices P(phase) @ Ry(tilt), indexed by base code
 _ENC_MATS = np.stack(
     [phase_matrix(ph) @ ry_matrix(ry) for ry, ph in (base_angles(b) for b in ALPHABET)]
 )
@@ -75,16 +77,27 @@ def _jsum(num_qubits: int) -> np.ndarray:
 
 
 def encode_sequences(seqs) -> np.ndarray:
-    """Map equal-length sequences to a (batch, n) array of base codes."""
+    """Map equal-length sequences to a (batch, n) array of base codes.
+
+    The joined batch goes through one byte-table lookup ("replace" keeps one
+    byte per character). Only a batch that fails it is checked string by
+    string, so the error names the first bad string.
+    """
     seqs = list(seqs)
     if not seqs:
         raise ValueError("empty sequence batch")
     n = len(seqs[0])
-    for s in seqs:
-        validate_sequence(s)
-        if len(s) != n:
-            raise ValueError(f"sequence length mismatch in batch: {len(s)} vs {n}")
-    return np.array([[_CODE[ch] for ch in s] for s in seqs], dtype=np.uint8)
+    try:
+        codes = _BYTE_CODE[np.frombuffer("".join(seqs).encode("ascii", "replace"), np.uint8)]
+        valid = n > 0 and set(map(len, seqs)) == {n} and codes.max() < len(ALPHABET)
+    except TypeError:  # a non-string in the batch
+        valid = False
+    if not valid:
+        for s in seqs:
+            validate_sequence(s)
+            if len(s) != n:
+                raise ValueError(f"sequence length mismatch in batch: {len(s)} vs {n}")
+    return codes.reshape(len(seqs), n)
 
 
 def check_codes(codes, width: int) -> np.ndarray:

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from dnakernel.dataset import pool_starmap, write_atomic
 from dnakernel.kernel import encode_sequences
@@ -228,6 +227,7 @@ def aggregate_runs(curves) -> dict:
     if len(bests) < 2:
         summary["note"] = "confidence interval omitted: requires at least 2 runs"
     else:
+        from scipy import stats  # imported here: it adds about 1 s to every CLI start
         sd = float(bests.std(ddof=1))
         tcrit = float(stats.t.ppf(0.975, len(bests) - 1))
         summary["ci95_halfwidth"] = float(tcrit * sd / np.sqrt(len(bests)))

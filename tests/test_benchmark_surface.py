@@ -62,3 +62,16 @@ def test_tracer_installs_and_restores(tracing):
     outer = spans["training.order_accuracy"]["id"]
     assert spans["training.pairs_from_triplets"]["parent"] == outer
     assert spans["baselines.value"]["parent"] == outer
+
+
+def test_gen_data_manifest_write_is_traced(tracing, tmp_path):
+    # workloads.gen_data drives cli.main; the manifest write it records is
+    # the span behind the cli.manifest_s metric
+    tracer = tracing.Tracer("guard")
+    with tracer.installed():
+        sys.modules["workloads"].gen_data(0, 2, 4, tmp_path / "t.jsonl")
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("cli.write_manifest") == 1
+    metrics, from_probe = tracing.layer_metrics(tracer)
+    assert metrics["cli.manifest_s"][0] > 0
+    assert "cli.manifest_s" not in from_probe

@@ -6,10 +6,15 @@ whole module stays in the seconds range.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dnakernel import cli
+from dnakernel.baselines import ClassicalKernelModel
 from dnakernel.cli import JOBS_ENV_VAR, main
 from dnakernel.dataset import load_triplets
 
@@ -21,6 +26,11 @@ def run_cli(*argv):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+@pytest.fixture(autouse=True)
+def no_jobs_env(monkeypatch):
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
 
 
 def gen_tiny_dataset(tmp_path, name, seed, count=6, length=4):
@@ -43,6 +53,11 @@ class TestGenData:
         (artifact,) = manifest["artifacts"]
         assert artifact["path"] == str(path)
         assert len(artifact["sha256"]) == 64
+
+    def test_manifest_config_is_the_flags(self, tmp_path):
+        path = gen_tiny_dataset(tmp_path, "train.jsonl", seed=3)
+        config = read_json(f"{path}.manifest.json")["config"]
+        assert config == {"seed": 3, "count": 6, "length": 4, "jobs": 1}
 
     def test_same_seed_same_checksum(self, tmp_path):
         p1 = gen_tiny_dataset(tmp_path, "a.jsonl", seed=11)
@@ -114,6 +129,16 @@ class TestTrainQuantum:
         assert str(tmp_path / "checkpoints.json") in paths
         assert str(tmp_path / "curves.summary.json") in paths
 
+    def test_manifest_config_is_the_flags(self, tmp_path, datasets):
+        train, test = datasets
+        assert self._train(tmp_path, train, test) == 0
+        config = read_json(tmp_path / "curves.csv.manifest.json")["config"]
+        assert config == {
+            "layers": 2, "train": str(train), "test": str(test), "lr": 0.01,
+            "epochs": 2, "batch": 4, "runs": 2, "seed": 9, "jobs": 1,
+            "optimizer": "adam", "num_parameters": 6,
+        }
+
     def test_single_run_summary_notes_missing_interval(self, tmp_path, datasets):
         train, test = datasets
         assert self._train(tmp_path, train, test, runs=1) == 0
@@ -177,6 +202,23 @@ class TestTrainClassical:
         checkpoints = read_json(tmp_path / "k.json")
         assert all(p["kernel_head"] == "rbf" for p in checkpoints["runs"])
         assert all(len(p["params"]) == model_params for p in checkpoints["runs"])
+
+    def test_manifest_config_is_the_flags(self, tmp_path):
+        train = gen_tiny_dataset(tmp_path, "train.jsonl", seed=1)
+        test = gen_tiny_dataset(tmp_path, "test.jsonl", seed=2)
+        assert run_cli(
+            "train-classical", "--kernel", "poly2", "--train", train, "--test", test,
+            "--lr", 0.05, "--epochs", 1, "--runs", 1, "--batch", 4, "--seed", 5,
+            "--jobs", 2, "--out-curves", tmp_path / "c.csv",
+            "--out-checkpoints", tmp_path / "k.json",
+        ) == 0
+        config = read_json(tmp_path / "c.csv.manifest.json")["config"]
+        assert config == {
+            "kernel": "poly2", "train": str(train), "test": str(test), "lr": 0.05,
+            "epochs": 1, "batch": 4, "runs": 1, "seed": 5, "jobs": 2,
+            "optimizer": "adam",
+            "num_parameters": ClassicalKernelModel("poly2", seq_length=4).num_parameters,
+        }
 
     def test_layers_flag_refused(self, tmp_path):
         # classical models have no layers: the flag is an argparse error and
@@ -251,6 +293,16 @@ class TestReport:
         assert len(lines) == 3  # header + epochs 0..1
         manifest = read_json(out_dir / "report.manifest.json")
         assert [a["path"] for a in manifest["artifacts"]] == [str(curve_out)]
+        assert manifest["command"] == "report"
+        assert manifest["config"] == {"curves": [f"tiny={curve_file}"],
+                                      "out_dir": str(out_dir)}
+
+    def test_repeated_label_refused(self, tmp_path, curve_file, capsys):
+        out_dir = tmp_path / "report"
+        assert run_cli("report", "--curves", f"A={curve_file}", f"B={curve_file}",
+                       f"A={curve_file}", "--out-dir", out_dir) == 1
+        assert "label 'A' is given more than once" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_spec_errors(self, capsys):
         assert run_cli("report", "--curves", "no-equals-sign") == 1
@@ -283,11 +335,18 @@ class TestJobsResolution:
         assert rc == 1
         assert JOBS_ENV_VAR in capsys.readouterr().err
 
+    def test_nonpositive_env_var_errors(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(JOBS_ENV_VAR, "0")
+        rc = run_cli("gen-data", "--seed", 0, "--count", 2, "--length", 4,
+                     "--out", tmp_path / "x.jsonl")
+        assert rc == 1
+        assert f"{JOBS_ENV_VAR} must be >= 1, got 0" in capsys.readouterr().err
+
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         rc = run_cli("gen-data", "--seed", 0, "--count", 2, "--length", 4,
                      "--out", tmp_path / "x.jsonl", "--jobs", 0)
         assert rc == 1
-        assert "--jobs" in capsys.readouterr().err
+        assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
 
     def test_parallel_generation_matches_serial(self, tmp_path):
         p1 = tmp_path / "serial.jsonl"
@@ -297,3 +356,13 @@ class TestJobsResolution:
         assert run_cli("gen-data", "--seed", 8, "--count", 6, "--length", 4,
                        "--out", p2, "--jobs", 2) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs about a second to import; only the confidence interval of
+    # a multi-run summary needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import sys, dnakernel.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -5,10 +5,13 @@ reference path, so gradient checks exercise the batched engine against a
 fully independent computation.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dnakernel.circuits import ALPHABET, KernelParams, feature_state
+from dnakernel.dataset import load_triplets
 from dnakernel.kernel import (
     VALUE_BLOCK,
     QuantumKernelModel,
@@ -19,6 +22,7 @@ from dnakernel.kernel import (
     kernel_values_and_gradients,
 )
 
+ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 FD_STEP = 1e-5
 # relative error for sizable components; floors to 1e-7 absolute near zero
 FD_RTOL = 1e-5
@@ -253,6 +257,15 @@ class TestQuantumKernelModel:
             model.kernel_batch(np.zeros(9), encode_sequences(["ATG"]), encode_sequences(["GTA"]))
 
 
+def test_encode_sequences_matches_per_character_map():
+    triplets = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+    seqs = [s for t in triplets for s in (t.a, t.b, t.c)]
+    expected = np.array([[ALPHABET.index(ch) for ch in s] for s in seqs], dtype=np.uint8)
+    codes = encode_sequences(seqs)
+    assert codes.dtype == np.uint8
+    np.testing.assert_array_equal(codes, expected)
+
+
 def test_encode_sequences_validation():
     with pytest.raises(ValueError, match="mismatch"):
         encode_sequences(["AT", "ATG"])
@@ -260,3 +273,10 @@ def test_encode_sequences_validation():
         encode_sequences(["AX"])
     with pytest.raises(ValueError, match="empty"):
         encode_sequences([])
+    # the first bad string names the error, whatever else is wrong later on
+    with pytest.raises(ValueError, match=r"'AÄ' contains symbols outside ATGC: \['Ä'\]"):
+        encode_sequences(["AT", "AÄ", "A"])
+    with pytest.raises(ValueError, match="nonempty string, got 5"):
+        encode_sequences(["AT", 5])
+    with pytest.raises(ValueError, match="nonempty string, got ''"):
+        encode_sequences([""])

@@ -190,6 +190,17 @@ class TestTrainEpoch:
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train_epoch(model, params, pairs, TrainingConfig(), np.random.default_rng(0))
 
+    def test_diverged_classical_kernel_aborts(self):
+        # an infinite RBF bandwidth makes kernel values and gradients
+        # non-finite; the loop's own check reports it like any other model's
+        pairs, _ = toy_pairs()
+        model = ClassicalKernelModel("rbf", seq_length=4)
+        params = model.init_params(np.random.default_rng(0))
+        params[-1] = 1e3  # the head's log-bandwidth, the last parameter
+        with pytest.raises(TrainingDivergedError, match="non-finite"), \
+                np.errstate(all="ignore"):
+            train_epoch(model, params, pairs, TrainingConfig(), np.random.default_rng(0))
+
     def test_empty_pairs_rejected(self):
         pairs, _ = toy_pairs(num=2)
         empty = pairs.__class__(pairs.codes_a[:0], pairs.codes_b[:0], pairs.targets[:0])
