@@ -186,7 +186,8 @@ def train_run(model, config: TrainingConfig, train_triplets, test_triplets,
 
     Returns (curve, final flat parameters). The curve always starts with an
     epoch-0 record of the freshly initialized model, so even epochs=0 yields
-    one evaluation.
+    one evaluation. A diverged epoch raises TrainingDivergedError naming
+    the run index, the run seed and the epoch.
     """
     rng = np.random.default_rng(run_seed)
     params = model.init_params(rng)
@@ -197,7 +198,12 @@ def train_run(model, config: TrainingConfig, train_triplets, test_triplets,
     best = acc
     records.append(CurveRecord(0, dataset_mse(model, params, pairs), acc, best))
     for epoch in range(1, config.epochs + 1):
-        params, train_mse = train_epoch(model, params, pairs, config, rng)
+        try:
+            params, train_mse = train_epoch(model, params, pairs, config, rng)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(
+                f"run {run_index} (seed {run_seed}), epoch {epoch}: {exc}"
+            ) from exc
         acc = _pair_order_accuracy(model, params, test_pairs)
         best = max(best, acc)
         records.append(CurveRecord(epoch, train_mse, acc, best))

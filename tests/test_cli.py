@@ -7,6 +7,7 @@ whole module stays in the seconds range.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,22 @@ class TestTrainClassical:
         checkpoints = read_json(tmp_path / "k.json")
         assert all(p["kernel_head"] == "rbf" for p in checkpoints["runs"])
         assert all(len(p["params"]) == model_params for p in checkpoints["runs"])
+
+    def test_divergence_names_run_and_epoch(self, tmp_path, capsys):
+        # a learning rate this large sends the RBF bandwidth to infinity
+        train = gen_tiny_dataset(tmp_path, "train.jsonl", seed=1, count=16, length=6)
+        test = gen_tiny_dataset(tmp_path, "test.jsonl", seed=2, count=16, length=6)
+        with pytest.warns(RuntimeWarning):
+            rc = run_cli(
+                "train-classical", "--kernel", "rbf", "--lr", 1000,
+                "--train", train, "--test", test,
+                "--out-curves", tmp_path / "c.csv",
+                "--out-checkpoints", tmp_path / "k.json",
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.search(r"error: run 0 \(seed \d+\), epoch \d+: non-finite gradient", err)
+        assert not (tmp_path / "c.csv").exists()
 
     def test_manifest_config_is_the_flags(self, tmp_path):
         train = gen_tiny_dataset(tmp_path, "train.jsonl", seed=1)

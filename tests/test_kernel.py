@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnakernel.circuits import ALPHABET, KernelParams, feature_state
 from dnakernel.dataset import load_triplets
@@ -179,6 +181,74 @@ class TestBatchedEngineAgainstReference:
         for v, g, x, y in zip(vals, grads, xs, ys):
             assert abs(v - kernel_eval(x, y, params)) < 1e-12
             assert_gradient_close(g, fd_gradient(x, y, params))
+
+
+def permute_register(amplitudes, perm):
+    """P_pi: the state whose qubit j is qubit perm[j] of the given state."""
+    n = len(perm)
+    return np.transpose(amplitudes.reshape((2,) * n), perm).reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), layers=st.integers(1, 4),
+       seed=st.integers(0, 2**31))
+def test_permuted_sequence_permutes_register(data, n, layers, seed):
+    # psi(x o pi) = P_pi psi(x) on the gate-by-gate route: the identity
+    # kernel_values' canonical states rest on
+    seq = data.draw(st.text(alphabet=ALPHABET, min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(n)))
+    params = random_params(np.random.default_rng(seed), layers)
+    permuted = "".join(seq[p] for p in perm)
+    np.testing.assert_allclose(
+        feature_state(permuted, params).amplitudes,
+        permute_register(feature_state(seq, params).amplitudes, perm),
+        atol=1e-12,
+    )
+
+
+class TestCanonicalKernelValues:
+    """kernel_values' canonical route against per-row direct feature states."""
+
+    @staticmethod
+    def direct_values(cx, cy, params):
+        sx, sy = feature_states(cx, params), feature_states(cy, params)
+        return np.abs(np.sum(np.conj(sy) * sx, axis=1)) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_matches_direct_states(self, n):
+        rng = np.random.default_rng(20 + n)
+        base = [random_seq(rng, n) for _ in range(6)]
+        # each base row again, a permutation of it, and an all-equal row
+        xs = base + base + ["".join(rng.permutation(list(s))) for s in base]
+        ys = ["".join(rng.permutation(list(s))) for s in base] + base[::-1] + base
+        xs.append("G" * n)
+        ys.append("G" * n)
+        order = rng.permutation(len(xs))
+        cx = encode_sequences([xs[i] for i in order])
+        cy = encode_sequences([ys[i] for i in order])
+        params = random_params(rng, 3)
+        np.testing.assert_allclose(
+            kernel_values(cx, cy, params), self.direct_values(cx, cy, params),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_all_equal_rows(self):
+        rng = np.random.default_rng(30)
+        params = random_params(rng, 4)
+        cx = encode_sequences(["ATGCATGC"] * 9)
+        cy = encode_sequences(["CGTACGTA"] * 9)
+        values = kernel_values(cx, cy, params)
+        assert np.all(values == values[0])
+        np.testing.assert_allclose(values, self.direct_values(cx, cy, params),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernel_values(cx, cx, params), 1.0,
+                                   rtol=0, atol=1e-12)
+
+    def test_unaligned_batches_rejected(self):
+        params = KernelParams(1, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="unaligned"):
+            kernel_values(encode_sequences(["AT", "GC"]), encode_sequences(["AT"]),
+                          params)
 
 
 class TestKernelGradient:

@@ -356,6 +356,14 @@ class TestTrainRun:
         assert c1 == c2
         np.testing.assert_array_equal(p1, p2)
 
+    def test_divergence_names_run_seed_and_epoch(self):
+        train = make_triplets(6, seed=1)
+        test = make_triplets(6, seed=2)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^run 4 \(seed 42\), epoch 1: non-finite gradient"):
+            train_run(NaNGradModel(), TrainingConfig(epochs=3, batch_size=4),
+                      train, test, run_seed=42, run_index=4)
+
     def test_sequences_encoded_once_per_run(self, monkeypatch):
         # the train and test pairs are built once, whatever the epoch count
         calls = []
@@ -392,6 +400,32 @@ class TestTrainRun:
             first = curve.records[0]
             assert dataset_mse(model, params, pairs) == first.train_mse
             assert order_accuracy(model, params, test) == first.test_order_accuracy
+
+    @pytest.mark.parametrize("layers", [6, 12, 24])
+    def test_committed_quantum_runs_reproduced(self, layers):
+        # every committed qk* run: its final checkpoint scores the curve's
+        # last accuracy exactly, and its epoch-0 row follows from the run
+        # seed in the manifest; train_mse only up to float rounding, since
+        # kernel_values reorders amplitudes of canonical feature states
+        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        pairs = pairs_from_triplets(train)
+        manifest = json.loads(
+            (ACCEPT_DIR / f"qk{layers}_curves.csv.manifest.json").read_text())
+        checkpoints = json.loads(
+            (ACCEPT_DIR / f"qk{layers}_checkpoints.json").read_text())["runs"]
+        curves = load_curves(ACCEPT_DIR / f"qk{layers}_curves.csv")
+        model = QuantumKernelModel(train[0].length, layers)
+        assert len(manifest["seeds"]) == len(checkpoints) == len(curves)
+        for seed, ckpt, curve in zip(manifest["seeds"], checkpoints, curves):
+            first, last = curve.records[0], curve.records[-1]
+            assert ckpt["seed"] == seed and ckpt["epoch"] == last.epoch
+            theta = np.asarray(ckpt["theta"])
+            assert order_accuracy(model, theta, test) == last.test_order_accuracy
+            params = model.init_params(np.random.default_rng(seed))
+            assert order_accuracy(model, params, test) == first.test_order_accuracy
+            assert dataset_mse(model, params, pairs) == pytest.approx(
+                first.train_mse, rel=1e-12, abs=0)
 
 
 class TestAggregate:
