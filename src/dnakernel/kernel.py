@@ -14,8 +14,10 @@ and the encoding is a product over positions, so permuting a sequence's
 positions permutes its feature state's qubits: psi(x o pi) = P_pi psi(x)
 exactly, where P_pi permutes the bits of the amplitude index. Each row's
 state is therefore an index permutation of the state of its sorted
-sequence, and only the distinct sorted sequences of a call (at most
-C(n + 3, 3), 165 at n = 8) go through the circuit.
+sequence, and only one sequence per letter composition of a call (at most
+C(n + 3, 3), 165 at n = 8) goes through the circuit. Ranking makes one call
+per window of test triplets, so each composition among a window's a, b and
+c sequences is simulated once.
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the statevector module (qubit 0 = most significant bit).
@@ -129,25 +131,39 @@ def _apply_rnx_batch(states, angle):
     return c * states - (1j * s) * states[:, ::-1]
 
 
-def _layer_factors(enc, t_ry):
+def _ry_blocks(params: KernelParams, num_qubits: int) -> list:
+    """Per layer, Ry(theta_ry) on every qubit of the (leading n//2, rest)
+    register halves, each as one matrix."""
+    n_hi = num_qubits // 2
+    n_lo = num_qubits - n_hi
+    blocks = []
+    for _, _, t_ry in params.angles:
+        ry_lo = _ry_all(t_ry, n_lo)
+        blocks.append((ry_lo if n_hi == n_lo else _ry_all(t_ry, n_hi), ry_lo))
+    return blocks
+
+
+def _times(stack, mat):
+    """stack @ mat for a (batch, r, c) stack and one shared (c, m) matrix, as
+    one GEMM on the contiguous (batch * r, c) view."""
+    batch, rows, cols = stack.shape
+    return (stack.reshape(batch * rows, cols) @ mat).reshape(batch, rows, -1)
+
+
+def _layer_factors(enc, ry):
     """Kronecker factors (left, right) of one layer's V(x) Ry-all block."""
-    enc_hi, enc_lo = enc
-    ry_lo = _ry_all(t_ry, enc_lo.shape[1].bit_length() - 1)
-    if enc_hi.shape == enc_lo.shape:
-        ry_hi = ry_lo
-    else:
-        ry_hi = _ry_all(t_ry, enc_hi.shape[1].bit_length() - 1)
-    return enc_hi @ ry_hi, enc_lo @ ry_lo
+    return _times(enc[0], ry[0]), _times(enc[1], ry[1])
 
 
-def _forward(codes, params, keep_tape):
+def _forward(codes, params, ry, keep_tape):
     """Run the re-uploading circuit on a batch of codes.
 
     Returns (states, tape, enc). The per-qubit block V(x) Ry-all of a layer
     is a product operator, so it is applied as two Kronecker factors, one
     over the leading n//2 qubits and one over the rest: with each state
     viewed as a (2^(n//2), 2^(n - n//2)) matrix S, the block maps S to
-    left @ S @ right^T. enc holds the encoding halves of those factors.
+    left @ S @ right^T. enc holds the encoding halves of those factors and
+    ry, from _ry_blocks, the layers' Ry-all halves.
     The tape holds, per layer, the state entering the layer and the state
     after the Rz block; those two points are exactly what the reverse sweep
     needs.
@@ -161,63 +177,88 @@ def _forward(codes, params, keep_tape):
     s = np.zeros((batch, shape[1] * shape[2]), dtype=np.complex128)
     s[:, 0] = 1.0
     tape = [] if keep_tape else None
-    for t_rnx, t_rz, t_ry in params.angles:
+    for (t_rnx, t_rz, _), ry_layer in zip(params.angles, ry):
         s_in = s
         s = _apply_rnx_batch(s, t_rnx)
         s = s * np.exp(-0.5j * t_rz * zdiag)
         if keep_tape:
             tape.append((s_in, s))
-        left, right = _layer_factors(enc, t_ry)
+        left, right = _layer_factors(enc, ry_layer)
         s = (left @ s.reshape(shape) @ np.swapaxes(right, 1, 2)).reshape(batch, -1)
     return s, tape, enc
 
 
 def feature_states(codes, params: KernelParams) -> np.ndarray:
     """Batched feature states, one row per sequence."""
-    states, _, _ = _forward(np.asarray(codes), params, keep_tape=False)
+    codes = np.asarray(codes)
+    ry = _ry_blocks(params, codes.shape[1])
+    states, _, _ = _forward(codes, params, ry, keep_tape=False)
     return states
+
+
+def _compositions(codes):
+    """Canonical rows of a (rows, n) code batch, found from letter counts.
+
+    Returns (canon, row_state, rank). canon holds the distinct sorted rows,
+    in lexicographic order; row_state[r] indexes row r's one. Each row's
+    composition key is its letter counts, read as an integer in base n + 1
+    with digit n - count(letter), letter 0 most significant, so ascending
+    keys are ascending sorted rows. rank[r, q] is the slot of position q in
+    the stable sort of row r: the number of positions with a smaller code
+    plus the number of earlier positions with an equal one.
+    """
+    n = codes.shape[1]
+    seen = np.cumsum(codes[:, :, None] == np.arange(len(ALPHABET)), axis=1)
+    counts = seen[:, -1]
+    below = np.cumsum(counts, axis=1) - counts
+    rank = (np.take_along_axis(below, codes, axis=1)
+            + np.take_along_axis(seen, codes[:, :, None], axis=2)[:, :, 0] - 1)
+    key = (n - counts) @ (n + 1) ** np.arange(len(ALPHABET) - 1, -1, -1)
+    _, first, row_state = np.unique(key, return_index=True, return_inverse=True)
+    return np.sort(codes[first], axis=1), row_state, rank
 
 
 def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     """Batched kernel values for aligned rows of codes_x and codes_y.
 
-    The x and y rows are stacked and each row's codes stably sorted; only
-    the distinct sorted rows go through the circuit, VALUE_BLOCK at a time.
-    A row's own state follows with one gather: if slot rank(q) of its sorted
+    The x and y rows are stacked and grouped by composition; only one sorted
+    row per composition goes through the circuit, VALUE_BLOCK at a time. A
+    row's own state follows with one gather: if slot rank(q) of its sorted
     sequence holds the base of original qubit q, its amplitude at index i is
     the sorted state's amplitude at sum_q bit_q(i) 2^(n-1-rank(q)). That is
     the bit permutation P_pi of psi(x o pi) = P_pi psi(x), an identity of the
     circuit, so the values equal the direct route's up to float rounding.
-    Overlaps are taken VALUE_BLOCK rows at a time, which bounds the working
-    set for any batch size without changing any row's result.
+    The gather indices into the flattened state table come from one float64
+    BLAS product: each row's powers of two plus its state's offset (a last
+    column) times the bit table plus a row of ones, exact because every
+    index is far below 2^53. Overlaps are
+    taken VALUE_BLOCK rows at a time, which bounds the working set for any
+    batch size without changing any row's result.
     """
     codes_x = np.asarray(codes_x)
     codes_y = np.asarray(codes_y)
     if codes_x.shape != codes_y.shape:
         raise ValueError(f"unaligned code batches: {codes_x.shape} vs {codes_y.shape}")
-    codes = np.concatenate([codes_x, codes_y])
     half, n = codes_x.shape
-    order = np.argsort(codes, axis=1, kind="stable")
-    canon, row_state = np.unique(
-        np.take_along_axis(codes, order, axis=1), axis=0, return_inverse=True
-    )
-    row_state = row_state.reshape(-1)
+    canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
     states = np.empty((canon.shape[0], 1 << n), dtype=np.complex128)
     for lo in range(0, canon.shape[0], VALUE_BLOCK):
         states[lo : lo + VALUE_BLOCK] = feature_states(canon[lo : lo + VALUE_BLOCK], params)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n), axis=1)
-    weights = np.left_shift(1, n - 1 - rank)
-    bits_t = _bits(n).T
+    weights = np.column_stack([np.ldexp(1.0, n - 1 - rank), row_state << n])
+    bits_t = np.vstack([_bits(n).T, np.ones(1 << n)])
+    table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, VALUE_BLOCK):
-        x = np.arange(lo, min(lo + VALUE_BLOCK, half))
-        sx, sy = (states[row_state[r, None], weights[r] @ bits_t] for r in (x, x + half))
-        values[lo : lo + VALUE_BLOCK] = np.abs(np.einsum("bi,bi->b", np.conj(sy), sx)) ** 2
+        hi = min(lo + VALUE_BLOCK, half)
+        sx, sy = (
+            table[(weights[a:b] @ bits_t).astype(np.intp)]
+            for a, b in ((lo, hi), (half + lo, half + hi))
+        )
+        values[lo:hi] = np.abs(np.einsum("bi,bi->b", np.conj(sy), sx)) ** 2
     return values
 
 
-def _sweep(bra, tape, enc, params: KernelParams):
+def _sweep(bra, tape, enc, params: KernelParams, ry):
     """Reverse sweep: d<bra|psi>/d(theta_k) for all parameters of one side.
 
     Each trainable block contributes <t|G|s>, with s the forward state just
@@ -239,14 +280,14 @@ def _sweep(bra, tape, enc, params: KernelParams):
     dc = np.empty((batch, num_layers, 3), dtype=np.complex128)
     t = bra
     for layer in reversed(range(num_layers)):
-        t_rnx, t_rz, t_ry = params.angles[layer]
+        t_rnx, t_rz, _ = params.angles[layer]
         s_in, s_rz = tape[layer]
-        left, right = _layer_factors(enc, t_ry)
+        left, right = _layer_factors(enc, ry[layer])
         tm = np.conj(np.swapaxes(left, 1, 2)) @ t.reshape(shape) @ np.conj(right)
         t = tm.reshape(batch, -1)
         sm = s_rz.reshape(shape)
         dc[:, layer, 2] = 0.5 * np.einsum(
-            "bij,bij->b", np.conj(tm), j_hi @ sm + sm @ j_lo_t
+            "bij,bij->b", np.conj(tm), j_hi @ sm + _times(sm, j_lo_t)
         )
         dc[:, layer, 1] = -0.5j * np.einsum("bi,i,bi->b", np.conj(t), zdiag, s_rz)
         t = t * np.exp(0.5j * t_rz * zdiag)
@@ -265,11 +306,12 @@ def kernel_values_and_gradients(codes_x, codes_y, params: KernelParams):
     """
     codes_x = np.asarray(codes_x)
     codes_y = np.asarray(codes_y)
-    sx, tape_x, enc_x = _forward(codes_x, params, keep_tape=True)
-    sy, tape_y, enc_y = _forward(codes_y, params, keep_tape=True)
+    ry = _ry_blocks(params, codes_x.shape[1])
+    sx, tape_x, enc_x = _forward(codes_x, params, ry, keep_tape=True)
+    sy, tape_y, enc_y = _forward(codes_y, params, ry, keep_tape=True)
     c = np.einsum("bi,bi->b", np.conj(sy), sx)
-    dcx = _sweep(sy, tape_x, enc_x, params)
-    dcy = _sweep(sx, tape_y, enc_y, params)
+    dcx = _sweep(sy, tape_x, enc_x, params, ry)
+    dcy = _sweep(sx, tape_y, enc_y, params, ry)
     dc = dcx + np.conj(dcy)
     values = np.abs(c) ** 2
     grads = 2.0 * np.real(np.conj(c)[:, None] * dc)

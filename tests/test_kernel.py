@@ -16,6 +16,7 @@ from dnakernel.circuits import ALPHABET, KernelParams, feature_state
 from dnakernel.dataset import load_triplets
 from dnakernel.kernel import (
     VALUE_BLOCK,
+    _compositions,
     QuantumKernelModel,
     encode_sequences,
     feature_states,
@@ -204,6 +205,49 @@ def test_permuted_sequence_permutes_register(data, n, layers, seed):
         permute_register(feature_state(seq, params).amplitudes, perm),
         atol=1e-12,
     )
+
+
+def argsort_compositions(codes):
+    """Reference canonical rows: stable argsort of each row, then
+    np.unique(axis=0) of the sorted rows; rank is the sort's inverse."""
+    order = np.argsort(codes, axis=1, kind="stable")
+    canon, row_state = np.unique(
+        np.take_along_axis(codes, order, axis=1), axis=0, return_inverse=True)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(codes.shape[1]), axis=1)
+    return canon, row_state.reshape(-1), rank
+
+
+def argsort_kernel_values(codes_x, codes_y, params):
+    """kernel_values through the reference canonical rows and an integer
+    gather index."""
+    half, n = codes_x.shape
+    canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    states = feature_states(canon, params)[row_state[:, None],
+                                           np.left_shift(1, n - 1 - rank) @ bits.T]
+    return np.abs(np.einsum("bi,bi->b", np.conj(states[half:]), states[:half])) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), layers=st.integers(1, 3),
+       seed=st.integers(0, 2**31))
+def test_compositions_match_argsort_reference(data, n, layers, seed):
+    # rows, permutations of them and all-equal rows, shuffled together
+    row = st.lists(st.integers(0, len(ALPHABET) - 1), min_size=n, max_size=n)
+    base = data.draw(st.lists(row, min_size=1, max_size=6))
+    rows = base + [data.draw(st.permutations(r)) for r in base]
+    rows += [[c] * n for c in data.draw(st.lists(st.integers(0, len(ALPHABET) - 1),
+                                                 max_size=2))]
+    codes = np.array(data.draw(st.permutations(rows)), dtype=np.uint8)
+    canon, row_state, rank = _compositions(codes)
+    ref_canon, ref_row_state, ref_rank = argsort_compositions(codes)
+    assert np.array_equal(canon, ref_canon)
+    assert np.array_equal(row_state, ref_row_state)
+    assert np.array_equal(rank, ref_rank)
+    params = random_params(np.random.default_rng(seed), layers)
+    assert np.array_equal(kernel_values(codes, codes[::-1], params),
+                          argsort_kernel_values(codes, codes[::-1], params))
 
 
 class TestCanonicalKernelValues:

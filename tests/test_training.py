@@ -401,6 +401,40 @@ class TestTrainRun:
             assert dataset_mse(model, params, pairs) == first.train_mse
             assert order_accuracy(model, params, test) == first.test_order_accuracy
 
+    @pytest.mark.parametrize("head", ["cosine", "rbf", "poly2"])
+    def test_committed_classical_checkpoints_reproduced(self, head):
+        # every committed ck_* final checkpoint scores its curve's last
+        # accuracy exactly, through the ranking windows of order_accuracy
+        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        checkpoints = json.loads(
+            (ACCEPT_DIR / f"ck_{head}_checkpoints.json").read_text())["runs"]
+        curves = load_curves(ACCEPT_DIR / f"ck_{head}_curves.csv")
+        model = ClassicalKernelModel(head, seq_length=test[0].length)
+        assert len(checkpoints) == len(curves)
+        for ckpt, curve in zip(checkpoints, curves):
+            last = curve.records[-1]
+            assert ckpt["epoch"] == last.epoch
+            params = np.asarray(ckpt["params"])
+            assert order_accuracy(model, params, test) == last.test_order_accuracy
+
+    def test_committed_quantum_epoch1_reproduced(self):
+        # the training path pinned to the committed bytes: run 0 of qk6,
+        # initialized from its manifest seed, takes one train_epoch to the
+        # committed epoch-1 row exactly
+        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        manifest = json.loads((ACCEPT_DIR / "qk6_curves.csv.manifest.json").read_text())
+        config = manifest["config"]
+        row = load_curves(ACCEPT_DIR / "qk6_curves.csv")[0].records[1]
+        model = QuantumKernelModel(train[0].length, config["layers"])
+        rng = np.random.default_rng(manifest["seeds"][0])
+        params, train_mse = train_epoch(
+            model, model.init_params(rng), pairs_from_triplets(train),
+            TrainingConfig(learning_rate=config["lr"], batch_size=config["batch"]), rng)
+        assert row.epoch == 1
+        assert train_mse == row.train_mse == 0.05920091165241515
+        assert order_accuracy(model, params, test) == row.test_order_accuracy
+
     @pytest.mark.parametrize("layers", [6, 12, 24])
     def test_committed_quantum_runs_reproduced(self, layers):
         # every committed qk* run: its final checkpoint scores the curve's
