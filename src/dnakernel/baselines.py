@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from dnakernel.circuits import ALPHABET
-from dnakernel.kernel import check_codes
+from dnakernel.kernel import VALUE_BLOCK, check_codes
 
 # initial values of each head's trainable parameters, which also fixes their
 # count: log_gamma = 0 (gamma = 1) for rbf, scale 1 and offset 0 for poly2
@@ -135,10 +135,17 @@ class ClassicalKernelModel:
         return k, du, dv, dhead
 
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
+        """Kernel values, VALUE_BLOCK pairs at a time, which bounds the
+        working set for any batch size."""
         p = self.unpack(flat_params)
-        u = self._feature_forward(p, check_codes(codes_a, self.seq_length))[3]
-        v = self._feature_forward(p, check_codes(codes_b, self.seq_length))[3]
-        return self._head_forward(p["head"], u, v)[0]
+        codes_a = check_codes(codes_a, self.seq_length)
+        codes_b = check_codes(codes_b, self.seq_length)
+        values = np.empty(codes_a.shape[0])
+        for lo in range(0, codes_a.shape[0], VALUE_BLOCK):
+            u, v = (self._feature_forward(p, c[lo : lo + VALUE_BLOCK])[3]
+                    for c in (codes_a, codes_b))
+            values[lo : lo + VALUE_BLOCK] = self._head_forward(p["head"], u, v)[0]
+        return values
 
     def _backprop_features(self, p, codes, cache, dout):
         """Per-pair gradients of sum(dout * features) w.r.t. the weights:

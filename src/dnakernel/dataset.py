@@ -44,7 +44,8 @@ def random_sequence(rng: np.random.Generator, length: int) -> str:
     return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
 
 
-def _make_triplet(rng: np.random.Generator, length: int) -> LabeledTriplet:
+def _make_triplet(seedseq: np.random.SeedSequence, length: int) -> LabeledTriplet:
+    rng = np.random.default_rng(seedseq)
     while True:
         a = random_sequence(rng, length)
         b = random_sequence(rng, length)
@@ -75,11 +76,7 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
             "labels would be unverifiable"
         )
     children = np.random.SeedSequence(seed).spawn(count)
-    return pool_starmap(_triplet_from_seedseq, [(ss, length) for ss in children], jobs)
-
-
-def _triplet_from_seedseq(seedseq, length: int) -> LabeledTriplet:
-    return _make_triplet(np.random.default_rng(seedseq), length)
+    return pool_starmap(_make_triplet, [(ss, length) for ss in children], jobs)
 
 
 def pool_starmap(func, args: list, jobs: int) -> list:

@@ -16,8 +16,8 @@ exactly, where P_pi permutes the bits of the amplitude index. Each row's
 state is therefore an index permutation of the state of its sorted
 sequence, and only one sequence per letter composition of a call (at most
 C(n + 3, 3), 165 at n = 8) goes through the circuit. Ranking makes one call
-per window of test triplets, so each composition among a window's a, b and
-c sequences is simulated once.
+per set of test triplets, so each composition among the set's a, b and c
+sequences is simulated once.
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the statevector module (qubit 0 = most significant bit).
@@ -48,8 +48,8 @@ _ENC_MATS = np.stack(
     [phase_matrix(ph) @ ry_matrix(ry) for ry, ph in (base_angles(b) for b in ALPHABET)]
 )
 
-# rows per circuit pass and per overlap pass in kernel_values; bounds its
-# working set
+# rows per circuit pass and per overlap pass in kernel_values, and per pass
+# of the classical kernel_batch; bounds each model's working set
 VALUE_BLOCK = 256
 
 
@@ -318,16 +318,8 @@ def kernel_values_and_gradients(codes_x, codes_y, params: KernelParams):
     return values, grads
 
 
-def _check_pair(x: str, y: str):
-    validate_sequence(x)
-    validate_sequence(y)
-    if len(x) != len(y):
-        raise ValueError(f"sequence length mismatch: {len(x)} vs {len(y)}")
-
-
 def kernel_eval(x: str, y: str, params: KernelParams) -> float:
     """Kernel value via the reference route: two feature states, one overlap."""
-    _check_pair(x, y)
     fx = feature_state(x, params)
     fy = feature_state(y, params)
     return float(abs(inner_product(fy, fx)) ** 2)

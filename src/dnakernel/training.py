@@ -19,6 +19,8 @@ import numpy as np
 from dnakernel.dataset import pool_starmap, write_atomic
 from dnakernel.kernel import encode_sequences
 
+# pairs per partial sum of dataset_mse; fixes its float summation order,
+# which the committed train_mse values record
 EVAL_CHUNK = 1024
 
 # Adam constants of train_epoch; "optimizer" in the training manifests
@@ -105,13 +107,14 @@ def pairs_from_triplets(triplets) -> PairSet:
 
 
 def dataset_mse(model, params, pairs: PairSet) -> float:
-    """Mean squared error over a pair set without updating parameters."""
-    total = 0.0
-    for lo in range(0, len(pairs), EVAL_CHUNK):
-        sl = slice(lo, lo + EVAL_CHUNK)
-        k = model.kernel_batch(params, pairs.codes_a[sl], pairs.codes_b[sl])
-        total += float(np.sum((k - pairs.targets[sl]) ** 2))
-    return total / len(pairs)
+    """Mean squared error over a pair set without updating parameters.
+
+    One kernel_batch call covers every pair; the squared residuals are then
+    summed EVAL_CHUNK pairs at a time, in order.
+    """
+    sq = (model.kernel_batch(params, pairs.codes_a, pairs.codes_b) - pairs.targets) ** 2
+    return sum(float(np.sum(sq[lo : lo + EVAL_CHUNK]))
+               for lo in range(0, len(pairs), EVAL_CHUNK)) / len(pairs)
 
 
 def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
@@ -166,23 +169,20 @@ def order_accuracy(model, params, triplets) -> float:
 def _pair_order_accuracy(model, params, pairs: PairSet) -> float:
     """order_accuracy over the pair set of the triplets.
 
-    Each kernel_batch call gets the 2 * EVAL_CHUNK contiguous pair rows of
-    one EVAL_CHUNK of triplets, (a, b) and (a, c) interleaved, so one call
-    sees a window's a, b and c together (the quantum kernel simulates each
-    of their compositions once); k[0::2] and k[1::2] are then the (a, b)
+    One kernel_batch call gets every pair row, (a, b) and (a, c)
+    interleaved, so it sees the set's a, b and c together (the quantum
+    kernel simulates each of their compositions once, and each model
+    bounds its own working set); k[0::2] and k[1::2] are then the (a, b)
     and (a, c) values.
     """
     t = pairs.targets
     truth = np.sign(t[0::2] - t[1::2])
     if np.any(truth == 0):
         raise ValueError("ground-truth tie: order accuracy is undefined")
-    windows = [slice(lo, lo + 2 * EVAL_CHUNK) for lo in range(0, len(pairs), 2 * EVAL_CHUNK)]
     # a diverging model's non-finite values count as incorrect, like a
     # predicted tie; train_epoch's finiteness check reports the divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        k = np.concatenate(
-            [model.kernel_batch(params, pairs.codes_a[w], pairs.codes_b[w]) for w in windows]
-        )
+        k = model.kernel_batch(params, pairs.codes_a, pairs.codes_b)
         predicted = np.sign(k[0::2] - k[1::2])
     return int(np.sum(predicted == truth)) / truth.size
 

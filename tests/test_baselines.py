@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dnakernel.baselines import HEADS, ClassicalKernelModel
-from dnakernel.kernel import encode_sequences
+from dnakernel.kernel import VALUE_BLOCK, encode_sequences
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -146,6 +146,24 @@ class TestKernelHeads:
         flat[-1] = 0.7  # offset
         vals = m.kernel_batch(flat, random_codes(rng, 3), random_codes(rng, 3))
         np.testing.assert_allclose(vals, 0.49, atol=1e-12)
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_kernel_batch_spans_row_blocks(self, head):
+        # a batch longer than one row block gives every row the value of one
+        # unblocked pass over the whole batch; single rows agree to rounding
+        # only, since BLAS rounds a one-row product differently
+        rng = np.random.default_rng(16)
+        m = ClassicalKernelModel(head)
+        flat = m.init_params(rng)
+        rows = VALUE_BLOCK + 3
+        ca, cb = random_codes(rng, rows), random_codes(rng, rows)
+        whole = m._head_forward(m.unpack(flat)["head"], feature_map(m, flat, ca),
+                                feature_map(m, flat, cb))[0]
+        rowwise = [m.kernel_batch(flat, ca[i : i + 1], cb[i : i + 1])[0]
+                   for i in range(rows)]
+        values = m.kernel_batch(flat, ca, cb)
+        np.testing.assert_array_equal(values, whole)
+        np.testing.assert_allclose(values, rowwise, rtol=0, atol=1e-14)
 
     def test_bounded_outputs(self):
         rng = np.random.default_rng(10)

@@ -321,6 +321,39 @@ class TestOrderAccuracy:
             order_accuracy(ToyModel(), np.zeros(3), [])
 
 
+class TestOneCallPerSet:
+    # each evaluation hands its whole set to one kernel_batch call; the
+    # model bounds its own working set
+    @pytest.fixture(params=[ClassicalKernelModel("rbf"), QuantumKernelModel(8, 2)],
+                    ids=["classical", "quantum"])
+    def counted(self, request, monkeypatch):
+        model = request.param
+        calls = []
+        original = type(model).kernel_batch
+
+        def counting(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(type(model), "kernel_batch", counting)
+        return model, calls
+
+    def test_order_accuracy_one_call(self, counted):
+        model, calls = counted
+        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        assert len(test) == 3200
+        order_accuracy(model, model.init_params(np.random.default_rng(0)), test)
+        assert len(calls) == 1
+
+    def test_dataset_mse_one_call(self, counted):
+        model, calls = counted
+        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        pairs = pairs_from_triplets(train)
+        assert len(pairs) == 6400
+        dataset_mse(model, model.init_params(np.random.default_rng(0)), pairs)
+        assert len(calls) == 1
+
+
 class TestTrainRun:
     def test_epochs_zero_single_initial_record(self):
         train = make_triplets(6, seed=1)
@@ -404,7 +437,7 @@ class TestTrainRun:
     @pytest.mark.parametrize("head", ["cosine", "rbf", "poly2"])
     def test_committed_classical_checkpoints_reproduced(self, head):
         # every committed ck_* final checkpoint scores its curve's last
-        # accuracy exactly, through the ranking windows of order_accuracy
+        # accuracy exactly
         test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
         checkpoints = json.loads(
             (ACCEPT_DIR / f"ck_{head}_checkpoints.json").read_text())["runs"]
