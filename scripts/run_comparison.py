@@ -15,7 +15,7 @@ configuration the step would run and every file it lists matches its hash,
 so an interrupted run resumes at the first missing or stale step, and a run
 on a finished directory only prints the report. The default run writes to
 results/comparison the same datasets, curves, checkpoints and summaries as
-the committed results/acceptance (about two CPU-hours);
+the committed results/acceptance (about one CPU-hour);
 ``--out-dir results/acceptance`` verifies the committed set in seconds.
 Smaller ``--count/--length/--epochs/--runs`` give a smoke pass. Set the
 worker count with the DNAKERNEL_JOBS environment variable; outputs do not

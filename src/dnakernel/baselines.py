@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from dnakernel.circuits import ALPHABET
-from dnakernel.kernel import VALUE_BLOCK, check_codes
+from dnakernel.kernel import VALUE_BLOCK, check_pairs
 
 # initial values of each head's trainable parameters, which also fixes their
 # count: log_gamma = 0 (gamma = 1) for rbf, scale 1 and offset 0 for poly2
@@ -138,8 +138,7 @@ class ClassicalKernelModel:
         """Kernel values, VALUE_BLOCK pairs at a time, which bounds the
         working set for any batch size."""
         p = self.unpack(flat_params)
-        codes_a = check_codes(codes_a, self.seq_length)
-        codes_b = check_codes(codes_b, self.seq_length)
+        codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b)
         values = np.empty(codes_a.shape[0])
         for lo in range(0, codes_a.shape[0], VALUE_BLOCK):
             u, v = (self._feature_forward(p, c[lo : lo + VALUE_BLOCK])[3]
@@ -149,43 +148,67 @@ class ClassicalKernelModel:
 
     def _backprop_features(self, p, codes, cache, dout):
         """Per-pair gradients of sum(dout * features) w.r.t. the weights:
-        one (batch, ...) array per feature-map block, keyed as in unpack.
+        one (batch, ...) array per feature-map block, keyed as in unpack,
+        except w1. Its per-pair gradient, the outer product of each row's
+        input x and pre-activation gradient dpre, is the one large block, so
+        the pair (x, dpre) stands in for it and _gradient_slabs builds it.
         """
         x, pre, hid, _ = cache
         batch = codes.shape[0]
         dw2 = np.einsum("bh,bf->bhf", hid, dout)
         dhid = dout @ p["w2"].T
         dpre = dhid * (pre > 0)
-        dw1 = np.einsum("bi,bh->bih", x, dpre)
         dx = dpre @ p["w1"].T
-        demb = np.zeros((batch,) + p["emb"].shape)
-        rows = np.repeat(np.arange(batch), self.seq_length)
-        np.add.at(
-            demb,
-            (rows, codes.reshape(-1)),
-            dx.reshape(batch, self.seq_length, EMBED_DIM).reshape(-1, EMBED_DIM),
-        )
-        return {"emb": demb, "w1": dw1, "b1": dpre, "w2": dw2, "b2": dout}
+        # scatter-add each position's slice of dx into its row's letter, in
+        # position order: slot (row, letter, j) of the flattened demb
+        slots = (np.arange(batch)[:, None] * len(ALPHABET) + codes)[:, :, None] * EMBED_DIM
+        demb = np.bincount((slots + np.arange(EMBED_DIM)).reshape(-1), dx.reshape(-1),
+                           batch * p["emb"].size).reshape((batch,) + p["emb"].shape)
+        return {"emb": demb, "w1": (x, dpre), "b1": dpre, "w2": dw2, "b2": dout}
 
-    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b):
-        """Kernel values and exact per-pair gradients dK/dparams.
+    def _gradient_slabs(self, back_a, back_b, dhead):
+        """The per-pair gradient matrix (batch, P) as consecutive column
+        slabs, each the sum of the two sides' contributions.
+
+        w1 comes sixteen input positions (256 columns, 64 KB at batch 32)
+        at a time, so no slab is larger than w2's: batches that allocated
+        and freed w1 whole (128 KB per side) or the whole matrix made the
+        allocator hand heap pages back and fault them in again on every
+        batch. The head rides with b2 because numpy sums a lone column
+        pairwise, and every slab must sum its rows in the same order as the
+        whole matrix does.
+        """
+        for name in self._layout:
+            if name == "w1":
+                (xa, da), (xb, db) = back_a[name], back_b[name]
+                for lo in range(0, xa.shape[1], 16):
+                    slab = np.einsum("bi,bh->bih", xa[:, lo : lo + 16], da)
+                    slab += np.einsum("bi,bh->bih", xb[:, lo : lo + 16], db)
+                    yield slab.reshape(len(dhead), -1)
+            elif name == "b2":
+                yield np.concatenate([back_a[name] + back_b[name], dhead], axis=1)
+            elif name != "head":
+                yield (back_a[name] + back_b[name]).reshape(len(dhead), -1)
+
+    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets=None):
+        """Kernel values and exact per-pair gradients dK/dparams; given
+        targets, kernel values and the gradient of the batch MSE instead,
+        summed slab by slab without forming the per-pair matrix.
 
         Both feature passes share the weights, so their contributions add.
         """
         p = self.unpack(flat_params)
-        codes_a = check_codes(codes_a, self.seq_length)
-        codes_b = check_codes(codes_b, self.seq_length)
+        codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b, targets)
         cache_a = self._feature_forward(p, codes_a)
         cache_b = self._feature_forward(p, codes_b)
         k, du, dv, dhead = self._head_forward(p["head"], cache_a[3], cache_b[3])
-        back_a = self._backprop_features(p, codes_a, cache_a, du)
-        back_b = self._backprop_features(p, codes_b, cache_b, dv)
-        blocks = {name: back_a[name] + back_b[name] for name in back_a}
-        blocks["head"] = dhead
-        grads = np.concatenate(
-            [blocks[name].reshape(k.size, -1) for name in self._layout], axis=1
-        )
-        return k, grads
+        slabs = self._gradient_slabs(self._backprop_features(p, codes_a, cache_a, du),
+                                     self._backprop_features(p, codes_b, cache_b, dv), dhead)
+        if targets is None:
+            return k, np.concatenate(list(slabs), axis=1)
+        resid = (k - targets)[:, None]
+        return k, (2.0 / k.size) * np.concatenate([
+            np.multiply(s, resid, out=s).sum(axis=0) for s in slabs])
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:
         return {

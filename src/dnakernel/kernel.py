@@ -19,6 +19,14 @@ C(n + 3, 3), 165 at n = 8) goes through the circuit. Ranking makes one call
 per set of test triplets, so each composition among the set's a, b and c
 sequences is simulated once.
 
+Training uses the same identity for the gradient of a batch's MSE
+(``kernel_values_and_loss_gradient``, the models' loss mode). The reverse
+sweep is linear in its bra, so each row's bra, mapped back into its
+composition's frame by the transpose of its gather, is added to the others
+of that composition; one taped forward pass and one sweep per distinct
+composition of the batch then give the whole gradient, where the per-row
+route (``kernel_values_and_gradients``) runs two of each per pair.
+
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the statevector module (qubit 0 = most significant bit).
 """
@@ -117,12 +125,20 @@ def encode_sequences(seqs) -> np.ndarray:
     return codes.reshape(len(seqs), n)
 
 
-def check_codes(codes, width: int) -> np.ndarray:
-    """``codes`` as an array, checked to be (batch, width) base codes."""
-    codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] != width:
-        raise ValueError(f"expected codes of width {width}, got {codes.shape}")
-    return codes
+def check_pairs(width: int, codes_a, codes_b, targets=None):
+    """``codes_a`` and ``codes_b`` as arrays, checked to be aligned (batch,
+    width) base codes; ``targets``, when given, must hold one value per row."""
+    codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
+    for codes in (codes_a, codes_b):
+        if codes.ndim != 2 or codes.shape[1] != width:
+            raise ValueError(f"expected codes of width {width}, got {codes.shape}")
+    if codes_a.shape != codes_b.shape:
+        raise ValueError(f"unaligned code batches: {codes_a.shape} vs {codes_b.shape}")
+    if targets is not None and np.shape(targets) != codes_a.shape[:1]:
+        raise ValueError(
+            f"expected {codes_a.shape[0]} targets, got shape {np.shape(targets)}"
+        )
+    return codes_a, codes_b
 
 
 def _apply_rnx_batch(states, angle):
@@ -218,6 +234,20 @@ def _compositions(codes):
     return np.sort(codes[first], axis=1), row_state, rank
 
 
+def _gather_factors(row_state, rank):
+    """(weights, bits_t) whose product indexes each row's amplitudes in the
+    flattened table of its composition's states, from _compositions' output.
+
+    Row r's amplitude i is table[(weights[r] @ bits_t)[i]]: the powers of two
+    of its slots plus its state's offset (a last column) times the bit table
+    plus a row of ones. One float64 BLAS product builds the indices of many
+    rows, exact because every index is far below 2^53.
+    """
+    n = rank.shape[1]
+    weights = np.column_stack([np.ldexp(1.0, n - 1 - rank), row_state << n])
+    return weights, np.vstack([_bits(n).T, np.ones(1 << n)])
+
+
 def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     """Batched kernel values for aligned rows of codes_x and codes_y.
 
@@ -228,24 +258,17 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     the sorted state's amplitude at sum_q bit_q(i) 2^(n-1-rank(q)). That is
     the bit permutation P_pi of psi(x o pi) = P_pi psi(x), an identity of the
     circuit, so the values equal the direct route's up to float rounding.
-    The gather indices into the flattened state table come from one float64
-    BLAS product: each row's powers of two plus its state's offset (a last
-    column) times the bit table plus a row of ones, exact because every
-    index is far below 2^53. Overlaps are
-    taken VALUE_BLOCK rows at a time, which bounds the working set for any
-    batch size without changing any row's result.
+    The gather indices come from _gather_factors. Overlaps are taken
+    VALUE_BLOCK rows at a time, which bounds the working set for any batch
+    size without changing any row's result. The rows must be aligned; the
+    models' check_pairs sees to that.
     """
-    codes_x = np.asarray(codes_x)
-    codes_y = np.asarray(codes_y)
-    if codes_x.shape != codes_y.shape:
-        raise ValueError(f"unaligned code batches: {codes_x.shape} vs {codes_y.shape}")
     half, n = codes_x.shape
     canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
     states = np.empty((canon.shape[0], 1 << n), dtype=np.complex128)
     for lo in range(0, canon.shape[0], VALUE_BLOCK):
         states[lo : lo + VALUE_BLOCK] = feature_states(canon[lo : lo + VALUE_BLOCK], params)
-    weights = np.column_stack([np.ldexp(1.0, n - 1 - rank), row_state << n])
-    bits_t = np.vstack([_bits(n).T, np.ones(1 << n)])
+    weights, bits_t = _gather_factors(row_state, rank)
     table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, VALUE_BLOCK):
@@ -318,6 +341,44 @@ def kernel_values_and_gradients(codes_x, codes_y, params: KernelParams):
     return values, grads
 
 
+def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelParams):
+    """Batched kernel values and the gradient of the batch MSE.
+
+    Returns (values (batch,), gradient (3L,)) for the loss
+    mean_r (K_r - targets_r)^2, whose gradient is sum_r w_r dK_r with
+    w = (2 / batch)(K - targets). With c = <psi(y)|psi(x)> and
+    dK = 2 Re(conj(c) dc), that is 2 Re of the sum over rows of
+    <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>: one bra per row of
+    each side, taken against its own state's derivative. The states are
+    gathered from one taped forward pass over the stacked rows'
+    compositions, as in kernel_values, and since psi = P_pi psi(canonical)
+    each bra maps back into its composition's frame by the transpose of the
+    same gather, a scatter-add (np.bincount, real and imaginary parts
+    apart). The sweep is linear in its bra, so the mapped bras of a
+    composition add up, and one sweep per composition gives the whole
+    gradient. The x and y rows must be aligned, with one target each; the
+    models' check_pairs sees to that.
+    """
+    half, n = codes_x.shape
+    canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
+    ry = _ry_blocks(params, n)
+    states, tape, enc = _forward(canon, params, ry, keep_tape=True)
+    weights, bits_t = _gather_factors(row_state, rank)
+    index = (weights @ bits_t).astype(np.intp)
+    rows = states.reshape(-1)[index]
+    sx, sy = rows[:half], rows[half:]
+    c = np.einsum("bi,bi->b", np.conj(sy), sx)
+    values = np.abs(c) ** 2
+    w = (2.0 / half) * (values - np.asarray(targets, dtype=np.float64))
+    bras = np.concatenate([(w * c)[:, None] * sy, (w * np.conj(c))[:, None] * sx])
+    index = index.reshape(-1)
+    canon_bras = np.bincount(index, bras.real.reshape(-1), states.size) + 1j * np.bincount(
+        index, bras.imag.reshape(-1), states.size
+    )
+    dc = _sweep(canon_bras.reshape(states.shape), tape, enc, params, ry)
+    return values, 2.0 * np.real(dc.sum(axis=0))
+
+
 def kernel_eval(x: str, y: str, params: KernelParams) -> float:
     """Kernel value via the reference route: two feature states, one overlap."""
     fx = feature_state(x, params)
@@ -353,16 +414,17 @@ class QuantumKernelModel:
         return KernelParams.random(self.num_layers, rng).flat()
 
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
-        n = self.num_qubits
-        return kernel_values(
-            check_codes(codes_a, n), check_codes(codes_b, n), self._params(flat_params)
-        )
+        codes_a, codes_b = check_pairs(self.num_qubits, codes_a, codes_b)
+        return kernel_values(codes_a, codes_b, self._params(flat_params))
 
-    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b):
-        n = self.num_qubits
-        return kernel_values_and_gradients(
-            check_codes(codes_a, n), check_codes(codes_b, n), self._params(flat_params)
-        )
+    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets=None):
+        """Kernel values and per-row gradients (batch, P); given targets,
+        kernel values and the gradient (P,) of the batch MSE instead."""
+        codes_a, codes_b = check_pairs(self.num_qubits, codes_a, codes_b, targets)
+        params = self._params(flat_params)
+        if targets is None:
+            return kernel_values_and_gradients(codes_a, codes_b, params)
+        return kernel_values_and_loss_gradient(codes_a, codes_b, targets, params)
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:
         return {

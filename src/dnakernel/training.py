@@ -6,7 +6,9 @@ labeled pairs of every training triplet with mini-batch Adam, then score
 test triplets by whether the kernel orders (a,b) against (a,c) the same way
 the ground truth does.
 A model here is anything with init_params / kernel_batch /
-kernel_and_grad_batch over code arrays and a flat parameter vector.
+kernel_and_grad_batch over code arrays and a flat parameter vector, where
+kernel_and_grad_batch(params, codes_a, codes_b, targets) returns the kernel
+values and the gradient of the batch MSE against targets.
 """
 
 from __future__ import annotations
@@ -120,9 +122,9 @@ def dataset_mse(model, params, pairs: PairSet) -> float:
 def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
     """One pass of shuffled mini-batches with exact gradients and Adam steps.
 
-    Returns (updated params, epoch mean MSE). The loss derivative per pair
-    is 2 (K - target) dK/dtheta, averaged within each batch. The Adam
-    moments (Kingma & Ba, arXiv:1412.6980; beta1 0.9, beta2 0.999, eps 1e-8,
+    Returns (updated params, epoch mean MSE). Each step follows the
+    gradient of the batch's MSE, which the model computes. The Adam moments
+    (Kingma & Ba, arXiv:1412.6980; beta1 0.9, beta2 0.999, eps 1e-8,
     step size config.learning_rate) start from zero in every call, so an
     epoch depends only on (params, rng). The adaptive step matters at depth:
     freshly initialized 24-layer kernels sit near zero with batch gradients
@@ -137,14 +139,13 @@ def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
     total_loss = 0.0
     for step, lo in enumerate(range(0, len(pairs), config.batch_size), start=1):
         idx = order[lo : lo + config.batch_size]
+        targets = pairs.targets[idx]
         # a diverging model overflows here; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            k, grads = model.kernel_and_grad_batch(
-                params, pairs.codes_a[idx], pairs.codes_b[idx]
+            k, grad = model.kernel_and_grad_batch(
+                params, pairs.codes_a[idx], pairs.codes_b[idx], targets
             )
-        resid = k - pairs.targets[idx]
-        total_loss += float(np.sum(resid**2))
-        grad = (2.0 / idx.size) * (resid[:, None] * grads).sum(axis=0)
+        total_loss += float(np.sum((k - targets) ** 2))
         if not np.isfinite(grad).all():
             raise TrainingDivergedError(
                 f"non-finite gradient in batch starting at pair {lo}"

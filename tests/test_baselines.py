@@ -217,6 +217,46 @@ class TestGradients:
         k2, _ = m.kernel_and_grad_batch(flat, ca, cb)
         np.testing.assert_allclose(k1, k2, atol=1e-14)
 
+    @pytest.mark.parametrize("head", HEADS)
+    def test_loss_mode_is_the_batch_mse_gradient(self, head):
+        # bit for bit the combination of the per-pair gradients
+        rng = np.random.default_rng(17)
+        m = ClassicalKernelModel(head)
+        flat = m.init_params(rng)
+        ca, cb = random_codes(rng, 7), random_codes(rng, 7)
+        targets = rng.uniform(0.0, 1.0, 7)
+        k, grads = m.kernel_and_grad_batch(flat, ca, cb)
+        values, grad = m.kernel_and_grad_batch(flat, ca, cb, targets)
+        resid = k - targets
+        np.testing.assert_array_equal(values, k)
+        np.testing.assert_array_equal(grad, (2.0 / 7) * (resid[:, None] * grads).sum(axis=0))
+
+
+class TestUnalignedBatches:
+    """5 rows against 1 used to broadcast in kernel_batch and fail on a
+    reshape in kernel_and_grad_batch."""
+
+    def test_kernel_batch(self):
+        m = ClassicalKernelModel("rbf")
+        rng = np.random.default_rng(18)
+        with pytest.raises(ValueError, match="unaligned"):
+            m.kernel_batch(m.init_params(rng), random_codes(rng, 5), random_codes(rng, 1))
+
+    def test_kernel_and_grad_batch(self):
+        m = ClassicalKernelModel("rbf")
+        rng = np.random.default_rng(19)
+        for targets in (None, np.zeros(5)):
+            with pytest.raises(ValueError, match="unaligned"):
+                m.kernel_and_grad_batch(m.init_params(rng), random_codes(rng, 5),
+                                        random_codes(rng, 1), targets)
+
+    def test_target_count(self):
+        m = ClassicalKernelModel("rbf")
+        rng = np.random.default_rng(20)
+        with pytest.raises(ValueError, match="expected 5 targets"):
+            m.kernel_and_grad_batch(m.init_params(rng), random_codes(rng, 5),
+                                    random_codes(rng, 5), np.zeros(4))
+
 
 def test_init_determinism():
     m = ClassicalKernelModel("rbf")

@@ -289,10 +289,97 @@ class TestCanonicalKernelValues:
                                    rtol=0, atol=1e-12)
 
     def test_unaligned_batches_rejected(self):
-        params = KernelParams(1, np.zeros((1, 3)))
+        model = QuantumKernelModel(2, 1)
         with pytest.raises(ValueError, match="unaligned"):
-            kernel_values(encode_sequences(["AT", "GC"]), encode_sequences(["AT"]),
-                          params)
+            model.kernel_batch(np.zeros(3), encode_sequences(["AT", "GC"]),
+                               encode_sequences(["AT"]))
+
+
+def loss_batch(kind, rng, n=8):
+    """(xs, ys) of one kind of training batch at width n."""
+    if kind == "single pair":
+        return [random_seq(rng, n)], [random_seq(rng, n)]
+    if kind == "all distinct":
+        seqs = {}
+        while len(seqs) < 12:
+            s = random_seq(rng, n)
+            seqs.setdefault("".join(sorted(s)), s)
+        seqs = list(seqs.values())
+        return seqs[:6], seqs[6:]
+    if kind == "shared composition":
+        # every y is a permutation of the x of another row
+        xs = [random_seq(rng, n) for _ in range(6)]
+        return xs, ["".join(rng.permutation(list(s))) for s in xs[::-1]]
+    if kind == "duplicated rows":
+        base = [(random_seq(rng, n), random_seq(rng, n)) for _ in range(3)]
+        rows = [base[i] for i in rng.permutation(np.arange(9) % 3)]
+        return [x for x, _ in rows], [y for _, y in rows]
+    xs = [random_seq(rng, n) for _ in range(5)]  # "x == y"
+    return xs, list(xs)
+
+
+LOSS_BATCHES = ("single pair", "all distinct", "shared composition",
+                "duplicated rows", "x == y")
+
+
+class TestLossGradient:
+    """kernel_and_grad_batch's loss mode: one sweep per composition."""
+
+    @pytest.mark.parametrize("kind", LOSS_BATCHES)
+    @pytest.mark.parametrize("layers", [6, 12, 24])
+    def test_matches_per_row_combination(self, layers, kind):
+        rng = np.random.default_rng(40 + layers)
+        model = QuantumKernelModel(8, layers)
+        theta = random_params(rng, layers).flat()
+        xs, ys = loss_batch(kind, rng)
+        cx, cy = encode_sequences(xs), encode_sequences(ys)
+        targets = rng.uniform(0.0, 1.0, len(xs))
+        k, grads = model.kernel_and_grad_batch(theta, cx, cy)
+        expected = (2.0 / k.size) * ((k - targets)[:, None] * grads).sum(axis=0)
+        values, grad = model.kernel_and_grad_batch(theta, cx, cy, targets)
+        assert grad.shape == (model.num_parameters,)
+        np.testing.assert_allclose(values, k, rtol=0, atol=1e-14)
+        # x == y rows have a zero gradient, which gets the absolute floor
+        tol = max(1e-12 * np.abs(expected).max(), 1e-14)
+        np.testing.assert_allclose(grad, expected, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("layers", [6, 12, 24])
+    def test_matches_finite_differences_of_batch_mse(self, layers):
+        rng = np.random.default_rng(50 + layers)
+        model = QuantumKernelModel(8, layers)
+        theta = random_params(rng, layers).flat()
+        xs, ys = [], []
+        for kind in LOSS_BATCHES:
+            bx, by = loss_batch(kind, rng)
+            xs += bx
+            ys += by
+        cx, cy = encode_sequences(xs), encode_sequences(ys)
+        targets = rng.uniform(0.0, 1.0, len(xs))
+
+        def mse(flat):
+            return np.mean((model.kernel_batch(flat, cx, cy) - targets) ** 2)
+
+        fd = np.empty_like(theta)
+        for j in range(theta.size):
+            step = np.zeros_like(theta)
+            step[j] = FD_STEP
+            fd[j] = (mse(theta + step) - mse(theta - step)) / (2 * FD_STEP)
+        _, grad = model.kernel_and_grad_batch(theta, cx, cy, targets)
+        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+    def test_unaligned_batches_rejected(self):
+        model = QuantumKernelModel(2, 1)
+        for targets in (None, np.zeros(2)):
+            with pytest.raises(ValueError, match="unaligned"):
+                model.kernel_and_grad_batch(np.zeros(3), encode_sequences(["AT", "GC"]),
+                                            encode_sequences(["AT"]), targets)
+
+    def test_target_count_checked(self):
+        model = QuantumKernelModel(2, 1)
+        codes = encode_sequences(["AT", "GC"])
+        for targets in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
+            with pytest.raises(ValueError, match="expected 2 targets"):
+                model.kernel_and_grad_batch(np.zeros(3), codes, codes, targets)
 
 
 class TestKernelGradient:
