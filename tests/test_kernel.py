@@ -5,6 +5,8 @@ reference path, so gradient checks exercise the batched engine against a
 fully independent computation.
 """
 
+import platform
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ from dnakernel.dataset import load_triplets
 from dnakernel.kernel import (
     VALUE_BLOCK,
     _compositions,
+    _forward,
+    _ry_blocks,
     QuantumKernelModel,
     encode_sequences,
     feature_states,
@@ -168,6 +172,20 @@ class TestBatchedEngineAgainstReference:
         np.testing.assert_allclose(vals, kernel_values(cx, cy, params), atol=1e-14)
         assert grads.shape == (6, 12)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_taped_forward_matches_feature_states(self, n):
+        # the taped pass does the untaped pass's arithmetic: same final
+        # states, and the state entering layer l is the l-layer circuit's
+        rng = np.random.default_rng(13 + n)
+        codes = encode_sequences([random_seq(rng, n) for _ in range(9)])
+        params = random_params(rng, 5)
+        states, tape, _ = _forward(codes, params, _ry_blocks(params, n), keep_tape=True)
+        assert tape.shape == (5, 2, 9, 1 << n)
+        assert states.tobytes() == feature_states(codes, params).tobytes()
+        np.testing.assert_array_equal(tape[0, 0], np.eye(1 << n)[[0] * 9])
+        for layer in range(1, 5):
+            head = KernelParams(layer, params.angles[:layer])
+            assert tape[layer, 0].tobytes() == feature_states(codes, head).tobytes()
 
     def test_production_width_matches_reference(self):
         # n = 8 splits the register into two 4-qubit factors; values against
@@ -366,6 +384,24 @@ class TestLossGradient:
             fd[j] = (mse(theta + step) - mse(theta - step)) / (2 * FD_STEP)
         _, grad = model.kernel_and_grad_batch(theta, cx, cy, targets)
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="heap page reuse is a glibc malloc property")
+    def test_warm_calls_do_not_refault_heap(self):
+        # the forward tape is one block, which glibc keeps mapped once its
+        # size has been freed; 2L separate tape blocks were unmapped on free
+        # and faulted back in, about 5,800 minor faults per call
+        rng = np.random.default_rng(60)
+        model = QuantumKernelModel(8, 24)
+        theta = random_params(rng, 24).flat()
+        cx, cy = rng.integers(0, len(ALPHABET), (2, 32, 8))
+        targets = rng.uniform(0.0, 1.0, 32)
+        for _ in range(2):
+            model.kernel_and_grad_batch(theta, cx, cy, targets)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            model.kernel_and_grad_batch(theta, cx, cy, targets)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
     def test_unaligned_batches_rejected(self):
         model = QuantumKernelModel(2, 1)
