@@ -5,8 +5,11 @@ positions and pushed through a two-layer perceptron (32 -> 16 -> ReLU -> 16),
 816 weights in all. Three kernel heads compare feature vectors: cosine (no
 extra parameters), RBF with one trainable log-bandwidth (817 total), and a
 squared affine dot product with trainable scale and offset (818 total).
-Gradients are hand-rolled reverse mode over the whole pair, both feature-map
-passes included, since the two inputs share every weight.
+Gradients are hand-rolled reverse mode. The two inputs of a pair share every
+weight, so one forward pass and one reverse pass cover the a and b rows of a
+whole batch: the batch-loss gradient weights each row's feature gradient by
+its pair's residual, and a per-pair gradient is the same pass over that
+pair's two rows.
 """
 
 from __future__ import annotations
@@ -146,69 +149,47 @@ class ClassicalKernelModel:
             values[lo : lo + VALUE_BLOCK] = self._head_forward(p["head"], u, v)[0]
         return values
 
-    def _backprop_features(self, p, codes, cache, dout):
-        """Per-pair gradients of sum(dout * features) w.r.t. the weights:
-        one (batch, ...) array per feature-map block, keyed as in unpack,
-        except w1. Its per-pair gradient, the outer product of each row's
-        input x and pre-activation gradient dpre, is the one large block, so
-        the pair (x, dpre) stands in for it and _gradient_slabs builds it.
-        """
+    def _reverse(self, p, codes, cache, dout):
+        """Flat gradient of sum(dout * features) w.r.t. the feature-map
+        weights (every block but the head, in _layout order), summed over
+        the rows of codes, whose forward pass is cache."""
         x, pre, hid, _ = cache
-        batch = codes.shape[0]
-        dw2 = np.einsum("bh,bf->bhf", hid, dout)
-        dhid = dout @ p["w2"].T
-        dpre = dhid * (pre > 0)
+        dpre = (dout @ p["w2"].T) * (pre > 0)
         dx = dpre @ p["w1"].T
-        # scatter-add each position's slice of dx into its row's letter, in
-        # position order: slot (row, letter, j) of the flattened demb
-        slots = (np.arange(batch)[:, None] * len(ALPHABET) + codes)[:, :, None] * EMBED_DIM
-        demb = np.bincount((slots + np.arange(EMBED_DIM)).reshape(-1), dx.reshape(-1),
-                           batch * p["emb"].size).reshape((batch,) + p["emb"].shape)
-        return {"emb": demb, "w1": (x, dpre), "b1": dpre, "w2": dw2, "b2": dout}
-
-    def _gradient_slabs(self, back_a, back_b, dhead):
-        """The per-pair gradient matrix (batch, P) as consecutive column
-        slabs, each the sum of the two sides' contributions.
-
-        w1 comes sixteen input positions (256 columns, 64 KB at batch 32)
-        at a time, so no slab is larger than w2's: batches that allocated
-        and freed w1 whole (128 KB per side) or the whole matrix made the
-        allocator hand heap pages back and fault them in again on every
-        batch. The head rides with b2 because numpy sums a lone column
-        pairwise, and every slab must sum its rows in the same order as the
-        whole matrix does.
-        """
-        for name in self._layout:
-            if name == "w1":
-                (xa, da), (xb, db) = back_a[name], back_b[name]
-                for lo in range(0, xa.shape[1], 16):
-                    slab = np.einsum("bi,bh->bih", xa[:, lo : lo + 16], da)
-                    slab += np.einsum("bi,bh->bih", xb[:, lo : lo + 16], db)
-                    yield slab.reshape(len(dhead), -1)
-            elif name == "b2":
-                yield np.concatenate([back_a[name] + back_b[name], dhead], axis=1)
-            elif name != "head":
-                yield (back_a[name] + back_b[name]).reshape(len(dhead), -1)
+        # scatter-add each position's slice of dx into its letter's row
+        slots = codes[:, :, None] * EMBED_DIM + np.arange(EMBED_DIM)
+        demb = np.bincount(slots.reshape(-1), dx.reshape(-1), p["emb"].size)
+        return np.concatenate([demb, (x.T @ dpre).reshape(-1), dpre.sum(axis=0),
+                               (hid.T @ dout).reshape(-1), dout.sum(axis=0)])
 
     def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets=None):
         """Kernel values and exact per-pair gradients dK/dparams; given
-        targets, kernel values and the gradient of the batch MSE instead,
-        summed slab by slab without forming the per-pair matrix.
+        targets, kernel values and the gradient of the batch MSE instead.
 
-        Both feature passes share the weights, so their contributions add.
+        One forward pass covers the a and b rows together, since both sides
+        share every weight. The MSE gradient is one reverse pass over all of
+        them, each row's feature gradient weighted by its pair's
+        (2 / batch) (k - target); a per-pair gradient is the same pass over
+        that pair's two rows.
         """
         p = self.unpack(flat_params)
         codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b, targets)
-        cache_a = self._feature_forward(p, codes_a)
-        cache_b = self._feature_forward(p, codes_b)
-        k, du, dv, dhead = self._head_forward(p["head"], cache_a[3], cache_b[3])
-        slabs = self._gradient_slabs(self._backprop_features(p, codes_a, cache_a, du),
-                                     self._backprop_features(p, codes_b, cache_b, dv), dhead)
-        if targets is None:
-            return k, np.concatenate(list(slabs), axis=1)
-        resid = (k - targets)[:, None]
-        return k, (2.0 / k.size) * np.concatenate([
-            np.multiply(s, resid, out=s).sum(axis=0) for s in slabs])
+        batch = codes_a.shape[0]
+        codes = np.concatenate([codes_a, codes_b])
+        cache = self._feature_forward(p, codes)
+        k, du, dv, dhead = self._head_forward(p["head"], cache[3][:batch], cache[3][batch:])
+        dout = np.concatenate([du, dv])
+        if targets is not None:
+            w = (2.0 / batch) * (k - targets)
+            dout *= np.concatenate([w, w])[:, None]
+            return k, np.concatenate([self._reverse(p, codes, cache, dout), w @ dhead])
+        grads = np.empty((batch, self.num_parameters))
+        for i in range(batch):
+            rows = [i, batch + i]
+            grads[i] = np.concatenate([
+                self._reverse(p, codes[rows], [c[rows] for c in cache], dout[rows]),
+                dhead[i]])
+        return k, grads
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:
         return {

@@ -1,5 +1,8 @@
 """Classical baseline models: shapes, parameter counts, gradients."""
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -33,12 +36,12 @@ def feature_map(model, flat, codes):
     return model._feature_forward(model.unpack(flat), codes)[3]
 
 
-def safe_instance(model, rng):
-    """Model parameters and a pair whose ReLU preactivations sit away from 0,
-    so central differences are valid."""
+def safe_instance(model, rng, batch=1):
+    """Model parameters and a batch of pairs whose ReLU preactivations sit
+    away from 0, so central differences are valid."""
     for _ in range(50):
         flat = model.init_params(rng)
-        ca, cb = random_codes(rng, 1), random_codes(rng, 1)
+        ca, cb = random_codes(rng, batch), random_codes(rng, batch)
         p = model.unpack(flat)
         pre_a = model._feature_forward(p, ca)[1]
         pre_b = model._feature_forward(p, cb)[1]
@@ -219,17 +222,57 @@ class TestGradients:
 
     @pytest.mark.parametrize("head", HEADS)
     def test_loss_mode_is_the_batch_mse_gradient(self, head):
-        # bit for bit the combination of the per-pair gradients
+        # the combination of the per-pair gradients, up to the rounding of
+        # summing over all rows in one pass instead of pair by pair
         rng = np.random.default_rng(17)
         m = ClassicalKernelModel(head)
         flat = m.init_params(rng)
         ca, cb = random_codes(rng, 7), random_codes(rng, 7)
         targets = rng.uniform(0.0, 1.0, 7)
         k, grads = m.kernel_and_grad_batch(flat, ca, cb)
+        expected = (2.0 / 7) * ((k - targets)[:, None] * grads).sum(axis=0)
         values, grad = m.kernel_and_grad_batch(flat, ca, cb, targets)
-        resid = k - targets
+        assert grad.shape == (m.num_parameters,)
         np.testing.assert_array_equal(values, k)
-        np.testing.assert_array_equal(grad, (2.0 / 7) * (resid[:, None] * grads).sum(axis=0))
+        np.testing.assert_allclose(grad, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_loss_mode_matches_finite_differences_of_batch_mse(self, head):
+        rng = np.random.default_rng(21)
+        m = ClassicalKernelModel(head)
+        flat, ca, cb = safe_instance(m, rng, batch=5)
+        targets = rng.uniform(0.0, 1.0, 5)
+
+        def mse(params):
+            return np.mean((m.kernel_batch(params, ca, cb) - targets) ** 2)
+
+        fd = np.empty_like(flat)
+        for j in range(flat.size):
+            step = np.zeros_like(flat)
+            step[j] = FD_STEP
+            fd[j] = (mse(flat + step) - mse(flat - step)) / (2 * FD_STEP)
+        _, grad = m.kernel_and_grad_batch(flat, ca, cb, targets)
+        np.testing.assert_array_less(np.abs(grad - fd),
+                                     FD_RTOL * np.maximum(np.abs(fd), FD_FLOOR))
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="heap page reuse is a glibc malloc property")
+    @pytest.mark.parametrize("head", HEADS)
+    def test_warm_loss_mode_calls_do_not_refault_heap(self, head):
+        # a training batch's arrays stay below glibc's mmap threshold, so
+        # their pages are reused from one call to the next
+        rng = np.random.default_rng(22)
+        m = ClassicalKernelModel(head)
+        flat = m.init_params(rng)
+        ca, cb = random_codes(rng, 32), random_codes(rng, 32)
+        targets = rng.uniform(0.0, 1.0, 32)
+        for _ in range(5):
+            m.kernel_and_grad_batch(flat, ca, cb, targets)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(200):
+            m.kernel_and_grad_batch(flat, ca, cb, targets)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 class TestUnalignedBatches:
