@@ -25,6 +25,9 @@ from dnakernel.statevector import (
 )
 
 ALPHABET = "ATGC"
+# byte -> base code (index into ALPHABET); every other byte maps past the end
+BYTE_CODES = np.full(256, len(ALPHABET), dtype=np.uint8)
+BYTE_CODES[list(ALPHABET.encode("ascii"))] = np.arange(len(ALPHABET))
 
 # Ry angle taking |0> to sqrt(1/3)|0> + sqrt(2/3)|1>, shared by T, G, C
 _TILT = 2 * np.arccos(1 / np.sqrt(3))

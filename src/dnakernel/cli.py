@@ -88,11 +88,13 @@ def write_manifest(out_path, args, seeds, artifacts, timings: dict, **derived) -
 
 
 def cmd_gen_data(args) -> int:
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     triplets = generate_triplets(args.seed, args.count, args.length, jobs=args.jobs)
+    t1 = time.perf_counter()
     save_triplets(triplets, args.out)
-    elapsed = time.perf_counter() - start
-    write_manifest(args.out, args, [args.seed], [args.out], {"total": elapsed})
+    t2 = time.perf_counter()
+    timings = {"label": t1 - t0, "save": t2 - t1, "total": t2 - t0}
+    write_manifest(args.out, args, [args.seed], [args.out], timings)
     print(f"wrote {len(triplets)} triplets to {args.out}")
     return 0
 

@@ -4,6 +4,10 @@ A triplet (a, b, c) carries the two distances d(a,b) and d(a,c) with their
 normalized similarities. Triplets whose two distances tie are rejected and
 redrawn, because the ordering metric needs a strict ground truth. Files are
 line-delimited JSON, deterministic byte for byte given the seed.
+
+Labels come in batches: ``edm.pair_bounds`` brackets every pair of a batch in
+one numpy pass, then each pair goes through ``edm_exact``, which searches only
+where the bracket is open.
 """
 
 from __future__ import annotations
@@ -15,26 +19,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from dnakernel.circuits import ALPHABET, validate_sequence
-from dnakernel.edm import MAX_EDM_LENGTH, edm_exact
+from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, pair_bounds
 
 
 class DatasetError(ValueError):
     """Malformed or inconsistent dataset content."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledTriplet:
+    """Sequences a, b, c with their exact distances d(a, b) and d(a, c).
+
+    The similarity labels s = (N - d)/N are derived from the distances, not
+    stored, so a loaded dataset holds five fields per triplet.
+    """
+
     a: str
     b: str
     c: str
     d_ab: int
     d_ac: int
-    s_ab: float
-    s_ac: float
 
     @property
     def length(self) -> int:
         return len(self.a)
+
+    @property
+    def s_ab(self) -> float:
+        return (len(self.a) - self.d_ab) / len(self.a)
+
+    @property
+    def s_ac(self) -> float:
+        return (len(self.a) - self.d_ac) / len(self.a)
 
 
 def random_sequence(rng: np.random.Generator, length: int) -> str:
@@ -44,19 +60,38 @@ def random_sequence(rng: np.random.Generator, length: int) -> str:
     return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
 
 
-def _make_triplet(seedseq: np.random.SeedSequence, length: int) -> LabeledTriplet:
-    rng = np.random.default_rng(seedseq)
-    while True:
-        a = random_sequence(rng, length)
-        b = random_sequence(rng, length)
-        c = random_sequence(rng, length)
-        d_ab = edm_exact(a, b)
-        d_ac = edm_exact(a, c)
-        if d_ab == d_ac:
-            continue
-        return LabeledTriplet(
-            a, b, c, d_ab, d_ac, (length - d_ab) / length, (length - d_ac) / length
-        )
+def _distances(triples) -> list:
+    """Exact (d(a, b), d(a, c)) of each (a, b, c): one bounds pass for all
+    pairs, then one ``edm_exact`` call per pair."""
+    xs = [a for a, _, _ in triples for _ in range(2)]
+    ys = [y for _, b, c in triples for y in (b, c)]
+    upper, lower = pair_bounds(xs, ys)
+    d = [edm_exact(x, y, bounds=bd)
+         for x, y, bd in zip(xs, ys, zip(upper.tolist(), lower.tolist()))]
+    return list(zip(d[::2], d[1::2]))
+
+
+def _label_chunk(children: list, length: int) -> list:
+    """Label one triplet per SeedSequence child, in attempt rounds.
+
+    A round draws (a, b, c) for every triplet still open, each from its own
+    stream, and labels all of them in one batch; a triplet whose distances
+    tie draws again in the next round, so every stream sees the same draws
+    as when triplets are labelled one at a time.
+    """
+    rngs = [np.random.default_rng(ss) for ss in children]
+    triplets = [None] * len(rngs)
+    open_ = list(range(len(rngs)))
+    while open_:
+        draws = [tuple(random_sequence(rngs[i], length) for _ in range(3)) for i in open_]
+        still_open = []
+        for i, (a, b, c), (d_ab, d_ac) in zip(open_, draws, _distances(draws)):
+            if d_ab == d_ac:
+                still_open.append(i)
+            else:
+                triplets[i] = LabeledTriplet(a, b, c, d_ab, d_ac)
+        open_ = still_open
+    return triplets
 
 
 def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
@@ -64,7 +99,8 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
 
     Each triplet consumes its own child of the seed's SeedSequence, so the
     result is identical no matter how the work is split across workers;
-    tie rejection redraws stay inside the triplet's own stream.
+    tie rejection redraws stay inside the triplet's own stream. The triplets
+    are split into min(jobs, count) contiguous chunks, one task each.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -76,7 +112,10 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
             "labels would be unverifiable"
         )
     children = np.random.SeedSequence(seed).spawn(count)
-    return pool_starmap(_make_triplet, [(ss, length) for ss in children], jobs)
+    parts = min(jobs, count)
+    cuts = [count * k // parts for k in range(parts + 1)]
+    chunks = [(children[lo:hi], length) for lo, hi in zip(cuts, cuts[1:])]
+    return [t for chunk in pool_starmap(_label_chunk, chunks, jobs) for t in chunk]
 
 
 def pool_starmap(func, args: list, jobs: int) -> list:
@@ -101,7 +140,11 @@ def write_atomic(path, text: str) -> None:
 
 def save_triplets(triplets, path) -> None:
     """Write one JSON object per line, atomically (write then rename)."""
-    lines = (json.dumps(vars(t), sort_keys=True) + "\n" for t in triplets)
+    lines = (
+        json.dumps({"a": t.a, "b": t.b, "c": t.c, "d_ab": t.d_ab, "d_ac": t.d_ac,
+                    "s_ab": t.s_ab, "s_ac": t.s_ac}, sort_keys=True) + "\n"
+        for t in triplets
+    )
     write_atomic(path, "".join(lines))
 
 
@@ -137,7 +180,7 @@ def _parse_line(line: str, lineno: int) -> LabeledTriplet:
         raise DatasetError(
             f"line {lineno}: similarity labels do not match (N - d)/N"
         )
-    return LabeledTriplet(a, b, c, d_ab, d_ac, s_ab, s_ac)
+    return LabeledTriplet(a, b, c, d_ab, d_ac)
 
 
 def load_triplets(path, verify_fraction: float = 0.01):
@@ -163,10 +206,11 @@ def load_triplets(path, verify_fraction: float = 0.01):
         raise DatasetError(f"{path}: no triplets found")
     if verify_fraction > 0:
         stride = max(1, int(round(1 / verify_fraction)))
-        for idx in range(0, len(triplets), stride):
-            t = triplets[idx]
-            if edm_exact(t.a, t.b) != t.d_ab or edm_exact(t.a, t.c) != t.d_ac:
+        checked = triplets[::stride]
+        exact = _distances([(t.a, t.b, t.c) for t in checked])
+        for k, (t, d) in enumerate(zip(checked, exact)):
+            if d != (t.d_ab, t.d_ac):
                 raise DatasetError(
-                    f"line {idx + 1}: stored distances fail recomputation"
+                    f"line {k * stride + 1}: stored distances fail recomputation"
                 )
     return triplets

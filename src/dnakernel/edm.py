@@ -8,21 +8,36 @@ a bidirectional breadth-first search that meets in the middle.
 
 Levenshtein is the bit-parallel dynamic program of Myers (J. ACM 1999) in
 Hyyro's form for global edit distance: one bitmask per letter of the first
-string and a few integer operations per letter of the second. The search
-starts from an upper bound tightened below Levenshtein by one block move:
-every single move m of x gives 1 + levenshtein(m(x), y), in the spirit of
-the block-move bounds of Cormode & Muthukrishnan (SODA 2002). A move is
-enumerated as a swap of two adjacent non-empty blocks, s[i:j] and s[j:k].
+string and a few integer operations per letter of the second. The same DP
+runs on Python integers for one pair and on numpy uint64 lanes for a batch.
+
+``pair_bounds`` brackets the distance of many pairs in one numpy pass. The
+upper bound is Levenshtein tightened by one block move: every single move m
+of x gives 1 + levenshtein(m(x), y), in the spirit of the block-move bounds
+of Cormode & Muthukrishnan (SODA 2002). A move is enumerated as a swap of two
+adjacent non-empty blocks, s[i:j] and s[j:k]. The lower bound counts letters
+and, after Ukkonen's q-gram distance (TCS 1992), bigrams of ^x$ against ^y$.
+The search runs only for pairs whose bounds differ.
 """
 
 from __future__ import annotations
 
-from dnakernel.circuits import ALPHABET
+import functools
+
+import numpy as np
+
+from dnakernel.circuits import ALPHABET, BYTE_CODES
 
 MAX_EDM_LENGTH = 10
 NODE_BUDGET = 20_000_000
+BOUNDS_BLOCK = 64  # pairs per numpy pass of pair_bounds: its memory stays under ~1 MB
 
 _LETTER_INDEX = {c: i for i, c in enumerate(ALPHABET)}
+# bigram symbols: the letters, then the ^ and $ end markers
+_START, _END = len(ALPHABET), len(ALPHABET) + 1
+_SYMBOLS = len(ALPHABET) + 2
+# set bits of every mask of up to MAX_EDM_LENGTH bits
+_POPCOUNT = np.array([v.bit_count() for v in range(1 << MAX_EDM_LENGTH)], np.int64)
 
 
 class BudgetExceededError(RuntimeError):
@@ -38,70 +53,168 @@ def _check_string(s: str) -> str:
     return s
 
 
-def _peq(x: str) -> dict:
-    """Bitmask of the positions of each letter in ``x`` (bit i = x[i])."""
-    peq = dict.fromkeys(ALPHABET, 0)
-    for i, c in enumerate(x):
-        peq[c] |= 1 << i
-    return peq
+def _check_length(x: str, y: str) -> None:
+    if len(x) > MAX_EDM_LENGTH or len(y) > MAX_EDM_LENGTH:
+        raise ValueError(
+            f"exact search supports lengths up to {MAX_EDM_LENGTH}, "
+            f"got {len(x)} and {len(y)}"
+        )
 
 
-def _lev_bits(peq: dict, m: int, y: str) -> int:
-    """Levenshtein distance between the length-``m`` string behind ``peq`` and ``y``.
+def _lev_columns(eqs, m: int):
+    """Last column of the Levenshtein DP between a length-``m`` pattern and a text.
 
-    Column j of the DP table is held as vertical deltas D[i][j] - D[i-1][j]
-    in two bitmasks: ``pv`` (bits where the delta is +1) and ``mv`` (-1).
-    The score tracks the bottom cell D[m][j]. Bits above m - 1 hold junk,
-    but carries and shifts only move information upward, so it never
-    reaches the low m bits and no masking is needed.
+    ``eqs`` holds one mask per letter of the text: the pattern positions
+    holding that letter (bit i = pattern[i]). The masks are Python integers
+    for one pair or numpy uint64 arrays with one lane per pair; the
+    operations are the same. Column j of the DP table is held as vertical
+    deltas D[i][j] - D[i-1][j] in two bitmasks: ``pv`` (bits where the delta
+    is +1) and ``mv`` (-1). Bits above m - 1 hold junk, but carries and
+    shifts only move information upward, so it never reaches the low m bits.
+    Returns the last column's (pv, mv), masked to those bits: with n text
+    letters, D[m][n] = n + popcount(pv) - popcount(mv), since D[0][n] = n.
     """
-    if m == 0:
-        return len(y)
-    top = 1 << (m - 1)
-    pv, mv, score = (1 << m) - 1, 0, m
-    for c in y:
-        eq = peq[c]
+    mask = (1 << m) - 1
+    pv, mv = mask, 0
+    for eq in eqs:
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
         # row 0 of a global distance grows by one per column: carry in a +1
         ph = (ph << 1) | 1
         mh <<= 1
         pv = mh | ~(xv | ph)
         mv = ph & xv
-    return score
+    return pv & mask, mv & mask
 
 
 def levenshtein(x: str, y: str) -> int:
     """Unit-cost insert/delete/substitute distance by a bit-parallel DP."""
     _check_string(x)
     _check_string(y)
-    return _lev_bits(_peq(x), len(x), y)
+    peq = dict.fromkeys(ALPHABET, 0)
+    for i, c in enumerate(x):
+        peq[c] |= 1 << i
+    pv, mv = _lev_columns([peq[c] for c in y], len(x))
+    return len(y) + pv.bit_count() - mv.bit_count()
 
 
-def _one_move_bound(x: str, y: str) -> int:
-    """min over single moves m of x of 1 + levenshtein(m(x), y).
+@functools.cache
+def _move_table(n: int) -> np.ndarray:
+    """Source positions of the identity (row 0) and of every single move.
 
-    One move followed by that many edits turns x into y, so this is an upper
-    bound on the edit distance with moves.
+    Row r lists, for each position of the moved string, the position of x it
+    takes its letter from. A move swaps the adjacent non-empty blocks
+    s[i:j] and s[j:k]. One table per length, n <= MAX_EDM_LENGTH.
     """
-    peq, m = _peq(y), len(y)
-    n = len(x)
-    best = n + m + 1
+    rows = [list(range(n))]
     for i in range(n - 1):
-        head = x[:i]
         for j in range(i + 1, n):
-            left = x[i:j]
             for k in range(j + 1, n + 1):
-                d = _lev_bits(peq, m, head + x[j:k] + left + x[k:])
-                if d < best:
-                    best = d
-    return best + 1
+                rows.append([*range(i), *range(j, k), *range(i, j), *range(k, n)])
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    table.flags.writeable = False
+    return table
+
+
+def _encode(strings: list, n: int) -> np.ndarray:
+    """(len(strings), n) letter codes of length-n strings, by one byte-table
+    lookup ("replace" keeps one byte per character)."""
+    codes = BYTE_CODES[np.frombuffer("".join(strings).encode("ascii", "replace"), np.uint8)]
+    if (codes >= len(ALPHABET)).any():
+        for s in strings:
+            _check_string(s)
+    return codes.reshape(len(strings), n)
+
+
+def _row_counts(codes: np.ndarray, bins: int) -> np.ndarray:
+    """Per-row histogram of the values 0..bins-1 in a 2-D code array."""
+    rows = len(codes)
+    flat = (codes + bins * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=bins * rows).reshape(rows, bins)
+
+
+def _upper_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """min(lev(x, y), 1 + min over single moves m of x of lev(m(x), y)).
+
+    One move followed by that many edits turns x into y, so both terms bound
+    the edit distance with moves from above. Each pair's y is the pattern;
+    x and all its moves are texts, one uint64 lane each.
+    """
+    pairs, n = xc.shape
+    m = yc.shape[1]
+    if m == 0 or n == 0:
+        return np.full(pairs, n + m, np.int64)
+    letters = len(ALPHABET)
+    bits = np.uint64(1) << np.arange(m, dtype=np.uint64)
+    peq = np.stack([((yc == c) * bits).sum(1) for c in range(letters)], 1).ravel()
+    table = _move_table(n)
+    texts = xc[:, table].reshape(-1, n).T  # (n, lanes): lane = (pair, move)
+    lane_peq = np.repeat(letters * np.arange(pairs), len(table))
+    eqs = (peq[lane_peq + column] for column in texts)
+    pv, mv = _lev_columns(eqs, m)
+    score = (n + _POPCOUNT[pv] - _POPCOUNT[mv]).reshape(pairs, -1)
+    upper = score[:, 0]
+    if score.shape[1] > 1:
+        upper = np.minimum(upper, 1 + score[:, 1:].min(1))
+    return upper
+
+
+def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """lc + ceil(max(0, B - 4 lc) / 6), a lower bound on the distance.
+
+    lc = max(need, surplus) is the letter-count bound: only substitutions,
+    insertions and deletions change letter counts, each by at most one unit
+    of need and one of surplus. With c letters in common (multiset
+    intersection), need = |y| - c and surplus = |x| - c. B is the L1 distance
+    between the bigram counts of ^x$ and ^y$, which is |x| + |y| + 2 minus
+    twice the bigrams in common. A substitution replaces two bigrams (B
+    changes by at most 4), an insertion or deletion replaces one by two or
+    two by one (at most 3), and a move, which re-joins the string at three
+    cut points, replaces three (at most 6). A path with e letter operations
+    and k moves has e >= lc and 4e + 6k >= B, so it is at least
+    e + ceil((B - 4e) / 6) long, which does not decrease with e.
+    """
+    (pairs, n), m = xc.shape, yc.shape[1]
+    letters = len(ALPHABET)
+    common = np.minimum(_row_counts(xc, letters), _row_counts(yc, letters)).sum(1)
+    lc = max(n, m) - common
+
+    def bigrams(codes):
+        ext = np.empty((pairs, codes.shape[1] + 2), np.intp)
+        ext[:, 0], ext[:, 1:-1], ext[:, -1] = _START, codes, _END
+        return _row_counts(ext[:, :-1] * _SYMBOLS + ext[:, 1:], _SYMBOLS * _SYMBOLS)
+
+    b = n + m + 2 - 2 * np.minimum(bigrams(xc), bigrams(yc)).sum(1)
+    return lc + (np.maximum(b - 4 * lc, 0) + 5) // 6
+
+
+def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower) bounds on the edit distance with moves of each pair.
+
+    Pairs are grouped by their length pair and run through numpy in blocks
+    of at most BOUNDS_BLOCK pairs. Where upper <= lower, upper is the exact
+    distance. Raises ValueError for symbols outside the alphabet, for
+    lengths above MAX_EDM_LENGTH, and for batches of unequal size.
+    """
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"got {len(xs)} first strings and {len(ys)} second strings")
+    groups: dict = {}
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        _check_length(x, y)
+        groups.setdefault((len(x), len(y)), []).append(i)
+    upper = np.empty(len(xs), np.int64)
+    lower = np.empty(len(xs), np.int64)
+    for (n, m), members in groups.items():
+        for start in range(0, len(members), BOUNDS_BLOCK):
+            idx = members[start : start + BOUNDS_BLOCK]
+            xc = _encode([xs[i] for i in idx], n)
+            yc = _encode([ys[i] for i in idx], m)
+            upper[idx] = _upper_bounds(xc, yc)
+            lower[idx] = _lower_bounds(xc, yc)
+    return upper, lower
 
 
 def _counts(s: str):
@@ -127,7 +240,8 @@ class _Side:
         self.depth = 0  # depth of the current (unexpanded) frontier
 
 
-def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budget: list):
+def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budget: list,
+            last: bool = False):
     """Expand one full BFS level of ``side``; return the best bound found.
 
     A child at depth d+1 still needing h more operations by the letter-count
@@ -136,11 +250,13 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
     already saturates the bound the whole move fan-out is skipped at once.
     Every generated child string counts against ``budget``, checked once per
     expanded node; a child already visited on this side is dropped before
-    any state is built for it.
+    any state is built for it. On the ``last`` level, after which the search
+    stops whatever it finds, children are only looked up in the other side's
+    visited set: nothing is inserted and no frontier is built.
     """
     depth1 = side.depth + 1
     visited = side.visited
-    other_visited = other.visited
+    other_get = other.visited.get
     tc = side.target_counts
     new_frontier = []
     append = new_frontier.append
@@ -159,7 +275,11 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                     for k in range(j + 1, n + 1):
                         cs = head + s[j:k] + left + s[k:]
                         generated += 1
-                        if cs not in visited:
+                        if last:
+                            d = other_get(cs)
+                            if d is not None and depth1 + d < best:
+                                best = depth1 + d
+                        elif cs not in visited:
                             visited[cs] = depth1
                             append((cs, counts, need, surplus))
         for i in range(n):
@@ -181,7 +301,11 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                     continue
                 cs = s[:i] + c + s[i + 1 :]
                 generated += 1
-                if cs not in visited:
+                if last:
+                    d = other_get(cs)
+                    if d is not None and depth1 + d < best:
+                        best = depth1 + d
+                elif cs not in visited:
                     cc = list(counts)
                     cc[oi] -= 1
                     cc[ci] += 1
@@ -201,7 +325,11 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                 for i in range(n + 1):
                     cs = s[:i] + c + s[i:]
                     generated += 1
-                    if cs not in visited:
+                    if last:
+                        d = other_get(cs)
+                        if d is not None and depth1 + d < best:
+                            best = depth1 + d
+                    elif cs not in visited:
                         visited[cs] = depth1
                         append((cs, cc, need2, sur2))
         if n > len_lo:
@@ -215,14 +343,18 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                     continue
                 cs = s[:i] + s[i + 1 :]
                 generated += 1
-                if cs not in visited:
+                if last:
+                    d = other_get(cs)
+                    if d is not None and depth1 + d < best:
+                        best = depth1 + d
+                elif cs not in visited:
                     cc = list(counts)
                     cc[ci] -= 1
                     visited[cs] = depth1
                     append((cs, tuple(cc), need2, sur2))
 
         for child in new_frontier[first_child:]:
-            d_other = other_visited.get(child[0])
+            d_other = other_get(child[0])
             if d_other is not None and depth1 + d_other < best:
                 best = depth1 + d_other
 
@@ -237,35 +369,31 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
     return best
 
 
-def edm_exact(x: str, y: str) -> int:
+def edm_exact(x: str, y: str, bounds=None) -> int:
     """Exact edit distance with moves between two strings.
 
-    The upper bound starts at Levenshtein (bit-parallel) and, when above 2,
-    is lowered by the best single move followed by plain edits. Then a
+    The search starts from the ``pair_bounds`` bracket, computed here as a
+    batch of one unless a caller that bounded many pairs at once passes this
+    pair's ``(upper, lower)``; where upper <= lower it is the answer. Else a
     bidirectional uniform-cost search (all operations cost 1, so plain BFS
     levels) runs from both endpoints with visited-set deduplication. Levels
     alternate to whichever frontier is smaller; intermediate strings are
     pruned to lengths within the reachable band and by an admissible
-    letter-count bound, and the search stops as soon as no meeting shorter
-    than the bound can remain. Raises BudgetExceededError once more than
-    NODE_BUDGET child strings have been generated (counted per expanded
-    node, before duplicates are dropped); the answer, when returned, is
-    exact.
+    letter-count bound, and the search stops as soon as the upper bound
+    meets the lower bound or no meeting shorter than it can remain. Raises
+    BudgetExceededError once more than NODE_BUDGET child strings have been
+    generated (counted per expanded node, before duplicates are dropped);
+    the answer, when returned, is exact.
     """
     _check_string(x)
     _check_string(y)
-    if len(x) > MAX_EDM_LENGTH or len(y) > MAX_EDM_LENGTH:
-        raise ValueError(
-            f"exact search supports lengths up to {MAX_EDM_LENGTH}, "
-            f"got {len(x)} and {len(y)}"
-        )
-    if x == y:
-        return 0
-    best = levenshtein(x, y)
-    if best <= 1:
+    _check_length(x, y)
+    if bounds is None:
+        upper, lower = pair_bounds([x], [y])
+        bounds = int(upper[0]), int(lower[0])
+    best, lower = bounds
+    if best <= lower:
         return best
-    if best > 2:
-        best = min(best, _one_move_bound(x, y))
     remaining = [NODE_BUDGET]
     # any optimal intermediate stays within `best` length steps of both ends
     len_lo = max(0, min(len(x), len(y)) - best)
@@ -277,10 +405,12 @@ def edm_exact(x: str, y: str) -> int:
     # on a path shorter than `best`), so any true distance D <= dx + dy has
     # produced a meeting candidate. Hence once dx + dy >= best - 1, every
     # distance up to best - 1 would already have lowered `best`, and `best`
-    # is exact: stop while best <= dx + dy + 1
-    while best > sx.depth + sy.depth + 1:
+    # is exact: stop while best <= dx + dy + 1. A level that brings the
+    # depths there is the last one whatever it finds.
+    while best > max(lower, sx.depth + sy.depth + 1):
         side, other = (sx, sy) if len(sx.frontier) <= len(sy.frontier) else (sy, sx)
         if not side.frontier:
             break
-        best = _expand(side, other, best, len_lo, len_hi, remaining)
+        last = best <= sx.depth + sy.depth + 2
+        best = _expand(side, other, best, len_lo, len_hi, remaining, last)
     return best

@@ -40,6 +40,7 @@ import numpy as np
 
 from dnakernel.circuits import (
     ALPHABET,
+    BYTE_CODES,
     KernelParams,
     base_angles,
     feature_state,
@@ -47,9 +48,6 @@ from dnakernel.circuits import (
 )
 from dnakernel.statevector import inner_product, phase_matrix, ry_matrix
 
-# byte -> base code (index into ALPHABET); every other byte maps past the end
-_BYTE_CODE = np.full(256, len(ALPHABET), dtype=np.uint8)
-_BYTE_CODE[list(ALPHABET.encode("ascii"))] = np.arange(len(ALPHABET))
 
 # per-base encoding matrices P(phase) @ Ry(tilt), indexed by base code
 _ENC_MATS = np.stack(
@@ -108,7 +106,7 @@ def encode_sequences(seqs) -> np.ndarray:
         raise ValueError("empty sequence batch")
     n = len(seqs[0])
     try:
-        codes = _BYTE_CODE[np.frombuffer("".join(seqs).encode("ascii", "replace"), np.uint8)]
+        codes = BYTE_CODES[np.frombuffer("".join(seqs).encode("ascii", "replace"), np.uint8)]
         valid = n > 0 and set(map(len, seqs)) == {n} and codes.max() < len(ALPHABET)
     except TypeError:  # a non-string in the batch
         valid = False

@@ -55,6 +55,9 @@ class TestGenData:
         (artifact,) = manifest["artifacts"]
         assert artifact["path"] == str(path)
         assert len(artifact["sha256"]) == 64
+        timings = manifest["timings_seconds"]
+        assert set(timings) == {"label", "save", "total"}
+        assert timings["label"] + timings["save"] <= timings["total"] + 0.002
 
     def test_manifest_config_is_the_flags(self, tmp_path):
         path = gen_tiny_dataset(tmp_path, "train.jsonl", seed=3)

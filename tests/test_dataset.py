@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from dnakernel.dataset import (
     save_triplets,
 )
 from dnakernel.edm import edm_exact
+
+ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 
 
 class TestRandomSequence:
@@ -79,6 +82,19 @@ class TestGenerateTriplets:
     def test_bad_count(self):
         with pytest.raises(ValueError, match="count"):
             generate_triplets(seed=0, count=0, length=4)
+
+    def test_matches_committed_prefix(self, tmp_path):
+        # train.jsonl is seed 101 at length 8; its first 40 lines include
+        # tie redraws and pairs that the bounds leave to the search
+        save_triplets(generate_triplets(101, 40, 8), tmp_path / "train.jsonl")
+        with open(ACCEPT_DIR / "train.jsonl", "rb") as fh:
+            committed = b"".join(fh.readline() for _ in range(40))
+        assert (tmp_path / "train.jsonl").read_bytes() == committed
+
+    def test_real_pool_matches_serial(self):
+        # 10 triplets over 3 workers: chunks of 3, 3 and 4
+        serial = generate_triplets(seed=12, count=10, length=5)
+        assert generate_triplets(seed=12, count=10, length=5, jobs=3) == serial
 
     def test_worker_pool_capped_at_count(self, monkeypatch):
         sizes = []
@@ -249,5 +265,5 @@ class TestLoadValidation:
 
 
 def test_labeled_triplet_length():
-    t = LabeledTriplet("ATGC", "GCAT", "AAAA", 1, 3, 0.75, 0.25)
-    assert t.length == 4
+    t = LabeledTriplet("ATGC", "GCAT", "AAAA", 1, 3)
+    assert (t.length, t.s_ab, t.s_ac) == (4, 0.75, 0.25)

@@ -7,6 +7,7 @@ for exact EDM. The library must agree with them.
 
 import functools
 import itertools
+from collections import Counter
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from dnakernel.edm import (
     BudgetExceededError,
     edm_exact,
     levenshtein,
+    pair_bounds,
 )
 
 ALPHABET = "ATGC"
@@ -63,13 +65,37 @@ def neighbors_oracle(s):
             out.add(s[:i] + c + s[i:])
     for i in range(n):  # deletions
         out.add(s[:i] + s[i + 1 :])
-    for i in range(n):  # moves: take block [i, j], drop it back in elsewhere
-        for j in range(i + 1, n + 1):
+    out |= moves_oracle(s)
+    out.discard(s)
+    return out
+
+
+def moves_oracle(s):
+    """Every string one block move away: cut s[i:j] out, put it back elsewhere."""
+    out = set()
+    for i in range(len(s)):
+        for j in range(i + 1, len(s) + 1):
             block, rest = s[i:j], s[:i] + s[j:]
             for k in range(len(rest) + 1):
                 out.add(rest[:k] + block + rest[k:])
     out.discard(s)
     return out
+
+
+def upper_oracle(x, y):
+    """Levenshtein, or one move of x followed by Levenshtein if that is less."""
+    return min([lev_oracle(x, y)] + [1 + lev_oracle(m, y) for m in moves_oracle(x)])
+
+
+def lower_oracle(x, y):
+    """The letter-count bound lc plus the moves that the bigram gap B forces:
+    lc + ceil(max(0, B - 4 lc) / 6), counted with collections.Counter."""
+    cx, cy = Counter(x), Counter(y)
+    lc = max(sum((cx - cy).values()), sum((cy - cx).values()))
+    bx = Counter(zip("^" + x, x + "$"))
+    by = Counter(zip("^" + y, y + "$"))
+    b = sum(((bx - by) + (by - bx)).values())
+    return lc + -(-max(0, b - 4 * lc) // 6)
 
 
 def bfs_edm_oracle(x, y):
@@ -231,6 +257,9 @@ class TestEdmExact:
             edm_exact("A" * 11, "C" * 11)
 
     def test_budget_error(self, monkeypatch):
+        # the bounds leave this pair open (lower 3, upper 5), so it searches
+        upper, lower = pair_bounds(["ATGCATGC"], ["GGCCTTAA"])
+        assert (upper[0], lower[0]) == (5, 3)
         monkeypatch.setattr(edm, "NODE_BUDGET", 10)
         with pytest.raises(BudgetExceededError, match="budget of 10"):
             edm_exact("ATGCATGC", "GGCCTTAA")
@@ -322,6 +351,59 @@ class TestEdmExact:
             assert (edm_exact(x, y) == 0) == (x == y)
 
 
+class TestPairBounds:
+    def test_lower_bound_below_bfs_oracle_up_to_length_3(self):
+        # every ordered pair of strings of length 0-3 (85 strings, 7,225 pairs)
+        strings = ["".join(p) for n in range(4) for p in itertools.product(ALPHABET, repeat=n)]
+        pairs = list(itertools.product(strings, repeat=2))
+        upper, lower = pair_bounds([x for x, _ in pairs], [y for _, y in pairs])
+        for (x, y), lo, up in zip(pairs, lower.tolist(), upper.tolist()):
+            assert lo <= bfs_edm_oracle(x, y) <= up, (x, y, lo, up)
+
+    def test_bounds_bracket_exact_on_random_pairs(self):
+        rng = np.random.default_rng(13)
+        xs = [random_string(rng, int(rng.integers(4, 9))) for _ in range(120)]
+        ys = [random_string(rng, int(rng.integers(4, 9))) for _ in range(60)]
+        ys += [mutate(rng, x, int(rng.integers(1, 4)))[:8] for x in xs[60:]]
+        upper, lower = pair_bounds(xs, ys)
+        assert (lower < upper).any() and (lower == upper).any()
+        for x, y, lo, up in zip(xs, ys, lower.tolist(), upper.tolist()):
+            assert lo <= edm_exact(x, y) <= up, (x, y, lo, up)
+
+    def test_mixed_batch_matches_scalar_oracles(self, monkeypatch):
+        # empty strings, identical pairs and unequal lengths 0-10 in one
+        # batch, cut into blocks of 3 so that groups span several blocks
+        monkeypatch.setattr(edm, "BOUNDS_BLOCK", 3)
+        rng = np.random.default_rng(14)
+        xs = ["", "", "A", "ATGC", "GATTACA", "ATGCATGCAT"]
+        ys = ["", "TTG", "", "ATGC", "GATTACA", "TACGTACGTA"]
+        for _ in range(40):
+            xs.append(random_string(rng, int(rng.integers(0, MAX_EDM_LENGTH + 1))))
+            ys.append(random_string(rng, int(rng.integers(0, MAX_EDM_LENGTH + 1))))
+        for n in (6, 7):
+            xs += [random_string(rng, n) for _ in range(4)]
+            ys += [random_string(rng, n) for _ in range(4)]
+        upper, lower = pair_bounds(xs, ys)
+        assert upper.tolist() == [upper_oracle(x, y) for x, y in zip(xs, ys)]
+        assert lower.tolist() == [lower_oracle(x, y) for x, y in zip(xs, ys)]
+
+    def test_bounds_argument_gives_the_same_distance(self):
+        rng = np.random.default_rng(15)
+        xs = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
+        ys = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
+        upper, lower = pair_bounds(xs, ys)
+        for x, y, up, lo in zip(xs, ys, upper.tolist(), lower.tolist()):
+            assert edm_exact(x, y, bounds=(up, lo)) == edm_exact(x, y), (x, y)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="outside"):
+            pair_bounds(["ATG"], ["AXG"])
+        with pytest.raises(ValueError, match="lengths up to"):
+            pair_bounds(["A" * 11], ["A"])
+        with pytest.raises(ValueError, match="second strings"):
+            pair_bounds(["A", "T"], ["A"])
+
+
 class TestSimilarity:
     """The normalized label (N - EDM)/N, as the dataset loader checks it."""
 
@@ -363,5 +445,7 @@ def test_generation_matches_committed_prefix(tmp_path):
 def test_edm_properties_hypothesis(x, y):
     d = edm_exact(x, y)
     assert 0 <= d <= levenshtein(x, y)
+    upper, lower = pair_bounds([x], [y])
+    assert lower[0] <= d <= upper[0]
     assert (d == 0) == (x == y)
     assert edm_exact(y, x) == d

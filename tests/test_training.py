@@ -281,14 +281,9 @@ class TestAdamUpdate:
 
 
 class TestOrderAccuracy:
-    @staticmethod
-    def _triplet(a, b, c, d_ab, d_ac):
-        n = len(a)
-        return LabeledTriplet(a, b, c, d_ab, d_ac, (n - d_ab) / n, (n - d_ac) / n)
-
     def test_counts_sign_matches(self):
-        t1 = self._triplet("AAAA", "AAAT", "TTTT", 1, 4)  # s_ab > s_ac
-        t2 = self._triplet("CCCC", "CCCC", "CCGG", 0, 2)  # s_ab > s_ac
+        t1 = LabeledTriplet("AAAA", "AAAT", "TTTT", 1, 4)  # s_ab > s_ac
+        t2 = LabeledTriplet("CCCC", "CCCC", "CCGG", 0, 2)  # s_ab > s_ac
         table = {}
         for t, (k_ab, k_ac) in [(t1, (0.9, 0.2)), (t2, (0.1, 0.8))]:
             a, b, c = (tuple(encode_sequences([s])[0]) for s in (t.a, t.b, t.c))
@@ -309,13 +304,13 @@ class TestOrderAccuracy:
         assert order_accuracy(model, np.zeros(1), triplets) == 1.0
 
     def test_predicted_tie_counts_incorrect(self):
-        t = self._triplet("AAAA", "AAAT", "TTTT", 1, 4)
+        t = LabeledTriplet("AAAA", "AAAT", "TTTT", 1, 4)
         a, b, c = (tuple(encode_sequences([s])[0]) for s in (t.a, t.b, t.c))
         model = FixedKernelModel({(a, b): 0.5, (a, c): 0.5})
         assert order_accuracy(model, np.zeros(1), [t]) == 0.0
 
     def test_ground_truth_tie_rejected(self):
-        t = self._triplet("AAAA", "AAAT", "AATA", 1, 1)
+        t = LabeledTriplet("AAAA", "AAAT", "AATA", 1, 1)
         with pytest.raises(ValueError, match="tie"):
             order_accuracy(ToyModel(), np.zeros(3), [t])
 
