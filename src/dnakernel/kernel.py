@@ -20,12 +20,17 @@ per set of test triplets, so each composition among the set's a, b and c
 sequences is simulated once.
 
 Training uses the same identity for the gradient of a batch's MSE
-(``kernel_values_and_loss_gradient``, the models' loss mode). The reverse
-sweep is linear in its bra, so each row's bra, mapped back into its
-composition's frame by the transpose of its gather, is added to the others
-of that composition; one taped forward pass and one sweep per distinct
-composition of the batch then give the whole gradient, where the per-row
-route (``kernel_values_and_gradients``) runs two of each per pair.
+(``kernel_values_and_loss_gradient``, the models' loss mode). The sweep is
+linear in its bra, so each row's bra, mapped back into its composition's
+frame by the transpose of its gather, adds to the others of that
+composition: one taped forward pass and one sweep per distinct composition
+give the whole gradient. Per-row gradients are one-row loss-mode calls.
+
+The circuit runs in real arithmetic where it can. A letter's encoding is
+Ry(tilt) then P(phase), and T, G, C share one tilt (circuits.base_angles).
+Ry angles add, so a layer's block V(x) Ry(theta)^n is Phi_x, a diagonal of
+phases, times the real product of Ry(theta + tilt_q) over the qubits, which
+depends on x only through which qubits are tilted (see _blocks, _forward).
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the statevector module (qubit 0 = most significant bit).
@@ -46,13 +51,22 @@ from dnakernel.circuits import (
     feature_state,
     validate_sequence,
 )
-from dnakernel.statevector import inner_product, phase_matrix, ry_matrix
+from dnakernel.statevector import inner_product
 
 
-# per-base encoding matrices P(phase) @ Ry(tilt), indexed by base code
-_ENC_MATS = np.stack(
-    [phase_matrix(ph) @ ry_matrix(ry) for ry, ph in (base_angles(b) for b in ALPHABET)]
-)
+def _tilt_table(letter_angles) -> tuple:
+    """The letters' distinct Ry tilts, and each letter's slot among them; a
+    qubit's real factor is chosen by one tilt bit, so at most two."""
+    tilts, index = np.unique(np.asarray(letter_angles)[:, 0], return_inverse=True)
+    if tilts.size > 2:
+        raise ValueError(f"letters take {tilts.size} Ry tilts {tilts}; the engine needs <= 2")
+    return tilts, index
+
+
+# (ry_angle, phase_angle) per base code
+_LETTER_ANGLES = np.array([base_angles(b) for b in ALPHABET])
+_TILTS, _TILT_INDEX = _tilt_table(_LETTER_ANGLES)
+_PHASES = np.exp(1j * _LETTER_ANGLES[:, 1])
 
 # rows per circuit pass and per overlap pass in kernel_values, and per pass
 # of the classical kernel_batch; bounds each model's working set
@@ -73,25 +87,22 @@ def _zdiag(num_qubits: int) -> np.ndarray:
 
 
 def _kron_rows(mats) -> np.ndarray:
-    """Per-row Kronecker product of (batch, k, 2, 2) matrices, qubit 0 first."""
-    batch = mats.shape[0]
-    out = np.ones((batch, 1, 1), dtype=np.complex128)
-    for q in range(mats.shape[1]):
-        d = out.shape[1]
-        out = (out[:, :, None, :, None] * mats[:, q, None, :, None, :]).reshape(
-            batch, 2 * d, 2 * d
-        )
+    """Kronecker products of (..., k, 2, 2) matrices over axis -3, qubit 0 first."""
+    out = np.ones((*mats.shape[:-3], 1, 1), dtype=mats.dtype)
+    for q in range(mats.shape[-3]):
+        d = out.shape[-1]
+        out = (out[..., :, None, :, None] * mats[..., q, None, :, None, :]).reshape(
+            *out.shape[:-2], 2 * d, 2 * d)
     return out
 
 
 @cache
 def _jsum(num_qubits: int) -> np.ndarray:
-    """sum_q J_q over a k-qubit register, J = -iY = [[0, -1], [1, 0]]."""
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    out = np.zeros((1 << num_qubits, 1 << num_qubits))
-    for q in range(num_qubits):
-        out += np.kron(np.kron(np.eye(1 << q), j), np.eye(1 << (num_qubits - q - 1)))
-    return out.astype(np.complex128)
+    """sum_q J_q over a k-qubit register, J = -iY = [[0, -1], [1, 0]]: +-1
+    where the indices differ in one bit, + where the row index has it."""
+    idx = np.arange(1 << num_qubits)
+    diff = idx[:, None] ^ idx
+    return np.where((diff & (diff - 1) == 0) & (diff > 0), np.sign(idx[:, None] - idx), 0.0)
 
 
 def encode_sequences(seqs) -> np.ndarray:
@@ -134,80 +145,89 @@ def check_pairs(width: int, codes_a, codes_b, targets=None):
     return codes_a, codes_b
 
 
-def _apply_rnx_batch(states, angle):
-    c = np.cos(angle / 2)
-    s = np.sin(angle / 2)
-    return c * states - (1j * s) * states[:, ::-1]
+def _ry(angles) -> np.ndarray:
+    """Real Ry matrices (..., 2, 2) for an array of angles."""
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
-def _ry_blocks(params: KernelParams, num_qubits: int) -> list:
-    """Per layer, Ry(theta_ry) on every qubit of the (leading n//2, rest)
-    register halves, each as one matrix; each half size is one _kron_rows
-    call over all layers."""
-    n_hi = num_qubits // 2
-    n_lo = num_qubits - n_hi
-    ry = np.stack([ry_matrix(t_ry) for _, _, t_ry in params.angles])[:, None]
-    half = {k: _kron_rows(np.broadcast_to(ry, (len(ry), k, 2, 2))) for k in {n_hi, n_lo}}
-    return list(zip(half[n_hi], half[n_lo]))
+def _blocks(codes, params: KernelParams):
+    """Each layer's V(x) Ry(theta_ry)^n block for a batch of codes: Phi_x
+    times one real factor per register half (the leading n//2 qubits, then
+    the rest). Returns (rot, phase). rot[k] = (table, which): table[l, m] is
+    half k's product of Ry(tilt_q) Ry(theta_ry) at layer l for the m-th tilt
+    mask present; row r's is table[:, which[r]]. phase[p] is Phi_x's
+    diagonal with half p leading."""
+    n = codes.shape[1]
+    # (L, tilts, 2, 2); rounds closer to the gate route than Ry(theta + tilt)
+    ry = _ry(_TILTS) @ _ry(params.angles[:, 2])[:, None]
+    rot, diag = [], []
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        bits = _bits(hi - lo)
+        masks = _TILT_INDEX[codes[:, lo:hi]] @ (1 << np.arange(hi - lo))[::-1]
+        present, which = np.unique(masks, return_inverse=True)
+        rot.append((_kron_rows(ry[:, bits[present]]), which.reshape(-1)))
+        diag.append(np.where(bits, _PHASES[codes[:, lo:hi]][:, None], 1).prod(axis=-1))
+    phase = [(diag[p][:, :, None] * diag[1 - p][:, None, :]).reshape(len(codes), -1)
+             for p in (0, 1)]
+    return rot, phase
 
 
-def _times(stack, mat):
-    """stack @ mat for a (batch, r, c) stack and one shared (c, m) matrix, as
-    one GEMM on the contiguous (batch * r, c) view."""
-    batch, rows, cols = stack.shape
-    return (stack.reshape(batch * rows, cols) @ mat).reshape(batch, rows, -1)
+def _rotate(states, mats):
+    """mats @ S per row, S a state viewed (rows, d, 2^n/d) and mats a real
+    (rows, d, d) stack or one (d, d) matrix: one real product on the float64
+    view, where real and imaginary parts interleave on the last axis."""
+    stack = states.view(np.float64).reshape(len(states), mats.shape[-1], -1)
+    return np.matmul(mats, stack).view(np.complex128).reshape(len(states), -1)
 
 
-def _layer_factors(enc, ry):
-    """Kronecker factors (left, right) of one layer's V(x) Ry-all block."""
-    return _times(enc[0], ry[0]), _times(enc[1], ry[1])
+def _transpose(states, d):
+    """States viewed (rows, d, 2^n/d), with the two axes swapped."""
+    return states.reshape(len(states), d, -1).swapaxes(1, 2).reshape(len(states), -1)
 
 
-def _forward(codes, params, ry, keep_tape):
+def _forward(codes, params, keep_tape):
     """Run the re-uploading circuit on a batch of codes.
 
-    Returns (states, tape, enc). The per-qubit block V(x) Ry-all of a layer
-    is a product operator, so it is applied as two Kronecker factors, one
-    over the leading n//2 qubits and one over the rest: with each state
-    viewed as a (2^(n//2), 2^(n - n//2)) matrix S, the block maps S to
-    left @ S @ right^T. enc holds the encoding halves of those factors and
-    ry, from _ry_blocks, the layers' Ry-all halves.
+    Returns (states, tape, blocks), blocks from _blocks. Each layer applies
+    R_NX, the Rz diagonal, the real factor of register half p, that of half
+    1 - p, and Phi_x. A factor is a left product on the state viewed as a
+    stack with its half leading, so the state is transposed once between
+    them and the layout alternates: layer l starts with half l % 2 leading.
+    R_NX (the index complement) and Rz (a function of the index's popcount)
+    read the same in both layouts. Final states are in layout 0.
     The tape holds, per layer, the state entering the layer and the state
-    after the Rz block; those two points are exactly what the reverse sweep
-    needs. It is one (L, 2, batch, 2^n) array, not 2L separate ones, so that
-    its pages stay mapped between batches. glibc gives the memory of 2L
-    freed layer-sized blocks back to the system (heap trim or munmap), and
-    the next call faults it all in again, about 5,800 minor faults per
-    call at L = 24; freeing one block of the whole tape's size raises
-    glibc's mmap and trim thresholds above it, so later tapes reuse the
-    same heap pages.
+    after Rz, in that layer's layout. It is one (L, 2, batch, 2^n) array, not
+    2L separate ones: glibc unmaps 2L freed layer-sized blocks and the next
+    call faults them back in (about 5,800 minor faults per call at L = 24),
+    while freeing one tape-sized block raises its mmap and trim thresholds.
     """
-    batch, n = codes.shape
-    n_hi = n // 2
-    shape = (batch, 1 << n_hi, 1 << (n - n_hi))
-    enc_mats = _ENC_MATS[codes]  # (batch, n, 2, 2)
-    enc = (_kron_rows(enc_mats[:, :n_hi]), _kron_rows(enc_mats[:, n_hi:]))
-    zdiag = _zdiag(n)
-    s = np.zeros((batch, shape[1] * shape[2]), dtype=np.complex128)
+    rot, phase = blocks = _blocks(codes, params)
+    zdiag = _zdiag(codes.shape[1])
+    s = np.zeros((codes.shape[0], len(zdiag)), dtype=np.complex128)
     s[:, 0] = 1.0
     tape = np.empty((params.num_layers, 2, *s.shape), s.dtype) if keep_tape else None
-    s_rz = None
-    for layer, ((t_rnx, t_rz, _), ry_layer) in enumerate(zip(params.angles, ry)):
+    for layer, (t_rnx, t_rz, _) in enumerate(params.angles):
+        p = layer % 2
         if keep_tape:
             tape[layer, 0] = s
-            s_rz = tape[layer, 1]
-        s = _apply_rnx_batch(s, t_rnx)
-        s = np.multiply(s, np.exp(-0.5j * t_rz * zdiag), out=s_rz)
-        left, right = _layer_factors(enc, ry_layer)
-        s = (left @ s.reshape(shape) @ np.swapaxes(right, 1, 2)).reshape(batch, -1)
-    return s, tape, enc
+        # R_NX = cos - i sin X^n, X^n the index reversal, then the Rz diagonal
+        rz = np.exp(-0.5j * t_rz * zdiag)
+        s_rz = np.multiply(s, np.cos(t_rnx / 2) * rz, out=tape[layer, 1] if keep_tape else None)
+        s_rz += (-1j * np.sin(t_rnx / 2) * rz) * s[:, ::-1]
+        table, which = rot[p]
+        s = _transpose(_rotate(s_rz, table[layer][which]), table.shape[-1])
+        table, which = rot[1 - p]
+        s = _rotate(s, table[layer][which])
+        s *= phase[1 - p]
+    if params.num_layers % 2:
+        s = _transpose(s, rot[1][0].shape[-1])
+    return s, tape, blocks
 
 
 def feature_states(codes, params: KernelParams) -> np.ndarray:
     """Batched feature states, one row per sequence."""
-    codes = np.asarray(codes)
-    ry = _ry_blocks(params, codes.shape[1])
-    states, _, _ = _forward(codes, params, ry, keep_tape=False)
+    states, _, _ = _forward(np.asarray(codes), params, keep_tape=False)
     return states
 
 
@@ -280,64 +300,46 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     return values
 
 
-def _sweep(bra, tape, enc, params: KernelParams, ry):
-    """Reverse sweep: d<bra|psi>/d(theta_k) for all parameters of one side.
+def _re_dot(bra, ket) -> float:
+    """Re <bra|ket> summed over rows, row by row on the float64 views (a BLAS
+    dot splits long sums across threads: rounding would follow their count)."""
+    return np.einsum("bi,bi->b", bra.view(np.float64), ket.view(np.float64)).sum()
+
+
+def _sweep(bra, states, tape, blocks, params: KernelParams):
+    """Reverse sweep: Re d<bra|psi>/d(theta_k), summed over rows.
 
     Each trainable block contributes <t|G|s>, with s the forward state just
-    after the block and t the bra pulled back through all later gates. The
-    generators commute with their own gates, so the Ry and R_NX terms can be
-    taken one step later in the sweep, at points the sweep visits anyway;
-    only the layer-entry and post-Rz forward states have to be taped. The
-    Ry generator -(i/2) sum_q Y_q = (1/2) sum_q J_q acts on the matrix view
-    S of a state as (J_hi @ S + S @ J_lo^T) / 2.
+    after the block and t the bra pulled back through all later gates, in
+    the forward layouts. Generators commute with their own gates, so the
+    R_NX term is taken one step later, and the Ry term (J_0 + J_1)/2, J_k the
+    real sum of -iY over half k's qubits, at each half's factor: against the
+    taped post-Rz state, and the layer's output with Phi_x undone.
     """
-    batch, dim = bra.shape
-    n = dim.bit_length() - 1
-    n_hi = n // 2
-    shape = (batch, 1 << n_hi, 1 << (n - n_hi))
-    zdiag = _zdiag(n)
-    j_hi = _jsum(n_hi)
-    j_lo_t = _jsum(n - n_hi).T
-    num_layers = params.num_layers
-    dc = np.empty((batch, num_layers, 3), dtype=np.complex128)
-    t = bra
+    (rot, phase), num_layers = blocks, params.num_layers
+    n = bra.shape[1].bit_length() - 1
+    zdiag, jsum = _zdiag(n), [_jsum(n // 2), _jsum(n - n // 2)]
+    phase_conj = [np.conj(ph) for ph in phase]
+    grad = np.empty((num_layers, 3))
+    t, out = bra, states
+    if num_layers % 2:
+        t, out = (_transpose(a, jsum[0].shape[0]) for a in (bra, states))
     for layer in reversed(range(num_layers)):
-        t_rnx, t_rz, _ = params.angles[layer]
-        s_in, s_rz = tape[layer]
-        left, right = _layer_factors(enc, ry[layer])
-        tm = np.conj(np.swapaxes(left, 1, 2)) @ t.reshape(shape) @ np.conj(right)
-        t = tm.reshape(batch, -1)
-        sm = s_rz.reshape(shape)
-        dc[:, layer, 2] = 0.5 * np.einsum(
-            "bij,bij->b", np.conj(tm), j_hi @ sm + _times(sm, j_lo_t)
-        )
-        dc[:, layer, 1] = -0.5j * np.einsum("bi,i,bi->b", np.conj(t), zdiag, s_rz)
-        t = t * np.exp(0.5j * t_rz * zdiag)
-        t = _apply_rnx_batch(t, -t_rnx)
-        dc[:, layer, 0] = -0.5j * np.einsum("bi,bi->b", np.conj(t), s_in[:, ::-1])
-    return dc.reshape(batch, 3 * num_layers)
-
-
-def kernel_values_and_gradients(codes_x, codes_y, params: KernelParams):
-    """Batched kernel values and exact parameter gradients.
-
-    Returns (values (batch,), gradients (batch, 3L)). Gradient columns follow
-    the row-major flattening of KernelParams.angles. Both feature states
-    depend on theta, so the derivative of c = <psi(y)|psi(x)> sums the x-side
-    sweep and the conjugated y-side sweep; dK = 2 Re(conj(c) dc).
-    """
-    codes_x = np.asarray(codes_x)
-    codes_y = np.asarray(codes_y)
-    ry = _ry_blocks(params, codes_x.shape[1])
-    sx, tape_x, enc_x = _forward(codes_x, params, ry, keep_tape=True)
-    sy, tape_y, enc_y = _forward(codes_y, params, ry, keep_tape=True)
-    c = np.einsum("bi,bi->b", np.conj(sy), sx)
-    dcx = _sweep(sy, tape_x, enc_x, params, ry)
-    dcy = _sweep(sx, tape_y, enc_y, params, ry)
-    dc = dcx + np.conj(dcy)
-    values = np.abs(c) ** 2
-    grads = 2.0 * np.real(np.conj(c)[:, None] * dc)
-    return values, grads
+        (t_rnx, t_rz, _), (s_in, s_rz) = params.angles[layer], tape[layer]
+        p, q = layer % 2, 1 - layer % 2
+        t = t * phase_conj[q]
+        ry_q = _re_dot(t, _rotate(out * phase_conj[q], jsum[q]))
+        table, which = rot[q]
+        t = _transpose(_rotate(t, np.swapaxes(table[layer], 1, 2)[which]), table.shape[-1])
+        table, which = rot[p]
+        t = _rotate(t, np.swapaxes(table[layer], 1, 2)[which])
+        grad[layer, 2] = 0.5 * (_re_dot(t, _rotate(s_rz, jsum[p])) + ry_q)
+        grad[layer, 1] = _re_dot(t, (-0.5j * zdiag) * s_rz)
+        rz = np.exp(0.5j * t_rz * zdiag)
+        t = t * (np.cos(t_rnx / 2) * rz) + (1j * np.sin(t_rnx / 2) * np.conj(rz)) * t[:, ::-1]
+        grad[layer, 0] = _re_dot(t, -0.5j * s_in[:, ::-1])
+        out = s_in
+    return grad.reshape(-1)
 
 
 def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelParams):
@@ -347,21 +349,16 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     mean_r (K_r - targets_r)^2, whose gradient is sum_r w_r dK_r with
     w = (2 / batch)(K - targets). With c = <psi(y)|psi(x)> and
     dK = 2 Re(conj(c) dc), that is 2 Re of the sum over rows of
-    <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>: one bra per row of
-    each side, taken against its own state's derivative. The states are
-    gathered from one taped forward pass over the stacked rows'
-    compositions, as in kernel_values, and since psi = P_pi psi(canonical)
-    each bra maps back into its composition's frame by the transpose of the
-    same gather, a scatter-add (np.bincount, real and imaginary parts
-    apart). The sweep is linear in its bra, so the mapped bras of a
-    composition add up, and one sweep per composition gives the whole
-    gradient. The x and y rows must be aligned, with one target each; the
-    models' check_pairs sees to that.
+    <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. The states are
+    gathered from one taped forward pass over the rows' compositions, as in
+    kernel_values, and each bra maps back into its composition's frame by
+    the transpose of the same gather, a scatter-add (np.bincount, real and
+    imaginary parts apart). The rows must be aligned, with one target each;
+    the models' check_pairs sees to that.
     """
-    half, n = codes_x.shape
+    half = len(codes_x)
     canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
-    ry = _ry_blocks(params, n)
-    states, tape, enc = _forward(canon, params, ry, keep_tape=True)
+    states, tape, blocks = _forward(canon, params, keep_tape=True)
     weights, bits_t = _gather_factors(row_state, rank)
     index = (weights @ bits_t).astype(np.intp)
     rows = states.reshape(-1)[index]
@@ -374,8 +371,7 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     canon_bras = np.bincount(index, bras.real.reshape(-1), states.size) + 1j * np.bincount(
         index, bras.imag.reshape(-1), states.size
     )
-    dc = _sweep(canon_bras.reshape(states.shape), tape, enc, params, ry)
-    return values, 2.0 * np.real(dc.sum(axis=0))
+    return values, 2.0 * _sweep(canon_bras.reshape(states.shape), states, tape, blocks, params)
 
 
 def kernel_eval(x: str, y: str, params: KernelParams) -> float:
@@ -417,13 +413,17 @@ class QuantumKernelModel:
         return kernel_values(codes_a, codes_b, self._params(flat_params))
 
     def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets=None):
-        """Kernel values and per-row gradients (batch, P); given targets,
-        kernel values and the gradient (P,) of the batch MSE instead."""
+        """Kernel values and the gradient (P,) of the batch MSE; without
+        targets, per-row gradients (batch, P), each a one-row loss with
+        target K - 1/2, whose weight 2(K - target) = 1 gives dK."""
         codes_a, codes_b = check_pairs(self.num_qubits, codes_a, codes_b, targets)
         params = self._params(flat_params)
-        if targets is None:
-            return kernel_values_and_gradients(codes_a, codes_b, params)
-        return kernel_values_and_loss_gradient(codes_a, codes_b, targets, params)
+        if targets is not None:
+            return kernel_values_and_loss_gradient(codes_a, codes_b, targets, params)
+        values = kernel_values(codes_a, codes_b, params)
+        grads = [kernel_values_and_loss_gradient(a[None], b[None], [k - 0.5], params)[1]
+                 for a, b, k in zip(codes_a, codes_b, values)]
+        return values, np.reshape(grads, (len(values), self.num_parameters))
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:
         return {

@@ -5,8 +5,11 @@ reference path, so gradient checks exercise the batched engine against a
 fully independent computation.
 """
 
+import os
 import platform
 import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,20 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnakernel.circuits import ALPHABET, KernelParams, feature_state
+import dnakernel
+from dnakernel.circuits import ALPHABET, KernelParams, base_angles, feature_state
 from dnakernel.dataset import load_triplets
 from dnakernel.kernel import (
     VALUE_BLOCK,
     _compositions,
     _forward,
-    _ry_blocks,
+    _tilt_table,
+    _transpose,
     QuantumKernelModel,
     encode_sequences,
     feature_states,
     kernel_eval,
     kernel_values,
-    kernel_values_and_gradients,
 )
+from dnakernel.statevector import phase_matrix, ry_matrix
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 FD_STEP = 1e-5
@@ -59,8 +64,9 @@ def assert_gradient_close(analytic, fd):
 
 def kernel_gradient(x, y, params):
     """Engine gradient of one pair, ordered like KernelParams.flat()."""
-    codes_x, codes_y = encode_sequences([x]), encode_sequences([y])
-    _, grads = kernel_values_and_gradients(codes_x, codes_y, params)
+    model = QuantumKernelModel(len(x), params.num_layers)
+    _, grads = model.kernel_and_grad_batch(
+        params.flat(), encode_sequences([x]), encode_sequences([y]))
     return grads[0]
 
 
@@ -168,24 +174,28 @@ class TestBatchedEngineAgainstReference:
         ys = [random_seq(rng, 3) for _ in range(6)]
         params = random_params(rng, 4)
         cx, cy = encode_sequences(xs), encode_sequences(ys)
-        vals, grads = kernel_values_and_gradients(cx, cy, params)
+        vals, grads = QuantumKernelModel(3, 4).kernel_and_grad_batch(params.flat(), cx, cy)
         np.testing.assert_allclose(vals, kernel_values(cx, cy, params), atol=1e-14)
         assert grads.shape == (6, 12)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_taped_forward_matches_feature_states(self, n):
         # the taped pass does the untaped pass's arithmetic: same final
-        # states, and the state entering layer l is the l-layer circuit's
+        # states, and the state entering layer l is the l-layer circuit's,
+        # stored with register half l % 2 leading (the untaped pass returns
+        # layout 0, so an odd-depth head is transposed back for the bytes)
         rng = np.random.default_rng(13 + n)
         codes = encode_sequences([random_seq(rng, n) for _ in range(9)])
         params = random_params(rng, 5)
-        states, tape, _ = _forward(codes, params, _ry_blocks(params, n), keep_tape=True)
+        states, tape, _ = _forward(codes, params, keep_tape=True)
         assert tape.shape == (5, 2, 9, 1 << n)
         assert states.tobytes() == feature_states(codes, params).tobytes()
         np.testing.assert_array_equal(tape[0, 0], np.eye(1 << n)[[0] * 9])
         for layer in range(1, 5):
-            head = KernelParams(layer, params.angles[:layer])
-            assert tape[layer, 0].tobytes() == feature_states(codes, head).tobytes()
+            head = feature_states(codes, KernelParams(layer, params.angles[:layer]))
+            if layer % 2:
+                head = _transpose(head, 1 << (n // 2))
+            assert tape[layer, 0].tobytes() == head.tobytes()
 
     def test_production_width_matches_reference(self):
         # n = 8 splits the register into two 4-qubit factors; values against
@@ -194,12 +204,86 @@ class TestBatchedEngineAgainstReference:
         xs = [random_seq(rng, 8) for _ in range(3)]
         ys = [random_seq(rng, 8) for _ in range(3)]
         params = random_params(rng, 3)
-        vals, grads = kernel_values_and_gradients(
-            encode_sequences(xs), encode_sequences(ys), params
+        vals, grads = QuantumKernelModel(8, 3).kernel_and_grad_batch(
+            params.flat(), encode_sequences(xs), encode_sequences(ys)
         )
         for v, g, x, y in zip(vals, grads, xs, ys):
             assert abs(v - kernel_eval(x, y, params)) < 1e-12
             assert_gradient_close(g, fd_gradient(x, y, params))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    def test_odd_shapes_match_reference(self, n, layers):
+        # odd n splits the register into unequal halves, and an odd depth
+        # ends with the second half leading, which the engine transposes
+        # back; values against the gate-by-gate route, the loss gradient
+        # against finite differences of its batch MSE
+        rng = np.random.default_rng(100 * n + layers)
+        xs = [random_seq(rng, n) for _ in range(3)]
+        ys = [random_seq(rng, n) for _ in range(2)] + [xs[0][::-1]]
+        targets = rng.uniform(0.0, 1.0, 3)
+        params = random_params(rng, layers)
+        values, grad = QuantumKernelModel(n, layers).kernel_and_grad_batch(
+            params.flat(), encode_sequences(xs), encode_sequences(ys), targets)
+        for v, x, y in zip(values, xs, ys):
+            assert abs(v - kernel_eval(x, y, params)) < 1e-12
+
+        def mse(flat):
+            p = KernelParams.from_flat(flat)
+            return np.mean([(kernel_eval(x, y, p) - t) ** 2
+                            for x, y, t in zip(xs, ys, targets)])
+
+        flat = params.flat()
+        fd = np.empty_like(flat)
+        for k in range(flat.size):
+            step = np.zeros_like(flat)
+            step[k] = FD_STEP
+            fd[k] = (mse(flat + step) - mse(flat - step)) / (2 * FD_STEP)
+        assert_gradient_close(grad, fd)
+
+
+@pytest.mark.parametrize("theta", [-2.5, 0.0, 0.3, np.pi])
+@pytest.mark.parametrize("base", list(ALPHABET))
+def test_encoding_block_factorizes(base, theta):
+    # the identity the engine rests on: a letter's encoding after the
+    # trainable Ry is a phase diagonal times one real rotation
+    tilt, phase = base_angles(base)
+    block = phase_matrix(phase) @ ry_matrix(tilt) @ ry_matrix(theta)
+    np.testing.assert_allclose(
+        block, np.diag([1.0, np.exp(1j * phase)]) @ ry_matrix(theta + tilt),
+        rtol=0, atol=1e-15)
+
+
+def test_tilt_table_rejects_a_third_tilt():
+    tilts, index = _tilt_table([base_angles(b) for b in ALPHABET])
+    assert tilts.size == 2 and list(index) == [0, 1, 1, 1]
+    with pytest.raises(ValueError, match="3 Ry tilts"):
+        _tilt_table([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 2.0)])
+
+
+def test_loss_gradient_independent_of_blas_threads():
+    # a BLAS dot splits a long sum across its threads; the sweep's sums over
+    # a batch's amplitudes must not, or results made with one thread (the
+    # CLI's pin) and with several (a process that loaded numpy first) differ
+    script = (
+        "import numpy as np\n"
+        "from dnakernel.kernel import QuantumKernelModel\n"
+        "rng = np.random.default_rng(3)\n"
+        "model = QuantumKernelModel(8, 6)\n"
+        "a, b = rng.integers(0, 4, (2, 64, 8))\n"
+        "_, grad = model.kernel_and_grad_batch(\n"
+        "    model.init_params(rng), a, b, rng.uniform(0, 1, 64))\n"
+        "print(grad.tobytes().hex())\n"
+    )
+    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src_dir, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def permute_register(amplitudes, perm):
