@@ -53,11 +53,16 @@ class LabeledTriplet:
         return (len(self.a) - self.d_ac) / len(self.a)
 
 
+# letter code -> ASCII byte of the letter
+_LETTER_BYTES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
+
+
 def random_sequence(rng: np.random.Generator, length: int) -> str:
     """Draw each position independently and uniformly from the alphabet."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
+    codes = rng.integers(0, len(ALPHABET), size=length)
+    return _LETTER_BYTES[codes].tobytes().decode("ascii")
 
 
 def _distances(triples) -> list:
@@ -77,13 +82,18 @@ def _label_chunk(children: list, length: int) -> list:
     A round draws (a, b, c) for every triplet still open, each from its own
     stream, and labels all of them in one batch; a triplet whose distances
     tie draws again in the next round, so every stream sees the same draws
-    as when triplets are labelled one at a time.
+    as when triplets are labelled one at a time. An attempt draws its three
+    strings as one sequence of 3 * length letters: the generator hands out
+    the same values to one call of size 3n as to three calls of size n.
     """
     rngs = [np.random.default_rng(ss) for ss in children]
     triplets = [None] * len(rngs)
     open_ = list(range(len(rngs)))
     while open_:
-        draws = [tuple(random_sequence(rngs[i], length) for _ in range(3)) for i in open_]
+        draws = []
+        for i in open_:
+            abc = random_sequence(rngs[i], 3 * length)
+            draws.append((abc[:length], abc[length : 2 * length], abc[2 * length :]))
         still_open = []
         for i, (a, b, c), (d_ab, d_ac) in zip(open_, draws, _distances(draws)):
             if d_ab == d_ac:

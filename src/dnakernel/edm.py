@@ -17,7 +17,9 @@ of x gives 1 + levenshtein(m(x), y), in the spirit of the block-move bounds
 of Cormode & Muthukrishnan (SODA 2002). A move is enumerated as a swap of two
 adjacent non-empty blocks, s[i:j] and s[j:k]. The lower bound counts letters
 and, after Ukkonen's q-gram distance (TCS 1992), bigrams of ^x$ against ^y$.
-The search runs only for pairs whose bounds differ.
+The search runs only for pairs whose bounds differ, and it prunes with the
+same lower bound: a frontier node is not expanded when its depth plus its
+bound against the side's target reaches the best distance found.
 """
 
 from __future__ import annotations
@@ -161,20 +163,37 @@ def _upper_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
     return upper
 
 
-def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """lc + ceil(max(0, B - 4 lc) / 6), a lower bound on the distance.
+def _lower_bound(lc, b):
+    """lc + ceil(max(0, B - 4 lc) / 6): the lower bound of a pair whose
+    letter-count bound is lc and whose bigram gap is B (``_lower_bounds``).
 
-    lc = max(need, surplus) is the letter-count bound: only substitutions,
-    insertions and deletions change letter counts, each by at most one unit
-    of need and one of surplus. With c letters in common (multiset
-    intersection), need = |y| - c and surplus = |x| - c. B is the L1 distance
-    between the bigram counts of ^x$ and ^y$, which is |x| + |y| + 2 minus
-    twice the bigrams in common. A substitution replaces two bigrams (B
-    changes by at most 4), an insertion or deletion replaces one by two or
-    two by one (at most 3), and a move, which re-joins the string at three
-    cut points, replaces three (at most 6). A path with e letter operations
-    and k moves has e >= lc and 4e + 6k >= B, so it is at least
-    e + ceil((B - 4e) / 6) long, which does not decrease with e.
+    Only substitutions, insertions and deletions change letter counts, each
+    by at most one unit of need and one of surplus, so a path needs
+    e >= lc letter operations. A substitution replaces two
+    bigrams of ^s$ (B changes by at most 4), an insertion or deletion
+    replaces one by two or two by one (at most 3), and a move, which
+    re-joins the string at three cut points, replaces three (at most 6). A
+    path with e letter operations and k moves therefore has 4e + 6k >= B,
+    so it is at least e + ceil((B - 4e) / 6) long, which does not decrease
+    with e. Takes ints or elementwise integer arrays.
+
+    The search applies it to every frontier node s at depth d: when d plus
+    the bound of s against the side's target is at least the best distance
+    found, no path through s is shorter, so s is not expanded. Pruning thus
+    drops only nodes that lie on no path shorter than ``best``, which keeps
+    the ``best <= dx + dy + 1`` stop rule of ``edm_exact`` exact.
+    """
+    excess = b - 4 * lc
+    return lc + (excess > 0) * ((excess + 5) // 6)
+
+
+def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """``_lower_bound`` of each pair of rows of two code arrays.
+
+    lc = max(need, surplus) is the letter-count bound: with c letters in
+    common (multiset intersection), need = |y| - c and surplus = |x| - c. B
+    is the L1 distance between the bigram counts of ^x$ and ^y$, which is
+    |x| + |y| + 2 minus twice the bigrams in common.
     """
     (pairs, n), m = xc.shape, yc.shape[1]
     letters = len(ALPHABET)
@@ -187,7 +206,7 @@ def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
         return _row_counts(ext[:, :-1] * _SYMBOLS + ext[:, 1:], _SYMBOLS * _SYMBOLS)
 
     b = n + m + 2 - 2 * np.minimum(bigrams(xc), bigrams(yc)).sum(1)
-    return lc + (np.maximum(b - 4 * lc, 0) + 5) // 6
+    return _lower_bound(lc, b)
 
 
 def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -218,23 +237,44 @@ def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _counts(s: str):
-    return tuple(s.count(c) for c in ALPHABET)
+    return tuple(map(s.count, ALPHABET))
 
 
 def _deficits(counts, target):
     """(need, surplus): letters missing from / exceeding the target counts."""
-    need = sum(t - c for c, t in zip(counts, target) if t > c)
-    surplus = sum(c - t for c, t in zip(counts, target) if c > t)
+    need = surplus = 0
+    for c, t in zip(counts, target):
+        if t > c:
+            need += t - c
+        else:
+            surplus += c - t
     return need, surplus
 
 
-class _Side:
-    """One frontier of the bidirectional search."""
+def _bigrams(s: str) -> dict:
+    """Bigram counts of ^s$, keyed by letter pairs ("^" and "$" mark the ends)."""
+    counts = {}
+    for k in zip("^" + s, s + "$"):
+        counts[k] = counts.get(k, 0) + 1
+    return counts
 
-    def __init__(self, root: str, target: str):
-        self.target_counts = _counts(target)
-        root_counts = _counts(root)
-        need, surplus = _deficits(root_counts, self.target_counts)
+
+def _node_bound(s: str, lc: int, target_bigrams: dict) -> int:
+    """``_lower_bound`` of s against a target, given their letter-count
+    bound lc and the target's ``_bigrams``."""
+    gap = target_bigrams.copy()
+    for k in zip("^" + s, s + "$"):
+        gap[k] = gap.get(k, 0) - 1
+    return _lower_bound(lc, sum(map(abs, gap.values())))
+
+
+class _Side:
+    """One frontier of the bidirectional search, from ``root`` toward ``target``."""
+
+    def __init__(self, root: str, target: str, root_counts: tuple, target_counts: tuple):
+        self.target_counts = target_counts
+        self.target_bigrams = _bigrams(target)
+        need, surplus = _deficits(root_counts, target_counts)
         self.visited = {root: 0}
         self.frontier = [(root, root_counts, need, surplus)]
         self.depth = 0  # depth of the current (unexpanded) frontier
@@ -244,29 +284,38 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
             last: bool = False):
     """Expand one full BFS level of ``side``; return the best bound found.
 
-    A child at depth d+1 still needing h more operations by the letter-count
-    bound h = max(need, surplus) cannot beat ``best`` unless d+1+h < best, so
-    it is dropped. Moves never change letter counts, so when the parent
-    already saturates the bound the whole move fan-out is skipped at once.
-    Every generated child string counts against ``budget``, checked once per
-    expanded node; a child already visited on this side is dropped before
-    any state is built for it. On the ``last`` level, after which the search
-    stops whatever it finds, children are only looked up in the other side's
-    visited set: nothing is inserted and no frontier is built.
+    A frontier node s at depth d is skipped, generating no children, when
+    d + ``_lower_bound`` of s against the side's target is at least
+    ``best``: first by its letter-count bound h = max(need, surplus), which
+    the frontier carries, then, only if that does not prune, with the
+    bigram gap (``_node_bound``). A child at depth d+1 whose letter-count
+    bound h cannot beat ``best`` (d+1+h >= best) is not generated. Moves
+    never change letter counts, so when the parent already saturates that
+    bound the whole move fan-out is skipped at once. Every generated child
+    string counts against ``budget``, checked once per expanded node; a
+    child already visited on this side is dropped before any state is built
+    for it. On the ``last`` level, after which the search stops whatever it
+    finds, children are only looked up in the other side's visited set:
+    nothing is inserted and no frontier is built.
     """
-    depth1 = side.depth + 1
+    depth = side.depth
+    depth1 = depth + 1
     visited = side.visited
     other_get = other.visited.get
     tc = side.target_counts
+    target_bigrams = side.target_bigrams
     new_frontier = []
     append = new_frontier.append
     index = _LETTER_INDEX
 
     for s, counts, need, surplus in side.frontier:
+        lc = need if need > surplus else surplus
+        if depth + lc >= best or depth + _node_bound(s, lc, target_bigrams) >= best:
+            continue
         n = len(s)
         generated = 0
         first_child = len(new_frontier)
-        if depth1 + (need if need > surplus else surplus) < best:
+        if depth1 + lc < best:
             # moves: swap the adjacent blocks s[i:j] and s[j:k]
             for i in range(n - 1):
                 head = s[:i]
@@ -378,12 +427,13 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
     bidirectional uniform-cost search (all operations cost 1, so plain BFS
     levels) runs from both endpoints with visited-set deduplication. Levels
     alternate to whichever frontier is smaller; intermediate strings are
-    pruned to lengths within the reachable band and by an admissible
-    letter-count bound, and the search stops as soon as the upper bound
-    meets the lower bound or no meeting shorter than it can remain. Raises
-    BudgetExceededError once more than NODE_BUDGET child strings have been
-    generated (counted per expanded node, before duplicates are dropped);
-    the answer, when returned, is exact.
+    pruned to lengths within the reachable band, frontier nodes by the
+    letter-count and bigram bound to their side's target (``_lower_bound``)
+    and children by the letter-count bound, and the search stops as soon as
+    the upper bound meets the lower bound or no meeting shorter than it can
+    remain. Raises BudgetExceededError once more than NODE_BUDGET child
+    strings have been generated (counted per expanded node, before
+    duplicates are dropped); the answer, when returned, is exact.
     """
     _check_string(x)
     _check_string(y)
@@ -398,11 +448,13 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
     # any optimal intermediate stays within `best` length steps of both ends
     len_lo = max(0, min(len(x), len(y)) - best)
     len_hi = max(len(x), len(y)) + best
-    sx = _Side(x, y)
-    sy = _Side(y, x)
+    cx, cy = _counts(x), _counts(y)
+    sx = _Side(x, y, cx, cy)
+    sy = _Side(y, x, cy, cx)
     # after expanding to frontier depths (dx, dy) every node within dx of x
-    # and dy of y has been visited (pruning drops only nodes that cannot lie
-    # on a path shorter than `best`), so any true distance D <= dx + dy has
+    # and dy of y that lies on a path shorter than `best` has been visited
+    # (pruning, of frontier nodes and of children, drops only nodes on no
+    # such path), so any true distance D < best with D <= dx + dy has
     # produced a meeting candidate. Hence once dx + dy >= best - 1, every
     # distance up to best - 1 would already have lowered `best`, and `best`
     # is exact: stop while best <= dx + dy + 1. A level that brings the

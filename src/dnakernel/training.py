@@ -95,16 +95,21 @@ def pairs_from_triplets(triplets) -> PairSet:
     """Two labeled pairs per triplet: (a, b, s_ab) and (a, c, s_ac).
 
     One encode_sequences call covers every a, b and c, so all of them pass
-    one width check and each a is encoded once.
+    one width check and each a is encoded once. The targets are (n - d) / n
+    over one integer array of the distances, the same doubles as s_ab and
+    s_ac.
     """
     if not triplets:
         raise ValueError("empty triplet list")
     codes = encode_sequences([s for t in triplets for s in (t.a, t.b, t.c)])
-    codes = codes.reshape(-1, 3, codes.shape[1])
+    n = codes.shape[1]
+    codes = codes.reshape(-1, 3, n)
+    dist = np.fromiter((d for t in triplets for d in (t.d_ab, t.d_ac)), np.int64,
+                       count=2 * len(triplets))
     return PairSet(
         np.repeat(codes[:, 0], 2, axis=0),
-        codes[:, 1:].reshape(-1, codes.shape[2]),
-        np.array([(t.s_ab, t.s_ac) for t in triplets], dtype=np.float64).reshape(-1),
+        codes[:, 1:].reshape(-1, n),
+        (n - dist) / n,
     )
 
 

@@ -264,6 +264,18 @@ class TestEdmExact:
         with pytest.raises(BudgetExceededError, match="budget of 10"):
             edm_exact("ATGCATGC", "GGCCTTAA")
 
+    def test_node_pruning_keeps_search_under_budget(self, monkeypatch):
+        # line 295 of train.jsonl: d(a, b) = 4 takes 304 generated children
+        # with frontier nodes pruned by the bigram bound, 6,849 with the
+        # letter-count bound alone
+        t = json.loads((ACCEPT_DIR / "train.jsonl").read_text().splitlines()[294])
+        assert (t["a"], t["b"], t["d_ab"]) == ("TGAGTGTG", "ACGGGGTT", 4)
+        monkeypatch.setattr(edm, "NODE_BUDGET", 1000)
+        assert edm_exact(t["a"], t["b"]) == 4
+        monkeypatch.setattr(edm, "_node_bound", lambda s, lc, target_bigrams: lc)
+        with pytest.raises(BudgetExceededError, match="budget of 1000"):
+            edm_exact(t["a"], t["b"])
+
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(4)
         for trial in range(60):
@@ -386,6 +398,19 @@ class TestPairBounds:
         upper, lower = pair_bounds(xs, ys)
         assert upper.tolist() == [upper_oracle(x, y) for x, y in zip(xs, ys)]
         assert lower.tolist() == [lower_oracle(x, y) for x, y in zip(xs, ys)]
+
+    def test_node_bound_matches_batch_bound(self):
+        # the search's scalar bound of a node against its side's target is
+        # the batch lower bound of that pair, at lengths 0-10
+        rng = np.random.default_rng(16)
+        xs, ys = ["", "", "GCA", "ATGC"], ["", "ATG", "", "ATGC"]
+        for _ in range(300):
+            xs.append(random_string(rng, int(rng.integers(0, MAX_EDM_LENGTH + 1))))
+            ys.append(random_string(rng, int(rng.integers(0, MAX_EDM_LENGTH + 1))))
+        _, lower = pair_bounds(xs, ys)
+        for x, y, lo in zip(xs, ys, lower.tolist()):
+            lc = max(edm._deficits(edm._counts(x), edm._counts(y)))
+            assert edm._node_bound(x, lc, edm._bigrams(y)) == lo, (x, y)
 
     def test_bounds_argument_gives_the_same_distance(self):
         rng = np.random.default_rng(15)
