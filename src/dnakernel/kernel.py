@@ -32,6 +32,14 @@ Ry angles add, so a layer's block V(x) Ry(theta)^n is Phi_x, a diagonal of
 phases, times the real product of Ry(theta + tilt_q) over the qubits, which
 depends on x only through which qubits are tilted (see _blocks, _forward).
 
+Each call keeps its state-sized arrays in one block, written with out=:
+the taped pass's tape and work, or kernel_values' canonical states and the
+scratch of its forward passes and gathers. glibc unmaps freed temporaries
+above its mmap threshold and the next call faults them back in (about
+3,400 minor faults per 1,024-triplet ranking); freeing one block of the
+call's size raises its mmap and trim thresholds, so warm calls reuse
+mapped heap pages.
+
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the statevector module (qubit 0 = most significant bit).
 """
@@ -173,62 +181,72 @@ def _blocks(codes, params: KernelParams):
     return rot, phase
 
 
-def _rotate(states, mats):
+def _rotate(states, mats, out=None):
     """mats @ S per row, S a state viewed (rows, d, 2^n/d) and mats a real
     (rows, d, d) stack or one (d, d) matrix: one real product on the float64
-    view, where real and imaginary parts interleave on the last axis."""
+    view, where real and imaginary parts interleave on the last axis. The
+    product is written into ``out``, a state-shaped array, when given."""
     stack = states.view(np.float64).reshape(len(states), mats.shape[-1], -1)
-    return np.matmul(mats, stack).view(np.complex128).reshape(len(states), -1)
+    if out is not None:
+        out = out.view(np.float64).reshape(stack.shape)
+    return np.matmul(mats, stack, out=out).view(np.complex128).reshape(len(states), -1)
 
 
-def _transpose(states, d):
-    """States viewed (rows, d, 2^n/d), with the two axes swapped."""
-    return states.reshape(len(states), d, -1).swapaxes(1, 2).reshape(len(states), -1)
+def _transpose(states, d, out=None):
+    """States viewed (rows, d, 2^n/d), with the two axes swapped; copied into
+    ``out`` when given."""
+    swapped = states.reshape(len(states), d, -1).swapaxes(1, 2)
+    if out is None:
+        return swapped.reshape(len(states), -1)
+    out.reshape(swapped.shape)[...] = swapped
+    return out
 
 
-def _forward(codes, params, keep_tape):
+def _forward(codes, params, work, tape=None):
     """Run the re-uploading circuit on a batch of codes.
 
-    Returns (states, tape, blocks), blocks from _blocks. Each layer applies
-    R_NX, the Rz diagonal, the real factor of register half p, that of half
-    1 - p, and Phi_x. A factor is a left product on the state viewed as a
-    stack with its half leading, so the state is transposed once between
-    them and the layout alternates: layer l starts with half l % 2 leading.
-    R_NX (the index complement) and Rz (a function of the index's popcount)
-    read the same in both layouts. Final states are in layout 0.
-    The tape holds, per layer, the state entering the layer and the state
-    after Rz, in that layer's layout. It is one (L, 2, batch, 2^n) array, not
-    2L separate ones: glibc unmaps 2L freed layer-sized blocks and the next
-    call faults them back in (about 5,800 minor faults per call at L = 24),
-    while freeing one tape-sized block raises its mmap and trim thresholds.
+    Returns (states, blocks), blocks from _blocks. Each layer applies R_NX,
+    the Rz diagonal, the real factor of register half p, that of half 1 - p,
+    and Phi_x. A factor is a left product on the state viewed as a stack
+    with its half leading, so the state is transposed once between them and
+    the layout alternates: layer l starts with half l % 2 leading. R_NX (the
+    index complement) and Rz (a function of the index's popcount) read the
+    same in both layouts. Final states are in layout 0.
+
+    Every state-sized result goes into the caller's arrays: ``work`` is
+    (3, rows, 2^n) scratch, and the states returned are one of its slices. A
+    ``tape``, (L, 2, rows, 2^n), receives per layer the state entering the
+    layer and the state after Rz, in that layer's layout.
     """
     rot, phase = blocks = _blocks(codes, params)
     zdiag = _zdiag(codes.shape[1])
-    s = np.zeros((codes.shape[0], len(zdiag)), dtype=np.complex128)
+    s, s_rz, scratch = work
+    s[...] = 0.0
     s[:, 0] = 1.0
-    tape = np.empty((params.num_layers, 2, *s.shape), s.dtype) if keep_tape else None
     for layer, (t_rnx, t_rz, _) in enumerate(params.angles):
         p = layer % 2
-        if keep_tape:
+        if tape is not None:
             tape[layer, 0] = s
+            s_rz = tape[layer, 1]
         # R_NX = cos - i sin X^n, X^n the index reversal, then the Rz diagonal
         rz = np.exp(-0.5j * t_rz * zdiag)
-        s_rz = np.multiply(s, np.cos(t_rnx / 2) * rz, out=tape[layer, 1] if keep_tape else None)
-        s_rz += (-1j * np.sin(t_rnx / 2) * rz) * s[:, ::-1]
+        np.multiply(s, np.cos(t_rnx / 2) * rz, out=s_rz)
+        s_rz += np.multiply(-1j * np.sin(t_rnx / 2) * rz, s[:, ::-1], out=scratch)
         table, which = rot[p]
-        s = _transpose(_rotate(s_rz, table[layer][which]), table.shape[-1])
+        _transpose(_rotate(s_rz, table[layer][which], out=scratch), table.shape[-1], out=s)
         table, which = rot[1 - p]
-        s = _rotate(s, table[layer][which])
+        s, scratch = _rotate(s, table[layer][which], out=scratch), s
         s *= phase[1 - p]
     if params.num_layers % 2:
-        s = _transpose(s, rot[1][0].shape[-1])
-    return s, tape, blocks
+        s = _transpose(s, rot[1][0].shape[-1], out=scratch)
+    return s, blocks
 
 
 def feature_states(codes, params: KernelParams) -> np.ndarray:
     """Batched feature states, one row per sequence."""
-    states, _, _ = _forward(np.asarray(codes), params, keep_tape=False)
-    return states
+    codes = np.asarray(codes)
+    work = np.empty((3, len(codes), 1 << codes.shape[1]), np.complex128)
+    return _forward(codes, params, work)[0]
 
 
 def _compositions(codes):
@@ -243,9 +261,11 @@ def _compositions(codes):
     plus the number of earlier positions with an equal one.
     """
     n = codes.shape[1]
-    seen = np.cumsum(codes[:, :, None] == np.arange(len(ALPHABET)), axis=1)
+    # counts are at most n: a narrow dtype keeps these (rows, n, 4) arrays small
+    count = np.min_scalar_type(n)
+    seen = np.cumsum(codes[:, :, None] == np.arange(len(ALPHABET)), axis=1, dtype=count)
     counts = seen[:, -1]
-    below = np.cumsum(counts, axis=1) - counts
+    below = np.cumsum(counts, axis=1, dtype=count) - counts
     rank = (np.take_along_axis(below, codes, axis=1)
             + np.take_along_axis(seen, codes[:, :, None], axis=2)[:, :, 0] - 1)
     key = (n - counts) @ (n + 1) ** np.arange(len(ALPHABET) - 1, -1, -1)
@@ -253,18 +273,26 @@ def _compositions(codes):
     return np.sort(codes[first], axis=1), row_state, rank
 
 
-def _gather_factors(row_state, rank):
-    """(weights, bits_t) whose product indexes each row's amplitudes in the
-    flattened table of its composition's states, from _compositions' output.
+def _gather(table, row_state, rank, out, index):
+    """Each row's state, gathered from the flattened ``table`` of canonical
+    states into ``out`` (rows, 2^n) through ``index``, an intp array of the
+    same shape, from _compositions' row_state and rank.
 
-    Row r's amplitude i is table[(weights[r] @ bits_t)[i]]: the powers of two
-    of its slots plus its state's offset (a last column) times the bit table
-    plus a row of ones. One float64 BLAS product builds the indices of many
-    rows, exact because every index is far below 2^53.
+    Row r's amplitude i is table[index[r, i]], index[r] = weights[r] @ bits_t:
+    the powers of two of its slots plus its state's offset (a last column)
+    times the bit table plus a row of ones. One float64 BLAS product, formed
+    in out's memory, builds the indices of many rows, exact because every
+    index is far below 2^53. np.take writes into ``out`` unbuffered only in
+    mode "clip", and never clips here: an index is the row's state offset
+    (row_state < len(canon)) times 2^n plus distinct powers of two below 2^n
+    (a row's ranks are a permutation of 0..n-1), inside that row's state.
     """
     n = rank.shape[1]
     weights = np.column_stack([np.ldexp(1.0, n - 1 - rank), row_state << n])
-    return weights, np.vstack([_bits(n).T, np.ones(1 << n)])
+    product = out.reshape(-1).view(np.float64)[: out.size].reshape(out.shape)
+    np.matmul(weights, np.vstack([_bits(n).T, np.ones(1 << n)]), out=product)
+    np.copyto(index, product, casting="unsafe")
+    return np.take(table, index, out=out, mode="clip")
 
 
 def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
@@ -277,26 +305,34 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     the sorted state's amplitude at sum_q bit_q(i) 2^(n-1-rank(q)). That is
     the bit permutation P_pi of psi(x o pi) = P_pi psi(x), an identity of the
     circuit, so the values equal the direct route's up to float rounding.
-    The gather indices come from _gather_factors. Overlaps are taken
-    VALUE_BLOCK rows at a time, which bounds the working set for any batch
-    size without changing any row's result. The rows must be aligned; the
-    models' check_pairs sees to that.
+    Overlaps are taken VALUE_BLOCK rows at a time, which bounds the working
+    set for any batch size without changing any row's result. The rows must
+    be aligned; the models' check_pairs sees to that.
+
+    The call's one block holds the canonical states, then scratch for the
+    forward passes (_forward's work) and, after them, each overlap block's
+    gathered x and y rows and gather indices. _gather says why its
+    unchecked indices stay in range.
     """
     half, n = codes_x.shape
+    dim = 1 << n
     canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
-    states = np.empty((canon.shape[0], 1 << n), dtype=np.complex128)
-    for lo in range(0, canon.shape[0], VALUE_BLOCK):
-        states[lo : lo + VALUE_BLOCK] = feature_states(canon[lo : lo + VALUE_BLOCK], params)
-    weights, bits_t = _gather_factors(row_state, rank)
+    scratch_rows = 3 * min(max(len(canon), half), VALUE_BLOCK)
+    block = np.empty((len(canon) + scratch_rows, dim), dtype=np.complex128)
+    states, scratch = block[: len(canon)], block[len(canon) :].reshape(-1)
+    for lo in range(0, len(canon), VALUE_BLOCK):
+        codes = canon[lo : lo + VALUE_BLOCK]
+        work = scratch[: 3 * len(codes) * dim].reshape(3, len(codes), dim)
+        states[lo : lo + VALUE_BLOCK] = _forward(codes, params, work)[0]
     table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, VALUE_BLOCK):
-        hi = min(lo + VALUE_BLOCK, half)
-        sx, sy = (
-            table[(weights[a:b] @ bits_t).astype(np.intp)]
-            for a, b in ((lo, hi), (half + lo, half + hi))
-        )
-        values[lo:hi] = np.abs(np.einsum("bi,bi->b", np.conj(sy), sx)) ** 2
+        rows = min(VALUE_BLOCK, half - lo)
+        sx, sy, spare = scratch[: 3 * rows * dim].reshape(3, rows, dim)
+        index = spare.view(np.intp).reshape(2, rows, dim)[0]
+        for side, start in ((sx, lo), (sy, half + lo)):
+            _gather(table, row_state[start : start + rows], rank[start : start + rows], side, index)
+        values[lo : lo + rows] = np.abs(np.einsum("bi,bi->b", np.conj(sy, out=sy), sx)) ** 2
     return values
 
 
@@ -358,10 +394,14 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     """
     half = len(codes_x)
     canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
-    states, tape, blocks = _forward(canon, params, keep_tape=True)
-    weights, bits_t = _gather_factors(row_state, rank)
-    index = (weights @ bits_t).astype(np.intp)
-    rows = states.reshape(-1)[index]
+    # one block for the tape and the forward pass's work (see _forward)
+    block = np.empty((2 * params.num_layers + 3, len(canon), 1 << codes_x.shape[1]),
+                     dtype=np.complex128)
+    tape = block[:-3].reshape(params.num_layers, 2, *block.shape[1:])
+    states, blocks = _forward(canon, params, block[-3:], tape)
+    rows = np.empty((2 * half, states.shape[1]), np.complex128)
+    index = np.empty(rows.shape, np.intp)
+    _gather(states.reshape(-1), row_state, rank, rows, index)
     sx, sy = rows[:half], rows[half:]
     c = np.einsum("bi,bi->b", np.conj(sy), sx)
     values = np.abs(c) ** 2

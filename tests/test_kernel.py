@@ -24,6 +24,7 @@ from dnakernel.kernel import (
     VALUE_BLOCK,
     _compositions,
     _forward,
+    _gather,
     _tilt_table,
     _transpose,
     QuantumKernelModel,
@@ -178,24 +179,26 @@ class TestBatchedEngineAgainstReference:
         np.testing.assert_allclose(vals, kernel_values(cx, cy, params), atol=1e-14)
         assert grads.shape == (6, 12)
 
-    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 3, 8, 9])
     def test_taped_forward_matches_feature_states(self, n):
-        # the taped pass does the untaped pass's arithmetic: same final
-        # states, and the state entering layer l is the l-layer circuit's,
-        # stored with register half l % 2 leading (the untaped pass returns
-        # layout 0, so an odd-depth head is transposed back for the bytes)
+        # one layer loop serves both passes: at odd and even depths the taped
+        # pass's final states equal the untaped pass's, and the state entering
+        # layer l is the l-layer circuit's, stored with register half l % 2
+        # leading (the untaped pass returns layout 0, so an odd-depth head is
+        # transposed back for the bytes)
         rng = np.random.default_rng(13 + n)
         codes = encode_sequences([random_seq(rng, n) for _ in range(9)])
-        params = random_params(rng, 5)
-        states, tape, _ = _forward(codes, params, keep_tape=True)
-        assert tape.shape == (5, 2, 9, 1 << n)
-        assert states.tobytes() == feature_states(codes, params).tobytes()
-        np.testing.assert_array_equal(tape[0, 0], np.eye(1 << n)[[0] * 9])
-        for layer in range(1, 5):
-            head = feature_states(codes, KernelParams(layer, params.angles[:layer]))
-            if layer % 2:
-                head = _transpose(head, 1 << (n // 2))
-            assert tape[layer, 0].tobytes() == head.tobytes()
+        for layers in (1, 2, 3, 24):
+            params = random_params(rng, layers)
+            tape = np.empty((layers, 2, 9, 1 << n), np.complex128)
+            states, _ = _forward(codes, params, np.empty((3, 9, 1 << n), np.complex128), tape)
+            assert states.tobytes() == feature_states(codes, params).tobytes()
+            np.testing.assert_array_equal(tape[0, 0], np.eye(1 << n)[[0] * 9])
+            for layer in range(1, layers):
+                head = feature_states(codes, KernelParams(layer, params.angles[:layer]))
+                if layer % 2:
+                    head = _transpose(head, 1 << (n // 2))
+                assert tape[layer, 0].tobytes() == head.tobytes()
 
     def test_production_width_matches_reference(self):
         # n = 8 splits the register into two 4-qubit factors; values against
@@ -350,6 +353,73 @@ def test_compositions_match_argsort_reference(data, n, layers, seed):
     params = random_params(np.random.default_rng(seed), layers)
     assert np.array_equal(kernel_values(codes, codes[::-1], params),
                           argsort_kernel_values(codes, codes[::-1], params))
+
+
+def random_code_rows(rng, n, rows=40):
+    """Random (rows, n) codes in which each letter also fills a whole row."""
+    codes = rng.integers(0, len(ALPHABET), (rows, n)).astype(np.uint8)
+    codes[: len(ALPHABET)] = np.arange(len(ALPHABET), dtype=np.uint8)[:, None]
+    return rng.permutation(codes)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_narrow_count_compositions_match_argsort_reference(n):
+    # _compositions counts letters in the narrowest dtype that holds n; its
+    # canonical rows, row states and ranks keep the reference's values
+    codes = random_code_rows(np.random.default_rng(70 + n), n)
+    for got, ref in zip(_compositions(codes), argsort_compositions(codes)):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_gather_matches_fancy_indexing(n):
+    # _gather's np.take(mode="clip") would hide an out-of-range index by
+    # clipping it; plain fancy indexing with an index built in integers
+    # raises on one, and random table entries expose any wrong one
+    rng = np.random.default_rng(80 + n)
+    codes = random_code_rows(rng, n)
+    canon, row_state, rank = _compositions(codes)
+    table = rng.normal(size=(len(canon), 1 << n, 2)).view(np.complex128).reshape(-1)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    index = (row_state[:, None] << n) + np.left_shift(1, n - 1 - rank.astype(np.int64)) @ bits.T
+    out = np.empty((len(codes), 1 << n), np.complex128)
+    _gather(table, row_state, rank, out, np.empty(out.shape, np.intp))
+    assert np.array_equal(out, table[index])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap page reuse is a glibc malloc property")
+def test_warm_value_calls_do_not_refault_heap():
+    # kernel_values keeps its large arrays in one block per call, so warm
+    # rankings of a 1,024-triplet window and of the whole committed test set
+    # at L = 24 reuse mapped heap pages; with a fresh temporary per row block
+    # they took about 3,400 and 2,000 minor faults per call. A fresh
+    # interpreter, because a large block freed by an earlier test in this
+    # process raises glibc's thresholds and would hide the faults.
+    script = (
+        "import json, resource, sys\n"
+        "from dnakernel.dataset import load_triplets\n"
+        "from dnakernel.kernel import QuantumKernelModel\n"
+        "from dnakernel.training import pairs_from_triplets\n"
+        "root = sys.argv[1]\n"
+        "test = load_triplets(root + '/test.jsonl', verify_fraction=0)\n"
+        "with open(root + '/qk24_checkpoints.json') as fh:\n"
+        "    ckpt = json.load(fh)['runs'][0]\n"
+        "model = QuantumKernelModel(ckpt['num_qubits'], ckpt['layers'])\n"
+        "for triplets in (test[:1024], test):\n"
+        "    pairs = pairs_from_triplets(triplets)\n"
+        "    for call in range(7):\n"
+        "        if call == 2:\n"
+        "            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "        model.kernel_batch(ckpt['theta'], pairs.codes_a, pairs.codes_b)\n"
+        "    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n"
+    )
+    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script, str(ACCEPT_DIR)],
+                         env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True,
+                         text=True, check=True, timeout=300)
+    window, whole = map(float, run.stdout.split())
+    assert window < 100 and whole < 100, (window, whole)
 
 
 class TestCanonicalKernelValues:
