@@ -6,10 +6,10 @@ positions and pushed through a two-layer perceptron (32 -> 16 -> ReLU -> 16),
 extra parameters), RBF with one trainable log-bandwidth (817 total), and a
 squared affine dot product with trainable scale and offset (818 total).
 Gradients are hand-rolled reverse mode. The two inputs of a pair share every
-weight, so one forward pass and one reverse pass cover the a and b rows of a
-whole batch: the batch-loss gradient weights each row's feature gradient by
-its pair's residual, and a per-pair gradient is the same pass over that
-pair's two rows.
+weight, so values and gradients share one forward pass over the a rows
+stacked on the b rows, and one reverse pass covers a whole batch: the
+batch-loss gradient weights each row's feature gradient by its pair's
+residual.
 """
 
 from __future__ import annotations
@@ -137,6 +137,16 @@ class ClassicalKernelModel:
         dhead = np.stack([2.0 * inner * dot, 2.0 * inner], axis=1)
         return k, du, dv, dhead
 
+    def _pair_forward(self, p, codes_a, codes_b):
+        """One feature-map pass over the a rows stacked on the b rows, then
+        the head on the two halves: (codes, forward cache, _head_forward's
+        outputs). No product has a single row, which BLAS rounds apart
+        from longer ones, so a pair's value does not depend on its batch."""
+        codes = np.concatenate([codes_a, codes_b])
+        cache = self._feature_forward(p, codes)
+        half = len(codes_a)
+        return codes, cache, self._head_forward(p["head"], cache[3][:half], cache[3][half:])
+
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
         """Kernel values, VALUE_BLOCK pairs at a time, which bounds the
         working set for any batch size."""
@@ -144,9 +154,8 @@ class ClassicalKernelModel:
         codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b)
         values = np.empty(codes_a.shape[0])
         for lo in range(0, codes_a.shape[0], VALUE_BLOCK):
-            u, v = (self._feature_forward(p, c[lo : lo + VALUE_BLOCK])[3]
-                    for c in (codes_a, codes_b))
-            values[lo : lo + VALUE_BLOCK] = self._head_forward(p["head"], u, v)[0]
+            rows = slice(lo, lo + VALUE_BLOCK)
+            values[rows] = self._pair_forward(p, codes_a[rows], codes_b[rows])[2][0]
         return values
 
     def _reverse(self, p, codes, cache, dout):
@@ -162,34 +171,20 @@ class ClassicalKernelModel:
         return np.concatenate([demb, (x.T @ dpre).reshape(-1), dpre.sum(axis=0),
                                (hid.T @ dout).reshape(-1), dout.sum(axis=0)])
 
-    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets=None):
-        """Kernel values and exact per-pair gradients dK/dparams; given
-        targets, kernel values and the gradient of the batch MSE instead.
+    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets):
+        """Kernel values and the gradient of the batch MSE against targets.
 
-        One forward pass covers the a and b rows together, since both sides
-        share every weight. The MSE gradient is one reverse pass over all of
-        them, each row's feature gradient weighted by its pair's
-        (2 / batch) (k - target); a per-pair gradient is the same pass over
-        that pair's two rows.
+        The values come from the forward pass kernel_batch makes. The
+        gradient is one reverse pass over the a and b rows, each row's
+        feature gradient weighted by its pair's (2 / batch) (k - target).
+        One pair's dK is a one-row call with target K - 1/2 (weight 1).
         """
         p = self.unpack(flat_params)
         codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b, targets)
-        batch = codes_a.shape[0]
-        codes = np.concatenate([codes_a, codes_b])
-        cache = self._feature_forward(p, codes)
-        k, du, dv, dhead = self._head_forward(p["head"], cache[3][:batch], cache[3][batch:])
-        dout = np.concatenate([du, dv])
-        if targets is not None:
-            w = (2.0 / batch) * (k - targets)
-            dout *= np.concatenate([w, w])[:, None]
-            return k, np.concatenate([self._reverse(p, codes, cache, dout), w @ dhead])
-        grads = np.empty((batch, self.num_parameters))
-        for i in range(batch):
-            rows = [i, batch + i]
-            grads[i] = np.concatenate([
-                self._reverse(p, codes[rows], [c[rows] for c in cache], dout[rows]),
-                dhead[i]])
-        return k, grads
+        codes, cache, (k, du, dv, dhead) = self._pair_forward(p, codes_a, codes_b)
+        w = (2.0 / len(k)) * (k - targets)
+        dout = np.concatenate([du, dv]) * np.concatenate([w, w])[:, None]
+        return k, np.concatenate([self._reverse(p, codes, cache, dout), w @ dhead])
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:
         return {

@@ -116,6 +116,8 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
         raise ValueError(f"count must be >= 1, got {count}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if length > MAX_EDM_LENGTH:
         raise ValueError(
             f"length {length} exceeds the exact-distance cap of {MAX_EDM_LENGTH}; "

@@ -56,6 +56,8 @@ def _check_string(s: str) -> str:
 
 
 def _check_length(x: str, y: str) -> None:
+    if not (isinstance(x, str) and isinstance(y, str)):
+        raise ValueError(f"expected strings, got {type(x).__name__} and {type(y).__name__}")
     if len(x) > MAX_EDM_LENGTH or len(y) > MAX_EDM_LENGTH:
         raise ValueError(
             f"exact search supports lengths up to {MAX_EDM_LENGTH}, "

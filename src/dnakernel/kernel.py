@@ -139,11 +139,15 @@ def encode_sequences(seqs) -> np.ndarray:
 
 def check_pairs(width: int, codes_a, codes_b, targets=None):
     """``codes_a`` and ``codes_b`` as arrays, checked to be aligned (batch,
-    width) base codes; ``targets``, when given, must hold one value per row."""
+    width) integer base codes in 0..3; ``targets``, when given, must hold one
+    value per row."""
     codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
     for codes in (codes_a, codes_b):
         if codes.ndim != 2 or codes.shape[1] != width:
             raise ValueError(f"expected codes of width {width}, got {codes.shape}")
+        # one pass: the codes' OR sets no bit past the lowest two iff all are in 0..3
+        if codes.dtype.kind not in "iu" or np.bitwise_or.reduce(codes, axis=None) >> 2:
+            raise ValueError("base codes must be integers in 0..3")
     if codes_a.shape != codes_b.shape:
         raise ValueError(f"unaligned code batches: {codes_a.shape} vs {codes_b.shape}")
     if targets is not None and np.shape(targets) != codes_a.shape[:1]:
@@ -240,13 +244,6 @@ def _forward(codes, params, work, tape=None):
     if params.num_layers % 2:
         s = _transpose(s, rot[1][0].shape[-1], out=scratch)
     return s, blocks
-
-
-def feature_states(codes, params: KernelParams) -> np.ndarray:
-    """Batched feature states, one row per sequence."""
-    codes = np.asarray(codes)
-    work = np.empty((3, len(codes), 1 << codes.shape[1]), np.complex128)
-    return _forward(codes, params, work)[0]
 
 
 def _compositions(codes):

@@ -8,7 +8,9 @@ the ground truth does.
 A model here is anything with init_params / kernel_batch /
 kernel_and_grad_batch over code arrays and a flat parameter vector, where
 kernel_and_grad_batch(params, codes_a, codes_b, targets) returns the kernel
-values and the gradient of the batch MSE against targets.
+values and the gradient of the batch MSE against targets. ``targets`` is
+required; the quantum model's per-row form without it exists only for the
+benchmark's train_quantum correctness check.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from test_baselines import fd_gradient as classical_fd
-from test_baselines import safe_instance
+from test_baselines import pair_gradients, safe_instance
 from test_edm import bfs_edm_oracle, lev_oracle
 from test_kernel import fd_gradient as quantum_fd
 from test_kernel import random_params, random_seq
@@ -225,7 +225,7 @@ class TestGradients:
         for i in range(50):
             model = ClassicalKernelModel(heads[i % 3])
             flat, ca, cb = safe_instance(model, rng)
-            _, grads = model.kernel_and_grad_batch(flat, ca, cb)
+            _, grads = pair_gradients(model, flat, ca, cb)
             fd = classical_fd(model, flat, ca, cb)
             assert np.all(np.abs(grads[0] - fd) < 1e-4 * np.maximum(np.abs(fd), 1e-2))
 

@@ -31,6 +31,15 @@ def fd_gradient(model, flat, ca, cb, step=FD_STEP):
     return grad
 
 
+def pair_gradients(model, flat, ca, cb):
+    """Values and per-pair gradients dK (batch, P), each pair's from a
+    one-row loss call with target K - 1/2, whose weight 2 (K - target) is 1."""
+    k = model.kernel_batch(flat, ca, cb)
+    grads = [model.kernel_and_grad_batch(flat, a[None], b[None], [v - 0.5])[1]
+             for a, b, v in zip(ca, cb, k)]
+    return k, np.array(grads)
+
+
 def feature_map(model, flat, codes):
     """Feature vectors (batch, 16) of a batch of sequence codes."""
     return model._feature_forward(model.unpack(flat), codes)[3]
@@ -137,7 +146,7 @@ class TestKernelHeads:
         m = ClassicalKernelModel("rbf")
         flat = m.init_params(rng)
         ca, cb = random_codes(rng, 1), random_codes(rng, 1)
-        k, g = m.kernel_and_grad_batch(flat, ca, cb)
+        k, g = pair_gradients(m, flat, ca, cb)
         if k[0] < 1.0:  # inputs map to distinct features
             assert g[0, -1] < 0
 
@@ -152,9 +161,8 @@ class TestKernelHeads:
 
     @pytest.mark.parametrize("head", HEADS)
     def test_kernel_batch_spans_row_blocks(self, head):
-        # a batch longer than one row block gives every row the value of one
-        # unblocked pass over the whole batch; single rows agree to rounding
-        # only, since BLAS rounds a one-row product differently
+        # a batch longer than one row block, and each of its rows alone,
+        # gives every row the value of one unblocked pass over the whole batch
         rng = np.random.default_rng(16)
         m = ClassicalKernelModel(head)
         flat = m.init_params(rng)
@@ -166,7 +174,7 @@ class TestKernelHeads:
                    for i in range(rows)]
         values = m.kernel_batch(flat, ca, cb)
         np.testing.assert_array_equal(values, whole)
-        np.testing.assert_allclose(values, rowwise, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(values, rowwise)
 
     def test_bounded_outputs(self):
         rng = np.random.default_rng(10)
@@ -186,7 +194,7 @@ class TestGradients:
         m = ClassicalKernelModel(head)
         for _ in range(4):
             flat, ca, cb = safe_instance(m, rng)
-            _, grads = m.kernel_and_grad_batch(flat, ca, cb)
+            _, grads = pair_gradients(m, flat, ca, cb)
             fd = fd_gradient(m, flat, ca, cb)
             np.testing.assert_array_less(
                 np.abs(grads[0] - fd),
@@ -199,7 +207,7 @@ class TestGradients:
         m = ClassicalKernelModel("cosine")
         flat = m.init_params(rng)
         c = random_codes(rng, 3)
-        _, grads = m.kernel_and_grad_batch(flat, c, c)
+        _, grads = pair_gradients(m, flat, c, c)
         np.testing.assert_allclose(grads, 0.0, atol=1e-10)
 
     def test_gradient_shape(self):
@@ -207,9 +215,10 @@ class TestGradients:
         for head in HEADS:
             m = ClassicalKernelModel(head)
             flat = m.init_params(rng)
-            k, g = m.kernel_and_grad_batch(flat, random_codes(rng, 6), random_codes(rng, 6))
+            k, g = m.kernel_and_grad_batch(flat, random_codes(rng, 6), random_codes(rng, 6),
+                                           rng.uniform(0.0, 1.0, 6))
             assert k.shape == (6,)
-            assert g.shape == (6, m.num_parameters)
+            assert g.shape == (m.num_parameters,)
 
     def test_values_consistent_with_kernel_batch(self):
         rng = np.random.default_rng(14)
@@ -217,8 +226,8 @@ class TestGradients:
         flat = m.init_params(rng)
         ca, cb = random_codes(rng, 5), random_codes(rng, 5)
         k1 = m.kernel_batch(flat, ca, cb)
-        k2, _ = m.kernel_and_grad_batch(flat, ca, cb)
-        np.testing.assert_allclose(k1, k2, atol=1e-14)
+        k2, _ = m.kernel_and_grad_batch(flat, ca, cb, rng.uniform(0.0, 1.0, 5))
+        np.testing.assert_array_equal(k1, k2)
 
     @pytest.mark.parametrize("head", HEADS)
     def test_loss_mode_is_the_batch_mse_gradient(self, head):
@@ -229,7 +238,7 @@ class TestGradients:
         flat = m.init_params(rng)
         ca, cb = random_codes(rng, 7), random_codes(rng, 7)
         targets = rng.uniform(0.0, 1.0, 7)
-        k, grads = m.kernel_and_grad_batch(flat, ca, cb)
+        k, grads = pair_gradients(m, flat, ca, cb)
         expected = (2.0 / 7) * ((k - targets)[:, None] * grads).sum(axis=0)
         values, grad = m.kernel_and_grad_batch(flat, ca, cb, targets)
         assert grad.shape == (m.num_parameters,)
@@ -288,10 +297,9 @@ class TestUnalignedBatches:
     def test_kernel_and_grad_batch(self):
         m = ClassicalKernelModel("rbf")
         rng = np.random.default_rng(19)
-        for targets in (None, np.zeros(5)):
-            with pytest.raises(ValueError, match="unaligned"):
-                m.kernel_and_grad_batch(m.init_params(rng), random_codes(rng, 5),
-                                        random_codes(rng, 1), targets)
+        with pytest.raises(ValueError, match="unaligned"):
+            m.kernel_and_grad_batch(m.init_params(rng), random_codes(rng, 5),
+                                    random_codes(rng, 1), np.zeros(5))
 
     def test_target_count(self):
         m = ClassicalKernelModel("rbf")

@@ -82,6 +82,8 @@ class TestGenerateTriplets:
     def test_bad_count(self):
         with pytest.raises(ValueError, match="count"):
             generate_triplets(seed=0, count=0, length=4)
+        with pytest.raises(ValueError, match="jobs"):
+            generate_triplets(seed=0, count=2, length=4, jobs=0)
 
     def test_matches_committed_prefix(self, tmp_path):
         # train.jsonl is seed 101 at length 8; its first 40 lines include

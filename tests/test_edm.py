@@ -444,6 +444,8 @@ class TestPairBounds:
             pair_bounds(["A" * 11], ["A"])
         with pytest.raises(ValueError, match="second strings"):
             pair_bounds(["A", "T"], ["A"])
+        with pytest.raises(ValueError, match="expected strings"):
+            pair_bounds([1], ["A"])
 
 
 class TestSimilarity:

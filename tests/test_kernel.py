@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnakernel
+from dnakernel.baselines import ClassicalKernelModel
 from dnakernel.circuits import ALPHABET, KernelParams, base_angles, feature_state
 from dnakernel.dataset import load_triplets
 from dnakernel.kernel import (
@@ -29,7 +30,6 @@ from dnakernel.kernel import (
     _transpose,
     QuantumKernelModel,
     encode_sequences,
-    feature_states,
     kernel_eval,
     kernel_values,
 )
@@ -61,6 +61,13 @@ def assert_gradient_close(analytic, fd):
     np.testing.assert_array_less(
         np.abs(analytic - fd), FD_RTOL * np.maximum(np.abs(fd), FD_FLOOR) + 1e-300
     )
+
+
+def feature_states(codes, params):
+    """Batched feature states, one row per sequence, from one untaped pass."""
+    codes = np.asarray(codes)
+    work = np.empty((3, len(codes), 1 << codes.shape[1]), np.complex128)
+    return _forward(codes, params, work)[0]
 
 
 def kernel_gradient(x, y, params):
@@ -646,6 +653,22 @@ class TestQuantumKernelModel:
         model = QuantumKernelModel(3, 2)
         with pytest.raises(ValueError):
             model.kernel_batch(np.zeros(9), encode_sequences(["ATG"]), encode_sequences(["GTA"]))
+
+
+@pytest.mark.parametrize("mode", ["value", "loss"])
+@pytest.mark.parametrize("model", [QuantumKernelModel(3, 2), ClassicalKernelModel("rbf", 3)],
+                         ids=["quantum", "classical"])
+@pytest.mark.parametrize("bad", [[-1, 0, 1], [0, 4, 1], [0.0, 1.0, 2.0], [True, False, True]],
+                         ids=["negative", "past_alphabet", "float", "bool"])
+def test_rejects_codes_outside_the_alphabet(model, mode, bad):
+    params = model.init_params(np.random.default_rng(0))
+    good, bad = encode_sequences(["ATG"]), np.array([bad])
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="base codes"):
+            if mode == "value":
+                model.kernel_batch(params, a, b)
+            else:
+                model.kernel_and_grad_batch(params, a, b, [0.5])
 
 
 def test_encode_sequences_matches_per_character_map():
