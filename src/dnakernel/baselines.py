@@ -98,8 +98,9 @@ class ClassicalKernelModel:
         out = hid @ p["w2"] + p["b2"]
         return x, pre, hid, out
 
-    def _head_forward(self, head_params, u, v):
-        """Kernel values plus the head's local gradients d k / d(u, v, head)."""
+    def _head_forward(self, head_params, u, v, grads=True):
+        """Kernel values k, and unless ``grads`` is false the head's local
+        gradients d k / d(u, v, head) as (k, du, dv, dhead)."""
         if self.head == "cosine":
             nu = np.linalg.norm(u, axis=1)
             nv = np.linalg.norm(v, axis=1)
@@ -107,6 +108,8 @@ class ClassicalKernelModel:
             ok = (nu > 0) & (nv > 0)
             denom = np.where(ok, nu * nv, 1.0)
             k = np.where(ok, dot / denom, 0.0)
+            if not grads:
+                return k
             du = np.where(
                 ok[:, None],
                 v / denom[:, None] - (k / np.where(ok, nu**2, 1.0))[:, None] * u,
@@ -123,6 +126,8 @@ class ClassicalKernelModel:
             diff = u - v
             d2 = np.einsum("bi,bi->b", diff, diff)
             k = np.exp(-gamma * d2)
+            if not grads:
+                return k
             du = (-2.0 * gamma) * k[:, None] * diff
             # d k / d log_gamma = -gamma d2 k
             dlg = (-gamma) * d2 * k
@@ -132,12 +137,14 @@ class ClassicalKernelModel:
         dot = np.einsum("bi,bi->b", u, v)
         inner = scale * dot + offset
         k = inner**2
+        if not grads:
+            return k
         du = (2.0 * inner * scale)[:, None] * v
         dv = (2.0 * inner * scale)[:, None] * u
         dhead = np.stack([2.0 * inner * dot, 2.0 * inner], axis=1)
         return k, du, dv, dhead
 
-    def _pair_forward(self, p, codes_a, codes_b):
+    def _pair_forward(self, p, codes_a, codes_b, grads=True):
         """One feature-map pass over the a rows stacked on the b rows, then
         the head on the two halves: (codes, forward cache, _head_forward's
         outputs). No product has a single row, which BLAS rounds apart
@@ -145,7 +152,8 @@ class ClassicalKernelModel:
         codes = np.concatenate([codes_a, codes_b])
         cache = self._feature_forward(p, codes)
         half = len(codes_a)
-        return codes, cache, self._head_forward(p["head"], cache[3][:half], cache[3][half:])
+        return codes, cache, self._head_forward(p["head"], cache[3][:half], cache[3][half:],
+                                                grads)
 
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
         """Kernel values, VALUE_BLOCK pairs at a time, which bounds the
@@ -155,7 +163,7 @@ class ClassicalKernelModel:
         values = np.empty(codes_a.shape[0])
         for lo in range(0, codes_a.shape[0], VALUE_BLOCK):
             rows = slice(lo, lo + VALUE_BLOCK)
-            values[rows] = self._pair_forward(p, codes_a[rows], codes_b[rows])[2][0]
+            values[rows] = self._pair_forward(p, codes_a[rows], codes_b[rows], grads=False)[2]
         return values
 
     def _reverse(self, p, codes, cache, dout):

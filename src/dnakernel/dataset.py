@@ -200,8 +200,10 @@ def load_triplets(path, verify_fraction: float = 0.01):
 
     Every line is checked for format and label consistency; on top of that,
     a deterministic stride of about ``verify_fraction`` of the lines has its
-    distances recomputed against the exact oracle.
+    distances recomputed against the exact oracle; 0 verifies none.
     """
+    if not 0 <= verify_fraction <= 1:
+        raise ValueError(f"verify_fraction must be in [0, 1], got {verify_fraction}")
     triplets = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -95,12 +95,15 @@ def _zdiag(num_qubits: int) -> np.ndarray:
 
 
 def _kron_rows(mats) -> np.ndarray:
-    """Kronecker products of (..., k, 2, 2) matrices over axis -3, qubit 0 first."""
+    """Kronecker products of (..., k, 2, 2) matrices over axis -3, qubit 0
+    first. Each step writes its four products out * mats[q][i, j] into the
+    strided slices [i::2, j::2] of one new output."""
     out = np.ones((*mats.shape[:-3], 1, 1), dtype=mats.dtype)
     for q in range(mats.shape[-3]):
-        d = out.shape[-1]
-        out = (out[..., :, None, :, None] * mats[..., q, None, :, None, :]).reshape(
-            *out.shape[:-2], 2 * d, 2 * d)
+        step = np.empty((*out.shape[:-2], 2 * out.shape[-2], 2 * out.shape[-1]), mats.dtype)
+        for i, j in np.ndindex(2, 2):
+            np.multiply(out, mats[..., q, i, j, None, None], out=step[..., i::2, j::2])
+        out = step
     return out
 
 
@@ -257,27 +260,40 @@ def _compositions(codes):
     the stable sort of row r: the number of positions with a smaller code
     plus the number of earlier positions with an equal one.
     """
-    n = codes.shape[1]
-    # counts are at most n: a narrow dtype keeps these (rows, n, 4) arrays small
-    count = np.min_scalar_type(n)
-    seen = np.cumsum(codes[:, :, None] == np.arange(len(ALPHABET)), axis=1, dtype=count)
-    counts = seen[:, -1]
-    below = np.cumsum(counts, axis=1, dtype=count) - counts
-    rank = (np.take_along_axis(below, codes, axis=1)
-            + np.take_along_axis(seen, codes[:, :, None], axis=2)[:, :, 0] - 1)
-    key = (n - counts) @ (n + 1) ** np.arange(len(ALPHABET) - 1, -1, -1)
+    rows, n = codes.shape
+    letters = len(ALPHABET)
+    # slot r * 4 + code holds row r's letter; counts and ranks are at most n
+    slots = np.add(codes, np.arange(0, rows * letters, letters)[:, None], dtype=np.intp)
+    counts = np.bincount(slots.reshape(-1), minlength=rows * letters).reshape(rows, letters)
+    counts = counts.astype(np.min_scalar_type(n))
+    # each slot's running counter starts at its letter's first sorted slot;
+    # one position's slots are distinct (one per row), so += 1 counts each
+    nxt = (np.cumsum(counts, axis=1, dtype=counts.dtype) - counts).reshape(-1)
+    rank = np.empty((rows, n), counts.dtype)
+    for q, slot in enumerate(slots.T):
+        rank[:, q] = nxt[slot]
+        nxt[slot] += 1
+    key = (n - counts) @ (n + 1) ** np.arange(letters - 1, -1, -1)
     _, first, row_state = np.unique(key, return_index=True, return_inverse=True)
     return np.sort(codes[first], axis=1), row_state, rank
+
+
+@cache
+def _gather_basis(num_qubits: int) -> np.ndarray:
+    """_gather's right factor: the transposed bit table over a row of ones."""
+    return np.vstack([_bits(num_qubits).T, np.ones(1 << num_qubits)])
 
 
 def _gather(table, row_state, rank, out, index):
     """Each row's state, gathered from the flattened ``table`` of canonical
     states into ``out`` (rows, 2^n) through ``index``, an intp array of the
-    same shape, from _compositions' row_state and rank.
+    same shape. row_state[r] is row r's canonical state and rank[r] a
+    permutation of 0..n-1: qubit q of the row is slot rank[r, q] of that
+    state, as in _compositions' rank.
 
-    Row r's amplitude i is table[index[r, i]], index[r] = weights[r] @ bits_t:
+    Row r's amplitude i is table[index[r, i]], index[r] = weights[r] @ basis:
     the powers of two of its slots plus its state's offset (a last column)
-    times the bit table plus a row of ones. One float64 BLAS product, formed
+    times the bit table over a row of ones. One float64 BLAS product, formed
     in out's memory, builds the indices of many rows, exact because every
     index is far below 2^53. np.take writes into ``out`` unbuffered only in
     mode "clip", and never clips here: an index is the row's state offset
@@ -287,7 +303,7 @@ def _gather(table, row_state, rank, out, index):
     n = rank.shape[1]
     weights = np.column_stack([np.ldexp(1.0, n - 1 - rank), row_state << n])
     product = out.reshape(-1).view(np.float64)[: out.size].reshape(out.shape)
-    np.matmul(weights, np.vstack([_bits(n).T, np.ones(1 << n)]), out=product)
+    np.matmul(weights, _gather_basis(n), out=product)
     np.copyto(index, product, casting="unsafe")
     return np.take(table, index, out=out, mode="clip")
 
@@ -302,34 +318,45 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     the sorted state's amplitude at sum_q bit_q(i) 2^(n-1-rank(q)). That is
     the bit permutation P_pi of psi(x o pi) = P_pi psi(x), an identity of the
     circuit, so the values equal the direct route's up to float rounding.
-    Overlaps are taken VALUE_BLOCK rows at a time, which bounds the working
-    set for any batch size without changing any row's result. The rows must
-    be aligned; the models' check_pairs sees to that.
+    Each overlap is taken in y's canonical frame: slot s of y's sorted
+    sequence holds the qubit q with rank_y(q) = s, slot rank_x(q) of x's, so
+    x's state there is one gather with rank rank_x o rank_y^-1, and y's is a
+    row take of the canonical states, conjugated once. Overlaps are taken
+    VALUE_BLOCK rows at a time, which bounds the working set for any batch
+    size without changing any row's result. The rows must be aligned; the
+    models' check_pairs sees to that.
 
-    The call's one block holds the canonical states, then scratch for the
-    forward passes (_forward's work) and, after them, each overlap block's
-    gathered x and y rows and gather indices. _gather says why its
-    unchecked indices stay in range.
+    The call's one block holds the canonical states and their conjugates,
+    then scratch for the forward passes (_forward's work) and, after them,
+    each overlap block's x rows, y rows and gather indices. _gather says
+    why its unchecked indices stay in range; the row takes stay in range
+    because every row_state is below len(canon).
     """
     half, n = codes_x.shape
     dim = 1 << n
     canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
-    scratch_rows = 3 * min(max(len(canon), half), VALUE_BLOCK)
-    block = np.empty((len(canon) + scratch_rows, dim), dtype=np.complex128)
-    states, scratch = block[: len(canon)], block[len(canon) :].reshape(-1)
+    frame = np.empty_like(rank[:half])
+    np.put_along_axis(frame, rank[half:], rank[:half], axis=1)
+    # a forward pass takes three states per canonical row; an overlap block
+    # two per pair plus an intp index, as large as half a state
+    scratch_rows = max(3 * min(len(canon), VALUE_BLOCK), -(-5 * min(half, VALUE_BLOCK) // 2))
+    block = np.empty((2 * len(canon) + scratch_rows, dim), dtype=np.complex128)
+    states, bras = block[: len(canon)], block[len(canon) : 2 * len(canon)]
+    scratch = block[2 * len(canon) :].reshape(-1)
     for lo in range(0, len(canon), VALUE_BLOCK):
         codes = canon[lo : lo + VALUE_BLOCK]
         work = scratch[: 3 * len(codes) * dim].reshape(3, len(codes), dim)
         states[lo : lo + VALUE_BLOCK] = _forward(codes, params, work)[0]
+    np.conj(states, out=bras)
     table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, VALUE_BLOCK):
         rows = min(VALUE_BLOCK, half - lo)
-        sx, sy, spare = scratch[: 3 * rows * dim].reshape(3, rows, dim)
-        index = spare.view(np.intp).reshape(2, rows, dim)[0]
-        for side, start in ((sx, lo), (sy, half + lo)):
-            _gather(table, row_state[start : start + rows], rank[start : start + rows], side, index)
-        values[lo : lo + rows] = np.abs(np.einsum("bi,bi->b", np.conj(sy, out=sy), sx)) ** 2
+        sx, sy = scratch[: 2 * rows * dim].reshape(2, rows, dim)
+        index = scratch[2 * rows * dim :].view(np.intp)[: rows * dim].reshape(rows, dim)
+        _gather(table, row_state[lo : lo + rows], frame[lo : lo + rows], sx, index)
+        np.take(bras, row_state[half + lo : half + lo + rows], axis=0, out=sy, mode="clip")
+        values[lo : lo + rows] = np.abs(np.einsum("bi,bi->b", sy, sx)) ** 2
     return values
 
 

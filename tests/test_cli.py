@@ -181,6 +181,14 @@ class TestTrainQuantum:
         assert f"train file {train} length-4" in err
         assert not (tmp_path / "curves.csv").exists()
 
+    def test_nan_learning_rate_refused(self, tmp_path, datasets, capsys):
+        train, test = datasets
+        capsys.readouterr()
+        assert self._train(tmp_path, train, test, lr="nan") == 1
+        assert re.fullmatch(r"error: learning_rate must be [^\n]*, got nan\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_missing_dataset_errors(self, tmp_path, capsys):
         rc = run_cli("train-quantum", "--train", tmp_path / "nope.jsonl",
                      "--test", tmp_path / "nope.jsonl",

@@ -219,6 +219,16 @@ class TestLoadValidation:
         with pytest.raises(DatasetError, match="recomputation"):
             load_triplets(path, verify_fraction=1.0)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5])
+    def test_verify_fraction_outside_unit_interval_refused(self, tmp_path, fraction):
+        # a NaN or negative fraction must not skip verification silently;
+        # 0 is the explicit "verify none"
+        path = tmp_path / "one.jsonl"
+        _write_lines(path, [_valid_line(length=5, seed=13)])
+        with pytest.raises(ValueError, match="verify_fraction"):
+            load_triplets(path, verify_fraction=fraction)
+        assert len(load_triplets(path, verify_fraction=0)) == 1
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -332,13 +332,16 @@ def argsort_compositions(codes):
 
 def argsort_kernel_values(codes_x, codes_y, params):
     """kernel_values through the reference canonical rows and an integer
-    gather index."""
+    gather index, in y's canonical frame: y's state is its canonical row,
+    and x's is gathered with rank rank_x o rank_y^-1."""
     half, n = codes_x.shape
     canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
+    frame = np.take_along_axis(rank[:half], np.argsort(rank[half:], axis=1), axis=1)
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    states = feature_states(canon, params)[row_state[:, None],
-                                           np.left_shift(1, n - 1 - rank) @ bits.T]
-    return np.abs(np.einsum("bi,bi->b", np.conj(states[half:]), states[:half])) ** 2
+    states = feature_states(canon, params)
+    sx = states[row_state[:half, None], np.left_shift(1, n - 1 - frame) @ bits.T]
+    sy = states[row_state[half:]]
+    return np.abs(np.einsum("bi,bi->b", np.conj(sy), sx)) ** 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -119,10 +119,13 @@ class TestConfig:
             {"epochs": -1},
             {"batch_size": 0},
             {"runs": 0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             TrainingConfig(**kwargs)
 
 
@@ -447,6 +450,26 @@ class TestTrainRun:
             assert ckpt["epoch"] == last.epoch
             params = np.asarray(ckpt["params"])
             assert order_accuracy(model, params, test) == last.test_order_accuracy
+
+    @pytest.mark.parametrize("head", ["cosine", "rbf", "poly2"])
+    def test_committed_classical_epoch1_reproduced(self, head):
+        # the classical training path pinned to the committed bytes: run 0 of
+        # each ck_* head, initialized from its manifest seed, takes one
+        # train_epoch to the committed epoch-1 row exactly
+        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        manifest = json.loads(
+            (ACCEPT_DIR / f"ck_{head}_curves.csv.manifest.json").read_text())
+        config = manifest["config"]
+        row = load_curves(ACCEPT_DIR / f"ck_{head}_curves.csv")[0].records[1]
+        model = ClassicalKernelModel(head, seq_length=train[0].length)
+        rng = np.random.default_rng(manifest["seeds"][0])
+        params, train_mse = train_epoch(
+            model, model.init_params(rng), pairs_from_triplets(train),
+            TrainingConfig(learning_rate=config["lr"], batch_size=config["batch"]), rng)
+        assert row.epoch == 1
+        assert train_mse == row.train_mse
+        assert order_accuracy(model, params, test) == row.test_order_accuracy
 
     def test_committed_quantum_epoch1_reproduced(self):
         # the training path pinned to the committed bytes: run 0 of qk6,
