@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from dnakernel.circuits import ALPHABET
-from dnakernel.kernel import VALUE_BLOCK, check_pairs
+from dnakernel.kernel import VALUE_BYTES, check_pairs
 
 # initial values of each head's trainable parameters, which also fixes their
 # count: log_gamma = 0 (gamma = 1) for rbf, scale 1 and offset 0 for poly2
@@ -155,14 +155,20 @@ class ClassicalKernelModel:
         return codes, cache, self._head_forward(p["head"], cache[3][:half], cache[3][half:],
                                                 grads)
 
+    @property
+    def pair_bytes(self) -> int:
+        """Bytes of one pair's two rows in a forward pass: x, pre, hid, out."""
+        return 2 * 8 * (self.flat_in + 2 * HIDDEN_DIM + FEATURE_DIM)
+
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
-        """Kernel values, VALUE_BLOCK pairs at a time, which bounds the
+        """Kernel values, VALUE_BYTES of pairs at a time, which bounds the
         working set for any batch size."""
         p = self.unpack(flat_params)
         codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b)
         values = np.empty(codes_a.shape[0])
-        for lo in range(0, codes_a.shape[0], VALUE_BLOCK):
-            rows = slice(lo, lo + VALUE_BLOCK)
+        block = max(1, VALUE_BYTES // self.pair_bytes)
+        for lo in range(0, codes_a.shape[0], block):
+            rows = slice(lo, lo + block)
             values[rows] = self._pair_forward(p, codes_a[rows], codes_b[rows], grads=False)[2]
         return values
 

@@ -19,12 +19,12 @@ C(n + 3, 3), 165 at n = 8) goes through the circuit. Ranking makes one call
 per set of test triplets, so each composition among the set's a, b and c
 sequences is simulated once.
 
-Training uses the same identity for the gradient of a batch's MSE
-(``kernel_values_and_loss_gradient``, the models' loss mode). The sweep is
-linear in its bra, so each row's bra, mapped back into its composition's
-frame by the transpose of its gather, adds to the others of that
-composition: one taped forward pass and one sweep per distinct composition
-give the whole gradient. Per-row gradients are one-row loss-mode calls.
+Training uses the same identity and frames for the gradient of a batch's
+MSE (``kernel_values_and_loss_gradient``, the models' loss mode). The sweep
+is linear in its bra, and each row's bra, its partner's state in the row's
+own canonical frame times a weight, adds to the others of its composition:
+one taped forward pass and one sweep per distinct composition give the
+whole gradient. Per-row gradients are one-row loss-mode calls.
 
 The circuit runs in real arithmetic where it can. A letter's encoding is
 Ry(tilt) then P(phase), and T, G, C share one tilt (circuits.base_angles).
@@ -76,9 +76,9 @@ _LETTER_ANGLES = np.array([base_angles(b) for b in ALPHABET])
 _TILTS, _TILT_INDEX = _tilt_table(_LETTER_ANGLES)
 _PHASES = np.exp(1j * _LETTER_ANGLES[:, 1])
 
-# rows per circuit pass and per overlap pass in kernel_values, and per pass
-# of the classical kernel_batch; bounds each model's working set
-VALUE_BLOCK = 256
+# bytes of rows per pass of kernel_values and of the classical kernel_batch,
+# which bounds each model's working set: 256 rows of 256-amplitude states
+VALUE_BYTES = 1 << 20
 
 
 @cache
@@ -154,9 +154,7 @@ def check_pairs(width: int, codes_a, codes_b, targets=None):
     if codes_a.shape != codes_b.shape:
         raise ValueError(f"unaligned code batches: {codes_a.shape} vs {codes_b.shape}")
     if targets is not None and np.shape(targets) != codes_a.shape[:1]:
-        raise ValueError(
-            f"expected {codes_a.shape[0]} targets, got shape {np.shape(targets)}"
-        )
+        raise ValueError(f"expected {codes_a.shape[0]} targets, got shape {np.shape(targets)}")
     return codes_a, codes_b
 
 
@@ -249,33 +247,40 @@ def _forward(codes, params, work, tape=None):
     return s, blocks
 
 
-def _compositions(codes):
-    """Canonical rows of a (rows, n) code batch, found from letter counts.
+def _compositions(codes_x, codes_y):
+    """Canonical rows of the stacked (x; y) codes, found from letter counts.
 
-    Returns (canon, row_state, rank). canon holds the distinct sorted rows,
-    in lexicographic order; row_state[r] indexes row r's one. Each row's
-    composition key is its letter counts, read as an integer in base n + 1
-    with digit n - count(letter), letter 0 most significant, so ascending
-    keys are ascending sorted rows. rank[r, q] is the slot of position q in
-    the stable sort of row r: the number of positions with a smaller code
-    plus the number of earlier positions with an equal one.
+    Returns (canon, row_state, frame). canon holds the distinct sorted rows,
+    in lexicographic order; row_state[r] indexes stacked row r's one. A
+    row's key is its letter counts, read in base n + 1 with digit
+    n - count(letter), letter 0 first, so ascending keys are ascending
+    sorted rows. rank[r, q] is the slot of position q in row r's stable sort
+    (the positions with a smaller code, or an equal one earlier). Row i of
+    each half partners row i of the other; slot s of row r's sorted sequence
+    holds the qubit q with rank_r(q) = s, slot rank_partner(q) of the
+    partner's, so _gather with frame[r] = rank_partner o rank_r^-1 brings
+    the partner's canonical state into row r's sorted frame.
     """
+    codes = np.concatenate([codes_x, codes_y])
     rows, n = codes.shape
     letters = len(ALPHABET)
     # slot r * 4 + code holds row r's letter; counts and ranks are at most n
     slots = np.add(codes, np.arange(0, rows * letters, letters)[:, None], dtype=np.intp)
-    counts = np.bincount(slots.reshape(-1), minlength=rows * letters).reshape(rows, letters)
-    counts = counts.astype(np.min_scalar_type(n))
-    # each slot's running counter starts at its letter's first sorted slot;
-    # one position's slots are distinct (one per row), so += 1 counts each
-    nxt = (np.cumsum(counts, axis=1, dtype=counts.dtype) - counts).reshape(-1)
-    rank = np.empty((rows, n), counts.dtype)
+    # a slot counts its row's earlier positions with its letter (one
+    # position's slots are distinct, one per row, so += 1 counts each); the
+    # totals are the letter counts, which give each letter's first sorted slot
+    seen = np.zeros(rows * letters, np.min_scalar_type(n))
+    rank = np.empty((rows, n), seen.dtype)
     for q, slot in enumerate(slots.T):
-        rank[:, q] = nxt[slot]
-        nxt[slot] += 1
+        rank[:, q] = seen[slot]
+        seen[slot] += 1
+    counts = seen.reshape(rows, letters)
+    rank += (np.cumsum(counts, axis=1, dtype=counts.dtype) - counts).reshape(-1)[slots]
+    frame = np.empty_like(rank)
+    np.put_along_axis(frame, rank, np.roll(rank, len(codes_x), axis=0), axis=1)
     key = (n - counts) @ (n + 1) ** np.arange(letters - 1, -1, -1)
     _, first, row_state = np.unique(key, return_index=True, return_inverse=True)
-    return np.sort(codes[first], axis=1), row_state, rank
+    return np.sort(codes[first], axis=1), row_state, frame
 
 
 @cache
@@ -285,11 +290,10 @@ def _gather_basis(num_qubits: int) -> np.ndarray:
 
 
 def _gather(table, row_state, rank, out, index):
-    """Each row's state, gathered from the flattened ``table`` of canonical
-    states into ``out`` (rows, 2^n) through ``index``, an intp array of the
-    same shape. row_state[r] is row r's canonical state and rank[r] a
-    permutation of 0..n-1: qubit q of the row is slot rank[r, q] of that
-    state, as in _compositions' rank.
+    """Canonical states of the flattened ``table`` permuted into ``out``
+    (rows, 2^n) through ``index``, an intp array of the same shape: qubit q
+    of row r is slot rank[r, q] of state row_state[r] (rank[r] a permutation
+    of 0..n-1, such as a frame from _compositions).
 
     Row r's amplitude i is table[index[r, i]], index[r] = weights[r] @ basis:
     the powers of two of its slots plus its state's offset (a last column)
@@ -312,19 +316,16 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     """Batched kernel values for aligned rows of codes_x and codes_y.
 
     The x and y rows are stacked and grouped by composition; only one sorted
-    row per composition goes through the circuit, VALUE_BLOCK at a time. A
-    row's own state follows with one gather: if slot rank(q) of its sorted
-    sequence holds the base of original qubit q, its amplitude at index i is
-    the sorted state's amplitude at sum_q bit_q(i) 2^(n-1-rank(q)). That is
-    the bit permutation P_pi of psi(x o pi) = P_pi psi(x), an identity of the
-    circuit, so the values equal the direct route's up to float rounding.
-    Each overlap is taken in y's canonical frame: slot s of y's sorted
-    sequence holds the qubit q with rank_y(q) = s, slot rank_x(q) of x's, so
-    x's state there is one gather with rank rank_x o rank_y^-1, and y's is a
-    row take of the canonical states, conjugated once. Overlaps are taken
-    VALUE_BLOCK rows at a time, which bounds the working set for any batch
-    size without changing any row's result. The rows must be aligned; the
-    models' check_pairs sees to that.
+    row per composition goes through the circuit. If slot rank(q) of a
+    row's sorted sequence holds the base of its qubit q, its amplitude at
+    index i is the sorted state's at sum_q bit_q(i) 2^(n-1-rank(q)): the bit
+    permutation P_pi of psi(x o pi) = P_pi psi(x), an identity of the
+    circuit, so values equal the direct route's up to float rounding. Each
+    overlap is taken in y's canonical frame: y's state is a row take of the
+    canonical states, conjugated once, and x's one gather with y's frame
+    from _compositions. Circuit and overlap passes take as many rows as
+    VALUE_BYTES holds states, which bounds the working set without changing
+    any row's result. The rows must be aligned; the models' check_pairs sees to that.
 
     The call's one block holds the canonical states and their conjugates,
     then scratch for the forward passes (_forward's work) and, after them,
@@ -333,28 +334,26 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     because every row_state is below len(canon).
     """
     half, n = codes_x.shape
-    dim = 1 << n
-    canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
-    frame = np.empty_like(rank[:half])
-    np.put_along_axis(frame, rank[half:], rank[:half], axis=1)
+    dim, block_rows = 1 << n, max(1, VALUE_BYTES >> (n + 4))
+    canon, row_state, frame = _compositions(codes_x, codes_y)
     # a forward pass takes three states per canonical row; an overlap block
     # two per pair plus an intp index, as large as half a state
-    scratch_rows = max(3 * min(len(canon), VALUE_BLOCK), -(-5 * min(half, VALUE_BLOCK) // 2))
+    scratch_rows = max(3 * min(len(canon), block_rows), -(-5 * min(half, block_rows) // 2))
     block = np.empty((2 * len(canon) + scratch_rows, dim), dtype=np.complex128)
     states, bras = block[: len(canon)], block[len(canon) : 2 * len(canon)]
     scratch = block[2 * len(canon) :].reshape(-1)
-    for lo in range(0, len(canon), VALUE_BLOCK):
-        codes = canon[lo : lo + VALUE_BLOCK]
+    for lo in range(0, len(canon), block_rows):
+        codes = canon[lo : lo + block_rows]
         work = scratch[: 3 * len(codes) * dim].reshape(3, len(codes), dim)
-        states[lo : lo + VALUE_BLOCK] = _forward(codes, params, work)[0]
+        states[lo : lo + block_rows] = _forward(codes, params, work)[0]
     np.conj(states, out=bras)
     table = states.reshape(-1)
     values = np.empty(half)
-    for lo in range(0, half, VALUE_BLOCK):
-        rows = min(VALUE_BLOCK, half - lo)
+    for lo in range(0, half, block_rows):
+        rows = min(block_rows, half - lo)
         sx, sy = scratch[: 2 * rows * dim].reshape(2, rows, dim)
         index = scratch[2 * rows * dim :].view(np.intp)[: rows * dim].reshape(rows, dim)
-        _gather(table, row_state[lo : lo + rows], frame[lo : lo + rows], sx, index)
+        _gather(table, row_state[lo : lo + rows], frame[half + lo : half + lo + rows], sx, index)
         np.take(bras, row_state[half + lo : half + lo + rows], axis=0, out=sy, mode="clip")
         values[lo : lo + rows] = np.abs(np.einsum("bi,bi->b", sy, sx)) ** 2
     return values
@@ -409,33 +408,31 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     mean_r (K_r - targets_r)^2, whose gradient is sum_r w_r dK_r with
     w = (2 / batch)(K - targets). With c = <psi(y)|psi(x)> and
     dK = 2 Re(conj(c) dc), that is 2 Re of the sum over rows of
-    <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. The states are
-    gathered from one taped forward pass over the rows' compositions, as in
-    kernel_values, and each bra maps back into its composition's frame by
-    the transpose of the same gather, a scatter-add (np.bincount, real and
-    imaginary parts apart). The rows must be aligned, with one target each;
-    the models' check_pairs sees to that.
+    <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. After one taped
+    forward pass over the compositions, each stacked row gathers its
+    partner's canonical state into its own frame (_compositions): c is taken
+    in y's, as in kernel_values. A row's bra, w c (x row) or w conj(c)
+    (y row) times that state, is in its composition's frame, so each
+    composition's bras add row by row, outside BLAS, before the sweep. The
+    rows must be aligned, with one target each; check_pairs sees to that.
     """
     half = len(codes_x)
-    canon, row_state, rank = _compositions(np.concatenate([codes_x, codes_y]))
+    canon, row_state, frame = _compositions(codes_x, codes_y)
     # one block for the tape and the forward pass's work (see _forward)
     block = np.empty((2 * params.num_layers + 3, len(canon), 1 << codes_x.shape[1]),
                      dtype=np.complex128)
     tape = block[:-3].reshape(params.num_layers, 2, *block.shape[1:])
     states, blocks = _forward(canon, params, block[-3:], tape)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
-    index = np.empty(rows.shape, np.intp)
-    _gather(states.reshape(-1), row_state, rank, rows, index)
-    sx, sy = rows[:half], rows[half:]
-    c = np.einsum("bi,bi->b", np.conj(sy), sx)
+    _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
+    c = np.einsum("bi,bi->b", np.conj(states)[row_state[half:]], rows[half:])
     values = np.abs(c) ** 2
     w = (2.0 / half) * (values - np.asarray(targets, dtype=np.float64))
-    bras = np.concatenate([(w * c)[:, None] * sy, (w * np.conj(c))[:, None] * sx])
-    index = index.reshape(-1)
-    canon_bras = np.bincount(index, bras.real.reshape(-1), states.size) + 1j * np.bincount(
-        index, bras.imag.reshape(-1), states.size
-    )
-    return values, 2.0 * _sweep(canon_bras.reshape(states.shape), states, tape, blocks, params)
+    rows *= np.concatenate([w * c, w * np.conj(c)])[:, None]
+    bras = np.zeros_like(states)
+    for state, bra in zip(row_state, rows):
+        bras[state] += bra
+    return values, 2.0 * _sweep(bras, states, tape, blocks, params)
 
 
 def kernel_eval(x: str, y: str, params: KernelParams) -> float:
@@ -464,9 +461,7 @@ class QuantumKernelModel:
     def _params(self, flat) -> KernelParams:
         params = KernelParams.from_flat(flat)
         if params.num_layers != self.num_layers:
-            raise ValueError(
-                f"expected {self.num_parameters} parameters, got {np.size(flat)}"
-            )
+            raise ValueError(f"expected {self.num_parameters} parameters, got {np.size(flat)}")
         return params
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:

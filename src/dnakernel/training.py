@@ -109,11 +109,8 @@ def pairs_from_triplets(triplets) -> PairSet:
     codes = codes.reshape(-1, 3, n)
     dist = np.fromiter((d for t in triplets for d in (t.d_ab, t.d_ac)), np.int64,
                        count=2 * len(triplets))
-    return PairSet(
-        np.repeat(codes[:, 0], 2, axis=0),
-        codes[:, 1:].reshape(-1, n),
-        (n - dist) / n,
-    )
+    return PairSet(np.repeat(codes[:, 0], 2, axis=0), codes[:, 1:].reshape(-1, n),
+                   (n - dist) / n)
 
 
 def dataset_mse(model, params, pairs: PairSet) -> float:
@@ -150,14 +147,11 @@ def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
         targets = pairs.targets[idx]
         # a diverging model overflows here; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            k, grad = model.kernel_and_grad_batch(
-                params, pairs.codes_a[idx], pairs.codes_b[idx], targets
-            )
+            k, grad = model.kernel_and_grad_batch(params, pairs.codes_a[idx],
+                                                  pairs.codes_b[idx], targets)
         total_loss += float(np.sum((k - targets) ** 2))
         if not np.isfinite(grad).all():
-            raise TrainingDivergedError(
-                f"non-finite gradient in batch starting at pair {lo}"
-            )
+            raise TrainingDivergedError(f"non-finite gradient in batch starting at pair {lo}")
         first = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * grad
         second = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * grad**2
         first_hat = first / (1.0 - ADAM_BETA1**step)
@@ -282,25 +276,30 @@ def save_curves(path, curves) -> None:
 
 
 def load_curves(path):
-    """Read a curve file back into LearningCurve objects (seeds not stored)."""
+    """Read a curve file back into LearningCurve objects (seeds not stored);
+    each run's epochs must read 0, 1, 2, ... and every field be a finite number."""
     runs: dict[int, list] = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CURVE_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
+            where, parts = f"{path}: line {lineno}", line.strip().split(",")
             if len(parts) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 fields")
-            run, epoch = int(parts[0]), int(parts[1])
-            runs.setdefault(run, []).append(
-                CurveRecord(epoch, float(parts[2]), float(parts[3]), float(parts[4]))
-            )
+                raise ValueError(f"{where}: expected 5 fields")
+            try:
+                run, epoch, *values = int(parts[0]), int(parts[1]), *map(float, parts[2:])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where}: non-finite field")
+            records = runs.setdefault(run, [])
+            if epoch != len(records):
+                raise ValueError(f"{where}: run {run} has epoch {epoch}, not {len(records)}")
+            records.append(CurveRecord(epoch, *values))
     if not runs:
         raise ValueError(f"{path}: no learning curves found")
-    return [
-        LearningCurve(run, -1, tuple(records)) for run, records in sorted(runs.items())
-    ]
+    return [LearningCurve(run, -1, tuple(records)) for run, records in sorted(runs.items())]
 
 
 def save_json(path, payload: dict) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dnakernel.baselines import HEADS, ClassicalKernelModel
-from dnakernel.kernel import VALUE_BLOCK, encode_sequences
+from dnakernel.kernel import VALUE_BYTES, encode_sequences
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -166,7 +166,7 @@ class TestKernelHeads:
         rng = np.random.default_rng(16)
         m = ClassicalKernelModel(head)
         flat = m.init_params(rng)
-        rows = VALUE_BLOCK + 3
+        rows = VALUE_BYTES // m.pair_bytes + 3
         ca, cb = random_codes(rng, rows), random_codes(rng, rows)
         whole = m._head_forward(m.unpack(flat)["head"], feature_map(m, flat, ca),
                                 feature_map(m, flat, cb))[0]

@@ -342,6 +342,15 @@ class TestReport:
         assert run_cli("report", "--curves", "no-equals-sign") == 1
         assert "LABEL=PATH" in capsys.readouterr().err
 
+    def test_malformed_curve_file_refused(self, tmp_path, curve_file, capsys):
+        # a run whose epochs read 0, 2, 1, 1 would report its last row's
+        # accuracy as the best so far
+        rows = curve_file.read_text().splitlines()
+        rows[3:] = ["1,0,0.1,0.5,0.5", "1,2,0.1,0.9,0.9", "1,1,0.1,0.6,0.9", "1,1,0.1,0.6,0.9"]
+        curve_file.write_text("\n".join(rows) + "\n")
+        assert run_cli("report", "--curves", f"tiny={curve_file}") == 1
+        assert f"{curve_file}: line 5: run 1 has epoch 2" in capsys.readouterr().err
+
     def test_missing_file_errors(self, tmp_path, capsys):
         assert run_cli("report", "--curves", f"x={tmp_path}/absent.csv") == 1
         assert "error:" in capsys.readouterr().err

@@ -22,10 +22,11 @@ from dnakernel.baselines import ClassicalKernelModel
 from dnakernel.circuits import ALPHABET, KernelParams, base_angles, feature_state
 from dnakernel.dataset import load_triplets
 from dnakernel.kernel import (
-    VALUE_BLOCK,
+    VALUE_BYTES,
     _compositions,
     _forward,
     _gather,
+    _sweep,
     _tilt_table,
     _transpose,
     QuantumKernelModel,
@@ -168,9 +169,9 @@ class TestBatchedEngineAgainstReference:
     def test_kernel_values_span_row_blocks(self):
         # a batch longer than one row block gives every row its own value
         rng = np.random.default_rng(12)
-        rows = VALUE_BLOCK + 3
-        cx = encode_sequences([random_seq(rng, 4) for _ in range(rows)])
-        cy = encode_sequences([random_seq(rng, 4) for _ in range(rows)])
+        rows = (VALUE_BYTES >> (8 + 4)) + 3
+        cx = encode_sequences([random_seq(rng, 8) for _ in range(rows)])
+        cy = encode_sequences([random_seq(rng, 8) for _ in range(rows)])
         params = random_params(rng, 2)
         rowwise = [kernel_values(cx[i : i + 1], cy[i : i + 1], params)[0]
                    for i in range(rows)]
@@ -330,16 +331,27 @@ def argsort_compositions(codes):
     return canon, row_state.reshape(-1), rank
 
 
+def argsort_frames(codes_x, codes_y):
+    """Reference (canon, row_state, frame) of the stacked (x; y) rows: row i
+    of each half is the partner of row i of the other, and frame[r] is
+    rank_partner o rank_r^-1, with rank_r inverted by argsort."""
+    canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
+    partner = np.roll(rank, len(codes_x), axis=0)
+    return canon, row_state, np.take_along_axis(partner, np.argsort(rank, axis=1), axis=1)
+
+
+def bit_table(n):
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def argsort_kernel_values(codes_x, codes_y, params):
     """kernel_values through the reference canonical rows and an integer
     gather index, in y's canonical frame: y's state is its canonical row,
     and x's is gathered with rank rank_x o rank_y^-1."""
     half, n = codes_x.shape
-    canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
-    frame = np.take_along_axis(rank[:half], np.argsort(rank[half:], axis=1), axis=1)
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    canon, row_state, frame = argsort_frames(codes_x, codes_y)
     states = feature_states(canon, params)
-    sx = states[row_state[:half, None], np.left_shift(1, n - 1 - frame) @ bits.T]
+    sx = states[row_state[:half, None], np.left_shift(1, n - 1 - frame[half:]) @ bit_table(n).T]
     sy = states[row_state[half:]]
     return np.abs(np.einsum("bi,bi->b", np.conj(sy), sx)) ** 2
 
@@ -355,11 +367,8 @@ def test_compositions_match_argsort_reference(data, n, layers, seed):
     rows += [[c] * n for c in data.draw(st.lists(st.integers(0, len(ALPHABET) - 1),
                                                  max_size=2))]
     codes = np.array(data.draw(st.permutations(rows)), dtype=np.uint8)
-    canon, row_state, rank = _compositions(codes)
-    ref_canon, ref_row_state, ref_rank = argsort_compositions(codes)
-    assert np.array_equal(canon, ref_canon)
-    assert np.array_equal(row_state, ref_row_state)
-    assert np.array_equal(rank, ref_rank)
+    for got, ref in zip(_compositions(codes, codes[::-1]), argsort_frames(codes, codes[::-1])):
+        assert np.array_equal(got, ref)
     params = random_params(np.random.default_rng(seed), layers)
     assert np.array_equal(kernel_values(codes, codes[::-1], params),
                           argsort_kernel_values(codes, codes[::-1], params))
@@ -375,9 +384,10 @@ def random_code_rows(rng, n, rows=40):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_narrow_count_compositions_match_argsort_reference(n):
     # _compositions counts letters in the narrowest dtype that holds n; its
-    # canonical rows, row states and ranks keep the reference's values
+    # canonical rows, row states and frames keep the reference's values
     codes = random_code_rows(np.random.default_rng(70 + n), n)
-    for got, ref in zip(_compositions(codes), argsort_compositions(codes)):
+    for got, ref in zip(_compositions(codes[:20], codes[20:]),
+                        argsort_frames(codes[:20], codes[20:])):
         assert np.array_equal(got, ref)
 
 
@@ -386,14 +396,16 @@ def test_gather_matches_fancy_indexing(n):
     # _gather's np.take(mode="clip") would hide an out-of-range index by
     # clipping it; plain fancy indexing with an index built in integers
     # raises on one, and random table entries expose any wrong one
+    # (each row's partner's state, in the row's frame, as the engine gathers)
     rng = np.random.default_rng(80 + n)
     codes = random_code_rows(rng, n)
-    canon, row_state, rank = _compositions(codes)
+    canon, row_state, frame = _compositions(codes[:20], codes[20:])
+    source = np.roll(row_state, 20)
     table = rng.normal(size=(len(canon), 1 << n, 2)).view(np.complex128).reshape(-1)
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    index = (row_state[:, None] << n) + np.left_shift(1, n - 1 - rank.astype(np.int64)) @ bits.T
+    index = ((source[:, None] << n)
+             + np.left_shift(1, n - 1 - frame.astype(np.int64)) @ bit_table(n).T)
     out = np.empty((len(codes), 1 << n), np.complex128)
-    _gather(table, row_state, rank, out, np.empty(out.shape, np.intp))
+    _gather(table, source, frame, out, np.empty(out.shape, np.intp))
     assert np.array_equal(out, table[index])
 
 
@@ -504,6 +516,42 @@ LOSS_BATCHES = ("single pair", "all distinct", "shared composition",
                 "duplicated rows", "x == y")
 
 
+def own_frame_loss_gradient(codes_x, codes_y, targets, params):
+    """The batch MSE's values and gradient through each row's own frame:
+    every stacked row's state gathered by its argsort rank, c taken between
+    the x and y rows, and each bra sent back into its composition's frame by
+    the transpose of its gather, a scatter-add (np.bincount, real and
+    imaginary parts apart)."""
+    half, n = codes_x.shape
+    canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
+    tape = np.empty((params.num_layers, 2, len(canon), 1 << n), np.complex128)
+    work = np.empty((3, len(canon), 1 << n), np.complex128)
+    states, blocks = _forward(canon, params, work, tape)
+    index = (row_state[:, None] << n) + np.left_shift(1, n - 1 - rank) @ bit_table(n).T
+    sx, sy = states.reshape(-1)[index[:half]], states.reshape(-1)[index[half:]]
+    c = np.einsum("bi,bi->b", np.conj(sy), sx)
+    values = np.abs(c) ** 2
+    w = (2.0 / half) * (values - targets)
+    bras = np.concatenate([(w * c)[:, None] * sy, (w * np.conj(c))[:, None] * sx])
+    scatter = [np.bincount(index.reshape(-1), part.reshape(-1), states.size)
+               for part in (bras.real, bras.imag)]
+    canon_bras = (scatter[0] + 1j * scatter[1]).reshape(states.shape)
+    return values, 2.0 * _sweep(canon_bras, states, tape, blocks, params)
+
+
+def assert_matches_own_frame_route(n, layers, xs, ys, rng):
+    model = QuantumKernelModel(n, layers)
+    params = random_params(rng, layers)
+    cx, cy = encode_sequences(xs), encode_sequences(ys)
+    targets = rng.uniform(0.0, 1.0, len(xs))
+    values, grad = model.kernel_and_grad_batch(params.flat(), cx, cy, targets)
+    ref_values, ref_grad = own_frame_loss_gradient(cx, cy, targets, params)
+    np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-14)
+    # x == y rows have a zero gradient, which gets the absolute floor
+    tol = max(1e-12 * np.abs(ref_grad).max(), 1e-14)
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=tol)
+
+
 class TestLossGradient:
     """kernel_and_grad_batch's loss mode: one sweep per composition."""
 
@@ -524,6 +572,27 @@ class TestLossGradient:
         # x == y rows have a zero gradient, which gets the absolute floor
         tol = max(1e-12 * np.abs(expected).max(), 1e-14)
         np.testing.assert_allclose(grad, expected, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("kind", LOSS_BATCHES)
+    @pytest.mark.parametrize("layers", [6, 12, 24])
+    def test_matches_own_frame_route(self, layers, kind):
+        # partner frames and row-by-row sums against own-frame gathers and
+        # a transpose-scatter: the same gradient up to summation order
+        rng = np.random.default_rng(90 + layers)
+        assert_matches_own_frame_route(8, layers, *loss_batch(kind, rng), rng)
+
+    @pytest.mark.parametrize("layers", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    def test_matches_own_frame_route_at_odd_widths(self, n, layers):
+        # every batch kind at once, on registers with unequal halves
+        rng = np.random.default_rng(10 * n + layers)
+        kinds = LOSS_BATCHES if n > 1 else [k for k in LOSS_BATCHES if k != "all distinct"]
+        xs, ys = [], []
+        for kind in kinds:
+            bx, by = loss_batch(kind, rng, n)
+            xs += bx
+            ys += by
+        assert_matches_own_frame_route(n, layers, xs, ys, rng)
 
     @pytest.mark.parametrize("layers", [6, 12, 24])
     def test_matches_finite_differences_of_batch_mse(self, layers):

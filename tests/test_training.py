@@ -6,6 +6,7 @@ epoch accounting, aggregation) are checked without circuit cost.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -471,30 +472,43 @@ class TestTrainRun:
         assert train_mse == row.train_mse
         assert order_accuracy(model, params, test) == row.test_order_accuracy
 
-    def test_committed_quantum_epoch1_reproduced(self):
-        # the training path pinned to the committed bytes: run 0 of qk6,
-        # initialized from its manifest seed, takes one train_epoch to the
-        # committed epoch-1 row exactly
+    @staticmethod
+    def _quantum_epoch1(layers):
+        """Run 0 of qk{layers}, initialized from its manifest seed and taken
+        through one train_epoch: (committed epoch-1 row, train_mse, test
+        accuracy)."""
         train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
         test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
-        manifest = json.loads((ACCEPT_DIR / "qk6_curves.csv.manifest.json").read_text())
+        manifest = json.loads((ACCEPT_DIR / f"qk{layers}_curves.csv.manifest.json").read_text())
         config = manifest["config"]
-        row = load_curves(ACCEPT_DIR / "qk6_curves.csv")[0].records[1]
+        row = load_curves(ACCEPT_DIR / f"qk{layers}_curves.csv")[0].records[1]
         model = QuantumKernelModel(train[0].length, config["layers"])
         rng = np.random.default_rng(manifest["seeds"][0])
         params, train_mse = train_epoch(
             model, model.init_params(rng), pairs_from_triplets(train),
             TrainingConfig(learning_rate=config["lr"], batch_size=config["batch"]), rng)
+        return row, train_mse, order_accuracy(model, params, test)
+
+    def test_committed_quantum_epoch1_reproduced(self):
+        # the training path pinned to the committed bytes: run 0 of qk6 takes
+        # one train_epoch to the committed epoch-1 row exactly
+        row, train_mse, accuracy = self._quantum_epoch1(6)
         assert row.epoch == 1
         assert train_mse == row.train_mse == 0.059200911652415165
-        assert order_accuracy(model, params, test) == row.test_order_accuracy
+        assert accuracy == row.test_order_accuracy
+
+    def test_committed_qk24_epoch1_reproduced(self):
+        # the same at L = 24, where summation-order drift grows fastest
+        row, train_mse, accuracy = self._quantum_epoch1(24)
+        assert row.epoch == 1
+        assert train_mse == row.train_mse
+        assert accuracy == row.test_order_accuracy
 
     @pytest.mark.parametrize("layers", [6, 12, 24])
     def test_committed_quantum_runs_reproduced(self, layers):
         # every committed qk* run: its final checkpoint scores the curve's
-        # last accuracy exactly, and its epoch-0 row follows from the run
-        # seed in the manifest; train_mse only up to float rounding, since
-        # kernel_values reorders amplitudes of canonical feature states
+        # last accuracy exactly, and its epoch-0 row follows exactly from
+        # the run seed in the manifest
         train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
         test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
         pairs = pairs_from_triplets(train)
@@ -512,8 +526,7 @@ class TestTrainRun:
             assert order_accuracy(model, theta, test) == last.test_order_accuracy
             params = model.init_params(np.random.default_rng(seed))
             assert order_accuracy(model, params, test) == first.test_order_accuracy
-            assert dataset_mse(model, params, pairs) == pytest.approx(
-                first.train_mse, rel=1e-12, abs=0)
+            assert dataset_mse(model, params, pairs) == first.train_mse
 
 
 class TestAggregate:
@@ -626,6 +639,34 @@ class TestCurveIO:
         path = tmp_path / "curves.csv"
         path.write_text(CURVE_HEADER + "\n0,1,0.5\n")
         with pytest.raises(ValueError, match="5 fields"):
+            load_curves(path)
+
+    @pytest.mark.parametrize("epochs", [[0, 2, 1, 1], [1, 2], [0, 1, 1], [0, 0]])
+    def test_epochs_out_of_order_rejected(self, tmp_path, epochs):
+        # a run whose rows skip, repeat or reorder epochs has no best-so-far
+        # curve to report; run 0 is well formed, so the error is run 1's
+        path = tmp_path / "curves.csv"
+        rows = [f"0,{e},0.1,0.5,0.5" for e in range(len(epochs))]
+        rows += [f"1,{e},0.1,0.9,0.9" for e in epochs]
+        path.write_text("\n".join([CURVE_HEADER, *rows]) + "\n")
+        bad = next(i for i, e in enumerate(epochs) if e != i)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line "
+                           rf"{len(epochs) + bad + 2}: run 1 has epoch {epochs[bad]}, not {bad}$"):
+            load_curves(path)
+
+    @pytest.mark.parametrize("row", ["0,0,zz,0.5,0.5", "0,0.5,0.1,0.5,0.5", "x,0,0.1,0.5,0.5",
+                                     "0,0,0.1,,0.5"])
+    def test_non_numeric_field_rejected(self, tmp_path, row):
+        path = tmp_path / "curves.csv"
+        path.write_text(f"{CURVE_HEADER}\n0,0,0.1,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: non-numeric"):
+            load_curves(path)
+
+    @pytest.mark.parametrize("row", ["0,1,nan,0.5,0.5", "0,1,0.1,inf,0.5", "0,1,0.1,0.5,-inf"])
+    def test_non_finite_field_rejected(self, tmp_path, row):
+        path = tmp_path / "curves.csv"
+        path.write_text(f"{CURVE_HEADER}\n0,0,0.1,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: non-finite"):
             load_curves(path)
 
     def test_no_tmp_left_behind(self, tmp_path):
