@@ -3,7 +3,9 @@
 The package implements a permutation-invariant variational quantum kernel
 (statevector simulation, exact analytic gradients), an exact
 edit-distance-with-moves solver used to label training data, and classical
-neural-embedding kernel baselines of matched parameter budget.
+neural-embedding kernel baselines of matched parameter budget. The circuit
+is simulated by one batched engine (kernel); circuits holds its encoding and
+parameters and a gate-by-gate reference the engine is checked against.
 """
 
 import os

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from dnakernel.circuits import ALPHABET
-from dnakernel.kernel import VALUE_BYTES, check_pairs
+from dnakernel.kernel import check_pairs
 
 # initial values of each head's trainable parameters, which also fixes their
 # count: log_gamma = 0 (gamma = 1) for rbf, scale 1 and offset 0 for poly2
@@ -155,18 +155,15 @@ class ClassicalKernelModel:
         return codes, cache, self._head_forward(p["head"], cache[3][:half], cache[3][half:],
                                                 grads)
 
-    @property
-    def pair_bytes(self) -> int:
-        """Bytes of one pair's two rows in a forward pass: x, pre, hid, out."""
-        return 2 * 8 * (self.flat_in + 2 * HIDDEN_DIM + FEATURE_DIM)
-
     def kernel_batch(self, flat_params, codes_a, codes_b) -> np.ndarray:
-        """Kernel values, VALUE_BYTES of pairs at a time, which bounds the
-        working set for any batch size."""
+        """Kernel values, a bounded number of pairs at a time: a pass's
+        largest array, x (two rows of flat_in floats per pair), holds at most
+        128 KiB, glibc's default mmap threshold, so warm calls reuse heap
+        pages instead of faulting freshly mapped ones in."""
         p = self.unpack(flat_params)
         codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b)
         values = np.empty(codes_a.shape[0])
-        block = max(1, VALUE_BYTES // self.pair_bytes)
+        block = max(1, (128 << 10) // (2 * 8 * self.flat_in))
         for lo in range(0, codes_a.shape[0], block):
             rows = slice(lo, lo + block)
             values[rows] = self._pair_forward(p, codes_a[rows], codes_b[rows], grads=False)[2]

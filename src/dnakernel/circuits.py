@@ -1,4 +1,4 @@
-"""Encoding and parameterized layers of the permutation-invariant kernel circuit.
+"""The permutation-invariant kernel circuit, and its gate-by-gate reference.
 
 Each nucleotide is written into its own qubit as one of the four single-qubit
 SIC states (a regular tetrahedron on the Bloch sphere, pairwise squared
@@ -7,6 +7,14 @@ an entangling rotation generated by X on every qubit, followed by Rz and Ry
 on each qubit. Because every constituent commutes with qubit swaps, the whole
 circuit is insensitive to applying the same position permutation to its input
 sequence and its qubit register.
+
+The functions from ``ry_matrix`` on simulate the circuit one gate at a time
+on plain complex128 vectors of 2^n amplitudes. They are the readable
+reference the batched engine (dnakernel.kernel) is checked against, and they
+call nothing of it. Amplitude indexing: qubit 0 is the most significant bit
+of the amplitude index, so |b0 b1 ... b_{n-1}> sits at index
+b0*2^(n-1) + ... + b_{n-1}, tensor products compose in np.kron order (qubit
+0 leftmost), and the (2,)*n view of a state puts qubit q on axis q.
 """
 
 from __future__ import annotations
@@ -14,15 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from dnakernel.statevector import (
-    Statevector,
-    apply_phase,
-    apply_rnx,
-    apply_ry,
-    apply_rz,
-    zero_state,
-)
 
 ALPHABET = "ATGC"
 # byte -> base code (index into ALPHABET); every other byte maps past the end
@@ -105,47 +104,76 @@ class KernelParams:
         return cls(num_layers, angles)
 
 
-def apply_encoding_layer(state: Statevector, seq: str) -> Statevector:
+def ry_matrix(angle: float) -> np.ndarray:
+    """Ry(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def rz_matrix(angle: float) -> np.ndarray:
+    """Rz(theta) = diag(e^{-i t/2}, e^{i t/2})."""
+    return np.array(
+        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]],
+        dtype=np.complex128,
+    )
+
+
+def phase_matrix(angle: float) -> np.ndarray:
+    """P(phi) = diag(1, e^{i phi})."""
+    return np.array([[1.0, 0.0], [0.0, np.exp(1j * angle)]], dtype=np.complex128)
+
+
+def apply_gate(state: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 matrix to one qubit of a state, leaving the rest untouched."""
+    n = state.size.bit_length() - 1
+    out = np.tensordot(matrix, state.reshape((2,) * n), axes=([1], [qubit]))
+    return np.moveaxis(out, 0, qubit).reshape(-1)
+
+
+def apply_encoding_layer(state: np.ndarray, seq: str) -> np.ndarray:
     """Write ``seq`` into the register: Ry then P on qubit i for base seq[i].
 
     Purely local (no entangling gates), so it commutes with applying the same
     permutation to the sequence and to the qubits.
     """
     validate_sequence(seq)
-    if len(seq) != state.num_qubits:
+    if state.size != 1 << len(seq):
         raise ValueError(
-            f"sequence length {len(seq)} does not match register of "
-            f"{state.num_qubits} qubits"
+            f"sequence length {len(seq)} does not match a register of "
+            f"{state.size} amplitudes"
         )
     for i, base in enumerate(seq):
         ry, ph = base_angles(base)
-        state = apply_ry(state, i, ry)
-        state = apply_phase(state, i, ph)
+        state = apply_gate(apply_gate(state, i, ry_matrix(ry)), i, phase_matrix(ph))
     return state
 
 
-def apply_param_layer(state: Statevector, layer_angles) -> Statevector:
+def apply_param_layer(state: np.ndarray, layer_angles) -> np.ndarray:
     """One trainable layer: R_NX(t1) on all qubits, then Rz(t2) and Ry(t3)
     on every qubit, the same two angles shared across the register.
+
+    R_NX = exp(-i t1/2 X^n) = cos(t1/2) - i sin(t1/2) X^n, and X on every
+    qubit complements the index, i XOR (2^n - 1) = 2^n - 1 - i: the
+    amplitudes reversed.
     """
     t_rnx, t_rz, t_ry = (float(a) for a in layer_angles)
-    state = apply_rnx(state, t_rnx)
-    for q in range(state.num_qubits):
-        state = apply_rz(state, q, t_rz)
-    for q in range(state.num_qubits):
-        state = apply_ry(state, q, t_ry)
+    state = np.cos(t_rnx / 2) * state - 1j * np.sin(t_rnx / 2) * state[::-1]
+    for matrix in (rz_matrix(t_rz), ry_matrix(t_ry)):
+        for q in range(state.size.bit_length() - 1):
+            state = apply_gate(state, q, matrix)
     return state
 
 
-def feature_state(seq: str, params: KernelParams) -> Statevector:
-    """Feature state of a sequence under the data re-uploading circuit.
+def feature_state(seq: str, params: KernelParams) -> np.ndarray:
+    """Feature state of a sequence under the data re-uploading circuit, as
+    a complex128 vector.
 
     Starting from |0...0>, each layer l applies the trainable layer with
     row l of ``params.angles`` and then re-encodes the sequence.
     """
     validate_sequence(seq)
-    state = zero_state(len(seq))
+    state = np.zeros(1 << len(seq), dtype=np.complex128)
+    state[0] = 1.0
     for layer in params.angles:
-        state = apply_param_layer(state, layer)
-        state = apply_encoding_layer(state, seq)
+        state = apply_encoding_layer(apply_param_layer(state, layer), seq)
     return state

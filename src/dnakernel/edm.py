@@ -425,9 +425,7 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
 
     The search starts from the ``pair_bounds`` bracket, computed here as a
     batch of one unless a caller that bounded many pairs at once passes this
-    pair's ``(upper, lower)``; where upper <= lower it is the answer. A lone
-    pair first tries Levenshtein against ``_node_bound`` (the batch lower
-    bound, in Python) and skips the batch pass where they meet. Else a
+    pair's ``(upper, lower)``; where upper <= lower it is the answer. Else a
     bidirectional uniform-cost search (all operations cost 1, so plain BFS
     levels) runs from both endpoints with visited-set deduplication. Levels
     alternate to whichever frontier is smaller; intermediate strings are
@@ -443,9 +441,6 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
     _check_string(y)
     _check_length(x, y)
     if bounds is None:
-        lev = levenshtein(x, y)
-        if lev <= _node_bound(x, max(_deficits(_counts(x), _counts(y))), _bigrams(y)):
-            return lev
         upper, lower = pair_bounds([x], [y])
         bounds = int(upper[0]), int(lower[0])
     best, lower = bounds

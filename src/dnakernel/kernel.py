@@ -1,12 +1,12 @@
 """Variational kernel values K(x, y) = |<psi(y)|psi(x)>|^2 and exact gradients.
 
-Two evaluation routes are provided on purpose. ``kernel_eval`` builds both
-feature states through the circuits module, one gate at a time; it is the
-readable reference. The batched engine below vectorizes whole arrays of
-pairs at once and differentiates with a reverse sweep (one generator
-insertion per gate block, states shared between blocks), which is what makes
-training over thousands of pairs per epoch affordable. The test suite pins the
-two routes against each other and against finite differences.
+This module is the batched engine: it vectorizes whole arrays of pairs at
+once and differentiates with a reverse sweep (one generator insertion per
+gate block, states shared between blocks), which is what makes training over
+thousands of pairs per epoch affordable. ``kernel_eval`` alone takes the
+other route, the gate-by-gate reference of the circuits module, and shares
+no function with the engine; the test suite pins the two routes against each
+other and against finite differences.
 
 Value-only calls (``kernel_values``) use the circuit's permutation
 invariance as an algorithm. Every trainable gate commutes with qubit swaps
@@ -41,7 +41,7 @@ call's size raises its mmap and trim thresholds, so warm calls reuse
 mapped heap pages.
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
-as in the statevector module (qubit 0 = most significant bit).
+as in the circuits module (qubit 0 = most significant bit).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from dnakernel.circuits import (
     feature_state,
     validate_sequence,
 )
-from dnakernel.statevector import inner_product
 
 
 def _tilt_table(letter_angles) -> tuple:
@@ -76,8 +75,8 @@ _LETTER_ANGLES = np.array([base_angles(b) for b in ALPHABET])
 _TILTS, _TILT_INDEX = _tilt_table(_LETTER_ANGLES)
 _PHASES = np.exp(1j * _LETTER_ANGLES[:, 1])
 
-# bytes of rows per pass of kernel_values and of the classical kernel_batch,
-# which bounds each model's working set: 256 rows of 256-amplitude states
+# bytes of rows per pass of kernel_values, which bounds its working set:
+# 256 rows of 256-amplitude states
 VALUE_BYTES = 1 << 20
 
 
@@ -143,7 +142,7 @@ def encode_sequences(seqs) -> np.ndarray:
 def check_pairs(width: int, codes_a, codes_b, targets=None):
     """``codes_a`` and ``codes_b`` as arrays, checked to be aligned (batch,
     width) integer base codes in 0..3; ``targets``, when given, must hold one
-    value per row."""
+    value per row of a nonempty batch."""
     codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
     for codes in (codes_a, codes_b):
         if codes.ndim != 2 or codes.shape[1] != width:
@@ -155,6 +154,8 @@ def check_pairs(width: int, codes_a, codes_b, targets=None):
         raise ValueError(f"unaligned code batches: {codes_a.shape} vs {codes_b.shape}")
     if targets is not None and np.shape(targets) != codes_a.shape[:1]:
         raise ValueError(f"expected {codes_a.shape[0]} targets, got shape {np.shape(targets)}")
+    if targets is not None and not len(codes_a):
+        raise ValueError("the batch MSE needs at least one pair, got an empty batch")
     return codes_a, codes_b
 
 
@@ -437,9 +438,9 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
 
 def kernel_eval(x: str, y: str, params: KernelParams) -> float:
     """Kernel value via the reference route: two feature states, one overlap."""
-    fx = feature_state(x, params)
-    fy = feature_state(y, params)
-    return float(abs(inner_product(fy, fx)) ** 2)
+    if len(x) != len(y):
+        raise ValueError(f"sequence length mismatch: {len(x)} vs {len(y)}")
+    return float(abs(np.vdot(feature_state(y, params), feature_state(x, params))) ** 2)
 
 
 @dataclass(frozen=True)

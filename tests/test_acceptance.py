@@ -31,7 +31,6 @@ from dnakernel.circuits import ALPHABET, KernelParams, apply_encoding_layer
 from dnakernel.dataset import load_triplets
 from dnakernel.edm import edm_exact, levenshtein
 from dnakernel.kernel import QuantumKernelModel, encode_sequences
-from dnakernel.statevector import inner_product, zero_state
 from dnakernel.training import OPTIMIZER, order_accuracy
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
@@ -162,8 +161,9 @@ class TestEncoding:
     def test_sic_pairwise_overlaps_exact_third(self):
         # criterion 1: |<a|b>|^2 = 1/3 for all six unordered base pairs
         for a, b in itertools.combinations(ALPHABET, 2):
-            state_a, state_b = (apply_encoding_layer(zero_state(1), s) for s in (a, b))
-            overlap = abs(inner_product(state_a, state_b)) ** 2
+            zero = np.array([1.0, 0.0], dtype=np.complex128)
+            state_a, state_b = (apply_encoding_layer(zero, s) for s in (a, b))
+            overlap = abs(np.vdot(state_a, state_b)) ** 2
             assert abs(overlap - 1.0 / 3.0) < 1e-12
 
 

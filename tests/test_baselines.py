@@ -1,13 +1,18 @@
 """Classical baseline models: shapes, parameter counts, gradients."""
 
+import os
 import platform
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dnakernel
 from dnakernel.baselines import HEADS, ClassicalKernelModel
-from dnakernel.kernel import VALUE_BYTES, encode_sequences
+from dnakernel.kernel import encode_sequences
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -166,7 +171,7 @@ class TestKernelHeads:
         rng = np.random.default_rng(16)
         m = ClassicalKernelModel(head)
         flat = m.init_params(rng)
-        rows = VALUE_BYTES // m.pair_bytes + 3
+        rows = (128 << 10) // (16 * m.flat_in) + 3  # one pass's pairs, and three more
         ca, cb = random_codes(rng, rows), random_codes(rng, rows)
         whole = m._head_forward(m.unpack(flat)["head"], feature_map(m, flat, ca),
                                 feature_map(m, flat, cb))[0]
@@ -175,6 +180,37 @@ class TestKernelHeads:
         values = m.kernel_batch(flat, ca, cb)
         np.testing.assert_array_equal(values, whole)
         np.testing.assert_array_equal(values, rowwise)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="heap page reuse is a glibc malloc property")
+    def test_warm_value_calls_do_not_refault_heap(self):
+        # value passes small enough for glibc's mmap threshold let warm calls
+        # over the committed test pairs reuse mapped heap pages; at 819 pairs
+        # a pass they took about 1,400 minor faults per call. A fresh
+        # interpreter, because a large block freed by an earlier test in this
+        # process raises glibc's thresholds and would hide the faults.
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from dnakernel.baselines import ClassicalKernelModel\n"
+            "from dnakernel.dataset import load_triplets\n"
+            "from dnakernel.training import pairs_from_triplets\n"
+            "pairs = pairs_from_triplets(load_triplets(sys.argv[1] + '/test.jsonl',\n"
+            "                                          verify_fraction=0))\n"
+            "model = ClassicalKernelModel('rbf')\n"
+            "flat = model.init_params(np.random.default_rng(0))\n"
+            "for call in range(7):\n"
+            "    if call == 2:\n"
+            "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    model.kernel_batch(flat, pairs.codes_a, pairs.codes_b)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n"
+        )
+        src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
+        accept_dir = Path(__file__).resolve().parents[1] / "results" / "acceptance"
+        run = subprocess.run([sys.executable, "-c", script, str(accept_dir)],
+                             env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True,
+                             text=True, check=True, timeout=300)
+        assert float(run.stdout) < 100, run.stdout
 
     def test_bounded_outputs(self):
         rng = np.random.default_rng(10)
@@ -304,9 +340,11 @@ class TestUnalignedBatches:
     def test_target_count(self):
         m = ClassicalKernelModel("rbf")
         rng = np.random.default_rng(20)
-        with pytest.raises(ValueError, match="expected 5 targets"):
-            m.kernel_and_grad_batch(m.init_params(rng), random_codes(rng, 5),
-                                    random_codes(rng, 5), np.zeros(4))
+        ca, cb = random_codes(rng, 5), random_codes(rng, 5)
+        for rows, targets, message in ((5, np.zeros(4), "expected 5 targets"),
+                                       (0, [], "empty batch")):
+            with pytest.raises(ValueError, match=message):
+                m.kernel_and_grad_batch(m.init_params(rng), ca[:rows], cb[:rows], targets)
 
 
 def test_init_determinism():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_statevector import swap_qubits
+from test_statevector import basis_state, random_state, swap_qubits
 
 from dnakernel.circuits import (
     ALPHABET,
@@ -17,7 +17,6 @@ from dnakernel.circuits import (
     feature_state,
     validate_sequence,
 )
-from dnakernel.statevector import Statevector, inner_product, zero_state
 
 TILT = 2 * np.arccos(1 / np.sqrt(3))
 
@@ -35,12 +34,6 @@ sequences = st.text(alphabet=ALPHABET, min_size=1, max_size=6)
 
 def random_params(rng, num_layers):
     return KernelParams(num_layers, rng.uniform(-np.pi, np.pi, size=(num_layers, 3)))
-
-
-def random_state(rng, num_qubits):
-    amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-    amps /= np.linalg.norm(amps)
-    return Statevector(num_qubits, amps)
 
 
 class TestBaseAngles:
@@ -65,15 +58,15 @@ class TestBaseAngles:
 
     @pytest.mark.parametrize("base", ALPHABET)
     def test_base_state_matches_reference(self, base):
-        state = apply_encoding_layer(zero_state(1), base)
-        np.testing.assert_allclose(state.amplitudes, REF_STATES[base], atol=1e-14)
+        state = apply_encoding_layer(basis_state(1), base)
+        np.testing.assert_allclose(state, REF_STATES[base], atol=1e-14)
 
 
 def test_sic_pairwise_overlaps_are_one_third():
     """All six unordered base pairs overlap with |<a|b>|^2 = 1/3."""
     for a, b in itertools.combinations(ALPHABET, 2):
-        state_b = apply_encoding_layer(zero_state(1), b)
-        ov = abs(np.vdot(REF_STATES[a], state_b.amplitudes)) ** 2
+        state_b = apply_encoding_layer(basis_state(1), b)
+        ov = abs(np.vdot(REF_STATES[a], state_b)) ** 2
         assert abs(ov - 1 / 3) < 1e-12, (a, b, ov)
 
 
@@ -92,17 +85,17 @@ class TestValidateSequence:
 
 class TestEncodingLayer:
     def test_adenine_only(self):
-        out = apply_encoding_layer(zero_state(1), "A")
-        np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
+        out = apply_encoding_layer(basis_state(1), "A")
+        np.testing.assert_allclose(out, [1, 0], atol=1e-15)
 
     def test_guanine(self):
-        out = apply_encoding_layer(zero_state(1), "G")
-        np.testing.assert_allclose(out.amplitudes, REF_STATES["G"], atol=1e-14)
+        out = apply_encoding_layer(basis_state(1), "G")
+        np.testing.assert_allclose(out, REF_STATES["G"], atol=1e-14)
 
     def test_product_structure(self):
-        out = apply_encoding_layer(zero_state(2), "AT")
+        out = apply_encoding_layer(basis_state(2), "AT")
         np.testing.assert_allclose(
-            out.amplitudes, np.kron(REF_STATES["A"], REF_STATES["T"]), atol=1e-14
+            out, np.kron(REF_STATES["A"], REF_STATES["T"]), atol=1e-14
         )
 
     def test_kron_product_for_random_sequences(self):
@@ -110,15 +103,15 @@ class TestEncodingLayer:
         for _ in range(10):
             n = int(rng.integers(1, 6))
             seq = "".join(rng.choice(list(ALPHABET), size=n))
-            out = apply_encoding_layer(zero_state(n), seq)
+            out = apply_encoding_layer(basis_state(n), seq)
             expect = np.array([1.0], dtype=complex)
             for ch in seq:
                 expect = np.kron(expect, REF_STATES[ch])
-            np.testing.assert_allclose(out.amplitudes, expect, atol=1e-13)
+            np.testing.assert_allclose(out, expect, atol=1e-13)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            apply_encoding_layer(zero_state(3), "AT")
+            apply_encoding_layer(basis_state(3), "AT")
 
     def test_encoding_covariance_under_swaps(self):
         # encoding the swapped sequence = swap conjugation of the encoder
@@ -132,7 +125,7 @@ class TestEncodingLayer:
             s = random_state(rng, n)
             lhs = apply_encoding_layer(s, "".join(swapped))
             rhs = swap_qubits(apply_encoding_layer(swap_qubits(s, i, j), seq), i, j)
-            np.testing.assert_allclose(lhs.amplitudes, rhs.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestParamLayer:
@@ -140,13 +133,13 @@ class TestParamLayer:
         rng = np.random.default_rng(3)
         s = random_state(rng, 3)
         out = apply_param_layer(s, (0.0, 0.0, 0.0))
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-14)
+        np.testing.assert_allclose(out, s, atol=1e-14)
 
     def test_rnx_only(self):
         t = 1.3
-        out = apply_param_layer(zero_state(2), (t, 0.0, 0.0))
+        out = apply_param_layer(basis_state(2), (t, 0.0, 0.0))
         np.testing.assert_allclose(
-            out.amplitudes, [np.cos(t / 2), 0, 0, -1j * np.sin(t / 2)], atol=1e-14
+            out, [np.cos(t / 2), 0, 0, -1j * np.sin(t / 2)], atol=1e-14
         )
 
     def test_swap_invariance(self):
@@ -159,7 +152,7 @@ class TestParamLayer:
             s = random_state(rng, n)
             lhs = apply_param_layer(swap_qubits(s, i, j), angles)
             rhs = swap_qubits(apply_param_layer(s, angles), i, j)
-            np.testing.assert_allclose(lhs.amplitudes, rhs.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_gate_order_rnx_then_rz_then_ry(self):
         # one qubit, pinned against the explicit matrix product Ry Rz Rnx
@@ -172,7 +165,7 @@ class TestParamLayer:
         rz = np.diag([np.exp(-0.5j * b), np.exp(0.5j * b)])
         ry = np.array([[np.cos(c / 2), -np.sin(c / 2)], [np.sin(c / 2), np.cos(c / 2)]])
         out = apply_param_layer(s, (a, b, c))
-        np.testing.assert_allclose(out.amplitudes, ry @ rz @ rx @ s.amplitudes, atol=1e-13)
+        np.testing.assert_allclose(out, ry @ rz @ rx @ s, atol=1e-13)
 
 
 class TestKernelParams:
@@ -212,12 +205,12 @@ class TestFeatureState:
     def test_zero_angles_is_encoding_only(self):
         out = feature_state("AT", KernelParams(1, np.zeros((1, 3))))
         np.testing.assert_allclose(
-            out.amplitudes, np.kron(REF_STATES["A"], REF_STATES["T"]), atol=1e-14
+            out, np.kron(REF_STATES["A"], REF_STATES["T"]), atol=1e-14
         )
 
     def test_single_adenine_identity_chain(self):
         out = feature_state("A", KernelParams(1, np.zeros((1, 3))))
-        np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
+        np.testing.assert_allclose(out, [1, 0], atol=1e-15)
 
     def test_norm_one_for_100_random_draws(self):
         rng = np.random.default_rng(9)
@@ -226,7 +219,7 @@ class TestFeatureState:
             layers = int(rng.integers(1, 5))
             seq = "".join(rng.choice(list(ALPHABET), size=n))
             out = feature_state(seq, random_params(rng, layers))
-            assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
+            assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
     def test_layers_applied_in_order(self):
         # L=2 must differ from L=1 twice when angles differ per layer
@@ -237,7 +230,7 @@ class TestFeatureState:
         manual = apply_param_layer(manual, p2.angles[1])
         manual = apply_encoding_layer(manual, "GT")
         out = feature_state("GT", p2)
-        np.testing.assert_allclose(out.amplitudes, manual.amplitudes, atol=1e-13)
+        np.testing.assert_allclose(out, manual, atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,4 +246,4 @@ def test_feature_state_swap_covariance_property(seq, seed, layers):
     swapped[i], swapped[j] = swapped[j], swapped[i]
     lhs = feature_state("".join(swapped), params)
     rhs = swap_qubits(feature_state(seq, params), i, j)
-    np.testing.assert_allclose(lhs.amplitudes, rhs.amplitudes, atol=1e-11)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-11)

@@ -420,23 +420,6 @@ class TestPairBounds:
         for x, y, up, lo in zip(xs, ys, upper.tolist(), lower.tolist()):
             assert edm_exact(x, y, bounds=(up, lo)) == edm_exact(x, y), (x, y)
 
-    def test_lone_pair_settled_by_scalar_bounds(self, monkeypatch):
-        # lower <= d <= Levenshtein: a pair without ``bounds`` whose scalar
-        # bounds meet is answered without the batch pass, the rest use it,
-        # and every answer is the batch route's
-        rng = np.random.default_rng(17)
-        xs = [random_string(rng, int(rng.integers(0, 7))) for _ in range(200)]
-        ys = [random_string(rng, int(rng.integers(0, 7))) for _ in range(200)]
-        upper, lower = pair_bounds(xs, ys)
-        expected = [edm_exact(x, y, bounds=b) for x, y, b in
-                    zip(xs, ys, zip(upper.tolist(), lower.tolist()))]
-        settled = sum(levenshtein(x, y) == lo for x, y, lo in zip(xs, ys, lower.tolist()))
-        calls = []
-        batch = edm.pair_bounds
-        monkeypatch.setattr(edm, "pair_bounds", lambda a, b: calls.append(1) or batch(a, b))
-        assert [edm_exact(x, y) for x, y in zip(xs, ys)] == expected
-        assert 0 < settled and len(calls) == len(xs) - settled
-
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="outside"):
             pair_bounds(["ATG"], ["AXG"])

@@ -18,8 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnakernel
+from dnakernel import kernel
 from dnakernel.baselines import ClassicalKernelModel
-from dnakernel.circuits import ALPHABET, KernelParams, base_angles, feature_state
+from dnakernel.circuits import (
+    ALPHABET,
+    KernelParams,
+    base_angles,
+    feature_state,
+    phase_matrix,
+    ry_matrix,
+)
 from dnakernel.dataset import load_triplets
 from dnakernel.kernel import (
     VALUE_BYTES,
@@ -34,7 +42,6 @@ from dnakernel.kernel import (
     kernel_eval,
     kernel_values,
 )
-from dnakernel.statevector import phase_matrix, ry_matrix
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 FD_STEP = 1e-5
@@ -151,7 +158,7 @@ class TestBatchedEngineAgainstReference:
             batch = feature_states(encode_sequences(seqs), params)
             for row, seq in zip(batch, seqs):
                 np.testing.assert_allclose(
-                    row, feature_state(seq, params).amplitudes, atol=1e-12
+                    row, feature_state(seq, params), atol=1e-12
                 )
 
     def test_kernel_values_match(self):
@@ -165,6 +172,32 @@ class TestBatchedEngineAgainstReference:
             vals = kernel_values(encode_sequences(xs), encode_sequences(ys), params)
             for v, x, y in zip(vals, xs, ys):
                 assert abs(v - kernel_eval(x, y, params)) < 1e-12
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_kernel_values_match_past_twelve_qubits(self, n):
+        rng = np.random.default_rng(30 + n)
+        xs = [random_seq(rng, n) for _ in range(3)]
+        ys = [random_seq(rng, n) for _ in range(3)]
+        params = random_params(rng, 2)
+        vals = kernel_values(encode_sequences(xs), encode_sequences(ys), params)
+        for v, x, y in zip(vals, xs, ys):
+            assert abs(v - kernel_eval(x, y, params)) < 1e-12
+
+    def test_reference_calls_no_engine_function(self, monkeypatch):
+        # the reference stays an independent check only while it runs with
+        # the engine's building blocks out of reach
+        rng = np.random.default_rng(11)
+        x, y = random_seq(rng, 4), random_seq(rng, 4)
+        params = random_params(rng, 3)
+        value, state = kernel_eval(x, y, params), feature_state(x, params)
+
+        def engine_called(*args, **kwargs):
+            raise AssertionError("the reference called the engine")
+
+        for name in ("_forward", "_compositions", "_gather", "_sweep", "kernel_values"):
+            monkeypatch.setattr(kernel, name, engine_called)
+        assert kernel_eval(x, y, params) == value
+        assert feature_state(x, params).tobytes() == state.tobytes()
 
     def test_kernel_values_span_row_blocks(self):
         # a batch longer than one row block gives every row its own value
@@ -314,8 +347,8 @@ def test_permuted_sequence_permutes_register(data, n, layers, seed):
     params = random_params(np.random.default_rng(seed), layers)
     permuted = "".join(seq[p] for p in perm)
     np.testing.assert_allclose(
-        feature_state(permuted, params).amplitudes,
-        permute_register(feature_state(seq, params).amplitudes, perm),
+        feature_state(permuted, params),
+        permute_register(feature_state(seq, params), perm),
         atol=1e-12,
     )
 
@@ -646,9 +679,12 @@ class TestLossGradient:
     def test_target_count_checked(self):
         model = QuantumKernelModel(2, 1)
         codes = encode_sequences(["AT", "GC"])
-        for targets in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
-            with pytest.raises(ValueError, match="expected 2 targets"):
-                model.kernel_and_grad_batch(np.zeros(3), codes, codes, targets)
+        for rows, targets, message in ((codes, np.zeros(1), "expected 2 targets"),
+                                       (codes, np.zeros(3), "expected 2 targets"),
+                                       (codes, np.zeros((2, 1)), "expected 2 targets"),
+                                       (codes[:0], [], "empty batch")):
+            with pytest.raises(ValueError, match=message):
+                model.kernel_and_grad_batch(np.zeros(3), rows, rows, targets)
 
 
 class TestKernelGradient:
