@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnakernel.circuits import (
+    KernelParams,
     apply_gate,
     apply_param_layer,
     phase_matrix,
     ry_matrix,
     rz_matrix,
 )
+from dnakernel.kernel import kernel_eval
 
 
 def random_state(rng, num_qubits):
@@ -217,6 +219,13 @@ class TestSingleQubitGatesAgainstKronOracle:
             np.testing.assert_allclose(
                 apply_fn(s, q, t), full @ s, atol=1e-12
             )
+
+
+class TestInnerProduct:
+    def test_dimension_mismatch(self):
+        # the overlap of a one-qubit and a two-qubit feature state is refused
+        with pytest.raises(ValueError, match="mismatch"):
+            kernel_eval("A", "AT", KernelParams(1, np.zeros((1, 3))))
 
 
 def swap_qubits(state, i, j):
