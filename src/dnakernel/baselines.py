@@ -45,6 +45,8 @@ class ClassicalKernelModel:
     def __post_init__(self):
         if self.head not in HEADS:
             raise ValueError(f"unknown kernel head {self.head!r}, expected one of {HEADS}")
+        if self.seq_length < 1:
+            raise ValueError(f"seq_length must be >= 1, got {self.seq_length}")
 
     @property
     def flat_in(self) -> int:

@@ -219,7 +219,10 @@ def load_triplets(path, verify_fraction: float = 0.01):
     if not triplets:
         raise DatasetError(f"{path}: no triplets found")
     if verify_fraction > 0:
-        stride = max(1, int(round(1 / verify_fraction)))
+        # a stride past the last line verifies line 1 alone, so capping it
+        # there changes nothing, and keeps 1 / verify_fraction (inf for a
+        # subnormal fraction) out of round
+        stride = max(1, round(min(1 / verify_fraction, len(triplets))))
         checked = triplets[::stride]
         exact = _distances([(t.a, t.b, t.c) for t in checked])
         for k, (t, d) in enumerate(zip(checked, exact)):

@@ -33,8 +33,11 @@ phases, times the real product of Ry(theta + tilt_q) over the qubits, which
 depends on x only through which qubits are tilted (see _blocks, _forward).
 
 Each call keeps its state-sized arrays in one block, written with out=:
-the taped pass's tape and work, or kernel_values' canonical states and the
-scratch of its forward passes and gathers. glibc unmaps freed temporaries
+the taped pass's tape and work rows, which the reverse sweep then reuses,
+with the call's bra array, for all of its buffers; or kernel_values'
+canonical states and the scratch of its forward passes and gathers. The
+layers' R_NX and Rz diagonals are tabulated once per call (_rnx_rz), for
+the forward pass and the sweep alike. glibc unmaps freed temporaries
 above its mmap threshold and the next call faults them back in (about
 3,400 minor faults per 1,024-triplet ranking); freeing one block of the
 call's size raises its mmap and trim thresholds, so warm calls reuse
@@ -187,65 +190,83 @@ def _blocks(codes, params: KernelParams):
     return rot, phase
 
 
-def _rotate(states, mats, out=None):
-    """mats @ S per row, S a state viewed (rows, d, 2^n/d) and mats a real
-    (rows, d, d) stack or one (d, d) matrix: one real product on the float64
-    view, where real and imaginary parts interleave on the last axis. The
-    product is written into ``out``, a state-shaped array, when given."""
-    stack = states.view(np.float64).reshape(len(states), mats.shape[-1], -1)
-    if out is not None:
-        out = out.view(np.float64).reshape(stack.shape)
-    return np.matmul(mats, stack, out=out).view(np.complex128).reshape(len(states), -1)
+def _rotate(states, mats, out):
+    """mats @ S per row into ``out``, a state-shaped array: S a state viewed
+    (rows, d, 2^n/d) and mats a real (rows, d, d) stack or one (d, d)
+    matrix. One real product on the float64 views, where real and imaginary
+    parts interleave on the last axis."""
+    np.matmul(mats, _float_view(states, mats.shape[-1]), out=_float_view(out, mats.shape[-1]))
+    return out
 
 
-def _transpose(states, d, out=None):
-    """States viewed (rows, d, 2^n/d), with the two axes swapped; copied into
-    ``out`` when given."""
+def _float_view(states, d):
+    """The float64 view of states (..., 2^n) as (..., d, 2^(n+1)/d), real
+    and imaginary parts interleaved on the last axis: the operand of a left
+    product by the factor of the leading register half, of d amplitudes."""
+    return states.view(np.float64).reshape(*states.shape[:-1], d, -1)
+
+
+def _transpose(states, d, out):
+    """States viewed (rows, d, 2^n/d), with the two axes swapped, copied into
+    ``out``."""
     swapped = states.reshape(len(states), d, -1).swapaxes(1, 2)
-    if out is None:
-        return swapped.reshape(len(states), -1)
     out.reshape(swapped.shape)[...] = swapped
     return out
+
+
+def _rnx_rz(params: KernelParams, zdiag) -> tuple:
+    """Every layer's R_NX then Rz as two (L, 2^n) diagonals, keep and flip:
+    the layer maps s to keep * s + flip * s[:, ::-1] (R_NX = cos - i sin X^n,
+    X^n the index reversal). keep = cos(t_rnx / 2) exp(-i t_rz Z / 2) and
+    flip = -i sin(t_rnx / 2) exp(-i t_rz Z / 2), Z = ``zdiag``."""
+    t_rnx, t_rz = params.angles[:, :1], params.angles[:, 1:2]
+    rz = np.exp(-0.5j * t_rz * zdiag)
+    return np.cos(t_rnx / 2) * rz, -1j * np.sin(t_rnx / 2) * rz
 
 
 def _forward(codes, params, work, tape=None):
     """Run the re-uploading circuit on a batch of codes.
 
-    Returns (states, blocks), blocks from _blocks. Each layer applies R_NX,
-    the Rz diagonal, the real factor of register half p, that of half 1 - p,
-    and Phi_x. A factor is a left product on the state viewed as a stack
-    with its half leading, so the state is transposed once between them and
-    the layout alternates: layer l starts with half l % 2 leading. R_NX (the
-    index complement) and Rz (a function of the index's popcount) read the
-    same in both layouts. Final states are in layout 0.
+    Returns (states, factors): factors are _blocks' (rot, phase) and
+    _rnx_rz's (keep, flip). Each layer applies R_NX, the Rz diagonal, the
+    real factor of register half p, that of half 1 - p, and Phi_x. A factor
+    is a left product on the state viewed as a stack with its half leading,
+    so the state is transposed once between them and the layout alternates:
+    layer l starts with half l % 2 leading. R_NX (the index complement) and
+    Rz (a function of the index's popcount) read the same in both layouts.
+    Final states are in layout 0.
 
     Every state-sized result goes into the caller's arrays: ``work`` is
-    (3, rows, 2^n) scratch, and the states returned are one of its slices. A
+    (3, rows, 2^n) scratch, and the states returned are one of its rows. A
     ``tape``, (L, 2, rows, 2^n), receives per layer the state entering the
-    layer and the state after Rz, in that layer's layout.
+    layer and the state after Rz, in that layer's layout: each layer writes
+    its output straight into the next layer's entry, and the last layer's
+    into work[0], where it stays in its own layout.
     """
-    rot, phase = blocks = _blocks(codes, params)
-    zdiag = _zdiag(codes.shape[1])
-    s, s_rz, scratch = work
+    rot, phase = _blocks(codes, params)
+    keep, flip = _rnx_rz(params, _zdiag(codes.shape[1]))
+    num_layers = params.num_layers
+    s = work[0] if tape is None else tape[0, 0]
     s[...] = 0.0
     s[:, 0] = 1.0
-    for layer, (t_rnx, t_rz, _) in enumerate(params.angles):
+    for layer in range(num_layers):
         p = layer % 2
-        if tape is not None:
-            tape[layer, 0] = s
-            s_rz = tape[layer, 1]
-        # R_NX = cos - i sin X^n, X^n the index reversal, then the Rz diagonal
-        rz = np.exp(-0.5j * t_rz * zdiag)
-        np.multiply(s, np.cos(t_rnx / 2) * rz, out=s_rz)
-        s_rz += np.multiply(-1j * np.sin(t_rnx / 2) * rz, s[:, ::-1], out=scratch)
+        if tape is None:
+            # s is free once R_NX and Rz have read it; out alternates with it
+            s_rz, turned, out = work[1], s, work[2 - 2 * p]
+        else:
+            s_rz, turned = tape[layer, 1], work[1]
+            out = tape[layer + 1, 0] if layer + 1 < num_layers else work[0]
+        np.multiply(s, keep[layer], out=s_rz)
+        s_rz += np.multiply(flip[layer], s[:, ::-1], out=out)
         table, which = rot[p]
-        _transpose(_rotate(s_rz, table[layer][which], out=scratch), table.shape[-1], out=s)
+        _transpose(_rotate(s_rz, table[layer][which], out=out), table.shape[-1], out=turned)
         table, which = rot[1 - p]
-        s, scratch = _rotate(s, table[layer][which], out=scratch), s
+        s = _rotate(turned, table[layer][which], out=out)
         s *= phase[1 - p]
-    if params.num_layers % 2:
-        s = _transpose(s, rot[1][0].shape[-1], out=scratch)
-    return s, blocks
+    if num_layers % 2:
+        s = _transpose(s, rot[1][0].shape[-1], out=work[1])
+    return s, (rot, phase, keep, flip)
 
 
 def _compositions(codes_x, codes_y):
@@ -366,7 +387,7 @@ def _re_dot(bra, ket) -> float:
     return np.einsum("bi,bi->b", bra.view(np.float64), ket.view(np.float64)).sum()
 
 
-def _sweep(bra, states, tape, blocks, params: KernelParams):
+def _sweep(bra, tape, work, factors, params: KernelParams):
     """Reverse sweep: Re d<bra|psi>/d(theta_k), summed over rows.
 
     Each trainable block contributes <t|G|s>, with s the forward state just
@@ -375,29 +396,54 @@ def _sweep(bra, states, tape, blocks, params: KernelParams):
     R_NX term is taken one step later, and the Ry term (J_0 + J_1)/2, J_k the
     real sum of -iY over half k's qubits, at each half's factor: against the
     taped post-Rz state, and the layer's output with Phi_x undone.
+
+    ``tape``, ``work`` and ``factors`` come from one taped _forward, whose
+    work[0] still holds the last layer's output in that layer's layout.
+    The sweep overwrites ``bra`` and ``work``: t is pulled back in place in
+    one of them, every product goes into one of two others, and rotations
+    run on float64 views of those arrays and the tape made once per call.
+    Pulling back through R_NX and Rz takes the forward's tables reversed,
+    since Z at the complement index is -Z: keep reversed is
+    cos(t_rnx / 2) exp(i t_rz Z / 2) bit for bit, and flip, also conjugated,
+    is i sin(t_rnx / 2) exp(-i t_rz Z / 2) up to the sign of zero entries.
     """
-    (rot, phase), num_layers = blocks, params.num_layers
-    n = bra.shape[1].bit_length() - 1
-    zdiag, jsum = _zdiag(n), [_jsum(n // 2), _jsum(n - n // 2)]
+    rot, phase, keep, flip = factors
+    num_layers, n = params.num_layers, bra.shape[1].bit_length() - 1
+    dims = [table.shape[-1] for table, _ in rot]
+    jsum = [_jsum(n // 2), _jsum(n - n // 2)]
+    rz_gen = -0.5j * _zdiag(n)
     phase_conj = [np.conj(ph) for ph in phase]
+    keep, flip = keep[:, ::-1].copy(), np.conj(flip[:, ::-1])
     grad = np.empty((num_layers, 3))
-    t, out = bra, states
+    t, a, b = bra, work[1], work[2]
     if num_layers % 2:
-        t, out = (_transpose(a, jsum[0].shape[0]) for a in (bra, states))
+        t, a = _transpose(bra, dims[0], out=a), t
+    # float64 views of the rotated arrays, with either half leading
+    t_f, a_f, b_f, tape_f = ([_float_view(x, d) for d in dims] for x in (t, a, b, tape))
+    out = work[0]
     for layer in reversed(range(num_layers)):
-        (t_rnx, t_rz, _), (s_in, s_rz) = params.angles[layer], tape[layer]
+        s_in, s_rz = tape[layer]
         p, q = layer % 2, 1 - layer % 2
-        t = t * phase_conj[q]
-        ry_q = _re_dot(t, _rotate(out * phase_conj[q], jsum[q]))
+        # Phi_x, then half q's factor: its Ry term against the output with
+        # Phi_x undone, and t pulled back through it and the transpose
+        t *= phase_conj[q]
+        np.multiply(out, phase_conj[q], out=a)
+        np.matmul(jsum[q], a_f[q], out=b_f[q])
+        ry_q = _re_dot(t, b)
         table, which = rot[q]
-        t = _transpose(_rotate(t, np.swapaxes(table[layer], 1, 2)[which]), table.shape[-1])
+        np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[q], out=a_f[q])
+        _transpose(a, dims[q], out=t)
+        # half p's factor, then the Ry and Rz terms against the taped
+        # post-Rz state, with t (in a) pulled back to just after Rz
         table, which = rot[p]
-        t = _rotate(t, np.swapaxes(table[layer], 1, 2)[which])
-        grad[layer, 2] = 0.5 * (_re_dot(t, _rotate(s_rz, jsum[p])) + ry_q)
-        grad[layer, 1] = _re_dot(t, (-0.5j * zdiag) * s_rz)
-        rz = np.exp(0.5j * t_rz * zdiag)
-        t = t * (np.cos(t_rnx / 2) * rz) + (1j * np.sin(t_rnx / 2) * np.conj(rz)) * t[:, ::-1]
-        grad[layer, 0] = _re_dot(t, -0.5j * s_in[:, ::-1])
+        np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[p], out=a_f[p])
+        np.matmul(jsum[p], tape_f[p][layer, 1], out=b_f[p])
+        grad[layer, 2] = 0.5 * (_re_dot(a, b) + ry_q)
+        grad[layer, 1] = _re_dot(a, np.multiply(rz_gen, s_rz, out=b))
+        # Rz and R_NX, back into t; the R_NX term against the layer's input
+        np.multiply(a, keep[layer], out=t)
+        t += np.multiply(flip[layer], a[:, ::-1], out=b)
+        grad[layer, 0] = _re_dot(t, np.multiply(-0.5j, s_in[:, ::-1], out=b))
         out = s_in
     return grad.reshape(-1)
 
@@ -419,11 +465,12 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     """
     half = len(codes_x)
     canon, row_state, frame = _compositions(codes_x, codes_y)
-    # one block for the tape and the forward pass's work (see _forward)
+    # one block for the tape and the work rows of the forward pass and the
+    # sweep (see _forward, _sweep)
     block = np.empty((2 * params.num_layers + 3, len(canon), 1 << codes_x.shape[1]),
                      dtype=np.complex128)
-    tape = block[:-3].reshape(params.num_layers, 2, *block.shape[1:])
-    states, blocks = _forward(canon, params, block[-3:], tape)
+    tape, work = block[:-3].reshape(params.num_layers, 2, *block.shape[1:]), block[-3:]
+    states, factors = _forward(canon, params, work, tape)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
     _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
     c = np.einsum("bi,bi->b", np.conj(states)[row_state[half:]], rows[half:])
@@ -433,7 +480,7 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     bras = np.zeros_like(states)
     for state, bra in zip(row_state, rows):
         bras[state] += bra
-    return values, 2.0 * _sweep(bras, states, tape, blocks, params)
+    return values, 2.0 * _sweep(bras, tape, work, factors, params)
 
 
 def kernel_eval(x: str, y: str, params: KernelParams) -> float:
@@ -454,6 +501,11 @@ class QuantumKernelModel:
 
     num_qubits: int
     num_layers: int
+
+    def __post_init__(self):
+        for field in ("num_qubits", "num_layers"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
 
     @property
     def num_parameters(self) -> int:

@@ -92,6 +92,13 @@ class TestParameterCounts:
         with pytest.raises(ValueError, match="unknown kernel head"):
             ClassicalKernelModel("sigmoid")
 
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_nonpositive_length(self, length):
+        # checked when the model is built: length 0 would make kernel_batch
+        # divide by zero
+        with pytest.raises(ValueError, match=f"^seq_length must be >= 1, got {length}$"):
+            ClassicalKernelModel("cosine", length)
+
 
 class TestFeatureMap:
     def test_output_dim(self):

@@ -189,6 +189,14 @@ class TestTrainQuantum:
                             capsys.readouterr().err)
         assert not (tmp_path / "curves.csv").exists()
 
+    @pytest.mark.parametrize("layers", [-2, 0])
+    def test_nonpositive_layers_refused(self, tmp_path, datasets, capsys, layers):
+        train, test = datasets
+        capsys.readouterr()
+        assert self._train(tmp_path, train, test, layers=layers) == 1
+        assert capsys.readouterr().err == f"error: num_layers must be >= 1, got {layers}\n"
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_missing_dataset_errors(self, tmp_path, capsys):
         rc = run_cli("train-quantum", "--train", tmp_path / "nope.jsonl",
                      "--test", tmp_path / "nope.jsonl",

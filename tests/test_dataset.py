@@ -163,6 +163,20 @@ def _valid_line(length=4, seed=11):
     )
 
 
+def _forged_line():
+    """A length-5 line with consistent labels (s matches d) whose d_ab
+    disagrees with the oracle."""
+    obj = json.loads(_valid_line(length=5, seed=13))
+    n = len(obj["a"])
+    true_d = edm_exact(obj["a"], obj["b"])
+    forged = true_d + 1 if true_d + 1 <= n else true_d - 1
+    if forged == obj["d_ac"]:
+        forged = true_d - 1
+    obj["d_ab"] = forged
+    obj["s_ab"] = (n - forged) / n
+    return json.dumps(obj, sort_keys=True)
+
+
 class TestLoadValidation:
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -205,19 +219,20 @@ class TestLoadValidation:
             load_triplets(path)
 
     def test_spot_check_catches_wrong_distance(self, tmp_path):
-        # consistent labels (s matches d) but d disagrees with the oracle
-        obj = json.loads(_valid_line(length=5, seed=13))
-        n = len(obj["a"])
-        true_d = edm_exact(obj["a"], obj["b"])
-        forged = true_d + 1 if true_d + 1 <= n else true_d - 1
-        if forged == obj["d_ac"]:
-            forged = true_d - 1
-        obj["d_ab"] = forged
-        obj["s_ab"] = (n - forged) / n
         path = tmp_path / "forged.jsonl"
-        _write_lines(path, [json.dumps(obj, sort_keys=True)])
+        _write_lines(path, [_forged_line()])
         with pytest.raises(DatasetError, match="recomputation"):
             load_triplets(path, verify_fraction=1.0)
+
+    def test_subnormal_verify_fraction_checks_line_one(self, tmp_path):
+        # 1 / 5e-324 is inf, which round cannot take; any positive fraction
+        # verifies line 1, and a tiny one nothing else
+        path = tmp_path / "forged.jsonl"
+        _write_lines(path, [_forged_line(), _valid_line(length=5, seed=12)])
+        with pytest.raises(DatasetError, match="line 1: stored distances fail recomputation"):
+            load_triplets(path, verify_fraction=5e-324)
+        _write_lines(path, [_valid_line(length=5, seed=12), _forged_line()])
+        assert len(load_triplets(path, verify_fraction=5e-324)) == 2
 
     @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5])
     def test_verify_fraction_outside_unit_interval_refused(self, tmp_path, fraction):

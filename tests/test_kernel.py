@@ -238,7 +238,7 @@ class TestBatchedEngineAgainstReference:
             for layer in range(1, layers):
                 head = feature_states(codes, KernelParams(layer, params.angles[:layer]))
                 if layer % 2:
-                    head = _transpose(head, 1 << (n // 2))
+                    head = _transpose(head, 1 << (n // 2), out=np.empty_like(head))
                 assert tape[layer, 0].tobytes() == head.tobytes()
 
     def test_production_width_matches_reference(self):
@@ -328,6 +328,59 @@ def test_loss_gradient_independent_of_blas_threads():
                              text=True, check=True, timeout=120)
         outputs.add(run.stdout)
     assert len(outputs) == 1
+
+
+def test_loss_gradient_independent_of_blas_threads_at_odd_depth():
+    # the sibling above at L = 5: an odd depth ends with the second half
+    # leading, so the sweep first transposes its bra, and the last layer's
+    # output is read from the forward's work row, not from its states
+    script = (
+        "import numpy as np\n"
+        "from dnakernel.kernel import QuantumKernelModel\n"
+        "rng = np.random.default_rng(4)\n"
+        "model = QuantumKernelModel(8, 5)\n"
+        "a, b = rng.integers(0, 4, (2, 64, 8))\n"
+        "values, grad = model.kernel_and_grad_batch(\n"
+        "    model.init_params(rng), a, b, rng.uniform(0, 1, 64))\n"
+        "print(values.tobytes().hex(), grad.tobytes().hex())\n"
+    )
+    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src_dir, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_layer_tables_match_per_layer_expressions(n):
+    # _rnx_rz builds every layer's R_NX and Rz diagonals once per call; each
+    # row is bit for bit the per-layer expression. The sweep pulls back
+    # through the tables reversed: keep bit for bit the exp(+i t_rz Z / 2)
+    # form, flip (conjugated) equal in value and apart only in the sign of
+    # zeros (the real part where Z = 0), which no product with a nonzero
+    # amplitude can see
+    rng = np.random.default_rng(70 + n)
+    zdiag = kernel._zdiag(n)
+    for layers in range(1, 25):
+        params = random_params(rng, layers)
+        keep, flip = kernel._rnx_rz(params, zdiag)
+        assert keep.shape == flip.shape == (layers, 1 << n)
+        for layer, (t_rnx, t_rz, _) in enumerate(params.angles):
+            rz = np.exp(-0.5j * t_rz * zdiag)
+            assert keep[layer].tobytes() == (np.cos(t_rnx / 2) * rz).tobytes()
+            assert flip[layer].tobytes() == (-1j * np.sin(t_rnx / 2) * rz).tobytes()
+            rz_back = np.exp(0.5j * t_rz * zdiag)
+            assert keep[layer, ::-1].tobytes() == (np.cos(t_rnx / 2) * rz_back).tobytes()
+            old_flip = 1j * np.sin(t_rnx / 2) * np.conj(rz_back)
+            new_flip = np.conj(flip[layer, ::-1])
+            np.testing.assert_array_equal(new_flip, old_flip)
+            signs = np.signbit(new_flip.view(np.float64)) != np.signbit(old_flip.view(np.float64))
+            assert not new_flip.view(np.float64)[signs].any()
+            assert not zdiag[signs.reshape(-1, 2).any(axis=1)].any()
 
 
 def permute_register(amplitudes, perm):
@@ -569,7 +622,7 @@ def own_frame_loss_gradient(codes_x, codes_y, targets, params):
     scatter = [np.bincount(index.reshape(-1), part.reshape(-1), states.size)
                for part in (bras.real, bras.imag)]
     canon_bras = (scatter[0] + 1j * scatter[1]).reshape(states.shape)
-    return values, 2.0 * _sweep(canon_bras, states, tape, blocks, params)
+    return values, 2.0 * _sweep(canon_bras, tape, work, blocks, params)
 
 
 def assert_matches_own_frame_route(n, layers, xs, ys, rng):
@@ -756,6 +809,16 @@ class TestQuantumKernelModel:
         with pytest.raises(ValueError, match="width"):
             model.kernel_batch(model.init_params(np.random.default_rng(0)),
                                encode_sequences(["ATG"]), encode_sequences(["ATG"]))
+
+    @pytest.mark.parametrize("qubits, layers, field, bad",
+                             [(-1, 2, "num_qubits", -1), (0, 2, "num_qubits", 0),
+                              (8, -1, "num_layers", -1), (8, 0, "num_layers", 0)],
+                             ids=["negative_width", "zero_width", "negative_depth", "zero_depth"])
+    def test_rejects_nonpositive_sizes(self, qubits, layers, field, bad):
+        # checked when the model is built, not first inside numpy (a
+        # negative depth) or never (a negative width)
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {bad}$"):
+            QuantumKernelModel(qubits, layers)
 
     def test_rejects_wrong_parameter_length(self):
         model = QuantumKernelModel(3, 2)
