@@ -16,10 +16,13 @@ upper bound is Levenshtein tightened by one block move: every single move m
 of x gives 1 + levenshtein(m(x), y), in the spirit of the block-move bounds
 of Cormode & Muthukrishnan (SODA 2002). A move is enumerated as a swap of two
 adjacent non-empty blocks, s[i:j] and s[j:k]. The lower bound counts letters
-and, after Ukkonen's q-gram distance (TCS 1992), bigrams of ^x$ against ^y$.
+and, after Ukkonen's q-gram distance (TCS 1992), bigrams of ^x$ against ^y$:
+their gap is B = |^x$| + |^y$| - 2 * shared, where ^x$ holds |x| + 1 bigrams
+and shared counts the bigrams the two have in common, with multiplicity.
 The search runs only for pairs whose bounds differ, and it prunes with the
-same lower bound: a frontier node is not expanded when its depth plus its
-bound against the side's target reaches the best distance found.
+same lower bound, B taken by the same formula: a frontier node is not
+expanded when its depth plus its bound against the side's target reaches the
+best distance found.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _START, _END = len(ALPHABET), len(ALPHABET) + 1
 _SYMBOLS = len(ALPHABET) + 2
 # set bits of every mask of up to MAX_EDM_LENGTH bits
 _POPCOUNT = np.array([v.bit_count() for v in range(1 << MAX_EDM_LENGTH)], np.int64)
+_INTEGERS = (int, np.integer)  # the types edm_exact accepts as bounds
 
 
 class BudgetExceededError(RuntimeError):
@@ -195,7 +199,7 @@ def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
     lc = max(need, surplus) is the letter-count bound: with c letters in
     common (multiset intersection), need = |y| - c and surplus = |x| - c. B
     is the L1 distance between the bigram counts of ^x$ and ^y$, which is
-    |x| + |y| + 2 minus twice the bigrams in common.
+    |x| + |y| + 2 minus twice the bigrams in common (as in ``_node_bound``).
     """
     (pairs, n), m = xc.shape, yc.shape[1]
     letters = len(ALPHABET)
@@ -261,13 +265,22 @@ def _bigrams(s: str) -> dict:
     return counts
 
 
-def _node_bound(s: str, lc: int, target_bigrams: dict) -> int:
+def _node_bound(s: str, lc: int, target_bigrams: dict, target_total: int) -> int:
     """``_lower_bound`` of s against a target, given their letter-count
-    bound lc and the target's ``_bigrams``."""
-    gap = target_bigrams.copy()
+    bound lc, the target's ``_bigrams`` and its bigram total |t| + 1.
+
+    The bigram gap is the batch bound's B = |^s$| + |^t$| - 2 * shared. One
+    pass over the bigrams of ^s$ counts as shared each one that the target
+    still has unmatched, in a copy of the target's counts.
+    """
+    left = target_bigrams.copy()
+    shared = 0
     for k in zip("^" + s, s + "$"):
-        gap[k] = gap.get(k, 0) - 1
-    return _lower_bound(lc, sum(map(abs, gap.values())))
+        c = left.get(k)
+        if c:
+            left[k] = c - 1
+            shared += 1
+    return _lower_bound(lc, len(s) + 1 + target_total - 2 * shared)
 
 
 class _Side:
@@ -276,6 +289,7 @@ class _Side:
     def __init__(self, root: str, target: str, root_counts: tuple, target_counts: tuple):
         self.target_counts = target_counts
         self.target_bigrams = _bigrams(target)
+        self.target_total = len(target) + 1
         need, surplus = _deficits(root_counts, target_counts)
         self.visited = {root: 0}
         self.frontier = [(root, root_counts, need, surplus)]
@@ -306,13 +320,15 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
     other_get = other.visited.get
     tc = side.target_counts
     target_bigrams = side.target_bigrams
+    target_total = side.target_total
     new_frontier = []
     append = new_frontier.append
     index = _LETTER_INDEX
 
     for s, counts, need, surplus in side.frontier:
         lc = need if need > surplus else surplus
-        if depth + lc >= best or depth + _node_bound(s, lc, target_bigrams) >= best:
+        if (depth + lc >= best
+                or depth + _node_bound(s, lc, target_bigrams, target_total) >= best):
             continue
         n = len(s)
         generated = 0
@@ -404,8 +420,8 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                     visited[cs] = depth1
                     append((cs, tuple(cc), need2, sur2))
 
-        for child in new_frontier[first_child:]:
-            d_other = other_get(child[0])
+        for child in range(first_child, len(new_frontier)):
+            d_other = other_get(new_frontier[child][0])
             if d_other is not None and depth1 + d_other < best:
                 best = depth1 + d_other
 
@@ -425,7 +441,8 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
 
     The search starts from the ``pair_bounds`` bracket, computed here as a
     batch of one unless a caller that bounded many pairs at once passes this
-    pair's ``(upper, lower)``; where upper <= lower it is the answer. Else a
+    pair's ``(upper, lower)``, integers with 0 <= lower <= upper (else
+    ValueError); where the two meet, that is the answer. Else a
     bidirectional uniform-cost search (all operations cost 1, so plain BFS
     levels) runs from both endpoints with visited-set deduplication. Levels
     alternate to whichever frontier is smaller; intermediate strings are
@@ -442,8 +459,13 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
     _check_length(x, y)
     if bounds is None:
         upper, lower = pair_bounds([x], [y])
-        bounds = int(upper[0]), int(lower[0])
-    best, lower = bounds
+        best, lower = int(upper[0]), int(lower[0])
+    else:
+        best, lower = bounds
+        if not (isinstance(best, _INTEGERS) and isinstance(lower, _INTEGERS)
+                and 0 <= lower <= best):
+            raise ValueError(f"bounds must be integers (upper, lower) with "
+                             f"0 <= lower <= upper, got {bounds!r}")
     if best <= lower:
         return best
     remaining = [NODE_BUDGET]

@@ -91,9 +91,15 @@ def _bits(num_qubits: int) -> np.ndarray:
 
 
 @cache
+def _weights(num_qubits: int) -> np.ndarray:
+    """Popcount of every amplitude index."""
+    return _bits(num_qubits).sum(axis=1)
+
+
+@cache
 def _zdiag(num_qubits: int) -> np.ndarray:
     """Diagonal of sum_q Z_q: entry i is n - 2*popcount(i)."""
-    return (num_qubits - 2 * _bits(num_qubits).sum(axis=1)).astype(np.float64)
+    return (num_qubits - 2 * _weights(num_qubits)).astype(np.float64)
 
 
 def _kron_rows(mats) -> np.ndarray:
@@ -214,14 +220,19 @@ def _transpose(states, d, out):
     return out
 
 
-def _rnx_rz(params: KernelParams, zdiag) -> tuple:
+def _rnx_rz(params: KernelParams, num_qubits: int) -> tuple:
     """Every layer's R_NX then Rz as two (L, 2^n) diagonals, keep and flip:
     the layer maps s to keep * s + flip * s[:, ::-1] (R_NX = cos - i sin X^n,
     X^n the index reversal). keep = cos(t_rnx / 2) exp(-i t_rz Z / 2) and
-    flip = -i sin(t_rnx / 2) exp(-i t_rz Z / 2), Z = ``zdiag``."""
+    flip = -i sin(t_rnx / 2) exp(-i t_rz Z / 2), Z = ``_zdiag``. Z takes
+    n + 1 values, one per popcount w (n - 2w): both tables are evaluated on
+    those and gathered by each index's popcount."""
     t_rnx, t_rz = params.angles[:, :1], params.angles[:, 1:2]
-    rz = np.exp(-0.5j * t_rz * zdiag)
-    return np.cos(t_rnx / 2) * rz, -1j * np.sin(t_rnx / 2) * rz
+    rz = np.exp(-0.5j * t_rz * (num_qubits - 2.0 * np.arange(num_qubits + 1)))
+    weights = _weights(num_qubits)
+    # take, not [:, weights], whose result is column-major: the layers read rows
+    return (np.take(np.cos(t_rnx / 2) * rz, weights, axis=1),
+            np.take(-1j * np.sin(t_rnx / 2) * rz, weights, axis=1))
 
 
 def _forward(codes, params, work, tape=None):
@@ -244,7 +255,7 @@ def _forward(codes, params, work, tape=None):
     into work[0], where it stays in its own layout.
     """
     rot, phase = _blocks(codes, params)
-    keep, flip = _rnx_rz(params, _zdiag(codes.shape[1]))
+    keep, flip = _rnx_rz(params, codes.shape[1])
     num_layers = params.num_layers
     s = work[0] if tape is None else tape[0, 0]
     s[...] = 0.0

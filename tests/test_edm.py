@@ -272,9 +272,43 @@ class TestEdmExact:
         assert (t["a"], t["b"], t["d_ab"]) == ("TGAGTGTG", "ACGGGGTT", 4)
         monkeypatch.setattr(edm, "NODE_BUDGET", 1000)
         assert edm_exact(t["a"], t["b"]) == 4
-        monkeypatch.setattr(edm, "_node_bound", lambda s, lc, target_bigrams: lc)
+        monkeypatch.setattr(edm, "_node_bound",
+                            lambda s, lc, target_bigrams, target_total: lc)
         with pytest.raises(BudgetExceededError, match="budget of 1000"):
             edm_exact(t["a"], t["b"])
+
+    # (line of train.jsonl, pair, children the search generates): ten pairs
+    # whose bracket is open, at distances 3-7, one (line 17) below its upper
+    # bound. edm_exact completes on a NODE_BUDGET of exactly that count and
+    # raises one below it, so any change to what the search prunes,
+    # generates or charges shows here
+    BUDGET_PINS = [
+        (1, "c", 13577), (2, "b", 20), (4, "b", 322), (5, "b", 1654), (6, "b", 2747),
+        (9, "b", 9011), (10, "b", 771), (12, "b", 13906), (14, "b", 280), (17, "b", 1778),
+    ]
+
+    def test_generated_children_are_pinned(self, monkeypatch):
+        lines = (ACCEPT_DIR / "train.jsonl").read_text().splitlines()
+        for line, other, generated in self.BUDGET_PINS:
+            t = json.loads(lines[line - 1])
+            x, y, d = t["a"], t[other], t["d_a" + other]
+            upper, lower = pair_bounds([x], [y])
+            assert lower[0] < upper[0], line
+            monkeypatch.setattr(edm, "NODE_BUDGET", generated)
+            assert edm_exact(x, y) == d, line
+            monkeypatch.setattr(edm, "NODE_BUDGET", generated - 1)
+            with pytest.raises(BudgetExceededError):
+                edm_exact(x, y)
+
+    @pytest.mark.parametrize("x, y, bounds", [
+        ("A", "T", (0, 5)),  # lower above upper: returned 0
+        ("ACGT", "TGCA", (-3, 0)),  # negative: returned -3
+        ("A", "T", (2.5, 1)),  # not integers: returned 2.5
+    ])
+    def test_rejects_bad_bounds(self, x, y, bounds):
+        # pair_bounds' own brackets pass: test_bounds_argument_gives_the_same_distance
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            edm_exact(x, y, bounds=bounds)
 
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(4)
@@ -410,7 +444,25 @@ class TestPairBounds:
         _, lower = pair_bounds(xs, ys)
         for x, y, lo in zip(xs, ys, lower.tolist()):
             lc = max(edm._deficits(edm._counts(x), edm._counts(y)))
-            assert edm._node_bound(x, lc, edm._bigrams(y)) == lo, (x, y)
+            assert edm._node_bound(x, lc, edm._bigrams(y), len(y) + 1) == lo, (x, y)
+
+    def test_node_bound_matches_counter_gap(self):
+        # the shared-bigram form gives the L1 gap between the Counter bigrams
+        # of ^s$ and ^t$, for every letter-count bound lc 0..3, at lengths
+        # 0-10 against targets of unequal and of equal length
+        rng = np.random.default_rng(17)
+        targets = ["", "A", "GATTACA", "ATGCATGC", "TTTTTTTTTT"]
+        targets += [random_string(rng, n) for n in range(MAX_EDM_LENGTH + 1)]
+        for t in targets:
+            bt = Counter(zip("^" + t, t + "$"))
+            strings = [random_string(rng, n) for n in range(MAX_EDM_LENGTH + 1) for _ in range(6)]
+            strings += [t, t[::-1], t[1:] + t[:1]]
+            for s in strings:
+                bs = Counter(zip("^" + s, s + "$"))
+                gap = sum(((bs - bt) + (bt - bs)).values())
+                for lc in range(4):
+                    got = edm._node_bound(s, lc, edm._bigrams(t), len(t) + 1)
+                    assert got == edm._lower_bound(lc, gap), (s, t, lc)
 
     def test_bounds_argument_gives_the_same_distance(self):
         rng = np.random.default_rng(15)

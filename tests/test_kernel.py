@@ -367,8 +367,9 @@ def test_layer_tables_match_per_layer_expressions(n):
     zdiag = kernel._zdiag(n)
     for layers in range(1, 25):
         params = random_params(rng, layers)
-        keep, flip = kernel._rnx_rz(params, zdiag)
+        keep, flip = kernel._rnx_rz(params, n)
         assert keep.shape == flip.shape == (layers, 1 << n)
+        assert keep.flags.c_contiguous and flip.flags.c_contiguous  # each layer reads a row
         for layer, (t_rnx, t_rz, _) in enumerate(params.angles):
             rz = np.exp(-0.5j * t_rz * zdiag)
             assert keep[layer].tobytes() == (np.cos(t_rnx / 2) * rz).tobytes()
