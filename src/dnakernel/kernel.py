@@ -17,7 +17,8 @@ state is therefore an index permutation of the state of its sorted
 sequence, and only one sequence per letter composition of a call (at most
 C(n + 3, 3), 165 at n = 8) goes through the circuit. Ranking makes one call
 per set of test triplets, so each composition among the set's a, b and c
-sequences is simulated once.
+sequences is simulated once. Each overlap is then one BLAS dot per pair, so
+a value depends on its own pair only, not on the rest of the call.
 
 Training uses the same identity and frames for the gradient of a batch's
 MSE (``kernel_values_and_loss_gradient``, the models' loss mode). The sweep
@@ -33,15 +34,17 @@ phases, times the real product of Ry(theta + tilt_q) over the qubits, which
 depends on x only through which qubits are tilted (see _blocks, _forward).
 
 Each call keeps its state-sized arrays in one block, written with out=:
-the taped pass's tape and work rows, which the reverse sweep then reuses,
-with the call's bra array, for all of its buffers; or kernel_values'
-canonical states and the scratch of its forward passes and gathers. The
-layers' R_NX and Rz diagonals are tabulated once per call (_rnx_rz), for
-the forward pass and the sweep alike. glibc unmaps freed temporaries
-above its mmap threshold and the next call faults them back in (about
-3,400 minor faults per 1,024-triplet ranking); freeing one block of the
-call's size raises its mmap and trim thresholds, so warm calls reuse
-mapped heap pages.
+the taped pass's tape, work rows and phase diagonals, which the reverse
+sweep then reuses, with the call's bra array, for all of its buffers; or
+kernel_values' canonical states and the scratch of its forward passes
+(phase diagonals included) and gathers. The layers' R_NX and Rz diagonals
+are tabulated once per call (_rnx_rz), for the forward pass and the sweep
+alike. glibc unmaps freed temporaries above its mmap threshold and the
+next call faults them back in (about 3,400 minor faults per 1,024-triplet
+ranking); freeing one block of the call's size raises its mmap threshold
+to that size and its trim threshold to twice it, so warm calls reuse
+mapped heap pages while the call's other arrays stay smaller than the
+block.
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the circuits module (qubit 0 = most significant bit).
@@ -79,8 +82,10 @@ _TILTS, _TILT_INDEX = _tilt_table(_LETTER_ANGLES)
 _PHASES = np.exp(1j * _LETTER_ANGLES[:, 1])
 
 # bytes of rows per pass of kernel_values, which bounds its working set:
-# 256 rows of 256-amplitude states
-VALUE_BYTES = 1 << 20
+# 80 rows of 256-amplitude states, so a forward pass's five states per
+# canonical row (1.6 MB) and an overlap block's two and a half per pair
+# stay within a 2 MiB per-core L2
+VALUE_BYTES = 5 << 16
 
 
 @cache
@@ -174,13 +179,14 @@ def _ry(angles) -> np.ndarray:
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
-def _blocks(codes, params: KernelParams):
+def _blocks(codes, params: KernelParams, phase):
     """Each layer's V(x) Ry(theta_ry)^n block for a batch of codes: Phi_x
     times one real factor per register half (the leading n//2 qubits, then
-    the rest). Returns (rot, phase). rot[k] = (table, which): table[l, m] is
-    half k's product of Ry(tilt_q) Ry(theta_ry) at layer l for the m-th tilt
-    mask present; row r's is table[:, which[r]]. phase[p] is Phi_x's
-    diagonal with half p leading."""
+    the rest). Returns rot, and writes Phi_x into ``phase``, a (2, rows, 2^n)
+    array: phase[p] is its diagonal with half p leading. rot[k] =
+    (table, which): table[l, m] is half k's product of Ry(tilt_q)
+    Ry(theta_ry) at layer l for the m-th tilt mask present; row r's is
+    table[:, which[r]]."""
     n = codes.shape[1]
     # (L, tilts, 2, 2); rounds closer to the gate route than Ry(theta + tilt)
     ry = _ry(_TILTS) @ _ry(params.angles[:, 2])[:, None]
@@ -191,9 +197,10 @@ def _blocks(codes, params: KernelParams):
         present, which = np.unique(masks, return_inverse=True)
         rot.append((_kron_rows(ry[:, bits[present]]), which.reshape(-1)))
         diag.append(np.where(bits, _PHASES[codes[:, lo:hi]][:, None], 1).prod(axis=-1))
-    phase = [(diag[p][:, :, None] * diag[1 - p][:, None, :]).reshape(len(codes), -1)
-             for p in (0, 1)]
-    return rot, phase
+    for p in (0, 1):
+        np.multiply(diag[p][:, :, None], diag[1 - p][:, None, :],
+                    out=phase[p].reshape(len(codes), diag[p].shape[1], -1))
+    return rot
 
 
 def _rotate(states, mats, out):
@@ -248,13 +255,15 @@ def _forward(codes, params, work, tape=None):
     Final states are in layout 0.
 
     Every state-sized result goes into the caller's arrays: ``work`` is
-    (3, rows, 2^n) scratch, and the states returned are one of its rows. A
+    (5, rows, 2^n) scratch, work[3:] receive the phase, and the states
+    returned are one of the first three rows. A
     ``tape``, (L, 2, rows, 2^n), receives per layer the state entering the
     layer and the state after Rz, in that layer's layout: each layer writes
     its output straight into the next layer's entry, and the last layer's
     into work[0], where it stays in its own layout.
     """
-    rot, phase = _blocks(codes, params)
+    phase = work[3:]
+    rot = _blocks(codes, params, phase)
     keep, flip = _rnx_rz(params, codes.shape[1])
     num_layers = params.num_layers
     s = work[0] if tape is None else tape[0, 0]
@@ -287,12 +296,16 @@ def _compositions(codes_x, codes_y):
     in lexicographic order; row_state[r] indexes stacked row r's one. A
     row's key is its letter counts, read in base n + 1 with digit
     n - count(letter), letter 0 first, so ascending keys are ascending
-    sorted rows. rank[r, q] is the slot of position q in row r's stable sort
-    (the positions with a smaller code, or an equal one earlier). Row i of
-    each half partners row i of the other; slot s of row r's sorted sequence
-    holds the qubit q with rank_r(q) = s, slot rank_partner(q) of the
-    partner's, so _gather with frame[r] = rank_partner o rank_r^-1 brings
-    the partner's canonical state into row r's sorted frame.
+    sorted rows. Keys are below (n + 1)^4, so a table over all of them
+    finds the present ones in ascending order without a sort: it holds a
+    row of each key (all of a key's rows sort to the same canonical row),
+    then the key's canonical index. rank[r, q] is the slot of position q in
+    row r's stable sort (the positions with a smaller code, or an equal one
+    earlier). Row i of each half partners row i of the other; slot s of row
+    r's sorted sequence holds the qubit q with rank_r(q) = s, slot
+    rank_partner(q) of the partner's, so _gather with
+    frame[r] = rank_partner o rank_r^-1 brings the partner's canonical state
+    into row r's sorted frame.
     """
     codes = np.concatenate([codes_x, codes_y])
     rows, n = codes.shape
@@ -310,10 +323,16 @@ def _compositions(codes_x, codes_y):
     counts = seen.reshape(rows, letters)
     rank += (np.cumsum(counts, axis=1, dtype=counts.dtype) - counts).reshape(-1)[slots]
     frame = np.empty_like(rank)
-    np.put_along_axis(frame, rank, np.roll(rank, len(codes_x), axis=0), axis=1)
+    half = len(codes_x)
+    np.put_along_axis(frame[:half], rank[:half], rank[half:], axis=1)
+    np.put_along_axis(frame[half:], rank[half:], rank[:half], axis=1)
     key = (n - counts) @ (n + 1) ** np.arange(letters - 1, -1, -1)
-    _, first, row_state = np.unique(key, return_index=True, return_inverse=True)
-    return np.sort(codes[first], axis=1), row_state, frame
+    table = np.full((n + 1) ** letters, -1, np.intp)
+    table[key] = np.arange(rows)
+    present = np.flatnonzero(table >= 0)
+    canon = np.sort(codes[table[present]], axis=1)
+    table[present] = np.arange(len(present))
+    return canon, table[key], frame
 
 
 @cache
@@ -355,31 +374,34 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     permutation P_pi of psi(x o pi) = P_pi psi(x), an identity of the
     circuit, so values equal the direct route's up to float rounding. Each
     overlap is taken in y's canonical frame: y's state is a row take of the
-    canonical states, conjugated once, and x's one gather with y's frame
-    from _compositions. Circuit and overlap passes take as many rows as
-    VALUE_BYTES holds states, which bounds the working set without changing
-    any row's result. The rows must be aligned; the models' check_pairs sees to that.
+    canonical states, x's one gather with y's frame from _compositions, and
+    <y|x> one BLAS dot per pair (np.vecdot conjugates its first argument).
+    OpenBLAS splits a long dot across its threads: with two BLAS threads
+    instead of one, values were unchanged at n <= 13 and moved by rounding
+    at n = 14 and 15 (the package pins one thread unless the caller sets
+    another count). Circuit
+    and overlap passes take as many rows as VALUE_BYTES holds states, which
+    bounds the working set without changing any row's result. The rows must
+    be aligned; the models' check_pairs sees to that.
 
-    The call's one block holds the canonical states and their conjugates,
-    then scratch for the forward passes (_forward's work) and, after them,
-    each overlap block's x rows, y rows and gather indices. _gather says
-    why its unchecked indices stay in range; the row takes stay in range
-    because every row_state is below len(canon).
+    The call's one block holds the canonical states, then scratch for the
+    forward passes (_forward's work) and, after them, each overlap block's
+    x rows, y rows and gather indices. _gather says why its unchecked
+    indices stay in range; the row takes stay in range because every
+    row_state is below len(canon).
     """
     half, n = codes_x.shape
     dim, block_rows = 1 << n, max(1, VALUE_BYTES >> (n + 4))
     canon, row_state, frame = _compositions(codes_x, codes_y)
-    # a forward pass takes three states per canonical row; an overlap block
+    # a forward pass takes five states per canonical row; an overlap block
     # two per pair plus an intp index, as large as half a state
-    scratch_rows = max(3 * min(len(canon), block_rows), -(-5 * min(half, block_rows) // 2))
-    block = np.empty((2 * len(canon) + scratch_rows, dim), dtype=np.complex128)
-    states, bras = block[: len(canon)], block[len(canon) : 2 * len(canon)]
-    scratch = block[2 * len(canon) :].reshape(-1)
+    scratch_rows = max(5 * min(len(canon), block_rows), -(-5 * min(half, block_rows) // 2))
+    block = np.empty((len(canon) + scratch_rows, dim), dtype=np.complex128)
+    states, scratch = block[: len(canon)], block[len(canon) :].reshape(-1)
     for lo in range(0, len(canon), block_rows):
         codes = canon[lo : lo + block_rows]
-        work = scratch[: 3 * len(codes) * dim].reshape(3, len(codes), dim)
+        work = scratch[: 5 * len(codes) * dim].reshape(5, len(codes), dim)
         states[lo : lo + block_rows] = _forward(codes, params, work)[0]
-    np.conj(states, out=bras)
     table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, block_rows):
@@ -387,8 +409,8 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
         sx, sy = scratch[: 2 * rows * dim].reshape(2, rows, dim)
         index = scratch[2 * rows * dim :].view(np.intp)[: rows * dim].reshape(rows, dim)
         _gather(table, row_state[lo : lo + rows], frame[half + lo : half + lo + rows], sx, index)
-        np.take(bras, row_state[half + lo : half + lo + rows], axis=0, out=sy, mode="clip")
-        values[lo : lo + rows] = np.abs(np.einsum("bi,bi->b", sy, sx)) ** 2
+        np.take(states, row_state[half + lo : half + lo + rows], axis=0, out=sy, mode="clip")
+        values[lo : lo + rows] = np.abs(np.vecdot(sy, sx)) ** 2
     return values
 
 
@@ -410,7 +432,7 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
 
     ``tape``, ``work`` and ``factors`` come from one taped _forward, whose
     work[0] still holds the last layer's output in that layer's layout.
-    The sweep overwrites ``bra`` and ``work``: t is pulled back in place in
+    The sweep overwrites ``bra`` and work[:3]: t is pulled back in place in
     one of them, every product goes into one of two others, and rotations
     run on float64 views of those arrays and the tape made once per call.
     Pulling back through R_NX and Rz takes the forward's tables reversed,
@@ -469,18 +491,21 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. After one taped
     forward pass over the compositions, each stacked row gathers its
     partner's canonical state into its own frame (_compositions): c is taken
-    in y's, as in kernel_values. A row's bra, w c (x row) or w conj(c)
-    (y row) times that state, is in its composition's frame, so each
-    composition's bras add row by row, outside BLAS, before the sweep. The
-    rows must be aligned, with one target each; check_pairs sees to that.
+    in y's, as in kernel_values, but by a row-wise einsum, whose summation
+    order differs from kernel_values' BLAS dot, so the values agree with
+    kernel_values' to rounding (a few 1e-16), not byte for byte. A row's
+    bra, w c (x row) or w conj(c) (y row) times that state, is in its
+    composition's frame, so each composition's bras add row by row, outside
+    BLAS, before the sweep. The rows must be aligned, with one target each;
+    check_pairs sees to that.
     """
     half = len(codes_x)
     canon, row_state, frame = _compositions(codes_x, codes_y)
     # one block for the tape and the work rows of the forward pass and the
     # sweep (see _forward, _sweep)
-    block = np.empty((2 * params.num_layers + 3, len(canon), 1 << codes_x.shape[1]),
+    block = np.empty((2 * params.num_layers + 5, len(canon), 1 << codes_x.shape[1]),
                      dtype=np.complex128)
-    tape, work = block[:-3].reshape(params.num_layers, 2, *block.shape[1:]), block[-3:]
+    tape, work = block[:-5].reshape(params.num_layers, 2, *block.shape[1:]), block[-5:]
     states, factors = _forward(canon, params, work, tape)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
     _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))

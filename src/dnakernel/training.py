@@ -119,6 +119,8 @@ def dataset_mse(model, params, pairs: PairSet) -> float:
     One kernel_batch call covers every pair; the squared residuals are then
     summed EVAL_CHUNK pairs at a time, in order.
     """
+    if len(pairs) == 0:
+        raise ValueError("empty pair set")
     sq = (model.kernel_batch(params, pairs.codes_a, pairs.codes_b) - pairs.targets) ** 2
     return sum(float(np.sum(sq[lo : lo + EVAL_CHUNK]))
                for lo in range(0, len(pairs), EVAL_CHUNK)) / len(pairs)
@@ -164,7 +166,11 @@ def order_accuracy(model, params, triplets) -> float:
     """Fraction of triplets whose kernel ranking matches the ground truth.
 
     A predicted exact tie counts as incorrect; a ground-truth tie is a
-    dataset defect and rejected.
+    dataset defect and rejected. A triplet whose (a, b) and (a, c) hold the
+    same aligned letter pairs in another position order is an exact tie of
+    the permutation-invariant quantum kernel, so float rounding alone
+    decides its predicted sign: the committed test set holds none, train
+    and fresh one each.
     """
     return _pair_order_accuracy(model, params, pairs_from_triplets(triplets))
 

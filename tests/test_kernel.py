@@ -5,6 +5,7 @@ reference path, so gradient checks exercise the batched engine against a
 fully independent computation.
 """
 
+import json
 import os
 import platform
 import resource
@@ -42,6 +43,7 @@ from dnakernel.kernel import (
     kernel_eval,
     kernel_values,
 )
+from dnakernel.training import pairs_from_triplets
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 FD_STEP = 1e-5
@@ -74,7 +76,7 @@ def assert_gradient_close(analytic, fd):
 def feature_states(codes, params):
     """Batched feature states, one row per sequence, from one untaped pass."""
     codes = np.asarray(codes)
-    work = np.empty((3, len(codes), 1 << codes.shape[1]), np.complex128)
+    work = np.empty((5, len(codes), 1 << codes.shape[1]), np.complex128)
     return _forward(codes, params, work)[0]
 
 
@@ -210,6 +212,24 @@ class TestBatchedEngineAgainstReference:
                    for i in range(rows)]
         np.testing.assert_array_equal(kernel_values(cx, cy, params), rowwise)
 
+    def test_kernel_values_independent_of_the_rest_of_the_call(self):
+        # a ranking value depends on its own pair only: a shuffled subset of
+        # the committed test pairs, and each 1,024-triplet window that the
+        # evaluate benchmark ranks, get the whole set's values byte for byte
+        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        with open(ACCEPT_DIR / "qk24_checkpoints.json") as fh:
+            ckpt = json.load(fh)["runs"][0]
+        params = KernelParams.from_flat(ckpt["theta"])
+        pairs = pairs_from_triplets(test)
+        whole = kernel_values(pairs.codes_a, pairs.codes_b, params)
+        subset = np.random.default_rng(13).permutation(len(pairs))[:800]
+        assert kernel_values(pairs.codes_a[subset], pairs.codes_b[subset],
+                             params).tobytes() == whole[subset].tobytes()
+        for lo in range(0, 2 * len(test) - 2047, 2048):
+            window = slice(lo, lo + 2048)
+            assert kernel_values(pairs.codes_a[window], pairs.codes_b[window],
+                                 params).tobytes() == whole[window].tobytes()
+
     def test_gradient_batch_values_consistent(self):
         rng = np.random.default_rng(7)
         xs = [random_seq(rng, 3) for _ in range(6)]
@@ -232,7 +252,7 @@ class TestBatchedEngineAgainstReference:
         for layers in (1, 2, 3, 24):
             params = random_params(rng, layers)
             tape = np.empty((layers, 2, 9, 1 << n), np.complex128)
-            states, _ = _forward(codes, params, np.empty((3, 9, 1 << n), np.complex128), tape)
+            states, _ = _forward(codes, params, np.empty((5, 9, 1 << n), np.complex128), tape)
             assert states.tobytes() == feature_states(codes, params).tobytes()
             np.testing.assert_array_equal(tape[0, 0], np.eye(1 << n)[[0] * 9])
             for layer in range(1, layers):
@@ -355,6 +375,28 @@ def test_loss_gradient_independent_of_blas_threads_at_odd_depth():
     assert len(outputs) == 1
 
 
+def test_ranking_values_independent_of_blas_threads():
+    # the sibling above for kernel_values: each overlap is one BLAS dot per
+    # pair, of 2^n amplitudes, whose sum must not split across threads
+    script = (
+        "import numpy as np\n"
+        "from dnakernel.kernel import QuantumKernelModel\n"
+        "rng = np.random.default_rng(5)\n"
+        "model = QuantumKernelModel(8, 24)\n"
+        "a, b = rng.integers(0, 4, (2, 300, 8))\n"
+        "print(model.kernel_batch(model.init_params(rng), a, b).tobytes().hex())\n"
+    )
+    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src_dir, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
 def test_layer_tables_match_per_layer_expressions(n):
     # _rnx_rz builds every layer's R_NX and Rz diagonals once per call; each
@@ -440,7 +482,7 @@ def argsort_kernel_values(codes_x, codes_y, params):
     states = feature_states(canon, params)
     sx = states[row_state[:half, None], np.left_shift(1, n - 1 - frame[half:]) @ bit_table(n).T]
     sy = states[row_state[half:]]
-    return np.abs(np.einsum("bi,bi->b", np.conj(sy), sx)) ** 2
+    return np.abs(np.vecdot(sy, sx)) ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -612,7 +654,7 @@ def own_frame_loss_gradient(codes_x, codes_y, targets, params):
     half, n = codes_x.shape
     canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
     tape = np.empty((params.num_layers, 2, len(canon), 1 << n), np.complex128)
-    work = np.empty((3, len(canon), 1 << n), np.complex128)
+    work = np.empty((5, len(canon), 1 << n), np.complex128)
     states, blocks = _forward(canon, params, work, tape)
     index = (row_state[:, None] << n) + np.left_shift(1, n - 1 - rank) @ bit_table(n).T
     sx, sy = states.reshape(-1)[index[:half]], states.reshape(-1)[index[half:]]

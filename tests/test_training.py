@@ -322,6 +322,25 @@ class TestOrderAccuracy:
         with pytest.raises(ValueError, match="empty"):
             order_accuracy(ToyModel(), np.zeros(3), [])
 
+    @pytest.mark.parametrize("name, ties", [("test", []), ("train", [309]), ("fresh", [366])])
+    def test_committed_sets_exact_kernel_ties(self, name, ties):
+        # a triplet whose (a, b) and (a, c) hold the same aligned letter
+        # pairs, position order aside, is an exact tie of the invariant
+        # kernel, so float rounding alone signs it; test.jsonl has none, so
+        # its accuracies do not depend on the overlap's summation order
+        pairs = pairs_from_triplets(load_triplets(ACCEPT_DIR / f"{name}.jsonl",
+                                                  verify_fraction=0))
+        aligned = 4 * pairs.codes_a.astype(np.int64) + pairs.codes_b
+        tables = (aligned[:, :, None] == np.arange(16)).sum(axis=1)
+        assert list(np.flatnonzero((tables[0::2] == tables[1::2]).all(axis=1))) == ties
+
+
+def test_dataset_mse_rejects_empty_pairs():
+    pairs, _ = toy_pairs(num=2)
+    empty = PairSet(pairs.codes_a[:0], pairs.codes_b[:0], pairs.targets[:0])
+    with pytest.raises(ValueError, match="empty pair set"):
+        dataset_mse(ToyModel(), np.zeros(3), empty)
+
 
 class TestOneCallPerSet:
     # each evaluation hands its whole set to one kernel_batch call; the
