@@ -141,7 +141,7 @@ def run(argv=None):
         ensure_training(args.out_dir, model, datasets, training)
     curves = [f"{model.label}={os.path.relpath(args.out_dir / f'{model.prefix}_curves.csv')}"
               for model in MODELS]
-    run_cli(["report", "--curves", *curves, "--out-dir", args.out_dir])
+    run_cli(["report", "--curves", *curves])
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""The permutation-invariant kernel circuit, and its gate-by-gate reference.
+"""The permutation-invariant kernel circuit, its gate-by-gate reference, and
+the nucleotide codec every module that takes strings goes through.
 
 Each nucleotide is written into its own qubit as one of the four single-qubit
 SIC states (a regular tetrahedron on the Bloch sphere, pairwise squared
@@ -27,6 +28,8 @@ ALPHABET = "ATGC"
 # byte -> base code (index into ALPHABET); every other byte maps past the end
 BYTE_CODES = np.full(256, len(ALPHABET), dtype=np.uint8)
 BYTE_CODES[list(ALPHABET.encode("ascii"))] = np.arange(len(ALPHABET))
+# base code -> ASCII byte of its letter
+LETTER_BYTES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
 
 # Ry angle taking |0> to sqrt(1/3)|0> + sqrt(2/3)|1>, shared by T, G, C
 _TILT = 2 * np.arccos(1 / np.sqrt(3))
@@ -39,16 +42,41 @@ _BASE_ANGLES = {
 }
 
 
+def check_letters(s) -> str:
+    """Check that ``s`` is a string, of any length, over the nucleotide alphabet."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a string, got {type(s).__name__}")
+    bad = set(s) - set(ALPHABET)
+    if bad:
+        raise ValueError(f"sequence {s!r} contains symbols outside {ALPHABET}: {sorted(bad)}")
+    return s
+
+
 def validate_sequence(seq: str) -> str:
     """Check that ``seq`` is a nonempty string over the nucleotide alphabet."""
     if not isinstance(seq, str) or len(seq) == 0:
         raise ValueError(f"sequence must be a nonempty string, got {seq!r}")
-    bad = set(seq) - set(ALPHABET)
-    if bad:
-        raise ValueError(
-            f"sequence {seq!r} contains symbols outside {ALPHABET}: {sorted(bad)}"
-        )
-    return seq
+    return check_letters(seq)
+
+
+def encode(strings, length: int) -> np.ndarray:
+    """(len(strings), length) uint8 base codes of length-``length`` strings.
+
+    The joined strings go through one byte-table lookup ("replace" keeps one
+    byte per character). Only a batch that fails it is checked string by
+    string, so the error names the first bad string.
+    """
+    try:
+        codes = BYTE_CODES[np.frombuffer("".join(strings).encode("ascii", "replace"), np.uint8)]
+        valid = set(map(len, strings)) <= {length} and not (codes >= len(ALPHABET)).any()
+    except TypeError:  # a non-string among the strings
+        valid = False
+    if not valid:
+        for s in strings:
+            check_letters(s)
+            if len(s) != length:
+                raise ValueError(f"sequence length mismatch in batch: {len(s)} vs {length}")
+    return codes.reshape(len(strings), length)
 
 
 def base_angles(base: str) -> tuple[float, float]:

@@ -15,7 +15,7 @@ import sys
 import time
 
 from dnakernel.baselines import HEADS, ClassicalKernelModel
-from dnakernel.dataset import generate_triplets, load_triplets, save_triplets, write_atomic
+from dnakernel.dataset import generate_triplets, load_triplets, save_triplets
 from dnakernel.edm import BudgetExceededError, edm_exact
 from dnakernel.kernel import QuantumKernelModel
 from dnakernel.training import (
@@ -181,21 +181,10 @@ def cmd_report(args) -> int:
                 f"--curves entries must look like LABEL=PATH, got {spec!r}"
             )
         label, path = spec.split("=", 1)
-        if label in specs:
+        if label in specs:  # two rows under one label: an ambiguous table
             raise ValueError(f"--curves label {label!r} is given more than once")
         specs[label] = path
-    rows = []
-    artifacts = []
-    for label, path in specs.items():
-        summary = aggregate_runs(load_curves(path))
-        rows.append((label, summary))
-        if args.out_dir is not None:
-            os.makedirs(args.out_dir, exist_ok=True)
-            out = os.path.join(args.out_dir, f"mean_best_so_far_{label}.csv")
-            lines = [f"{epoch},{value!r}\n"
-                     for epoch, value in enumerate(summary["mean_best_so_far"])]
-            write_atomic(out, "epoch,mean_best_so_far\n" + "".join(lines))
-            artifacts.append(out)
+    rows = [(label, aggregate_runs(load_curves(path))) for label, path in specs.items()]
 
     width = max(5, max(len(r[0]) for r in rows))
     print(f"{'model':<{width}}  runs  best order accuracy")
@@ -207,8 +196,6 @@ def cmd_report(args) -> int:
         else:
             print(f"{label:<{width}}  {runs:>4}  {100 * mean:5.1f}%  "
                   "(single run, no interval)")
-    if artifacts:
-        write_manifest(os.path.join(args.out_dir, "report"), args, [], artifacts, {})
     return 0
 
 
@@ -259,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize learning-curve files")
     p.add_argument("--curves", nargs="+", required=True, metavar="LABEL=PATH")
-    p.add_argument("--out-dir", default=None,
-                   help="also write averaged best-so-far curves here")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnakernel.circuits import ALPHABET, validate_sequence
+from dnakernel.circuits import ALPHABET, LETTER_BYTES, validate_sequence
 from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, pair_bounds
 
 
@@ -53,16 +53,12 @@ class LabeledTriplet:
         return (len(self.a) - self.d_ac) / len(self.a)
 
 
-# letter code -> ASCII byte of the letter
-_LETTER_BYTES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
-
-
 def random_sequence(rng: np.random.Generator, length: int) -> str:
     """Draw each position independently and uniformly from the alphabet."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     codes = rng.integers(0, len(ALPHABET), size=length)
-    return _LETTER_BYTES[codes].tobytes().decode("ascii")
+    return LETTER_BYTES[codes].tobytes().decode("ascii")
 
 
 def _distances(triples) -> list:

@@ -31,7 +31,7 @@ import functools
 
 import numpy as np
 
-from dnakernel.circuits import ALPHABET, BYTE_CODES
+from dnakernel.circuits import ALPHABET, check_letters, encode
 
 MAX_EDM_LENGTH = 10
 NODE_BUDGET = 20_000_000
@@ -48,15 +48,6 @@ _INTEGERS = (int, np.integer)  # the types edm_exact accepts as bounds
 
 class BudgetExceededError(RuntimeError):
     """Search generated more child strings than NODE_BUDGET allows."""
-
-
-def _check_string(s: str) -> str:
-    if not isinstance(s, str):
-        raise ValueError(f"expected a string, got {type(s).__name__}")
-    bad = set(s) - set(ALPHABET)
-    if bad:
-        raise ValueError(f"string {s!r} contains symbols outside {ALPHABET}: {sorted(bad)}")
-    return s
 
 
 def _check_length(x: str, y: str) -> None:
@@ -99,8 +90,8 @@ def _lev_columns(eqs, m: int):
 
 def levenshtein(x: str, y: str) -> int:
     """Unit-cost insert/delete/substitute distance by a bit-parallel DP."""
-    _check_string(x)
-    _check_string(y)
+    check_letters(x)
+    check_letters(y)
     peq = dict.fromkeys(ALPHABET, 0)
     for i, c in enumerate(x):
         peq[c] |= 1 << i
@@ -124,16 +115,6 @@ def _move_table(n: int) -> np.ndarray:
     table = np.array(rows, dtype=np.intp).reshape(len(rows), n)
     table.flags.writeable = False
     return table
-
-
-def _encode(strings: list, n: int) -> np.ndarray:
-    """(len(strings), n) letter codes of length-n strings, by one byte-table
-    lookup ("replace" keeps one byte per character)."""
-    codes = BYTE_CODES[np.frombuffer("".join(strings).encode("ascii", "replace"), np.uint8)]
-    if (codes >= len(ALPHABET)).any():
-        for s in strings:
-            _check_string(s)
-    return codes.reshape(len(strings), n)
 
 
 def _row_counts(codes: np.ndarray, bins: int) -> np.ndarray:
@@ -235,8 +216,8 @@ def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     for (n, m), members in groups.items():
         for start in range(0, len(members), BOUNDS_BLOCK):
             idx = members[start : start + BOUNDS_BLOCK]
-            xc = _encode([xs[i] for i in idx], n)
-            yc = _encode([ys[i] for i in idx], m)
+            xc = encode([xs[i] for i in idx], n)
+            yc = encode([ys[i] for i in idx], m)
             upper[idx] = _upper_bounds(xc, yc)
             lower[idx] = _lower_bounds(xc, yc)
     return upper, lower
@@ -454,13 +435,13 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
     strings have been generated (counted per expanded node, before
     duplicates are dropped); the answer, when returned, is exact.
     """
-    _check_string(x)
-    _check_string(y)
-    _check_length(x, y)
     if bounds is None:
         upper, lower = pair_bounds([x], [y])
         best, lower = int(upper[0]), int(lower[0])
     else:
+        _check_length(x, y)
+        check_letters(x)
+        check_letters(y)
         best, lower = bounds
         if not (isinstance(best, _INTEGERS) and isinstance(lower, _INTEGERS)
                 and 0 <= lower <= best):

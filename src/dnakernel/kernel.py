@@ -59,9 +59,9 @@ import numpy as np
 
 from dnakernel.circuits import (
     ALPHABET,
-    BYTE_CODES,
     KernelParams,
     base_angles,
+    encode,
     feature_state,
     validate_sequence,
 )
@@ -86,6 +86,11 @@ _PHASES = np.exp(1j * _LETTER_ANGLES[:, 1])
 # canonical row (1.6 MB) and an overlap block's two and a half per pair
 # stay within a 2 MiB per-core L2
 VALUE_BYTES = 5 << 16
+# amplitudes per BLAS dot of a ranking overlap: OpenBLAS splits a long
+# complex dot across its threads, whose partial sums round differently from
+# one thread's; dots of 2^13 amplitudes gave the same bytes at 1 and 2
+# threads, dots of 2^14 did not
+DOT_AMPLITUDES = 1 << 13
 
 
 @cache
@@ -130,27 +135,13 @@ def _jsum(num_qubits: int) -> np.ndarray:
 
 
 def encode_sequences(seqs) -> np.ndarray:
-    """Map equal-length sequences to a (batch, n) array of base codes.
-
-    The joined batch goes through one byte-table lookup ("replace" keeps one
-    byte per character). Only a batch that fails it is checked string by
-    string, so the error names the first bad string.
-    """
+    """Map equal-length sequences to a (batch, n) array of base codes
+    (circuits.encode); n is the first sequence's length, so it must be a
+    nonempty sequence."""
     seqs = list(seqs)
     if not seqs:
         raise ValueError("empty sequence batch")
-    n = len(seqs[0])
-    try:
-        codes = BYTE_CODES[np.frombuffer("".join(seqs).encode("ascii", "replace"), np.uint8)]
-        valid = n > 0 and set(map(len, seqs)) == {n} and codes.max() < len(ALPHABET)
-    except TypeError:  # a non-string in the batch
-        valid = False
-    if not valid:
-        for s in seqs:
-            validate_sequence(s)
-            if len(s) != n:
-                raise ValueError(f"sequence length mismatch in batch: {len(s)} vs {n}")
-    return codes.reshape(len(seqs), n)
+    return encode(seqs, len(validate_sequence(seqs[0])))
 
 
 def check_pairs(width: int, codes_a, codes_b, targets=None):
@@ -376,10 +367,10 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     overlap is taken in y's canonical frame: y's state is a row take of the
     canonical states, x's one gather with y's frame from _compositions, and
     <y|x> one BLAS dot per pair (np.vecdot conjugates its first argument).
-    OpenBLAS splits a long dot across its threads: with two BLAS threads
-    instead of one, values were unchanged at n <= 13 and moved by rounding
-    at n = 14 and 15 (the package pins one thread unless the caller sets
-    another count). Circuit
+    Past DOT_AMPLITUDES amplitudes a pair's overlap is one dot per chunk of
+    that many, the chunk sums added outside BLAS, so no dot is long enough
+    for BLAS to split it across threads and values do not depend on the
+    BLAS thread count. Circuit
     and overlap passes take as many rows as VALUE_BYTES holds states, which
     bounds the working set without changing any row's result. The rows must
     be aligned; the models' check_pairs sees to that.
@@ -410,7 +401,12 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
         index = scratch[2 * rows * dim :].view(np.intp)[: rows * dim].reshape(rows, dim)
         _gather(table, row_state[lo : lo + rows], frame[half + lo : half + lo + rows], sx, index)
         np.take(states, row_state[half + lo : half + lo + rows], axis=0, out=sy, mode="clip")
-        values[lo : lo + rows] = np.abs(np.vecdot(sy, sx)) ** 2
+        if dim > DOT_AMPLITUDES:
+            chunks = (rows, dim // DOT_AMPLITUDES, DOT_AMPLITUDES)
+            dots = np.vecdot(sy.reshape(chunks), sx.reshape(chunks)).sum(axis=1)
+        else:
+            dots = np.vecdot(sy, sx)
+        values[lo : lo + rows] = np.abs(dots) ** 2
     return values
 
 

@@ -14,9 +14,12 @@ from dnakernel.circuits import (
     apply_encoding_layer,
     apply_param_layer,
     base_angles,
+    check_letters,
     feature_state,
     validate_sequence,
 )
+from dnakernel.edm import edm_exact, levenshtein, pair_bounds
+from dnakernel.kernel import encode_sequences
 
 TILT = 2 * np.arccos(1 / np.sqrt(3))
 
@@ -81,6 +84,47 @@ class TestValidateSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="nonempty"):
             validate_sequence("")
+
+
+# every public entry that takes strings, with the string under test in each
+# position it can take
+STRING_ENTRIES = {
+    "encode_sequences": lambda s: encode_sequences([s]),
+    "encode_sequences_second": lambda s: encode_sequences(["AT", s]),
+    "pair_bounds_x": lambda s: pair_bounds([s], ["AT"]),
+    "pair_bounds_y": lambda s: pair_bounds(["AT"], [s]),
+    "edm_exact_x": lambda s: edm_exact(s, "AT"),
+    "edm_exact_y": lambda s: edm_exact("AT", s),
+    "edm_exact_bounds": lambda s: edm_exact(s, "AT", bounds=(2, 0)),
+    "levenshtein_x": lambda s: levenshtein(s, "AT"),
+    "levenshtein_y": lambda s: levenshtein("AT", s),
+    "validate_sequence": validate_sequence,
+}
+
+
+class TestCodec:
+    """The one nucleotide codec in circuits, as every entry sees it."""
+
+    @pytest.mark.parametrize("entry", STRING_ENTRIES)
+    def test_bad_symbol_has_one_text(self, entry):
+        for check in (check_letters, STRING_ENTRIES[entry]):
+            with pytest.raises(ValueError) as err:
+                check("AX")
+            assert str(err.value) == "sequence 'AX' contains symbols outside ATGC: ['X']"
+
+    @pytest.mark.parametrize("entry", STRING_ENTRIES)
+    @pytest.mark.parametrize("value", [5, None, b"AT", ["A", "T"]], ids=repr)
+    def test_non_string_refused(self, entry, value):
+        with pytest.raises(ValueError):
+            STRING_ENTRIES[entry](value)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch in batch: 3 vs 2"):
+            encode_sequences(["AT", "ATG"])
+        # edit distances take strings of any lengths, the empty one included
+        assert [u.tolist() for u in pair_bounds(["AT", ""], ["ATG", "A"])] == [[1, 1], [1, 1]]
+        assert edm_exact("AT", "ATG") == levenshtein("AT", "ATG") == 1
+        assert check_letters("") == ""
 
 
 class TestEncodingLayer:

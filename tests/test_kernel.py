@@ -325,6 +325,19 @@ def test_tilt_table_rejects_a_third_tilt():
         _tilt_table([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 2.0)])
 
 
+def outputs_by_blas_threads(script) -> set:
+    """Distinct standard outputs of ``script`` run with 1 and with 2 BLAS threads."""
+    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src_dir, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        outputs.add(run.stdout)
+    return outputs
+
+
 def test_loss_gradient_independent_of_blas_threads():
     # a BLAS dot splits a long sum across its threads; the sweep's sums over
     # a batch's amplitudes must not, or results made with one thread (the
@@ -339,15 +352,7 @@ def test_loss_gradient_independent_of_blas_threads():
         "    model.init_params(rng), a, b, rng.uniform(0, 1, 64))\n"
         "print(grad.tobytes().hex())\n"
     )
-    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
-    outputs = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src_dir, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        outputs.add(run.stdout)
-    assert len(outputs) == 1
+    assert len(outputs_by_blas_threads(script)) == 1
 
 
 def test_loss_gradient_independent_of_blas_threads_at_odd_depth():
@@ -364,15 +369,7 @@ def test_loss_gradient_independent_of_blas_threads_at_odd_depth():
         "    model.init_params(rng), a, b, rng.uniform(0, 1, 64))\n"
         "print(values.tobytes().hex(), grad.tobytes().hex())\n"
     )
-    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
-    outputs = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src_dir, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        outputs.add(run.stdout)
-    assert len(outputs) == 1
+    assert len(outputs_by_blas_threads(script)) == 1
 
 
 def test_ranking_values_independent_of_blas_threads():
@@ -386,15 +383,28 @@ def test_ranking_values_independent_of_blas_threads():
         "a, b = rng.integers(0, 4, (2, 300, 8))\n"
         "print(model.kernel_batch(model.init_params(rng), a, b).tobytes().hex())\n"
     )
-    src_dir = str(Path(dnakernel.__file__).resolve().parents[1])
-    outputs = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src_dir, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        outputs.add(run.stdout)
+    assert len(outputs_by_blas_threads(script)) == 1
+
+
+def test_values_and_gradients_independent_of_blas_threads_at_long_rows():
+    # the siblings above past 2^13 amplitudes, where OpenBLAS splits one dot
+    # of a whole row across its threads: ranking overlaps are taken in
+    # chunks of kernel.DOT_AMPLITUDES, whose sums add outside BLAS
+    script = (
+        "import numpy as np\n"
+        "from dnakernel.kernel import QuantumKernelModel\n"
+        "for n in (8, 13, 14, 16):\n"
+        "    rng = np.random.default_rng(n)\n"
+        "    model = QuantumKernelModel(n, 2)\n"
+        "    params = model.init_params(rng)\n"
+        "    a, b = rng.integers(0, 4, (2, 6, n))\n"
+        "    values, grad = model.kernel_and_grad_batch(params, a, b, rng.uniform(0, 1, 6))\n"
+        "    print(n, model.kernel_batch(params, a, b).tobytes().hex(),\n"
+        "          values.tobytes().hex(), grad.tobytes().hex())\n"
+    )
+    outputs = outputs_by_blas_threads(script)
     assert len(outputs) == 1
+    assert [line.split()[0] for line in outputs.pop().splitlines()] == ["8", "13", "14", "16"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
@@ -904,7 +914,13 @@ def test_encode_sequences_validation():
     # the first bad string names the error, whatever else is wrong later on
     with pytest.raises(ValueError, match=r"'AÄ' contains symbols outside ATGC: \['Ä'\]"):
         encode_sequences(["AT", "AÄ", "A"])
+    # a non-string fixing the batch's length is not a nonempty sequence;
+    # later in the batch it is not a string
     with pytest.raises(ValueError, match="nonempty string, got 5"):
+        encode_sequences([5])
+    with pytest.raises(ValueError, match="nonempty string, got None"):
+        encode_sequences([None])
+    with pytest.raises(ValueError, match="expected a string, got int"):
         encode_sequences(["AT", 5])
     with pytest.raises(ValueError, match="nonempty string, got ''"):
         encode_sequences([""])

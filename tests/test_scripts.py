@@ -1,6 +1,7 @@
 """Smoke run of the experiment driver script on a tiny configuration."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -28,9 +29,8 @@ def test_run_comparison_smoke(tmp_path, capsys, monkeypatch):
     for name in CURVES:
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + 2 runs x (epoch 0 + 1 epoch)
-    for label in LABELS:
-        assert (tmp_path / f"mean_best_so_far_{label}.csv").exists()
-    assert (tmp_path / "report.manifest.json").exists()
+        summary = json.loads((tmp_path / name.replace(".csv", ".summary.json")).read_text())
+        assert len(summary["mean_best_so_far"]) == 2  # epoch 0 + 1 epoch
     out = capsys.readouterr().out
     assert all(label in out for label in LABELS)
 
