@@ -291,9 +291,10 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
     bound the whole move fan-out is skipped at once. Every generated child
     string counts against ``budget``, checked once per expanded node; a
     child already visited on this side is dropped before any state is built
-    for it. On the ``last`` level, after which the search stops whatever it
-    finds, children are only looked up in the other side's visited set:
-    nothing is inserted and no frontier is built.
+    for it. Every generated child is looked up in the other side's visited
+    set where it is generated, so a meeting lowers ``best`` for the node's
+    later children. On the ``last`` level, after which the search stops
+    whatever it finds, nothing is inserted and no frontier is built.
     """
     depth = side.depth
     depth1 = depth + 1
@@ -313,7 +314,6 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
             continue
         n = len(s)
         generated = 0
-        first_child = len(new_frontier)
         if depth1 + lc < best:
             # moves: swap the adjacent blocks s[i:j] and s[j:k]
             for i in range(n - 1):
@@ -323,11 +323,10 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                     for k in range(j + 1, n + 1):
                         cs = head + s[j:k] + left + s[k:]
                         generated += 1
-                        if last:
-                            d = other_get(cs)
-                            if d is not None and depth1 + d < best:
-                                best = depth1 + d
-                        elif cs not in visited:
+                        d = other_get(cs)
+                        if d is not None and depth1 + d < best:
+                            best = depth1 + d
+                        if not last and cs not in visited:
                             visited[cs] = depth1
                             append((cs, counts, need, surplus))
         for i in range(n):
@@ -349,11 +348,10 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                     continue
                 cs = s[:i] + c + s[i + 1 :]
                 generated += 1
-                if last:
-                    d = other_get(cs)
-                    if d is not None and depth1 + d < best:
-                        best = depth1 + d
-                elif cs not in visited:
+                d = other_get(cs)
+                if d is not None and depth1 + d < best:
+                    best = depth1 + d
+                if not last and cs not in visited:
                     cc = list(counts)
                     cc[oi] -= 1
                     cc[ci] += 1
@@ -373,11 +371,10 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                 for i in range(n + 1):
                     cs = s[:i] + c + s[i:]
                     generated += 1
-                    if last:
-                        d = other_get(cs)
-                        if d is not None and depth1 + d < best:
-                            best = depth1 + d
-                    elif cs not in visited:
+                    d = other_get(cs)
+                    if d is not None and depth1 + d < best:
+                        best = depth1 + d
+                    if not last and cs not in visited:
                         visited[cs] = depth1
                         append((cs, cc, need2, sur2))
         if n > len_lo:
@@ -391,20 +388,14 @@ def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budg
                     continue
                 cs = s[:i] + s[i + 1 :]
                 generated += 1
-                if last:
-                    d = other_get(cs)
-                    if d is not None and depth1 + d < best:
-                        best = depth1 + d
-                elif cs not in visited:
+                d = other_get(cs)
+                if d is not None and depth1 + d < best:
+                    best = depth1 + d
+                if not last and cs not in visited:
                     cc = list(counts)
                     cc[ci] -= 1
                     visited[cs] = depth1
                     append((cs, tuple(cc), need2, sur2))
-
-        for child in range(first_child, len(new_frontier)):
-            d_other = other_get(new_frontier[child][0])
-            if d_other is not None and depth1 + d_other < best:
-                best = depth1 + d_other
 
         budget[0] -= generated
         if budget[0] < 0:

@@ -86,10 +86,7 @@ _PHASES = np.exp(1j * _LETTER_ANGLES[:, 1])
 # canonical row (1.6 MB) and an overlap block's two and a half per pair
 # stay within a 2 MiB per-core L2
 VALUE_BYTES = 5 << 16
-# amplitudes per BLAS dot of a ranking overlap: OpenBLAS splits a long
-# complex dot across its threads, whose partial sums round differently from
-# one thread's; dots of 2^13 amplitudes gave the same bytes at 1 and 2
-# threads, dots of 2^14 did not
+# elements per BLAS dot of _dots
 DOT_AMPLITUDES = 1 << 13
 
 
@@ -366,14 +363,10 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     circuit, so values equal the direct route's up to float rounding. Each
     overlap is taken in y's canonical frame: y's state is a row take of the
     canonical states, x's one gather with y's frame from _compositions, and
-    <y|x> one BLAS dot per pair (np.vecdot conjugates its first argument).
-    Past DOT_AMPLITUDES amplitudes a pair's overlap is one dot per chunk of
-    that many, the chunk sums added outside BLAS, so no dot is long enough
-    for BLAS to split it across threads and values do not depend on the
-    BLAS thread count. Circuit
-    and overlap passes take as many rows as VALUE_BYTES holds states, which
-    bounds the working set without changing any row's result. The rows must
-    be aligned; the models' check_pairs sees to that.
+    <y|x> one row dot per pair (_dots). Circuit and overlap passes take as
+    many rows as VALUE_BYTES holds states, which bounds the working set
+    without changing any row's result. The rows must be aligned; the
+    models' check_pairs sees to that.
 
     The call's one block holds the canonical states, then scratch for the
     forward passes (_forward's work) and, after them, each overlap block's
@@ -401,19 +394,28 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
         index = scratch[2 * rows * dim :].view(np.intp)[: rows * dim].reshape(rows, dim)
         _gather(table, row_state[lo : lo + rows], frame[half + lo : half + lo + rows], sx, index)
         np.take(states, row_state[half + lo : half + lo + rows], axis=0, out=sy, mode="clip")
-        if dim > DOT_AMPLITUDES:
-            chunks = (rows, dim // DOT_AMPLITUDES, DOT_AMPLITUDES)
-            dots = np.vecdot(sy.reshape(chunks), sx.reshape(chunks)).sum(axis=1)
-        else:
-            dots = np.vecdot(sy, sx)
-        values[lo : lo + rows] = np.abs(dots) ** 2
+        values[lo : lo + rows] = np.abs(_dots(sy, sx)) ** 2
     return values
 
 
+def _dots(a, b) -> np.ndarray:
+    """Row dots sum_i conj(a[r, i]) b[r, i] of two (rows, width) arrays.
+
+    Each row is one BLAS dot (np.vecdot) per chunk of at most DOT_AMPLITUDES
+    elements, the chunk sums added outside BLAS; a one-chunk row's sum is
+    its dot. OpenBLAS splits a long dot across its threads, whose partial
+    sums round differently from one thread's: dots of 2^13 elements gave
+    the same bytes at 1 and 2 threads, dots of 2^14 did not, so no result
+    depends on the BLAS thread count.
+    """
+    rows, width = a.shape
+    chunks = (rows, -1, min(width, DOT_AMPLITUDES))
+    return np.vecdot(a.reshape(chunks), b.reshape(chunks)).sum(axis=1)
+
+
 def _re_dot(bra, ket) -> float:
-    """Re <bra|ket> summed over rows, row by row on the float64 views (a BLAS
-    dot splits long sums across threads: rounding would follow their count)."""
-    return np.einsum("bi,bi->b", bra.view(np.float64), ket.view(np.float64)).sum()
+    """Re <bra|ket> summed over rows: _dots of the float64 views."""
+    return _dots(bra.view(np.float64), ket.view(np.float64)).sum()
 
 
 def _sweep(bra, tape, work, factors, params: KernelParams):
@@ -487,13 +489,11 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. After one taped
     forward pass over the compositions, each stacked row gathers its
     partner's canonical state into its own frame (_compositions): c is taken
-    in y's, as in kernel_values, but by a row-wise einsum, whose summation
-    order differs from kernel_values' BLAS dot, so the values agree with
-    kernel_values' to rounding (a few 1e-16), not byte for byte. A row's
-    bra, w c (x row) or w conj(c) (y row) times that state, is in its
-    composition's frame, so each composition's bras add row by row, outside
-    BLAS, before the sweep. The rows must be aligned, with one target each;
-    check_pairs sees to that.
+    in y's by the same row dots (_dots) as in kernel_values, so the values
+    are kernel_values'. A row's bra, w c (x row) or w conj(c) (y row) times
+    that state, is in its composition's frame, so each composition's bras
+    add row by row, outside BLAS, before the sweep. The rows must be
+    aligned, with one target each; check_pairs sees to that.
     """
     half = len(codes_x)
     canon, row_state, frame = _compositions(codes_x, codes_y)
@@ -505,7 +505,7 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     states, factors = _forward(canon, params, work, tape)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
     _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
-    c = np.einsum("bi,bi->b", np.conj(states)[row_state[half:]], rows[half:])
+    c = _dots(np.take(states, row_state[half:], axis=0), rows[half:])
     values = np.abs(c) ** 2
     w = (2.0 / half) * (values - np.asarray(targets, dtype=np.float64))
     rows *= np.concatenate([w * c, w * np.conj(c)])[:, None]

@@ -5,6 +5,7 @@ reference path, so gradient checks exercise the batched engine against a
 fully independent computation.
 """
 
+import ast
 import json
 import os
 import platform
@@ -237,7 +238,7 @@ class TestBatchedEngineAgainstReference:
         params = random_params(rng, 4)
         cx, cy = encode_sequences(xs), encode_sequences(ys)
         vals, grads = QuantumKernelModel(3, 4).kernel_and_grad_batch(params.flat(), cx, cy)
-        np.testing.assert_allclose(vals, kernel_values(cx, cy, params), atol=1e-14)
+        assert vals.tobytes() == kernel_values(cx, cy, params).tobytes()
         assert grads.shape == (6, 12)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 9])
@@ -388,8 +389,9 @@ def test_ranking_values_independent_of_blas_threads():
 
 def test_values_and_gradients_independent_of_blas_threads_at_long_rows():
     # the siblings above past 2^13 amplitudes, where OpenBLAS splits one dot
-    # of a whole row across its threads: ranking overlaps are taken in
-    # chunks of kernel.DOT_AMPLITUDES, whose sums add outside BLAS
+    # of a whole row across its threads: every engine dot is taken in
+    # chunks of kernel.DOT_AMPLITUDES, whose sums add outside BLAS; loss-mode
+    # values are the ranking values, byte for byte, at every thread count
     script = (
         "import numpy as np\n"
         "from dnakernel.kernel import QuantumKernelModel\n"
@@ -404,7 +406,31 @@ def test_values_and_gradients_independent_of_blas_threads_at_long_rows():
     )
     outputs = outputs_by_blas_threads(script)
     assert len(outputs) == 1
-    assert [line.split()[0] for line in outputs.pop().splitlines()] == ["8", "13", "14", "16"]
+    lines = [line.split() for line in outputs.pop().splitlines()]
+    assert [n for n, *_ in lines] == ["8", "13", "14", "16"]
+    assert all(ranking == loss for _, ranking, loss, _ in lines)
+
+
+def dot_calls_outside(tree: ast.Module, owners) -> list:
+    """(top-level definition, line) of each numpy inner-product call in
+    ``tree`` outside the top-level definitions named in ``owners``."""
+    names = {"vecdot", "einsum", "vdot", "dot", "inner"}
+    return [(getattr(node, "name", None), call.lineno)
+            for node in tree.body if getattr(node, "name", None) not in owners
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr in names and getattr(call.func.value, "id", None) == "np"]
+
+
+def test_engine_inner_products_go_through_dots():
+    # one route for every engine overlap, so ranking, loss values and the
+    # sweep round alike and one rule keeps them free of the BLAS thread
+    # count; the reference kernel_eval keeps its own np.vdot
+    source = Path(kernel.__file__).read_text()
+    assert dot_calls_outside(ast.parse(source), {"_dots", "kernel_eval"}) == []
+    sample = ast.parse("def f(a):\n    return np.einsum('i,i', a, a)\n\n"
+                       "class M:\n    def g(self, a):\n        return np.dot(a, a)\n")
+    assert dot_calls_outside(sample, {"g"}) == [("f", 2), ("M", 6)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
@@ -707,7 +733,8 @@ class TestLossGradient:
         expected = (2.0 / k.size) * ((k - targets)[:, None] * grads).sum(axis=0)
         values, grad = model.kernel_and_grad_batch(theta, cx, cy, targets)
         assert grad.shape == (model.num_parameters,)
-        np.testing.assert_allclose(values, k, rtol=0, atol=1e-14)
+        # both modes take their overlaps through the same row dots
+        assert values.tobytes() == k.tobytes()
         # x == y rows have a zero gradient, which gets the absolute floor
         tol = max(1e-12 * np.abs(expected).max(), 1e-14)
         np.testing.assert_allclose(grad, expected, rtol=0, atol=tol)
