@@ -12,13 +12,16 @@ string and a few integer operations per letter of the second. The same DP
 runs on Python integers for one pair and on numpy uint64 lanes for a batch.
 
 ``pair_bounds`` brackets the distance of many pairs in one numpy pass. The
-upper bound is Levenshtein tightened by one block move: every single move m
-of x gives 1 + levenshtein(m(x), y), in the spirit of the block-move bounds
-of Cormode & Muthukrishnan (SODA 2002). A move is enumerated as a swap of two
-adjacent non-empty blocks, s[i:j] and s[j:k]. The lower bound counts letters
-and, after Ukkonen's q-gram distance (TCS 1992), bigrams of ^x$ against ^y$:
-their gap is B = |^x$| + |^y$| - 2 * shared, where ^x$ holds |x| + 1 bigrams
-and shared counts the bigrams the two have in common, with multiplicity.
+upper bound is Levenshtein tightened by block moves, in the spirit of the
+block-move bounds of Cormode & Muthukrishnan (SODA 2002): every single move
+m of x gives 1 + levenshtein(m(x), y), and where that leaves the bracket
+open, every second move m2 after each of the TWO_MOVE_SEEDS best single
+moves m1 gives 2 + levenshtein(m2(m1(x)), y). A move is enumerated as a
+swap of two adjacent non-empty blocks, s[i:j] and s[j:k]. The lower bound
+counts letters and, after Ukkonen's q-gram distance (TCS 1992), bigrams of
+^x$ against ^y$: their gap is B = |^x$| + |^y$| - 2 * shared, where ^x$
+holds |x| + 1 bigrams and shared counts the bigrams the two have in common,
+with multiplicity.
 The search runs only for pairs whose bounds differ, and it prunes with the
 same lower bound, B taken by the same formula: a frontier node is not
 expanded when its depth plus its bound against the side's target reaches the
@@ -36,6 +39,7 @@ from dnakernel.circuits import ALPHABET, check_letters, encode
 MAX_EDM_LENGTH = 10
 NODE_BUDGET = 20_000_000
 BOUNDS_BLOCK = 64  # pairs per numpy pass of pair_bounds: its memory stays under ~1 MB
+TWO_MOVE_SEEDS = 8  # single moves per open pair that pair_bounds moves a second time
 
 _LETTER_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 # bigram symbols: the letters, then the ^ and $ end markers
@@ -124,29 +128,55 @@ def _row_counts(codes: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(flat, minlength=bins * rows).reshape(rows, bins)
 
 
-def _upper_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """min(lev(x, y), 1 + min over single moves m of x of lev(m(x), y)).
-
-    One move followed by that many edits turns x into y, so both terms bound
-    the edit distance with moves from above. Each pair's y is the pattern;
-    x and all its moves are texts, one uint64 lane each.
-    """
-    pairs, n = xc.shape
+def _lev_lanes(texts: np.ndarray, yc: np.ndarray, repeats: int) -> np.ndarray:
+    """levenshtein(text, y) of each lane: ``texts`` is (n, lanes) letter
+    codes, one text per column, ``repeats`` lanes per row of ``yc`` in row
+    order, and each lane's pattern is y, its row."""
     m = yc.shape[1]
-    if m == 0 or n == 0:
-        return np.full(pairs, n + m, np.int64)
     letters = len(ALPHABET)
     bits = np.uint64(1) << np.arange(m, dtype=np.uint64)
     peq = np.stack([((yc == c) * bits).sum(1) for c in range(letters)], 1).ravel()
+    base = np.repeat(np.arange(0, letters * len(yc), letters), repeats)
+    pv, mv = _lev_columns((peq[base + column] for column in texts), m)
+    return len(texts) + _POPCOUNT[pv] - _POPCOUNT[mv]
+
+
+def _upper_bounds(xc: np.ndarray, yc: np.ndarray, lower: np.ndarray,
+                  lc: np.ndarray) -> np.ndarray:
+    """Edit distance with moves from above, in two stages.
+
+    The first stage is min(lev(x, y), 1 + lev(m(x), y)) over every single
+    move m of x. The second moves again each of the TWO_MOVE_SEEDS single
+    moves m1 with the least lev(m1(x), y), ties going to the earlier move
+    of ``_move_table``, and lowers the bound to 2 + lev(m2(m1(x)), y) over
+    every move m2. A path of that many moves then edits turns x into y, so
+    every term bounds from above. Moves keep letter counts and Levenshtein
+    is at least the letter-count bound ``lc``, so a second-stage term is at
+    least lc + 2: the stage runs only on pairs whose first-stage bound
+    exceeds both that and ``lower``. Each pair's y is the pattern; x and its
+    moved strings are uint8 texts, one uint64 lane each, and no pass of the
+    second stage runs more lanes than a full first-stage block.
+    """
+    pairs, n = xc.shape
+    if yc.shape[1] == 0 or n == 0:
+        return np.full(pairs, n + yc.shape[1], np.int64)
     table = _move_table(n)
-    texts = xc[:, table].reshape(-1, n).T  # (n, lanes): lane = (pair, move)
-    lane_peq = np.repeat(letters * np.arange(pairs), len(table))
-    eqs = (peq[lane_peq + column] for column in texts)
-    pv, mv = _lev_columns(eqs, m)
-    score = (n + _POPCOUNT[pv] - _POPCOUNT[mv]).reshape(pairs, -1)
-    upper = score[:, 0]
-    if score.shape[1] > 1:
-        upper = np.minimum(upper, 1 + score[:, 1:].min(1))
+    moves = len(table) - 1
+    score = _lev_lanes(xc[:, table].reshape(-1, n).T, yc, len(table)).reshape(pairs, -1)
+    if not moves:
+        return score[:, 0]
+    upper = np.minimum(score[:, 0], 1 + score[:, 1:].min(1))
+    open_ = np.flatnonzero(upper > np.maximum(lower, lc + 2))
+    seeds = 1 + np.argsort(score[open_, 1:], axis=1, kind="stable")[:, :TWO_MOVE_SEEDS]
+    del score  # the passes below stay within the first stage's memory
+    lanes = seeds.shape[1] * moves  # per open pair
+    step = max(1, BOUNDS_BLOCK * len(table) // lanes)
+    for lo in range(0, len(open_), step):
+        rows = open_[lo : lo + step]
+        first = xc[rows[:, None, None], table[seeds[lo : lo + step]]]  # (rows, seeds, n)
+        texts = first[:, :, table[1:]].reshape(-1, n).T
+        second = _lev_lanes(texts, yc[rows], lanes).reshape(len(rows), -1).min(1)
+        upper[rows] = np.minimum(upper[rows], 2 + second)
     return upper
 
 
@@ -174,8 +204,9 @@ def _lower_bound(lc, b):
     return lc + (excess > 0) * ((excess + 5) // 6)
 
 
-def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """``_lower_bound`` of each pair of rows of two code arrays.
+def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_lower_bound`` of each pair of rows of two code arrays, and the
+    pairs' letter-count bounds lc.
 
     lc = max(need, surplus) is the letter-count bound: with c letters in
     common (multiset intersection), need = |y| - c and surplus = |x| - c. B
@@ -193,16 +224,19 @@ def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
         return _row_counts(ext[:, :-1] * _SYMBOLS + ext[:, 1:], _SYMBOLS * _SYMBOLS)
 
     b = n + m + 2 - 2 * np.minimum(bigrams(xc), bigrams(yc)).sum(1)
-    return _lower_bound(lc, b)
+    return _lower_bound(lc, b), lc
 
 
 def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower) bounds on the edit distance with moves of each pair.
 
     Pairs are grouped by their length pair and run through numpy in blocks
-    of at most BOUNDS_BLOCK pairs. Where upper <= lower, upper is the exact
-    distance. Raises ValueError for symbols outside the alphabet, for
-    lengths above MAX_EDM_LENGTH, and for batches of unequal size.
+    of at most BOUNDS_BLOCK pairs; a block takes its lower bounds first, so
+    that the upper bound's two-move stage runs only where it can close or
+    narrow the bracket.
+    Where upper <= lower, upper is the exact distance. Raises ValueError for
+    symbols outside the alphabet, for lengths above MAX_EDM_LENGTH, and for
+    batches of unequal size.
     """
     xs, ys = list(xs), list(ys)
     if len(xs) != len(ys):
@@ -218,8 +252,8 @@ def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
             idx = members[start : start + BOUNDS_BLOCK]
             xc = encode([xs[i] for i in idx], n)
             yc = encode([ys[i] for i in idx], m)
-            upper[idx] = _upper_bounds(xc, yc)
-            lower[idx] = _lower_bounds(xc, yc)
+            lower[idx], lc = _lower_bounds(xc, yc)
+            upper[idx] = _upper_bounds(xc, yc, lower[idx], lc)
     return upper, lower
 
 

@@ -31,20 +31,22 @@ The circuit runs in real arithmetic where it can. A letter's encoding is
 Ry(tilt) then P(phase), and T, G, C share one tilt (circuits.base_angles).
 Ry angles add, so a layer's block V(x) Ry(theta)^n is Phi_x, a diagonal of
 phases, times the real product of Ry(theta + tilt_q) over the qubits, which
-depends on x only through which qubits are tilted (see _blocks, _forward).
+depends on x only through which qubits are tilted (see _rotations,
+_phases, _forward).
 
 Each call keeps its state-sized arrays in one block, written with out=:
 the taped pass's tape, work rows and phase diagonals, which the reverse
 sweep then reuses, with the call's bra array, for all of its buffers; or
 kernel_values' canonical states and the scratch of its forward passes
-(phase diagonals included) and gathers. The layers' R_NX and Rz diagonals
-are tabulated once per call (_rnx_rz), for the forward pass and the sweep
-alike. glibc unmaps freed temporaries above its mmap threshold and the
-next call faults them back in (about 3,400 minor faults per 1,024-triplet
-ranking); freeing one block of the call's size raises its mmap threshold
-to that size and its trim threshold to twice it, so warm calls reuse
-mapped heap pages while the call's other arrays stay smaller than the
-block.
+(phase diagonals included) and gathers. The layers' parameter tables, the
+real Ry factors of every tilt mask present (_rotations) and the R_NX and Rz
+diagonals (_rnx_rz), are built once per call, for all forward passes and
+the sweep alike. glibc unmaps freed temporaries above its mmap threshold
+and the next call faults them back in (about 3,400 minor faults per
+1,024-triplet ranking); freeing one block of the call's size raises its
+mmap threshold to that size and its trim threshold to twice it, so warm
+calls reuse mapped heap pages while the call's other arrays stay smaller
+than the block.
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the circuits module (qubit 0 = most significant bit).
@@ -167,28 +169,32 @@ def _ry(angles) -> np.ndarray:
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
-def _blocks(codes, params: KernelParams, phase):
-    """Each layer's V(x) Ry(theta_ry)^n block for a batch of codes: Phi_x
-    times one real factor per register half (the leading n//2 qubits, then
-    the rest). Returns rot, and writes Phi_x into ``phase``, a (2, rows, 2^n)
-    array: phase[p] is its diagonal with half p leading. rot[k] =
-    (table, which): table[l, m] is half k's product of Ry(tilt_q)
-    Ry(theta_ry) at layer l for the m-th tilt mask present; row r's is
-    table[:, which[r]]."""
+def _rotations(codes, params: KernelParams) -> list:
+    """Each layer's real factor per register half (the leading n//2 qubits,
+    then the rest) for a batch of codes: rot[k] = (table, which), where
+    table[l, m] is half k's product of Ry(tilt_q) Ry(theta_ry) at layer l
+    for the m-th tilt mask present, and row r's is table[:, which[r]]. A
+    mask's table is the same product whatever other masks are present."""
     n = codes.shape[1]
     # (L, tilts, 2, 2); rounds closer to the gate route than Ry(theta + tilt)
     ry = _ry(_TILTS) @ _ry(params.angles[:, 2])[:, None]
-    rot, diag = [], []
+    rot = []
     for lo, hi in ((0, n // 2), (n // 2, n)):
-        bits = _bits(hi - lo)
         masks = _TILT_INDEX[codes[:, lo:hi]] @ (1 << np.arange(hi - lo))[::-1]
         present, which = np.unique(masks, return_inverse=True)
-        rot.append((_kron_rows(ry[:, bits[present]]), which.reshape(-1)))
-        diag.append(np.where(bits, _PHASES[codes[:, lo:hi]][:, None], 1).prod(axis=-1))
+        rot.append((_kron_rows(ry[:, _bits(hi - lo)[present]]), which.reshape(-1)))
+    return rot
+
+
+def _phases(codes, phase) -> None:
+    """Write Phi_x, the diagonal of phases of each row's encoding, into
+    ``phase``, a (2, rows, 2^n) array: phase[p] is it with half p leading."""
+    n = codes.shape[1]
+    diag = [np.where(_bits(hi - lo), _PHASES[codes[:, lo:hi]][:, None], 1).prod(axis=-1)
+            for lo, hi in ((0, n // 2), (n // 2, n))]
     for p in (0, 1):
         np.multiply(diag[p][:, :, None], diag[1 - p][:, None, :],
                     out=phase[p].reshape(len(codes), diag[p].shape[1], -1))
-    return rot
 
 
 def _rotate(states, mats, out):
@@ -230,11 +236,13 @@ def _rnx_rz(params: KernelParams, num_qubits: int) -> tuple:
             np.take(-1j * np.sin(t_rnx / 2) * rz, weights, axis=1))
 
 
-def _forward(codes, params, work, tape=None):
+def _forward(codes, params, work, tape=None, tables=None):
     """Run the re-uploading circuit on a batch of codes.
 
-    Returns (states, factors): factors are _blocks' (rot, phase) and
-    _rnx_rz's (keep, flip). Each layer applies R_NX, the Rz diagonal, the
+    ``tables`` is (rot, keep, flip): _rotations' factors of these rows and
+    _rnx_rz's diagonals, built here unless the caller passes them. Returns
+    (states, factors): factors are (rot, phase, keep, flip), phase the rows'
+    Phi_x from _phases. Each layer applies R_NX, the Rz diagonal, the
     real factor of register half p, that of half 1 - p, and Phi_x. A factor
     is a left product on the state viewed as a stack with its half leading,
     so the state is transposed once between them and the layout alternates:
@@ -250,9 +258,9 @@ def _forward(codes, params, work, tape=None):
     its output straight into the next layer's entry, and the last layer's
     into work[0], where it stays in its own layout.
     """
+    rot, keep, flip = tables or (_rotations(codes, params), *_rnx_rz(params, codes.shape[1]))
     phase = work[3:]
-    rot = _blocks(codes, params, phase)
-    keep, flip = _rnx_rz(params, codes.shape[1])
+    _phases(codes, phase)
     num_layers = params.num_layers
     s = work[0] if tape is None else tape[0, 0]
     s[...] = 0.0
@@ -365,8 +373,9 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     canonical states, x's one gather with y's frame from _compositions, and
     <y|x> one row dot per pair (_dots). Circuit and overlap passes take as
     many rows as VALUE_BYTES holds states, which bounds the working set
-    without changing any row's result. The rows must be aligned; the
-    models' check_pairs sees to that.
+    without changing any row's result; the circuit passes share one set of
+    parameter tables, built for all canonical rows. The rows must be
+    aligned; the models' check_pairs sees to that.
 
     The call's one block holds the canonical states, then scratch for the
     forward passes (_forward's work) and, after them, each overlap block's
@@ -377,6 +386,7 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     half, n = codes_x.shape
     dim, block_rows = 1 << n, max(1, VALUE_BYTES >> (n + 4))
     canon, row_state, frame = _compositions(codes_x, codes_y)
+    rot, keep, flip = _rotations(canon, params), *_rnx_rz(params, n)
     # a forward pass takes five states per canonical row; an overlap block
     # two per pair plus an intp index, as large as half a state
     scratch_rows = max(5 * min(len(canon), block_rows), -(-5 * min(half, block_rows) // 2))
@@ -385,7 +395,8 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     for lo in range(0, len(canon), block_rows):
         codes = canon[lo : lo + block_rows]
         work = scratch[: 5 * len(codes) * dim].reshape(5, len(codes), dim)
-        states[lo : lo + block_rows] = _forward(codes, params, work)[0]
+        tables = ([(table, which[lo : lo + block_rows]) for table, which in rot], keep, flip)
+        states[lo : lo + block_rows] = _forward(codes, params, work, tables=tables)[0]
     table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, block_rows):

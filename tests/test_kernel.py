@@ -213,6 +213,23 @@ class TestBatchedEngineAgainstReference:
                    for i in range(rows)]
         np.testing.assert_array_equal(kernel_values(cx, cy, params), rowwise)
 
+    def test_kernel_values_build_parameter_tables_once(self, monkeypatch):
+        # the circuit passes of one call share its Ry and R_NX/Rz tables: a
+        # call over several VALUE_BYTES passes builds each once
+        rng = np.random.default_rng(14)
+        monkeypatch.setattr(kernel, "VALUE_BYTES", 3 << 12)  # 3 rows of n = 8
+        cx = encode_sequences([random_seq(rng, 8) for _ in range(20)])
+        cy = encode_sequences([random_seq(rng, 8) for _ in range(20)])
+        params = random_params(rng, 3)
+        expected = kernel_values(cx, cy, params)
+        calls = []
+        for name in ("_rotations", "_rnx_rz"):
+            build = getattr(kernel, name)
+            monkeypatch.setattr(kernel, name, lambda *a, build=build, name=name:
+                                calls.append(name) or build(*a))
+        assert kernel_values(cx, cy, params).tobytes() == expected.tobytes()
+        assert sorted(calls) == ["_rnx_rz", "_rotations"]
+
     def test_kernel_values_independent_of_the_rest_of_the_call(self):
         # a ranking value depends on its own pair only: a shuffled subset of
         # the committed test pairs, and each 1,024-triplet window that the
