@@ -46,8 +46,8 @@ def check_letters(s) -> str:
     """Check that ``s`` is a string, of any length, over the nucleotide alphabet."""
     if not isinstance(s, str):
         raise ValueError(f"expected a string, got {type(s).__name__}")
-    bad = set(s) - set(ALPHABET)
-    if bad:
+    if s.strip(ALPHABET):  # empty exactly when every symbol is in ALPHABET
+        bad = set(s) - set(ALPHABET)
         raise ValueError(f"sequence {s!r} contains symbols outside {ALPHABET}: {sorted(bad)}")
     return s
 

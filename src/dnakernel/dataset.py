@@ -15,11 +15,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
-from dnakernel.circuits import ALPHABET, LETTER_BYTES, validate_sequence
+from dnakernel.circuits import ALPHABET, LETTER_BYTES, encode, validate_sequence
 from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, pair_bounds
+
+
+BATCH_LINES = 128  # lines load_triplets decodes as one JSON array
+_FIELDS = itemgetter("a", "b", "c", "d_ab", "d_ac", "s_ab", "s_ac")
 
 
 class DatasetError(ValueError):
@@ -191,27 +197,75 @@ def _parse_line(line: str, lineno: int) -> LabeledTriplet:
     return LabeledTriplet(a, b, c, d_ab, d_ac)
 
 
+def _line_triplets(fh) -> list:
+    """The triplets of an open file, parsed and checked one line at a time:
+    the statement of every refusal and its wording."""
+    triplets = []
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            raise DatasetError(f"line {lineno}: empty line")
+        triplet = _parse_line(line, lineno)
+        if triplets and triplet.length != triplets[0].length:
+            raise DatasetError(
+                f"line {lineno}: sequence length {triplet.length} differs "
+                f"from {triplets[0].length} on line 1"
+            )
+        triplets.append(triplet)
+    return triplets
+
+
+def _batch_triplets(fh):
+    """The triplets of an open file that ``_line_triplets`` accepts, read
+    BATCH_LINES lines at a time with column checks; None (or any exception)
+    where a block fails one, for the per-line loop to say why.
+
+    A block decodes as one JSON array of its lines. With one "{" and one
+    "}" on every line, an array of len(lines) objects has no brace to
+    spare: the k-th object holds the k-th pair, so it lies on line k and is
+    what that line alone decodes to.
+    """
+    triplets, n = [], None
+    while lines := list(islice(fh, BATCH_LINES)):
+        if {*map(str.count, lines, repeat("{")), *map(str.count, lines, repeat("}"))} != {1}:
+            return None
+        objs = json.loads(f"[{','.join(lines)}]")
+        if len(objs) != len(lines):
+            return None
+        a, b, c, d_ab, d_ac, s_ab, s_ac = zip(*map(_FIELDS, objs))
+        n = len(a[0]) if n is None else n
+        encode(a + b + c, n)  # ValueError unless strings over ALPHABET of length n
+        if (set(map(type, d_ab + d_ac)) != {int}
+                or not set(map(type, s_ab + s_ac)) <= {int, float}):
+            return None
+        d = np.array([d_ab, d_ac])
+        # n = 0 leaves no pair of distances in range and untied
+        if not ((0 <= d) & (d <= n)).all() or (d[0] == d[1]).any():
+            return None
+        if not np.array_equal(np.array([s_ab, s_ac], dtype=np.float64), (n - d) / n):
+            return None
+        triplets += map(LabeledTriplet, a, b, c, d_ab, d_ac)
+    return triplets
+
+
 def load_triplets(path, verify_fraction: float = 0.01):
     """Load and validate a triplet file.
 
     Every line is checked for format and label consistency; on top of that,
     a deterministic stride of about ``verify_fraction`` of the lines has its
-    distances recomputed against the exact oracle; 0 verifies none.
+    distances recomputed against the exact oracle; 0 verifies none. A file
+    the batch pass does not accept is read again line by line, which
+    accepts the same files and names the first bad line.
     """
     if not 0 <= verify_fraction <= 1:
         raise ValueError(f"verify_fraction must be in [0, 1], got {verify_fraction}")
-    triplets = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise DatasetError(f"line {lineno}: empty line")
-            triplet = _parse_line(line, lineno)
-            if triplets and triplet.length != triplets[0].length:
-                raise DatasetError(
-                    f"line {lineno}: sequence length {triplet.length} differs "
-                    f"from {triplets[0].length} on line 1"
-                )
-            triplets.append(triplet)
+        try:
+            triplets = _batch_triplets(fh)
+        except Exception:  # _line_triplets says why
+            triplets = None
+        if triplets is None:
+            fh.seek(0)
+            triplets = _line_triplets(fh)
     if not triplets:
         raise DatasetError(f"{path}: no triplets found")
     if verify_fraction > 0:

@@ -47,7 +47,7 @@ _START, _END = len(ALPHABET), len(ALPHABET) + 1
 _SYMBOLS = len(ALPHABET) + 2
 # set bits of every mask of up to MAX_EDM_LENGTH bits
 _POPCOUNT = np.array([v.bit_count() for v in range(1 << MAX_EDM_LENGTH)], np.int64)
-_INTEGERS = (int, np.integer)  # the types edm_exact accepts as bounds
+_INTEGERS = (int, np.integer)  # the types edm_exact accepts as bounds, bool aside
 
 
 class BudgetExceededError(RuntimeError):
@@ -468,7 +468,7 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
         check_letters(x)
         check_letters(y)
         best, lower = bounds
-        if not (isinstance(best, _INTEGERS) and isinstance(lower, _INTEGERS)
+        if not (all(isinstance(v, _INTEGERS) and not isinstance(v, bool) for v in (best, lower))
                 and 0 <= lower <= best):
             raise ValueError(f"bounds must be integers (upper, lower) with "
                              f"0 <= lower <= upper, got {bounds!r}")

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dnakernel import dataset
 from dnakernel.dataset import (
+    BATCH_LINES,
     DatasetError,
     LabeledTriplet,
     generate_triplets,
@@ -289,6 +293,144 @@ class TestLoadValidation:
                             _valid_line(length=3)])
         with pytest.raises(DatasetError, match="line 3: sequence length 3"):
             load_triplets(path)
+
+
+def line_by_line(path):
+    """What the per-line loop makes of a file: its triplets, or its refusal."""
+    with open(path) as fh:
+        try:
+            return dataset._line_triplets(fh)
+        except DatasetError as e:
+            return str(e)
+
+
+def loaded(path):
+    """What load_triplets makes of a file, unverified: its triplets, or its refusal."""
+    try:
+        return load_triplets(path, verify_fraction=0)
+    except DatasetError as e:
+        return str(e)
+
+
+VALID = [_valid_line(length=5, seed=s) for s in (21, 22, 23)]
+NUMBER_FIELDS = ("d_ab", "d_ac", "s_ab", "s_ac")
+
+
+def _with(field, value):
+    def corrupt(obj):
+        obj[field] = value
+    return corrupt
+
+
+def _shifted(field, by):
+    def corrupt(obj):
+        obj[field] += by
+    return corrupt
+
+
+def _relabelled(pair, d):
+    """Distance d for the pair, with its matching label."""
+    def corrupt(obj):
+        n = len(obj["a"])
+        obj[f"d_{pair}"], obj[f"s_{pair}"] = d, (n - d) / n
+    return corrupt
+
+
+def _tied(obj):
+    n = len(obj["a"])
+    obj["d_ac"], obj["s_ac"] = obj["d_ab"], obj["s_ab"]
+    assert obj["s_ab"] == (n - obj["d_ab"]) / n
+
+
+# each edits one parsed line, which is written back with json.dumps
+FIELD_CORRUPTIONS = st.one_of(
+    st.builds(lambda f: lambda obj: obj.pop(f), st.sampled_from(sorted(json.loads(VALID[0])))),
+    st.builds(_with, st.sampled_from(NUMBER_FIELDS),
+              st.sampled_from([True, False, 2.0, float("nan"), float("inf"), 10**400, -1, 6,
+                               None, "1"])),
+    st.builds(_shifted, st.sampled_from(NUMBER_FIELDS), st.sampled_from([1, -1, 1e-9])),
+    st.builds(_relabelled, st.sampled_from(["ab", "ac"]), st.integers(-2, 7)),
+    st.just(_tied),
+    st.builds(_with, st.sampled_from("abc"),
+              st.sampled_from(["", "ATGX", "ATGCA", "ATG", "atgca", "ATGÇA", 12345, None])),
+    st.builds(_with, st.just("extra"), st.sampled_from([{"x": 1}, [1, 2], "}{", "[", 0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), where=st.integers(0, 2))
+def test_corrupt_line_loads_as_line_by_line(tmp_path_factory, data, where):
+    # the batch pass accepts only what the per-line loop accepts, and on
+    # anything else the per-line loop's own message is what load_triplets raises
+    lines = list(VALID)
+    kind = data.draw(st.sampled_from(["field", "join", "split", "blank"]))
+    if kind == "field":
+        obj = json.loads(lines[where])
+        data.draw(FIELD_CORRUPTIONS)(obj)
+        lines[where] = json.dumps(obj, sort_keys=True)
+    elif kind == "join":  # two objects on one line
+        other = lines.pop((where + 1) % 3)
+        lines[lines.index(VALID[where])] += data.draw(st.sampled_from(["", " ", ",", ", "])) + other
+    elif kind == "split":  # one line split in two
+        cut = data.draw(st.integers(1, len(lines[where]) - 1))
+        lines[where : where + 1] = [lines[where][:cut], lines[where][cut:]]
+    else:
+        lines.insert(where, data.draw(st.sampled_from(["", " ", "\t"])))
+    path = tmp_path_factory.mktemp("corrupt") / "t.jsonl"
+    _write_lines(path, lines)
+    assert loaded(path) == line_by_line(path)
+
+
+@pytest.mark.parametrize("name", ["train", "test", "fresh"])
+def test_committed_dataset_loads_as_line_by_line(name):
+    path = ACCEPT_DIR / f"{name}.jsonl"
+    triplets = load_triplets(path, verify_fraction=0)
+    assert len(triplets) == 3200 and triplets == line_by_line(path)
+
+
+def test_committed_train_set_takes_the_batch_pass(monkeypatch):
+    def refuse(line, lineno):
+        raise AssertionError(f"line {lineno} was parsed on its own")
+
+    monkeypatch.setattr(dataset, "_parse_line", refuse)
+    assert len(load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)) == 3200
+
+
+def _split_with_quoted_braces():
+    """VALID[2] split over two lines that hold one "{" and one "}" each,
+    one of the two in a string."""
+    text = json.dumps({"pad": "}", **json.loads(VALID[2]), "tail": "{"})
+    return text.split(', "d_ab"', 1)[0], '"d_ab"' + text.split(', "d_ab"', 1)[1]
+
+
+@pytest.mark.parametrize("lines, message", [
+    # two objects on line 1 and one split over lines 2 and 3 still make
+    # one JSON array of three objects
+    ([VALID[0] + "," + VALID[1], *VALID[2].split(", ", 1)], "line 1: invalid JSON (Extra data)"),
+    # one brace per line, but two lines for one object
+    ([VALID[0], *_split_with_quoted_braces()],
+     "line 2: invalid JSON (Expecting ',' delimiter)"),
+    # every sequence empty: one length for the file, but none of it valid
+    ([json.dumps({"a": "", "b": "", "c": "", "d_ab": 0, "d_ac": 1, "s_ab": 0.0, "s_ac": 0.0})],
+     "line 1: field a: sequence must be a nonempty string, got ''"),
+])
+def test_refusals_that_column_checks_alone_would_miss(tmp_path, lines, message):
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    assert loaded(path) == line_by_line(path) == message
+
+
+def test_later_block_refusal_names_its_line(tmp_path):
+    # a bad line past the first block, and one whose length differs from
+    # line 1's, are named as the per-line loop names them
+    with open(ACCEPT_DIR / "train.jsonl") as fh:
+        lines = [fh.readline().rstrip("\n") for _ in range(BATCH_LINES + 100)]
+    path = tmp_path / "t.jsonl"
+    for bad, message in [(_valid_line(length=5), f"line {BATCH_LINES + 50}: sequence length 5 "
+                                                 "differs from 8 on line 1"),
+                         ("{}", f"line {BATCH_LINES + 50}: missing field 'a'")]:
+        _write_lines(path, lines[: BATCH_LINES + 49] + [bad] + lines[BATCH_LINES + 49 :])
+        assert loaded(path) == line_by_line(path) == message
 
 
 def test_labeled_triplet_length():

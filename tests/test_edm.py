@@ -323,6 +323,7 @@ class TestEdmExact:
         ("A", "T", (0, 5)),  # lower above upper: returned 0
         ("ACGT", "TGCA", (-3, 0)),  # negative: returned -3
         ("A", "T", (2.5, 1)),  # not integers: returned 2.5
+        ("ATGC", "ATGG", (True, True)),  # bools: returned True
     ])
     def test_rejects_bad_bounds(self, x, y, bounds):
         # pair_bounds' own brackets pass: test_bounds_argument_gives_the_same_distance

@@ -428,6 +428,36 @@ def test_values_and_gradients_independent_of_blas_threads_at_long_rows():
     assert all(ranking == loss for _, ranking, loss, _ in lines)
 
 
+def test_classical_values_and_gradients_independent_of_blas_threads():
+    # the baselines' products: every head's values and loss gradient at a
+    # training batch (32 pairs), a kernel_batch value block (256) and the
+    # whole committed test set (6,400), where BLAS may split a product's
+    # rows or its sum over the pairs across threads
+    test_set = Path(__file__).resolve().parents[1] / "results" / "acceptance" / "test.jsonl"
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from dnakernel.baselines import HEADS, ClassicalKernelModel\n"
+        "from dnakernel.dataset import load_triplets\n"
+        "from dnakernel.training import pairs_from_triplets\n"
+        f"pairs = pairs_from_triplets(load_triplets({str(test_set)!r}, verify_fraction=0))\n"
+        "for head in HEADS:\n"
+        "    model = ClassicalKernelModel(head)\n"
+        "    params = model.init_params(np.random.default_rng(6))\n"
+        "    for size in (32, 256, len(pairs)):\n"
+        "        a, b, t = pairs.codes_a[:size], pairs.codes_b[:size], pairs.targets[:size]\n"
+        "        values = model.kernel_batch(params, a, b)\n"
+        "        loss_values, grad = model.kernel_and_grad_batch(params, a, b, t)\n"
+        "        print(head, size, *(hashlib.sha256(x.tobytes()).hexdigest()\n"
+        "                            for x in (values, loss_values, grad)))\n"
+    )
+    outputs = outputs_by_blas_threads(script)
+    assert len(outputs) == 1
+    lines = [line.split() for line in outputs.pop().splitlines()]
+    assert [(head, size) for head, size, *_ in lines] == [
+        (head, size) for head in ("cosine", "rbf", "poly2") for size in ("32", "256", "6400")]
+
+
 def dot_calls_outside(tree: ast.Module, owners) -> list:
     """(top-level definition, line) of each numpy inner-product call in
     ``tree`` outside the top-level definitions named in ``owners``."""
