@@ -105,10 +105,10 @@ def _train_command(args, make_model) -> int:
     train_set = load_triplets(args.train)
     test_set = load_triplets(args.test)
     load_seconds = time.perf_counter() - t0
-    length = train_set[0].length
-    if test_set[0].length != length:
+    length = train_set.length
+    if test_set.length != length:
         raise ValueError(
-            f"test file {args.test} holds length-{test_set[0].length} sequences, "
+            f"test file {args.test} holds length-{test_set.length} sequences, "
             f"train file {args.train} length-{length}"
         )
     model = make_model(length)

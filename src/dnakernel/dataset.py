@@ -5,6 +5,12 @@ normalized similarities. Triplets whose two distances tie are rejected and
 redrawn, because the ordering metric needs a strict ground truth. Files are
 line-delimited JSON, deterministic byte for byte given the seed.
 
+A set of triplets is a ``TripletSet``: a (count, 3, n) uint8 array of the
+a, b and c of each triplet in ``circuits`` letter codes and a (count, 2)
+int64 array of d(a, b) and d(a, c). Generation, loading and the pair
+layout of training all work on those two arrays; a ``LabeledTriplet`` is
+built only when one triplet is indexed or the set is iterated.
+
 Labels come in batches: ``edm.pair_bounds`` brackets every pair of a batch in
 one numpy pass, then each pair goes through ``edm_exact``, which searches only
 where the bracket is open.
@@ -14,9 +20,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import repeat
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -37,7 +44,7 @@ class LabeledTriplet:
     """Sequences a, b, c with their exact distances d(a, b) and d(a, c).
 
     The similarity labels s = (N - d)/N are derived from the distances, not
-    stored, so a loaded dataset holds five fields per triplet.
+    stored, so a triplet holds five fields.
     """
 
     a: str
@@ -57,6 +64,74 @@ class LabeledTriplet:
     @property
     def s_ac(self) -> float:
         return (len(self.a) - self.d_ac) / len(self.a)
+
+
+class TripletSet(Sequence):
+    """A read-only sequence of labeled triplets held as two arrays.
+
+    ``codes[i]`` holds the letter codes (``circuits.encode``) of a, b and c
+    of triplet i, one row each, and ``distances[i]`` its d(a, b) and
+    d(a, c). An integer index builds that triplet's ``LabeledTriplet``, a
+    slice is a TripletSet over views of both arrays, and iteration decodes
+    the whole set once. A set pickles as its two arrays.
+    """
+
+    __slots__ = ("codes", "distances")
+
+    def __init__(self, codes, distances):
+        codes, distances = np.asarray(codes, np.uint8), np.asarray(distances, np.int64)
+        if codes.ndim != 3 or codes.shape[1] != 3 or distances.shape != (len(codes), 2):
+            raise ValueError(f"expected (count, 3, n) codes and (count, 2) distances, "
+                             f"got {codes.shape} and {distances.shape}")
+        for name, array in (("codes", codes), ("distances", distances)):
+            view = array.view()  # read-only without touching the caller's array
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def of(cls, triplets) -> TripletSet:
+        """The set of an iterable of LabeledTriplet, every sequence checked
+        by one ``encode`` call to be over ALPHABET with the first a's length."""
+        triplets = list(triplets)
+        n = len(validate_sequence(triplets[0].a)) if triplets else 0
+        codes = encode([s for t in triplets for s in (t.a, t.b, t.c)], n)
+        distances = np.fromiter((d for t in triplets for d in (t.d_ab, t.d_ac)), np.int64,
+                                count=2 * len(triplets))
+        return cls(codes.reshape(len(triplets), 3, n), distances.reshape(-1, 2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TripletSet is read-only: cannot set {name!r}")
+
+    def __reduce__(self):
+        return TripletSet, (self.codes, self.distances)
+
+    @property
+    def length(self) -> int:
+        """The sequence length n shared by every triplet of the set."""
+        return self.codes.shape[2]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TripletSet(self.codes[i], self.distances[i])
+        i = range(len(self))[index(i)]  # IndexError past either end
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self):
+        n = self.length
+        text = LETTER_BYTES[self.codes].tobytes().decode("ascii")
+        for i, (d_ab, d_ac) in enumerate(self.distances.tolist()):
+            at = 3 * n * i
+            yield LabeledTriplet(text[at : at + n], text[at + n : at + 2 * n],
+                                 text[at + 2 * n : at + 3 * n], d_ab, d_ac)
+
+    def __eq__(self, other):
+        if not isinstance(other, TripletSet):
+            return NotImplemented
+        return (np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.distances, other.distances))
 
 
 def random_sequence(rng: np.random.Generator, length: int) -> str:
@@ -107,7 +182,8 @@ def _label_chunk(children: list, length: int) -> list:
 
 
 def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
-    """Generate ``count`` labeled triplets of the given sequence length.
+    """Generate a TripletSet of ``count`` labeled triplets of the given
+    sequence length.
 
     Each triplet consumes its own child of the seed's SeedSequence, so the
     result is identical no matter how the work is split across workers;
@@ -129,7 +205,7 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
     parts = min(jobs, count)
     cuts = [count * k // parts for k in range(parts + 1)]
     chunks = [(children[lo:hi], length) for lo, hi in zip(cuts, cuts[1:])]
-    return [t for chunk in pool_starmap(_label_chunk, chunks, jobs) for t in chunk]
+    return TripletSet.of(t for chunk in pool_starmap(_label_chunk, chunks, jobs) for t in chunk)
 
 
 def pool_starmap(func, args: list, jobs: int) -> list:
@@ -197,11 +273,11 @@ def _parse_line(line: str, lineno: int) -> LabeledTriplet:
     return LabeledTriplet(a, b, c, d_ab, d_ac)
 
 
-def _line_triplets(fh) -> list:
-    """The triplets of an open file, parsed and checked one line at a time:
-    the statement of every refusal and its wording."""
+def _line_triplets(lines) -> list:
+    """The triplets of a file's lines, parsed and checked one line at a
+    time: the statement of every refusal and its wording."""
     triplets = []
-    for lineno, line in enumerate(fh, start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             raise DatasetError(f"line {lineno}: empty line")
         triplet = _parse_line(line, lineno)
@@ -214,26 +290,29 @@ def _line_triplets(fh) -> list:
     return triplets
 
 
-def _batch_triplets(fh):
-    """The triplets of an open file that ``_line_triplets`` accepts, read
-    BATCH_LINES lines at a time with column checks; None (or any exception)
-    where a block fails one, for the per-line loop to say why.
+def _batch_triplets(lines):
+    """The TripletSet of a file's nonempty list of lines if ``_line_triplets``
+    accepts them, decoded BATCH_LINES lines at a time with column checks;
+    None (or any exception) where a block fails one, for the per-line loop
+    to say why.
 
     A block decodes as one JSON array of its lines. With one "{" and one
     "}" on every line, an array of len(lines) objects has no brace to
     spare: the k-th object holds the k-th pair, so it lies on line k and is
     what that line alone decodes to.
     """
-    triplets, n = [], None
-    while lines := list(islice(fh, BATCH_LINES)):
-        if {*map(str.count, lines, repeat("{")), *map(str.count, lines, repeat("}"))} != {1}:
+    codes, distances, n = [], [], None
+    for lo in range(0, len(lines), BATCH_LINES):
+        block = lines[lo : lo + BATCH_LINES]
+        if {*map(str.count, block, repeat("{")), *map(str.count, block, repeat("}"))} != {1}:
             return None
-        objs = json.loads(f"[{','.join(lines)}]")
-        if len(objs) != len(lines):
+        objs = json.loads(f"[{','.join(block)}]")
+        if len(objs) != len(block):
             return None
         a, b, c, d_ab, d_ac, s_ab, s_ac = zip(*map(_FIELDS, objs))
         n = len(a[0]) if n is None else n
-        encode(a + b + c, n)  # ValueError unless strings over ALPHABET of length n
+        # ValueError unless strings over ALPHABET of length n
+        abc = encode(a + b + c, n).reshape(3, len(block), n)
         if (set(map(type, d_ab + d_ac)) != {int}
                 or not set(map(type, s_ab + s_ac)) <= {int, float}):
             return None
@@ -243,37 +322,40 @@ def _batch_triplets(fh):
             return None
         if not np.array_equal(np.array([s_ab, s_ac], dtype=np.float64), (n - d) / n):
             return None
-        triplets += map(LabeledTriplet, a, b, c, d_ab, d_ac)
-    return triplets
+        codes.append(abc.transpose(1, 0, 2))
+        distances.append(d.T)
+    return TripletSet(np.concatenate(codes), np.concatenate(distances))
 
 
-def load_triplets(path, verify_fraction: float = 0.01):
+def load_triplets(path, verify_fraction: float = 0.01) -> TripletSet:
     """Load and validate a triplet file.
 
     Every line is checked for format and label consistency; on top of that,
     a deterministic stride of about ``verify_fraction`` of the lines has its
-    distances recomputed against the exact oracle; 0 verifies none. A file
-    the batch pass does not accept is read again line by line, which
-    accepts the same files and names the first bad line.
+    distances recomputed against the exact oracle; 0 verifies none. The
+    file is read once, so a pipe loads like a regular file. Its lines go
+    through the batch pass first; lines it does not accept go through the
+    per-line loop, which accepts the same files and names the first bad
+    line.
     """
     if not 0 <= verify_fraction <= 1:
         raise ValueError(f"verify_fraction must be in [0, 1], got {verify_fraction}")
     with open(path) as fh:
-        try:
-            triplets = _batch_triplets(fh)
-        except Exception:  # _line_triplets says why
-            triplets = None
-        if triplets is None:
-            fh.seek(0)
-            triplets = _line_triplets(fh)
-    if not triplets:
+        lines = fh.readlines()
+    if not lines:
         raise DatasetError(f"{path}: no triplets found")
+    try:
+        triplets = _batch_triplets(lines)
+    except Exception:  # _line_triplets says why
+        triplets = None
+    if triplets is None:
+        triplets = TripletSet.of(_line_triplets(lines))
     if verify_fraction > 0:
         # a stride past the last line verifies line 1 alone, so capping it
         # there changes nothing, and keeps 1 / verify_fraction (inf for a
         # subnormal fraction) out of round
         stride = max(1, round(min(1 / verify_fraction, len(triplets))))
-        checked = triplets[::stride]
+        checked = list(triplets[::stride])
         exact = _distances([(t.a, t.b, t.c) for t in checked])
         for k, (t, d) in enumerate(zip(checked, exact)):
             if d != (t.d_ab, t.d_ac):

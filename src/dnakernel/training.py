@@ -11,6 +11,9 @@ kernel_and_grad_batch(params, codes_a, codes_b, targets) returns the kernel
 values and the gradient of the batch MSE against targets. ``targets`` is
 required; the quantum model's per-row form without it exists only for the
 benchmark's train_quantum correctness check.
+Triplet sets arrive as ``dataset.TripletSet``, whose letter-code and
+distance arrays the pair layout reads directly: no ``LabeledTriplet`` is
+built to train or rank.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnakernel.dataset import pool_starmap, write_atomic
-from dnakernel.kernel import encode_sequences
+from dnakernel.dataset import TripletSet, pool_starmap, write_atomic
 
 # pairs per partial sum of dataset_mse; fixes its float summation order,
 # which the committed train_mse values record
@@ -97,20 +99,18 @@ class PairSet:
 def pairs_from_triplets(triplets) -> PairSet:
     """Two labeled pairs per triplet: (a, b, s_ab) and (a, c, s_ac).
 
-    One encode_sequences call covers every a, b and c, so all of them pass
-    one width check and each a is encoded once. The targets are (n - d) / n
-    over one integer array of the distances, the same doubles as s_ab and
-    s_ac.
+    Pure array work on a ``TripletSet``: every a's codes twice, the b and c
+    codes row by row, and the targets (n - d) / n over the distance array,
+    the same doubles as s_ab and s_ac. Any other iterable of LabeledTriplet
+    is converted through ``TripletSet.of`` first.
     """
+    if not isinstance(triplets, TripletSet):
+        triplets = TripletSet.of(triplets)
     if not triplets:
         raise ValueError("empty triplet list")
-    codes = encode_sequences([s for t in triplets for s in (t.a, t.b, t.c)])
-    n = codes.shape[1]
-    codes = codes.reshape(-1, 3, n)
-    dist = np.fromiter((d for t in triplets for d in (t.d_ab, t.d_ac)), np.int64,
-                       count=2 * len(triplets))
+    codes, n = triplets.codes, triplets.length
     return PairSet(np.repeat(codes[:, 0], 2, axis=0), codes[:, 1:].reshape(-1, n),
-                   (n - dist) / n)
+                   ((n - triplets.distances) / n).reshape(-1))
 
 
 def dataset_mse(model, params, pairs: PairSet) -> float:

@@ -5,8 +5,9 @@ module attributes while a workload runs; ``benchmarks/tracing.py`` patches
 the functions it traces and both model classes' kernel methods, reading
 each from its owner's own ``__dict__``. Loading both files and installing the
 tracer here makes a cut that removes or moves one of those names fail in
-seconds instead of at a benchmark run. The files are only read: no bytecode
-is written beside them.
+seconds instead of at a benchmark run, and one cycle of each workload with
+its output checks catches a change to what the workloads consume. The files
+are only read: no bytecode is written beside them.
 """
 
 import importlib.util
@@ -32,9 +33,13 @@ def _load(name, monkeypatch):
 
 
 @pytest.fixture()
-def tracing(monkeypatch):
+def workloads(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    _load("workloads", monkeypatch)  # tracing.py imports it by this name
+    return _load("workloads", monkeypatch)  # tracing.py imports it by this name
+
+
+@pytest.fixture()
+def tracing(workloads, monkeypatch):
     return _load("tracing", monkeypatch)
 
 
@@ -75,3 +80,18 @@ def test_gen_data_manifest_write_is_traced(tracing, tmp_path):
     metrics, from_probe = tracing.layer_metrics(tracer)
     assert metrics["cli.manifest_s"][0] > 0
     assert "cli.manifest_s" not in from_probe
+
+
+@pytest.mark.parametrize("name", ["train_quantum", "evaluate", "label", "train_classical"])
+def test_workload_cycle_passes_its_checks(workloads, monkeypatch, tmp_path, name):
+    # one whole cycle of each workload on the committed inputs, as
+    # benchmarks/run.py drives it, with every output check passing
+    monkeypatch.setattr(workloads, "SCRATCH", tmp_path)
+    workload = workloads.WORKLOADS[name](seed=7)
+    workload.setup()
+    workload.reset()
+    for r in range(workload.cycle):
+        assert workload.round(r) > 0
+    checks = workloads.Checks()
+    workload.check(checks)
+    assert checks.attempted > 0 and checks.failures == []

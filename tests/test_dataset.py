@@ -2,6 +2,10 @@
 
 import json
 import multiprocessing
+import os
+import pickle
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from dnakernel.dataset import (
     BATCH_LINES,
     DatasetError,
     LabeledTriplet,
+    TripletSet,
     generate_triplets,
     load_triplets,
     random_sequence,
@@ -307,7 +312,7 @@ def line_by_line(path):
 def loaded(path):
     """What load_triplets makes of a file, unverified: its triplets, or its refusal."""
     try:
-        return load_triplets(path, verify_fraction=0)
+        return list(load_triplets(path, verify_fraction=0))
     except DatasetError as e:
         return str(e)
 
@@ -385,7 +390,7 @@ def test_corrupt_line_loads_as_line_by_line(tmp_path_factory, data, where):
 def test_committed_dataset_loads_as_line_by_line(name):
     path = ACCEPT_DIR / f"{name}.jsonl"
     triplets = load_triplets(path, verify_fraction=0)
-    assert len(triplets) == 3200 and triplets == line_by_line(path)
+    assert len(triplets) == 3200 and list(triplets) == line_by_line(path)
 
 
 def test_committed_train_set_takes_the_batch_pass(monkeypatch):
@@ -436,3 +441,90 @@ def test_later_block_refusal_names_its_line(tmp_path):
 def test_labeled_triplet_length():
     t = LabeledTriplet("ATGC", "GCAT", "AAAA", 1, 3)
     assert (t.length, t.s_ab, t.s_ac) == (4, 0.75, 0.25)
+
+
+class TestTripletSet:
+    def test_sequence_of_labeled_triplets(self):
+        objs = list(generate_triplets(seed=14, count=6, length=5))
+        s = TripletSet.of(objs)
+        assert (len(s), s.length, s.codes.shape, s.distances.shape) == (6, 5, (6, 3, 5), (6, 2))
+        assert list(s) == objs and [s[i] for i in range(-6, 6)] == objs + objs
+        assert list(s[1:4]) == objs[1:4] and list(s[::2]) == objs[::2]
+        assert s[1:4] == TripletSet.of(objs[1:4]) != s
+        assert np.shares_memory(s[1:4].codes, s.codes)
+        assert objs[3] in s and s.index(objs[3]) == 3
+        with pytest.raises(IndexError):
+            s[6]
+
+    def test_read_only(self):
+        s = generate_triplets(seed=14, count=3, length=5)
+        with pytest.raises(ValueError, match="read-only"):
+            s.codes[0, 0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            s[:2].distances[0] = 0
+        with pytest.raises(AttributeError, match="read-only"):
+            s.codes = s.codes.copy()
+
+    def test_constructor_leaves_caller_arrays_writable(self):
+        codes, distances = np.zeros((2, 3, 4), np.uint8), np.array([[0, 1], [2, 1]])
+        s = TripletSet(codes, distances)
+        assert codes.flags.writeable and distances.flags.writeable
+        assert list(s)[1] == LabeledTriplet("AAAA", "AAAA", "AAAA", 2, 1)
+        with pytest.raises(ValueError, match="expected"):
+            TripletSet(codes, distances[:1])
+
+    def test_pickles_as_its_two_arrays(self):
+        s = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and list(back[:3]) == list(s[:3])
+        assert not (back.codes.flags.writeable or back.distances.flags.writeable)
+        # a slice pickles its own rows, not the arrays it views
+        assert len(pickle.dumps(s[:10])) < len(pickle.dumps(s)) // 100
+
+    def test_of_checks_every_sequence(self):
+        assert len(TripletSet.of([])) == 0
+        with pytest.raises(ValueError, match="length mismatch"):
+            TripletSet.of([LabeledTriplet("ATGC", "ATG", "ATGC", 1, 2)])
+        with pytest.raises(ValueError, match="outside"):
+            TripletSet.of([LabeledTriplet("ATGC", "ATGC", "ATGX", 0, 1)])
+        with pytest.raises(ValueError, match="nonempty"):
+            TripletSet.of([LabeledTriplet("", "", "", 0, 1)])
+
+
+def test_loaded_train_set_retains_little_memory():
+    path = ACCEPT_DIR / "train.jsonl"
+    load_triplets(path, verify_fraction=0)  # first calls fill module-level caches
+    tracemalloc.start()
+    try:
+        # unverified: the exact search refills the interpreter's tuple free
+        # list, memory the set does not hold
+        triplets = load_triplets(path, verify_fraction=0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 3,200 triplets: 76,800 bytes of codes and 51,200 of distances
+    assert len(triplets) == 3200 and retained <= 200 * 1024
+
+
+@pytest.mark.parametrize("name", ["train", "test", "fresh"])
+def test_committed_dataset_saves_byte_identical(tmp_path, name):
+    path = ACCEPT_DIR / f"{name}.jsonl"
+    save_triplets(load_triplets(path, verify_fraction=0), tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("lines", [VALID, [VALID[0], json.dumps({"a": "ATGCA"}), VALID[2]]])
+def test_pipe_loads_like_a_regular_file(tmp_path, lines):
+    # a pipe cannot rewind, so the per-line loop must not need to re-read it
+    regular, pipe = tmp_path / "t.jsonl", tmp_path / "pipe"
+    _write_lines(regular, lines)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=_write_lines, args=(pipe, lines), daemon=True)
+    writer.start()
+    try:
+        got = loaded(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == loaded(regular)
+    assert isinstance(got, list) if lines == VALID else got == "line 2: missing field 'b'"

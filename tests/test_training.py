@@ -99,6 +99,15 @@ def make_triplets(num, length=4, seed=7):
     return generate_triplets(seed, num, length)
 
 
+def per_object_pairs(triplets) -> PairSet:
+    """The pair layout built one triplet object at a time, from the strings
+    and the s_ab / s_ac properties: the reference of the array build."""
+    triplets = list(triplets)
+    return PairSet(encode_sequences([t.a for t in triplets for _ in "bc"]),
+                   encode_sequences([s for t in triplets for s in (t.b, t.c)]),
+                   np.array([s for t in triplets for s in (t.s_ab, t.s_ac)]))
+
+
 def toy_pairs(num=12, seed=3):
     triplets = make_triplets(num, seed=seed)
     return pairs_from_triplets(triplets), triplets
@@ -147,6 +156,31 @@ class TestPairs:
             )
             assert pairs.targets[2 * i] == t.s_ab
             assert pairs.targets[2 * i + 1] == t.s_ac
+
+    @pytest.mark.parametrize("name", ["train", "test", "fresh"])
+    def test_committed_sets_match_per_object_build(self, name):
+        # from the loaded set, and from a list of its triplets
+        triplets = load_triplets(ACCEPT_DIR / f"{name}.jsonl", verify_fraction=0)
+        want = per_object_pairs(triplets)
+        for got in (pairs_from_triplets(triplets), pairs_from_triplets(list(triplets))):
+            for field in ("codes_a", "codes_b", "targets"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("source", ["loaded", "generated"])
+    def test_array_sets_build_no_triplet_objects(self, monkeypatch, source):
+        if source == "loaded":
+            triplets = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        else:
+            triplets = make_triplets(6)
+
+        def refuse(*args):
+            raise AssertionError("a LabeledTriplet was built")
+
+        monkeypatch.setattr(LabeledTriplet, "__init__", refuse)
+        assert len(pairs_from_triplets(triplets)) == 2 * len(triplets)
+        order_accuracy(ToyModel(), np.array([0.1, 0.2, 0.3]), triplets)
+        order_accuracy(ToyModel(), np.array([0.1, 0.2, 0.3]), triplets[:2])
 
 
 class TestTrainEpoch:
@@ -421,12 +455,13 @@ class TestTrainRun:
     def test_sequences_encoded_once_per_run(self, monkeypatch):
         # the train and test pairs are built once, whatever the epoch count
         calls = []
+        build = training.pairs_from_triplets
 
-        def counting_encode(seqs):
+        def counting_build(triplets):
             calls.append(1)
-            return encode_sequences(seqs)
+            return build(triplets)
 
-        monkeypatch.setattr(training, "encode_sequences", counting_encode)
+        monkeypatch.setattr(training, "pairs_from_triplets", counting_build)
         train = make_triplets(6, seed=1)
         test = make_triplets(6, seed=2)
         counts = []
@@ -435,7 +470,7 @@ class TestTrainRun:
             train_run(ToyModel(), TrainingConfig(epochs=epochs, batch_size=4),
                       train, test, run_seed=42)
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        assert counts == [2, 2]
 
     @pytest.mark.parametrize("head", ["cosine", "rbf", "poly2"])
     def test_committed_classical_epoch0_reproduced(self, head):
