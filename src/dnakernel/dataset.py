@@ -11,9 +11,9 @@ int64 array of d(a, b) and d(a, c). Generation, loading and the pair
 layout of training all work on those two arrays; a ``LabeledTriplet`` is
 built only when one triplet is indexed or the set is iterated.
 
-Labels come in batches: ``edm.pair_bounds`` brackets every pair of a batch in
-one numpy pass, then each pair goes through ``edm_exact``, which searches only
-where the bracket is open.
+Labels come in batches: one ``edm.exact_distances`` call per batch brackets
+every pair with ``pair_bounds`` and searches all pairs whose bracket is open
+together, a BFS level of all of them per step.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from operator import index, itemgetter
 import numpy as np
 
 from dnakernel.circuits import ALPHABET, LETTER_BYTES, encode, validate_sequence
-from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, pair_bounds
+# edm_exact is not called here but stays bound: the benchmark's tracer patches
+# it under this name and its probe calls it here
+from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, exact_distances  # noqa: F401
 
 
 BATCH_LINES = 128  # lines load_triplets decodes as one JSON array
@@ -143,13 +145,10 @@ def random_sequence(rng: np.random.Generator, length: int) -> str:
 
 
 def _distances(triples) -> list:
-    """Exact (d(a, b), d(a, c)) of each (a, b, c): one bounds pass for all
-    pairs, then one ``edm_exact`` call per pair."""
-    xs = [a for a, _, _ in triples for _ in range(2)]
-    ys = [y for _, b, c in triples for y in (b, c)]
-    upper, lower = pair_bounds(xs, ys)
-    d = [edm_exact(x, y, bounds=bd)
-         for x, y, bd in zip(xs, ys, zip(upper.tolist(), lower.tolist()))]
+    """Exact (d(a, b), d(a, c)) of each (a, b, c), all pairs in one
+    ``exact_distances`` call."""
+    d = exact_distances([a for a, _, _ in triples for _ in range(2)],
+                        [y for _, b, c in triples for y in (b, c)]).tolist()
     return list(zip(d[::2], d[1::2]))
 
 

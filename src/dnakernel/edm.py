@@ -19,18 +19,18 @@ open, every second move m2 after each of the TWO_MOVE_SEEDS best single
 moves m1 gives 2 + levenshtein(m2(m1(x)), y). A move is enumerated as a
 swap of two adjacent non-empty blocks, s[i:j] and s[j:k]. The lower bound
 counts letters and, after Ukkonen's q-gram distance (TCS 1992), bigrams of
-^x$ against ^y$: their gap is B = |^x$| + |^y$| - 2 * shared, where ^x$
-holds |x| + 1 bigrams and shared counts the bigrams the two have in common,
-with multiplicity.
-The search runs only for pairs whose bounds differ, and it prunes with the
-same lower bound, B taken by the same formula: a frontier node is not
-expanded when its depth plus its bound against the side's target reaches the
-best distance found.
+^x$ against ^y$.
+
+``exact_distances`` searches the pairs whose bounds differ, a batch at once:
+a string is one int64 key of 2-bit letters, a BFS level of every open pair
+is a few numpy passes over frontier keys, and a node is not expanded when
+its depth plus the same lower bound against its target reaches the best.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -41,13 +41,18 @@ NODE_BUDGET = 20_000_000
 BOUNDS_BLOCK = 64  # pairs per numpy pass of pair_bounds: its memory stays under ~1 MB
 TWO_MOVE_SEEDS = 8  # single moves per open pair that pair_bounds moves a second time
 
-_LETTER_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 # bigram symbols: the letters, then the ^ and $ end markers
 _START, _END = len(ALPHABET), len(ALPHABET) + 1
 _SYMBOLS = len(ALPHABET) + 2
 # set bits of every mask of up to MAX_EDM_LENGTH bits
 _POPCOUNT = np.array([v.bit_count() for v in range(1 << MAX_EDM_LENGTH)], np.int64)
-_INTEGERS = (int, np.integer)  # the types edm_exact accepts as bounds, bool aside
+# search node keys (``_Search``): letters below bit _NODE_BITS, then side and pair
+_NODE_BITS = 4 * MAX_EDM_LENGTH
+_NODE_MASK = (1 << _NODE_BITS) - 1
+_SIDE = 1 << _NODE_BITS
+_SEARCH_BLOCK = 256  # open pairs one _Search holds; below 2 ** (62 - _NODE_BITS)
+_CHILD_BLOCK = 1 << 13  # children per numpy pass of the search
+_SENTINELS = 1 << 2 * np.arange(2 * MAX_EDM_LENGTH)  # the least node key of each length
 
 
 class BudgetExceededError(RuntimeError):
@@ -186,44 +191,35 @@ def _lower_bound(lc, b):
 
     Only substitutions, insertions and deletions change letter counts, each
     by at most one unit of need and one of surplus, so a path needs
-    e >= lc letter operations. A substitution replaces two
-    bigrams of ^s$ (B changes by at most 4), an insertion or deletion
-    replaces one by two or two by one (at most 3), and a move, which
-    re-joins the string at three cut points, replaces three (at most 6). A
-    path with e letter operations and k moves therefore has 4e + 6k >= B,
-    so it is at least e + ceil((B - 4e) / 6) long, which does not decrease
-    with e. Takes ints or elementwise integer arrays.
-
-    The search applies it to every frontier node s at depth d: when d plus
-    the bound of s against the side's target is at least the best distance
-    found, no path through s is shorter, so s is not expanded. Pruning thus
-    drops only nodes that lie on no path shorter than ``best``, which keeps
-    the ``best <= dx + dy + 1`` stop rule of ``edm_exact`` exact.
+    e >= lc letter operations. A substitution replaces two bigrams of ^s$
+    (B changes by at most 4), an insertion or deletion replaces one by two
+    or two by one (at most 3), and a move, which re-joins the string at
+    three cut points, replaces three (at most 6). A path with e letter
+    operations and k moves therefore has 4e + 6k >= B, so it is at least
+    e + ceil((B - 4e) / 6) long, which does not decrease with e. Takes ints
+    or elementwise integer arrays.
     """
     excess = b - 4 * lc
     return lc + (excess > 0) * ((excess + 5) // 6)
 
 
-def _lower_bounds(xc: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_lower_bound`` of each pair of rows of two code arrays, and the
-    pairs' letter-count bounds lc.
+def _profile(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Letter counts and bigram counts of ^s$ of each row s of a 2-D code array."""
+    rows, n = codes.shape
+    ext = np.empty((rows, n + 2), np.intp)
+    ext[:, 0], ext[:, 1:-1], ext[:, -1] = _START, codes, _END
+    return (_row_counts(codes, len(ALPHABET)),
+            _row_counts(ext[:, :-1] * _SYMBOLS + ext[:, 1:], _SYMBOLS * _SYMBOLS))
 
-    lc = max(need, surplus) is the letter-count bound: with c letters in
-    common (multiset intersection), need = |y| - c and surplus = |x| - c. B
-    is the L1 distance between the bigram counts of ^x$ and ^y$, which is
-    |x| + |y| + 2 minus twice the bigrams in common (as in ``_node_bound``).
-    """
-    (pairs, n), m = xc.shape, yc.shape[1]
-    letters = len(ALPHABET)
-    common = np.minimum(_row_counts(xc, letters), _row_counts(yc, letters)).sum(1)
-    lc = max(n, m) - common
 
-    def bigrams(codes):
-        ext = np.empty((pairs, codes.shape[1] + 2), np.intp)
-        ext[:, 0], ext[:, 1:-1], ext[:, -1] = _START, codes, _END
-        return _row_counts(ext[:, :-1] * _SYMBOLS + ext[:, 1:], _SYMBOLS * _SYMBOLS)
-
-    b = n + m + 2 - 2 * np.minimum(bigrams(xc), bigrams(yc)).sum(1)
+def _lower_bounds(n, profile, m, target) -> tuple[np.ndarray, np.ndarray]:
+    """``_lower_bound`` of length-n strings against length-m targets, given
+    both ``_profile``s, and the letter-count bounds lc = max(need, surplus):
+    with c letters in common, need = m - c and surplus = n - c. B, the L1
+    gap of the bigram counts of ^s$ and ^t$, is n + m + 2 minus twice the
+    bigrams in common."""
+    lc = np.maximum(n, m) - np.minimum(profile[0], target[0]).sum(1)
+    b = n + m + 2 - 2 * np.minimum(profile[1], target[1]).sum(1)
     return _lower_bound(lc, b), lc
 
 
@@ -252,247 +248,250 @@ def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
             idx = members[start : start + BOUNDS_BLOCK]
             xc = encode([xs[i] for i in idx], n)
             yc = encode([ys[i] for i in idx], m)
-            lower[idx], lc = _lower_bounds(xc, yc)
+            lower[idx], lc = _lower_bounds(n, _profile(xc), m, _profile(yc))
             upper[idx] = _upper_bounds(xc, yc, lower[idx], lc)
     return upper, lower
 
 
-def _counts(s: str):
-    return tuple(map(s.count, ALPHABET))
+def _letters(keys: np.ndarray, n: int) -> np.ndarray:
+    """(len(keys), n) uint8 letter codes of length-n node keys."""
+    return (keys[:, None] >> np.arange(2 * n - 2, -1, -2) & 3).astype(np.uint8)
 
 
-def _deficits(counts, target):
-    """(need, surplus): letters missing from / exceeding the target counts."""
-    need = surplus = 0
-    for c, t in zip(counts, target):
-        if t > c:
-            need += t - c
-        else:
-            surplus += c - t
-    return need, surplus
+@functools.cache
+def _move_masks(n: int) -> np.ndarray:
+    """Key arithmetic of a length-n node's moves, in ``_move_table``'s order:
+    move (i, j, k) keeps the bits under row 0 and shifts s[j:k] (row 1) left
+    by row 2 bits and s[i:j] (row 3) right by row 4. Letter q is at bits
+    2 (n - 1 - q) + {0, 1}, so s[i:j] fills span(n - j, n - i)."""
+    def span(lo, hi):
+        return (1 << 2 * hi) - (1 << 2 * lo)
+    table = np.array([(~span(n - k, n - i), span(n - k, n - j), 2 * (j - i), span(n - j, n - i),
+                       2 * (k - j)) for i, j, k in itertools.combinations(range(n + 1), 3)],
+                     np.int64).reshape(-1, 5).T.copy()
+    table.flags.writeable = False
+    return table
 
 
-def _bigrams(s: str) -> dict:
-    """Bigram counts of ^s$, keyed by letter pairs ("^" and "$" mark the ends)."""
-    counts = {}
-    for k in zip("^" + s, s + "$"):
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys, by the stable argsort that ``pair_bounds`` runs:
+    numpy's in-place sort would map another 192 KiB of its code into memory."""
+    keys = keys[np.argsort(keys, kind="stable")]
+    first = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
-def _node_bound(s: str, lc: int, target_bigrams: dict, target_total: int) -> int:
-    """``_lower_bound`` of s against a target, given their letter-count
-    bound lc, the target's ``_bigrams`` and its bigram total |t| + 1.
+class _Search:
+    """Bidirectional BFS of a block of open pairs, one level of all of them at a time.
 
-    The bigram gap is the batch bound's B = |^s$| + |^t$| - 2 * shared. One
-    pass over the bigrams of ^s$ counts as shared each one that the target
-    still has unmatched, in a copy of the target's counts.
+    A node is an int64 key: its 2-bit letter codes, first letter highest,
+    under a sentinel 1 bit ("" is 1), plus group * _SIDE, group = 2 * pair
+    + side (side 0 searches from x, 1 from y). Visited nodes sit in one
+    sorted array with their depths, those at each side's current depth in
+    another, the frontier. Each level, every open pair expands its smaller
+    frontier (ties to x) one node at a time in key order: a node whose depth
+    plus ``_lower_bound`` against its target reaches the pair's best is
+    skipped, and its meetings lower that best before the next node. Chunks
+    of nodes run with their pairs' best at the chunk's start; where a node
+    lowers it, the pair's later nodes run again: no pair depends on another."""
+
+    def __init__(self, xs: list, ys: list, upper: np.ndarray, lower: np.ndarray):
+        roots = [s for xy in zip(xs, ys) for s in xy]
+        lengths = np.array(list(map(len, roots)))
+        keys = np.arange(len(roots)) * _SIDE
+        counts, bigrams = (np.empty((len(roots), k), np.uint8) for k in (4, _SYMBOLS**2))
+        for n in set(lengths.tolist()):
+            at = np.flatnonzero(lengths == n)
+            codes = encode([roots[i] for i in at], n)
+            keys[at] += (codes << np.arange(2 * n - 2, -1, -2)).sum(1) + (1 << 2 * n)
+            counts[at], bigrams[at] = _profile(codes)
+        swap = np.arange(len(roots)).reshape(-1, 2)[:, ::-1].ravel()  # the other root
+        self.target = lengths[swap], counts[swap], bigrams[swap]
+        self.best, self.lower = upper.copy(), lower
+        # any optimal intermediate stays within `best` length steps of both ends
+        self.len_lo = np.maximum(0, lengths.reshape(-1, 2).min(1) - upper)
+        self.len_hi = lengths.reshape(-1, 2).max(1) + upper
+        self.depth = np.zeros(len(roots), np.int64)  # of each group's frontier
+        self.generated = np.zeros(len(xs), np.int64)
+        self.visited, self.visited_depth, self.frontier = keys, np.zeros(len(keys), np.int64), keys
+
+    def limit(self) -> np.ndarray:
+        """Each pair's best while it can still fall, else 0. At depths (dx, dy)
+        every node within dx of x and dy of y on a path shorter than best is
+        visited (pruning skips no such node), so best is exact once it is at
+        most max(lower, dx + dy + 1)."""
+        reach = self.depth.reshape(-1, 2).sum(1) + 1
+        return np.where(self.best > np.maximum(self.lower, reach), self.best, 0)
+
+    def run(self) -> np.ndarray:
+        pairs = np.arange(len(self.best))
+        while True:
+            sizes = np.bincount(self.frontier >> _NODE_BITS, minlength=2 * len(pairs))
+            side = (sizes[0::2] > sizes[1::2]).astype(np.intp)
+            going = (self.limit() > 0) & (sizes[2 * pairs + side] > 0)
+            if not going.any():
+                return self.best
+            live = going[self.visited >> (_NODE_BITS + 1)]
+            if not live.all():
+                self.visited, self.visited_depth = self.visited[live], self.visited_depth[live]
+                self.frontier = self.frontier[going[self.frontier >> (_NODE_BITS + 1)]]
+            self._level((2 * pairs + side)[going])
+
+    def _level(self, expanding: np.ndarray) -> None:
+        """Expand each group of ``expanding`` one level; on its last level
+        (best <= dx + dy + 2: the search then stops) a pair adds no nodes."""
+        last = self.best <= self.depth.reshape(-1, 2).sum(1) + 2
+        pick = (np.bincount(expanding, minlength=len(self.depth)) > 0)[self.frontier >> _NODE_BITS]
+        nodes = self.frontier[pick]
+        self.frontier = self.frontier[np.logical_not(pick, out=pick)]
+        lengths = np.searchsorted(_SENTINELS, nodes & _NODE_MASK, "right") - 1
+        order = np.argsort(lengths, kind="stable")  # by length, each pair's in key order
+        nodes, lengths = nodes[order], lengths[order]
+        pairs = nodes >> (_NODE_BITS + 1)
+        # each node's depth plus bound, and its most children: 8n + 4 letter edits
+        # and its moves where lc lets them (its bigram counts weigh ~32 children)
+        bound, cost = np.empty((2, len(nodes)), np.int64)
+        for at, n in self._chunks(np.arange(len(nodes)), lengths, np.full(len(nodes), 32)):
+            depth = self.depth[nodes[at] >> _NODE_BITS]
+            lower, lc = self._node_bounds(nodes[at], n)
+            bound[at] = depth + lower
+            moves = (depth + 1 + lc < self.best[pairs[at]]) * _move_masks(n).shape[1]
+            cost[at] = moves + 8 * n + 4
+        fresh = [np.empty(0, np.int64)]
+        todo = np.arange(len(nodes))
+        while len(todo):
+            todo = todo[bound[todo] < self.limit()[pairs[todo]]]
+            held = np.zeros(len(self.best), bool)  # pairs whose best fell in this pass
+            again = np.zeros(len(nodes), bool)  # nodes for the next pass
+            for chunk, n in self._chunks(todo, lengths, cost):
+                again[chunk[held[pairs[chunk]]]] = True
+                chunk = chunk[~held[pairs[chunk]]]
+                if len(chunk):
+                    done, new = self._expand_chunk(nodes[chunk], pairs[chunk], n, last, held)
+                    again[chunk[~done]] = True
+                    fresh.append(new)
+            todo = np.flatnonzero(again)
+        del pick, order, nodes, lengths, pairs, bound, cost, again  # before the copies below
+        self.depth[expanding] += 1
+        new = _distinct(np.concatenate(fresh))
+        at = np.searchsorted(self.visited, new)
+        self.visited = np.insert(self.visited, at, new)
+        self.visited_depth = np.insert(self.visited_depth, at, self.depth[new >> _NODE_BITS])
+        self.frontier = np.insert(self.frontier, np.searchsorted(self.frontier, new), new)
+
+    @staticmethod
+    def _chunks(todo: np.ndarray, lengths: np.ndarray, cost: np.ndarray):
+        """(indices, n): ``todo``, sorted by length, in runs of one length n (none
+        if it is empty) cut where their ``cost`` passes a multiple of _CHILD_BLOCK."""
+        length = lengths[todo]
+        for run in np.split(todo, np.flatnonzero(length[1:] != length[:-1]) + 1)[:len(todo)]:
+            total = np.cumsum(cost[run])
+            for part in np.split(run, np.searchsorted(
+                    total, np.arange(_CHILD_BLOCK, total[-1], _CHILD_BLOCK), "right")):
+                if len(part):
+                    yield part, int(lengths[part[0]])
+
+    def _node_bounds(self, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_lower_bounds`` of length-n nodes against their sides' targets."""
+        m, counts, bigrams = (t[keys >> _NODE_BITS] for t in self.target)
+        return _lower_bounds(n, _profile(_letters(keys, n)), m, (counts, bigrams))
+
+    def _expand_chunk(self, keys, owner, n, last, held) -> tuple[np.ndarray, np.ndarray]:
+        """Expand length-n nodes of pairs ``owner``; return which count and
+        their children new to their side (none on a pair's ``last`` level).
+        A pair's nodes count up to the first whose meetings lower its best,
+        which marks it ``held``: its later nodes run again with the new best."""
+        # numpy keeps up to 7 freed blocks of each size under 1 KiB; padding
+        # to a power of two with childless copies of nodes bounds the sizes
+        count = len(keys)
+        pad = np.arange(1 << (count - 1).bit_length()) % count
+        keys, owner = keys[pad], owner[pad]
+        children, parent = self._children(keys, n, count)
+        other = children + (_SIDE - 2 * (keys & _SIDE))[parent]  # the other side's key
+        at = np.minimum(np.searchsorted(self.visited, other), len(self.visited) - 1)
+        met = np.flatnonzero(self.visited[at] == other)
+        length = self.depth[keys[parent[met]] >> _NODE_BITS] + 1 + self.visited_depth[at[met]]
+        order = np.argsort(-length, kind="stable")  # of repeated indices, the last write stays
+        meet = self.best[owner]
+        meet[parent[met][order]] = np.minimum(meet[parent[met][order]], length[order])
+        fell = np.flatnonzero(meet < self.best[owner])
+        first = np.full(len(self.best), len(keys))
+        first[owner[fell[::-1]]] = fell[::-1]
+        done = np.arange(len(keys)) <= first[owner]
+        lowered = first < len(keys)
+        self.best[lowered] = meet[first[lowered]]
+        held |= lowered
+        self.generated += np.bincount(owner[parent[done[parent]]], minlength=len(self.best))
+        if (self.generated > NODE_BUDGET).any():
+            raise BudgetExceededError(f"edit-distance search exceeded its budget of {NODE_BUDGET} "
+                                      "generated strings without an exact answer")
+        new = _distinct(children[(done & ~last[owner])[parent]])
+        at = np.minimum(np.searchsorted(self.visited, new), len(self.visited) - 1)
+        return done[:count], new[self.visited[at] != new]
+
+    def _children(self, keys: np.ndarray, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The children of the first ``count`` length-n nodes and each one's
+        parent, but none whose depth plus letter-count bound h reaches the
+        best: h = max(|s|, m) - c, with c letters in common with the target,
+        and c falls with a letter o the target has no fewer of ("spare"),
+        rises with a letter it has more of ("short"), and moves keep it."""
+        groups = keys >> _NODE_BITS
+        pairs = groups >> 1
+        m, target = self.target[0][groups], self.target[1][groups]
+        letters = _letters(keys, n)
+        counts = _row_counts(letters, len(ALPHABET))
+        short, spare = counts < target, counts <= target
+        # how far an edit may raise h above the node's own: depth + 1 + h < best
+        slack = (self.best[pairs] - self.depth[groups] - 1 - np.maximum(n, m)
+                 + np.minimum(counts, target).sum(1))
+        slack[count:] = -4 * _NODE_BITS  # padding nodes have no children
+        spare_old = spare[np.arange(len(keys))[:, None], letters]
+        head, node = keys & ~_NODE_MASK, keys & _NODE_MASK
+        cut = 2 * np.arange(n, -1, -1)  # bits below letter q, q = 0..n
+        low = (1 << cut) - 1
+        keep, left, left_shift, right, right_shift = moves = _move_masks(n)
+        at = np.flatnonzero(slack > 0)
+        moved = keys[at, None]
+        children = [((moved & keep) + ((moved & left) << left_shift)
+                     + ((moved & right) >> right_shift)).ravel()]
+        parents = [np.repeat(at, moves.shape[1])]
+        # letter q becomes c
+        at, q, c = np.nonzero((spare_old[:, :, None] < (slack[:, None] + short)[:, None])
+                              & (letters[:, :, None] != np.arange(len(ALPHABET))))
+        children.append(keys[at] + ((c - letters[at, q]) << cut[q + 1]))
+        parents.append(at)
+        # c goes before letter q, for every q
+        at, c = np.nonzero(((n >= m)[:, None] < slack[:, None] + short)
+                           & (n < self.len_hi[pairs])[:, None])
+        joined = head[at, None] + (node[at, None] & low) + ((node[at, None] >> cut) << (cut + 2))
+        children.append((joined + (c[:, None] << cut)).ravel())
+        parents.append(np.repeat(at, n + 1))
+        # letter q goes
+        at, q = np.nonzero((spare_old < (slack + (n > m))[:, None])
+                           & (n > self.len_lo[pairs])[:, None])
+        children.append(head[at] + (node[at] & low[q + 1]) + ((node[at] >> cut[q]) << cut[q + 1]))
+        parents.append(at)
+        return np.concatenate(children), np.concatenate(parents)
+
+
+def exact_distances(xs, ys) -> np.ndarray:
+    """Exact edit distance with moves of each pair (xs[i], ys[i]).
+
+    A pair whose ``pair_bounds`` meet has its answer; open pairs are searched
+    together, _SEARCH_BLOCK at a time (``_Search``). Raises BudgetExceededError
+    once a pair has generated over NODE_BUDGET child strings (per expanded node,
+    duplicates included), and ValueError as ``pair_bounds`` does.
     """
-    left = target_bigrams.copy()
-    shared = 0
-    for k in zip("^" + s, s + "$"):
-        c = left.get(k)
-        if c:
-            left[k] = c - 1
-            shared += 1
-    return _lower_bound(lc, len(s) + 1 + target_total - 2 * shared)
+    xs, ys = list(xs), list(ys)
+    upper, lower = pair_bounds(xs, ys)
+    open_ = np.flatnonzero(upper > lower)
+    for lo in range(0, len(open_), _SEARCH_BLOCK):
+        at = open_[lo : lo + _SEARCH_BLOCK]
+        upper[at] = _Search([xs[i] for i in at], [ys[i] for i in at], upper[at], lower[at]).run()
+    return upper
 
 
-class _Side:
-    """One frontier of the bidirectional search, from ``root`` toward ``target``."""
-
-    def __init__(self, root: str, target: str, root_counts: tuple, target_counts: tuple):
-        self.target_counts = target_counts
-        self.target_bigrams = _bigrams(target)
-        self.target_total = len(target) + 1
-        need, surplus = _deficits(root_counts, target_counts)
-        self.visited = {root: 0}
-        self.frontier = [(root, root_counts, need, surplus)]
-        self.depth = 0  # depth of the current (unexpanded) frontier
-
-
-def _expand(side: _Side, other: _Side, best: int, len_lo: int, len_hi: int, budget: list,
-            last: bool = False):
-    """Expand one full BFS level of ``side``; return the best bound found.
-
-    A frontier node s at depth d is skipped, generating no children, when
-    d + ``_lower_bound`` of s against the side's target is at least
-    ``best``: first by its letter-count bound h = max(need, surplus), which
-    the frontier carries, then, only if that does not prune, with the
-    bigram gap (``_node_bound``). A child at depth d+1 whose letter-count
-    bound h cannot beat ``best`` (d+1+h >= best) is not generated. Moves
-    never change letter counts, so when the parent already saturates that
-    bound the whole move fan-out is skipped at once. Every generated child
-    string counts against ``budget``, checked once per expanded node; a
-    child already visited on this side is dropped before any state is built
-    for it. Every generated child is looked up in the other side's visited
-    set where it is generated, so a meeting lowers ``best`` for the node's
-    later children. On the ``last`` level, after which the search stops
-    whatever it finds, nothing is inserted and no frontier is built.
-    """
-    depth = side.depth
-    depth1 = depth + 1
-    visited = side.visited
-    other_get = other.visited.get
-    tc = side.target_counts
-    target_bigrams = side.target_bigrams
-    target_total = side.target_total
-    new_frontier = []
-    append = new_frontier.append
-    index = _LETTER_INDEX
-
-    for s, counts, need, surplus in side.frontier:
-        lc = need if need > surplus else surplus
-        if (depth + lc >= best
-                or depth + _node_bound(s, lc, target_bigrams, target_total) >= best):
-            continue
-        n = len(s)
-        generated = 0
-        if depth1 + lc < best:
-            # moves: swap the adjacent blocks s[i:j] and s[j:k]
-            for i in range(n - 1):
-                head = s[:i]
-                for j in range(i + 1, n):
-                    left = s[i:j]
-                    for k in range(j + 1, n + 1):
-                        cs = head + s[j:k] + left + s[k:]
-                        generated += 1
-                        d = other_get(cs)
-                        if d is not None and depth1 + d < best:
-                            best = depth1 + d
-                        if not last and cs not in visited:
-                            visited[cs] = depth1
-                            append((cs, counts, need, surplus))
-        for i in range(n):
-            old = s[i]
-            oi = index[old]
-            # removing one `old`
-            if counts[oi] > tc[oi]:
-                dn_need, dn_sur = need, surplus - 1
-            else:
-                dn_need, dn_sur = need + 1, surplus
-            for ci, c in enumerate(ALPHABET):
-                if ci == oi:
-                    continue
-                if counts[ci] < tc[ci]:
-                    need2, sur2 = dn_need - 1, dn_sur
-                else:
-                    need2, sur2 = dn_need, dn_sur + 1
-                if depth1 + (need2 if need2 > sur2 else sur2) >= best:
-                    continue
-                cs = s[:i] + c + s[i + 1 :]
-                generated += 1
-                d = other_get(cs)
-                if d is not None and depth1 + d < best:
-                    best = depth1 + d
-                if not last and cs not in visited:
-                    cc = list(counts)
-                    cc[oi] -= 1
-                    cc[ci] += 1
-                    visited[cs] = depth1
-                    append((cs, tuple(cc), need2, sur2))
-        if n < len_hi:
-            for ci, c in enumerate(ALPHABET):
-                if counts[ci] < tc[ci]:
-                    need2, sur2 = need - 1, surplus
-                else:
-                    need2, sur2 = need, surplus + 1
-                if depth1 + (need2 if need2 > sur2 else sur2) >= best:
-                    continue
-                cc = list(counts)
-                cc[ci] += 1
-                cc = tuple(cc)
-                for i in range(n + 1):
-                    cs = s[:i] + c + s[i:]
-                    generated += 1
-                    d = other_get(cs)
-                    if d is not None and depth1 + d < best:
-                        best = depth1 + d
-                    if not last and cs not in visited:
-                        visited[cs] = depth1
-                        append((cs, cc, need2, sur2))
-        if n > len_lo:
-            for i in range(n):
-                ci = index[s[i]]
-                if counts[ci] > tc[ci]:
-                    need2, sur2 = need, surplus - 1
-                else:
-                    need2, sur2 = need + 1, surplus
-                if depth1 + (need2 if need2 > sur2 else sur2) >= best:
-                    continue
-                cs = s[:i] + s[i + 1 :]
-                generated += 1
-                d = other_get(cs)
-                if d is not None and depth1 + d < best:
-                    best = depth1 + d
-                if not last and cs not in visited:
-                    cc = list(counts)
-                    cc[ci] -= 1
-                    visited[cs] = depth1
-                    append((cs, tuple(cc), need2, sur2))
-
-        budget[0] -= generated
-        if budget[0] < 0:
-            raise BudgetExceededError(
-                f"edit-distance search exceeded its budget of {NODE_BUDGET} "
-                "generated strings without an exact answer"
-            )
-    side.frontier = new_frontier
-    side.depth = depth1
-    return best
-
-
-def edm_exact(x: str, y: str, bounds=None) -> int:
-    """Exact edit distance with moves between two strings.
-
-    The search starts from the ``pair_bounds`` bracket, computed here as a
-    batch of one unless a caller that bounded many pairs at once passes this
-    pair's ``(upper, lower)``, integers with 0 <= lower <= upper (else
-    ValueError); where the two meet, that is the answer. Else a
-    bidirectional uniform-cost search (all operations cost 1, so plain BFS
-    levels) runs from both endpoints with visited-set deduplication. Levels
-    alternate to whichever frontier is smaller; intermediate strings are
-    pruned to lengths within the reachable band, frontier nodes by the
-    letter-count and bigram bound to their side's target (``_lower_bound``)
-    and children by the letter-count bound, and the search stops as soon as
-    the upper bound meets the lower bound or no meeting shorter than it can
-    remain. Raises BudgetExceededError once more than NODE_BUDGET child
-    strings have been generated (counted per expanded node, before
-    duplicates are dropped); the answer, when returned, is exact.
-    """
-    if bounds is None:
-        upper, lower = pair_bounds([x], [y])
-        best, lower = int(upper[0]), int(lower[0])
-    else:
-        _check_length(x, y)
-        check_letters(x)
-        check_letters(y)
-        best, lower = bounds
-        if not (all(isinstance(v, _INTEGERS) and not isinstance(v, bool) for v in (best, lower))
-                and 0 <= lower <= best):
-            raise ValueError(f"bounds must be integers (upper, lower) with "
-                             f"0 <= lower <= upper, got {bounds!r}")
-    if best <= lower:
-        return best
-    remaining = [NODE_BUDGET]
-    # any optimal intermediate stays within `best` length steps of both ends
-    len_lo = max(0, min(len(x), len(y)) - best)
-    len_hi = max(len(x), len(y)) + best
-    cx, cy = _counts(x), _counts(y)
-    sx = _Side(x, y, cx, cy)
-    sy = _Side(y, x, cy, cx)
-    # after expanding to frontier depths (dx, dy) every node within dx of x
-    # and dy of y that lies on a path shorter than `best` has been visited
-    # (pruning, of frontier nodes and of children, drops only nodes on no
-    # such path), so any true distance D < best with D <= dx + dy has
-    # produced a meeting candidate. Hence once dx + dy >= best - 1, every
-    # distance up to best - 1 would already have lowered `best`, and `best`
-    # is exact: stop while best <= dx + dy + 1. A level that brings the
-    # depths there is the last one whatever it finds.
-    while best > max(lower, sx.depth + sy.depth + 1):
-        side, other = (sx, sy) if len(sx.frontier) <= len(sy.frontier) else (sy, sx)
-        if not side.frontier:
-            break
-        last = best <= sx.depth + sy.depth + 2
-        best = _expand(side, other, best, len_lo, len_hi, remaining, last)
-    return best
+def edm_exact(x: str, y: str) -> int:
+    """Exact edit distance with moves of one pair (``exact_distances``)."""
+    return int(exact_distances([x], [y])[0])

@@ -28,6 +28,7 @@ from dnakernel.edm import (
     MAX_EDM_LENGTH,
     BudgetExceededError,
     edm_exact,
+    exact_distances,
     levenshtein,
     pair_bounds,
 )
@@ -104,15 +105,29 @@ def upper_oracle(x, y):
                + [2 + lev_oracle(m2, y) for m2 in second])
 
 
+def lc_oracle(x, y):
+    """The letter-count bound: letters of x missing from y or in excess."""
+    cx, cy = Counter(x), Counter(y)
+    return max(sum((cx - cy).values()), sum((cy - cx).values()))
+
+
 def lower_oracle(x, y):
     """The letter-count bound lc plus the moves that the bigram gap B forces:
     lc + ceil(max(0, B - 4 lc) / 6), counted with collections.Counter."""
-    cx, cy = Counter(x), Counter(y)
-    lc = max(sum((cx - cy).values()), sum((cy - cx).values()))
+    lc = lc_oracle(x, y)
     bx = Counter(zip("^" + x, x + "$"))
     by = Counter(zip("^" + y, y + "$"))
     b = sum(((bx - by) + (by - bx)).values())
     return lc + -(-max(0, b - 4 * lc) // 6)
+
+
+def searched(xs, ys):
+    """(indices, distances, generated children) of the open pairs among
+    (xs, ys), searched as one block from their ``pair_bounds`` brackets."""
+    upper, lower = pair_bounds(xs, ys)
+    at = np.flatnonzero(upper > lower)
+    search = edm._Search([xs[i] for i in at], [ys[i] for i in at], upper[at], lower[at])
+    return at, search.run().tolist(), search.generated.tolist()
 
 
 def bfs_edm_oracle(x, y):
@@ -287,22 +302,34 @@ class TestEdmExact:
         # letter-count bound alone
         t = json.loads((ACCEPT_DIR / "train.jsonl").read_text().splitlines()[294])
         assert (t["a"], t["b"], t["d_ab"]) == ("TGAGTGTG", "ACGGGGTT", 4)
+        assert searched([t["a"]], [t["b"]])[1:] == ([4], [304])
+        budget = edm.NODE_BUDGET
         monkeypatch.setattr(edm, "NODE_BUDGET", 1000)
         assert edm_exact(t["a"], t["b"]) == 4
-        monkeypatch.setattr(edm, "_node_bound",
-                            lambda s, lc, target_bigrams, target_total: lc)
+        node_bounds = edm._Search._node_bounds
+
+        def letter_counts_only(search, keys, n):
+            lc = node_bounds(search, keys, n)[1]
+            return lc, lc
+
+        monkeypatch.setattr(edm._Search, "_node_bounds", letter_counts_only)
         with pytest.raises(BudgetExceededError, match="budget of 1000"):
             edm_exact(t["a"], t["b"])
+        monkeypatch.setattr(edm, "NODE_BUDGET", budget)
+        assert searched([t["a"]], [t["b"]])[1:] == ([4], [6849])
 
     # (line of train.jsonl, pair, children the search generates): eleven
     # pairs whose bracket is open, at distances 3-7, one (line 47) below its
     # upper bound. edm_exact completes on a NODE_BUDGET of exactly that count
     # and raises one below it, so any change to what the search prunes,
-    # generates or charges shows here
+    # generates or charges shows here. A meeting lowers the best distance
+    # for the pair's next frontier node, not for the rest of the node's own
+    # children, so line 47 generates 902 (640 when a meeting also pruned the
+    # meeting node's later children)
     BUDGET_PINS = [
         (1, "c", 13577), (2, "b", 20), (4, "b", 322), (5, "b", 1654), (6, "b", 2747),
         (9, "b", 9011), (10, "b", 771), (12, "b", 13906), (14, "b", 280), (17, "b", 212),
-        (47, "c", 640),
+        (47, "c", 902),
     ]
 
     def test_generated_children_are_pinned(self, monkeypatch):
@@ -318,17 +345,6 @@ class TestEdmExact:
             monkeypatch.setattr(edm, "NODE_BUDGET", generated - 1)
             with pytest.raises(BudgetExceededError):
                 edm_exact(x, y)
-
-    @pytest.mark.parametrize("x, y, bounds", [
-        ("A", "T", (0, 5)),  # lower above upper: returned 0
-        ("ACGT", "TGCA", (-3, 0)),  # negative: returned -3
-        ("A", "T", (2.5, 1)),  # not integers: returned 2.5
-        ("ATGC", "ATGG", (True, True)),  # bools: returned True
-    ])
-    def test_rejects_bad_bounds(self, x, y, bounds):
-        # pair_bounds' own brackets pass: test_bounds_argument_gives_the_same_distance
-        with pytest.raises(ValueError, match="bounds must be integers"):
-            edm_exact(x, y, bounds=bounds)
 
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(4)
@@ -417,6 +433,74 @@ class TestEdmExact:
             assert (edm_exact(x, y) == 0) == (x == y)
 
 
+class TestExactDistances:
+    """The batched search: one call answers many pairs, each as if alone."""
+
+    @staticmethod
+    def pinned_pairs(lines=None):
+        """(x, y) of the BUDGET_PINS pairs of train.jsonl, with their counts."""
+        rows = (ACCEPT_DIR / "train.jsonl").read_text().splitlines()
+        pins = [p for p in TestEdmExact.BUDGET_PINS if lines is None or p[0] in lines]
+        pairs = [(json.loads(rows[line - 1]), other) for line, other, _ in pins]
+        return [(t["a"], t[other]) for t, other in pairs], [g for _, _, g in pins]
+
+    def test_mixed_lengths_match_bfs_oracle(self):
+        # one call over lengths 1-6: 60 pairs whose bracket is open (random
+        # up to length 5, two or three operations apart at lengths 5-6) and
+        # 30 random pairs, most of them closed by their bounds
+        rng = np.random.default_rng(21)
+        xs, ys = [], []
+        while len(xs) < 60:
+            n = int(rng.integers(1, 7))
+            x = random_string(rng, n)
+            if n >= 5:
+                y = mutate(rng, x, int(rng.integers(2, 4)))[:6]
+            else:
+                y = random_string(rng, int(rng.integers(1, 6)))
+            upper, lower = pair_bounds([x], [y])
+            if upper[0] > lower[0]:
+                xs.append(x)
+                ys.append(y)
+        xs += [random_string(rng, int(rng.integers(1, 4))) for _ in range(30)]
+        ys += [random_string(rng, int(rng.integers(1, 4))) for _ in range(30)]
+        assert {len(s) for s in xs + ys} == set(range(1, 7))
+        assert exact_distances(xs, ys).tolist() == [bfs_edm_oracle(x, y) for x, y in zip(xs, ys)]
+
+    def test_generated_counts_do_not_depend_on_the_batch(self):
+        # each pinned pair, and random length-7 and length-8 pairs, generates
+        # as many children and gets the same distance alone, in one block and
+        # in a shuffled block
+        pairs, pinned = self.pinned_pairs()
+        rng = np.random.default_rng(22)
+        pairs += [(random_string(rng, n), random_string(rng, n)) for n in (7, 8) for _ in range(12)]
+        pairs = [(x, y) for x, y in pairs if len(searched([x], [y])[0])]  # open brackets
+        alone = [searched([x], [y])[1:] for x, y in pairs]
+        assert [g for _, (g,) in alone[: len(pinned)]] == pinned
+        xs, ys = map(list, zip(*pairs))
+        at, distances, generated = searched(xs, ys)
+        assert at.tolist() == list(range(len(pairs)))
+        assert list(zip(distances, generated)) == [(d, g) for (d,), (g,) in alone]
+        order = rng.permutation(len(pairs))
+        at, distances, generated = searched([xs[i] for i in order], [ys[i] for i in order])
+        assert list(zip(distances, generated)) == [(d, g) for (d,), (g,) in
+                                                    (alone[i] for i in order)]
+
+    @pytest.mark.parametrize("where", [0, 3, 8])
+    def test_over_budget_pair_in_a_batch_raises(self, monkeypatch, where):
+        # line 1 generates 13,577 children; on a budget one below that it
+        # raises wherever it sits in a batch of pairs that fit the budget
+        pairs, pinned = self.pinned_pairs(lines={2, 4, 5, 6, 9, 10, 14, 17})
+        over, (count,) = self.pinned_pairs(lines={1})
+        assert max(pinned) < count - 1
+        monkeypatch.setattr(edm, "NODE_BUDGET", count - 1)
+        xs, ys = map(list, zip(*pairs))
+        assert exact_distances(xs, ys).tolist()
+        xs.insert(where, over[0][0])
+        ys.insert(where, over[0][1])
+        with pytest.raises(BudgetExceededError, match=f"budget of {count - 1}"):
+            exact_distances(xs, ys)
+
+
 class TestPairBounds:
     def test_lower_bound_below_bfs_oracle_up_to_length_3(self):
         # every ordered pair of strings of length 0-3 (85 strings, 7,225 pairs)
@@ -482,8 +566,7 @@ class TestPairBounds:
         while len(xs) < edm.BOUNDS_BLOCK:
             x, y = random_string(rng, 10), random_string(rng, 10)
             upper, lower = pair_bounds([x], [y])
-            lc = max(edm._deficits(edm._counts(x), edm._counts(y)))
-            if upper[0] > max(lower[0], lc + 2):
+            if upper[0] > max(lower[0], lc_oracle(x, y) + 2):
                 xs.append(x)
                 ys.append(y)
         tracemalloc.start()
@@ -494,23 +577,35 @@ class TestPairBounds:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    @staticmethod
+    def node_bounds(xs, ys):
+        """The search's (bound, lc) of each x as a node key against its y,
+        from the roots of one ``_Search`` block."""
+        search = edm._Search(xs, ys, *pair_bounds(xs, ys))
+        roots = search.visited[0::2]  # the x side's root keys, in pair order
+        bound, lc = np.empty((2, len(xs)), np.int64)
+        for n in set(map(len, xs)):
+            at = np.flatnonzero([len(x) == n for x in xs])
+            bound[at], lc[at] = search._node_bounds(roots[at], n)
+        return bound.tolist(), lc.tolist()
+
     def test_node_bound_matches_batch_bound(self):
-        # the search's scalar bound of a node against its side's target is
-        # the batch lower bound of that pair, at lengths 0-10
+        # the search's bound of a node key against its side's target is the
+        # batch lower bound of that pair, at lengths 0-10
         rng = np.random.default_rng(16)
         xs, ys = ["", "", "GCA", "ATGC"], ["", "ATG", "", "ATGC"]
         for _ in range(300):
             xs.append(random_string(rng, int(rng.integers(0, MAX_EDM_LENGTH + 1))))
             ys.append(random_string(rng, int(rng.integers(0, MAX_EDM_LENGTH + 1))))
         _, lower = pair_bounds(xs, ys)
-        for x, y, lo in zip(xs, ys, lower.tolist()):
-            lc = max(edm._deficits(edm._counts(x), edm._counts(y)))
-            assert edm._node_bound(x, lc, edm._bigrams(y), len(y) + 1) == lo, (x, y)
+        bound, lc = self.node_bounds(xs, ys)
+        assert bound == lower.tolist()
+        assert lc == [lc_oracle(x, y) for x, y in zip(xs, ys)]
 
     def test_node_bound_matches_counter_gap(self):
         # the shared-bigram form gives the L1 gap between the Counter bigrams
-        # of ^s$ and ^t$, for every letter-count bound lc 0..3, at lengths
-        # 0-10 against targets of unequal and of equal length
+        # of ^s$ and ^t$, at lengths 0-10 against targets of unequal and of
+        # equal length
         rng = np.random.default_rng(17)
         targets = ["", "A", "GATTACA", "ATGCATGC", "TTTTTTTTTT"]
         targets += [random_string(rng, n) for n in range(MAX_EDM_LENGTH + 1)]
@@ -518,20 +613,22 @@ class TestPairBounds:
             bt = Counter(zip("^" + t, t + "$"))
             strings = [random_string(rng, n) for n in range(MAX_EDM_LENGTH + 1) for _ in range(6)]
             strings += [t, t[::-1], t[1:] + t[:1]]
-            for s in strings:
+            bound, lc = self.node_bounds(strings, [t] * len(strings))
+            for s, got, lc_s in zip(strings, bound, lc):
                 bs = Counter(zip("^" + s, s + "$"))
                 gap = sum(((bs - bt) + (bt - bs)).values())
-                for lc in range(4):
-                    got = edm._node_bound(s, lc, edm._bigrams(t), len(t) + 1)
-                    assert got == edm._lower_bound(lc, gap), (s, t, lc)
+                assert lc_s == lc_oracle(s, t), (s, t)
+                assert got == edm._lower_bound(lc_s, gap), (s, t)
 
     def test_bounds_argument_gives_the_same_distance(self):
+        # the search started from pair_bounds' brackets, as one block, gives
+        # each pair's edm_exact
         rng = np.random.default_rng(15)
         xs = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
         ys = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
-        upper, lower = pair_bounds(xs, ys)
-        for x, y, up, lo in zip(xs, ys, upper.tolist(), lower.tolist()):
-            assert edm_exact(x, y, bounds=(up, lo)) == edm_exact(x, y), (x, y)
+        at, distances, _ = searched(xs, ys)
+        assert len(at) > 20
+        assert distances == [edm_exact(xs[i], ys[i]) for i in at]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="outside"):
