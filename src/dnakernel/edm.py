@@ -52,6 +52,7 @@ _NODE_MASK = (1 << _NODE_BITS) - 1
 _SIDE = 1 << _NODE_BITS
 _SEARCH_BLOCK = 256  # open pairs one _Search holds; below 2 ** (62 - _NODE_BITS)
 _CHILD_BLOCK = 1 << 13  # children per numpy pass of the search
+_SEARCH_KEYS = 1 << 13  # visited nodes of a _Search past which its later open pairs wait
 _SENTINELS = 1 << 2 * np.arange(2 * MAX_EDM_LENGTH)  # the least node key of each length
 
 
@@ -274,8 +275,10 @@ def _move_masks(n: int) -> np.ndarray:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys, by the stable argsort that ``pair_bounds`` runs:
-    numpy's in-place sort would map another 192 KiB of its code into memory."""
+    """Sorted distinct keys, by the stable argsort that ``pair_bounds`` runs.
+    ``np.sort`` maps another ~0.2 MB of numpy's code and ``np.unique`` imports
+    ``numpy.ma`` (~1 MB): either raises the ``label`` benchmark's peak RSS,
+    which stays within its 5% bound by a few hundred KB."""
     keys = keys[np.argsort(keys, kind="stable")]
     first = np.ones(len(keys), bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -283,13 +286,14 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 class _Search:
-    """Bidirectional BFS of a block of open pairs, one level of all of them at a time.
+    """Bidirectional BFS of a block of open pairs, one level of many of them at a time.
 
     A node is an int64 key: its 2-bit letter codes, first letter highest,
     under a sentinel 1 bit ("" is 1), plus group * _SIDE, group = 2 * pair
     + side (side 0 searches from x, 1 from y). Visited nodes sit in one
     sorted array with their depths, those at each side's current depth in
-    another, the frontier. Each level, every open pair expands its smaller
+    another, the frontier. Each level, the open pairs, in order while those
+    before hold fewer than _SEARCH_KEYS visited nodes, expand their smaller
     frontier (ties to x) one node at a time in key order: a node whose depth
     plus ``_lower_bound`` against its target reaches the pair's best is
     skipped, and its meetings lower that best before the next node. Chunks
@@ -329,13 +333,17 @@ class _Search:
         while True:
             sizes = np.bincount(self.frontier >> _NODE_BITS, minlength=2 * len(pairs))
             side = (sizes[0::2] > sizes[1::2]).astype(np.intp)
-            going = (self.limit() > 0) & (sizes[2 * pairs + side] > 0)
-            if not going.any():
+            open_ = (self.limit() > 0) & (sizes[2 * pairs + side] > 0)
+            if not open_.any():
                 return self.best
-            live = going[self.visited >> (_NODE_BITS + 1)]
+            live = open_[self.visited >> (_NODE_BITS + 1)]
             if not live.all():
                 self.visited, self.visited_depth = self.visited[live], self.visited_depth[live]
-                self.frontier = self.frontier[going[self.frontier >> (_NODE_BITS + 1)]]
+                self.frontier = self.frontier[open_[self.frontier >> (_NODE_BITS + 1)]]
+            # open pairs expand in order while the pairs before them hold fewer
+            # than _SEARCH_KEYS visited nodes; the rest wait for those to finish
+            held = np.bincount(self.visited >> (_NODE_BITS + 1), minlength=len(pairs))
+            going = open_ & (np.cumsum(held) - held < _SEARCH_KEYS)
             self._level((2 * pairs + side)[going])
 
     def _level(self, expanding: np.ndarray) -> None:
@@ -358,7 +366,7 @@ class _Search:
             bound[at] = depth + lower
             moves = (depth + 1 + lc < self.best[pairs[at]]) * _move_masks(n).shape[1]
             cost[at] = moves + 8 * n + 4
-        fresh = [np.empty(0, np.int64)]
+        fresh = []  # children new to their side, merged once they pass a quarter of visited
         todo = np.arange(len(nodes))
         while len(todo):
             todo = todo[bound[todo] < self.limit()[pairs[todo]]]
@@ -371,14 +379,25 @@ class _Search:
                     done, new = self._expand_chunk(nodes[chunk], pairs[chunk], n, last, held)
                     again[chunk[~done]] = True
                     fresh.append(new)
+                    if sum(map(len, fresh)) > len(self.visited) >> 2:
+                        self._merge(fresh)
             todo = np.flatnonzero(again)
         del pick, order, nodes, lengths, pairs, bound, cost, again  # before the copies below
+        self._merge(fresh)
         self.depth[expanding] += 1
-        new = _distinct(np.concatenate(fresh))
-        at = np.searchsorted(self.visited, new)
-        self.visited = np.insert(self.visited, at, new)
-        self.visited_depth = np.insert(self.visited_depth, at, self.depth[new >> _NODE_BITS])
-        self.frontier = np.insert(self.frontier, np.searchsorted(self.frontier, new), new)
+
+    def _merge(self, fresh: list) -> None:
+        """Move the nodes of ``fresh`` into the visited set and the frontier, at
+        their group's next depth. They are the expanding sides' children, and
+        meetings look up the other side, so merging mid-level changes none."""
+        if fresh:
+            new = _distinct(np.concatenate(fresh))
+            fresh.clear()
+            at = np.searchsorted(self.visited, new)
+            self.visited = np.insert(self.visited, at, new)
+            self.visited_depth = np.insert(self.visited_depth, at,
+                                           self.depth[new >> _NODE_BITS] + 1)
+            self.frontier = np.insert(self.frontier, np.searchsorted(self.frontier, new), new)
 
     @staticmethod
     def _chunks(todo: np.ndarray, lengths: np.ndarray, cost: np.ndarray):
@@ -404,6 +423,7 @@ class _Search:
         which marks it ``held``: its later nodes run again with the new best."""
         # numpy keeps up to 7 freed blocks of each size under 1 KiB; padding
         # to a power of two with childless copies of nodes bounds the sizes
+        # (0.1-0.3 MB of peak RSS over 200 rounds of the label benchmark)
         count = len(keys)
         pad = np.arange(1 << (count - 1).bit_length()) % count
         keys, owner = keys[pad], owner[pad]
@@ -492,6 +512,21 @@ def exact_distances(xs, ys) -> np.ndarray:
     return upper
 
 
-def edm_exact(x: str, y: str) -> int:
-    """Exact edit distance with moves of one pair (``exact_distances``)."""
-    return int(exact_distances([x], [y])[0])
+def edm_exact(x: str, y: str, bounds=None) -> int:
+    """Exact edit distance with moves of one pair: ``exact_distances`` of a
+    batch of one or, for a caller that already holds the pair's bracket
+    ``bounds`` = (upper, lower), integers with 0 <= lower <= upper (else
+    ValueError), the search from it. A closed bracket is the answer."""
+    if bounds is None:
+        return int(exact_distances([x], [y])[0])
+    _check_length(x, y)
+    check_letters(x)
+    check_letters(y)
+    upper, lower = bounds
+    if not (all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in bounds)
+            and 0 <= lower <= upper):
+        raise ValueError(f"bounds must be integers (upper, lower) with "
+                         f"0 <= lower <= upper, got {bounds!r}")
+    if upper <= lower:
+        return upper
+    return int(_Search([x], [y], np.array([upper]), np.array([lower])).run()[0])

@@ -82,6 +82,24 @@ def test_gen_data_manifest_write_is_traced(tracing, tmp_path):
     assert "cli.manifest_s" not in from_probe
 
 
+def test_every_label_goes_through_dataset_edm_exact(tracing, monkeypatch, tmp_path):
+    # the tracer's edm.* counts and distance histogram, and the benchmark's
+    # perturbed-label check, hook dataset.edm_exact: each pair that is
+    # labelled or verified must go through it once, and its return value
+    # must be the label
+    triplets = dataset.generate_triplets(seed=0, count=4, length=6)
+    dataset.save_triplets(triplets, tmp_path / "t.jsonl")
+    tracer = tracing.Tracer("guard")
+    with tracer.installed():
+        dataset.load_triplets(tmp_path / "t.jsonl", verify_fraction=1.0)
+    got = [s["d"] for s in tracer.spans if s["name"] == "edm.edm_exact"]
+    assert got == triplets.distances.ravel().tolist()
+    real = dataset.edm_exact
+    monkeypatch.setattr(dataset, "edm_exact", lambda a, b, **kw: real(a, b, **kw) + 1)
+    shifted = dataset.generate_triplets(seed=0, count=4, length=6)
+    assert np.array_equal(shifted.distances, triplets.distances + 1)
+
+
 @pytest.mark.parametrize("name", ["train_quantum", "evaluate", "label", "train_classical"])
 def test_workload_cycle_passes_its_checks(workloads, monkeypatch, tmp_path, name):
     # one whole cycle of each workload on the committed inputs, as

@@ -346,6 +346,17 @@ class TestEdmExact:
             with pytest.raises(BudgetExceededError):
                 edm_exact(x, y)
 
+    @pytest.mark.parametrize("x, y, bounds", [
+        ("A", "T", (0, 5)),  # lower above upper: returned 0
+        ("ACGT", "TGCA", (-3, 0)),  # negative: returned -3
+        ("A", "T", (2.5, 1)),  # not integers: returned 2.5
+        ("ATGC", "ATGG", (True, True)),  # bools: returned True
+    ])
+    def test_rejects_bad_bounds(self, x, y, bounds):
+        # pair_bounds' own brackets pass: test_bounds_argument_gives_the_same_distance
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            edm_exact(x, y, bounds=bounds)
+
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(4)
         for trial in range(60):
@@ -485,6 +496,18 @@ class TestExactDistances:
         assert list(zip(distances, generated)) == [(d, g) for (d,), (g,) in
                                                     (alone[i] for i in order)]
 
+    @pytest.mark.parametrize("keys", [1, 1 << 40])
+    def test_waiting_pairs_get_the_same_counts(self, monkeypatch, keys):
+        # one pair expanding per level (later pairs wait once one visited
+        # node is held) or every open pair at once: each pinned pair gets
+        # the same distance and generated count as with the default cap
+        pairs, pinned = self.pinned_pairs()
+        xs, ys = map(list, zip(*pairs))
+        _, distances, generated = searched(xs, ys)
+        assert generated == pinned
+        monkeypatch.setattr(edm, "_SEARCH_KEYS", keys)
+        assert searched(xs, ys)[1:] == (distances, generated)
+
     @pytest.mark.parametrize("where", [0, 3, 8])
     def test_over_budget_pair_in_a_batch_raises(self, monkeypatch, where):
         # line 1 generates 13,577 children; on a budget one below that it
@@ -621,14 +644,17 @@ class TestPairBounds:
                 assert got == edm._lower_bound(lc_s, gap), (s, t)
 
     def test_bounds_argument_gives_the_same_distance(self):
-        # the search started from pair_bounds' brackets, as one block, gives
-        # each pair's edm_exact
+        # the search started from pair_bounds' brackets, as one block and
+        # through edm_exact's bounds argument, gives each pair's edm_exact
         rng = np.random.default_rng(15)
         xs = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
         ys = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
         at, distances, _ = searched(xs, ys)
         assert len(at) > 20
         assert distances == [edm_exact(xs[i], ys[i]) for i in at]
+        upper, lower = pair_bounds(xs, ys)
+        for x, y, up, lo in zip(xs, ys, upper.tolist(), lower.tolist()):
+            assert edm_exact(x, y, bounds=(up, lo)) == edm_exact(x, y), (x, y)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="outside"):
