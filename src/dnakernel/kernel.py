@@ -35,10 +35,12 @@ depends on x only through which qubits are tilted (see _rotations,
 _phases, _forward).
 
 Each call keeps its state-sized arrays in one block, written with out=:
-the taped pass's tape, work rows and phase diagonals, which the reverse
-sweep then reuses, with the call's bra array, for all of its buffers; or
-kernel_values' canonical states and the scratch of its forward passes
-(phase diagonals included) and gathers. The layers' parameter tables, the
+the taped pass's tape, which holds one state per layer (the state entering
+it; the sweep replays the state after R_NX and Rz from it, byte for byte),
+work rows and phase diagonals, which the reverse sweep then reuses, with
+the call's bra array, for all of its buffers, L + 5 states per canonical
+row in all; or kernel_values' canonical states and the scratch of its
+forward passes (phase diagonals included) and gathers. The layers' parameter tables, the
 real Ry factors of every tilt mask present (_rotations) and the R_NX and Rz
 diagonals (_rnx_rz), are built once per call, for all forward passes and
 the sweep alike. glibc unmaps freed temporaries above its mmap threshold
@@ -253,16 +255,17 @@ def _forward(codes, params, work, tape=None, tables=None):
     Every state-sized result goes into the caller's arrays: ``work`` is
     (5, rows, 2^n) scratch, work[3:] receive the phase, and the states
     returned are one of the first three rows. A
-    ``tape``, (L, 2, rows, 2^n), receives per layer the state entering the
-    layer and the state after Rz, in that layer's layout: each layer writes
-    its output straight into the next layer's entry, and the last layer's
-    into work[0], where it stays in its own layout.
+    ``tape``, (L, rows, 2^n), receives per layer the state entering the
+    layer, in that layer's layout: each layer writes its output straight
+    into the next layer's entry, and the last layer's into work[0], where it
+    stays in its own layout. The state after Rz goes to work[2], from which
+    _sweep does not read it: it replays these two steps on the entry state.
     """
     rot, keep, flip = tables or (_rotations(codes, params), *_rnx_rz(params, codes.shape[1]))
     phase = work[3:]
     _phases(codes, phase)
     num_layers = params.num_layers
-    s = work[0] if tape is None else tape[0, 0]
+    s = work[0] if tape is None else tape[0]
     s[...] = 0.0
     s[:, 0] = 1.0
     for layer in range(num_layers):
@@ -271,8 +274,8 @@ def _forward(codes, params, work, tape=None, tables=None):
             # s is free once R_NX and Rz have read it; out alternates with it
             s_rz, turned, out = work[1], s, work[2 - 2 * p]
         else:
-            s_rz, turned = tape[layer, 1], work[1]
-            out = tape[layer + 1, 0] if layer + 1 < num_layers else work[0]
+            s_rz, turned = work[2], work[1]
+            out = tape[layer + 1] if layer + 1 < num_layers else work[0]
         np.multiply(s, keep[layer], out=s_rz)
         s_rz += np.multiply(flip[layer], s[:, ::-1], out=out)
         table, which = rot[p]
@@ -412,15 +415,17 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
 def _dots(a, b) -> np.ndarray:
     """Row dots sum_i conj(a[r, i]) b[r, i] of two (rows, width) arrays.
 
-    Each row is one BLAS dot (np.vecdot) per chunk of at most DOT_AMPLITUDES
-    elements, the chunk sums added outside BLAS; a one-chunk row's sum is
-    its dot. OpenBLAS splits a long dot across its threads, whose partial
-    sums round differently from one thread's: dots of 2^13 elements gave
-    the same bytes at 1 and 2 threads, dots of 2^14 did not, so no result
-    depends on the BLAS thread count.
+    Each row is one BLAS dot (np.vecdot) per chunk of DOT_AMPLITUDES
+    elements, the chunk sums added outside BLAS; a row of at most that many
+    is one dot, with no sum to take. OpenBLAS splits a long dot across its
+    threads, whose partial sums round differently from one thread's: dots
+    of 2^13 elements gave the same bytes at 1 and 2 threads, dots of 2^14
+    did not, so no result depends on the BLAS thread count.
     """
     rows, width = a.shape
-    chunks = (rows, -1, min(width, DOT_AMPLITUDES))
+    if width <= DOT_AMPLITUDES:
+        return np.vecdot(a, b)
+    chunks = (rows, -1, DOT_AMPLITUDES)
     return np.vecdot(a.reshape(chunks), b.reshape(chunks)).sum(axis=1)
 
 
@@ -437,34 +442,39 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
     the forward layouts. Generators commute with their own gates, so the
     R_NX term is taken one step later, and the Ry term (J_0 + J_1)/2, J_k the
     real sum of -iY over half k's qubits, at each half's factor: against the
-    taped post-Rz state, and the layer's output with Phi_x undone.
+    post-Rz state, and the layer's output with Phi_x undone. The tape holds
+    only each layer's entry state; its post-Rz state is replayed from it by
+    the forward's own two statements, operands and order, so it is the
+    forward's bytes.
 
     ``tape``, ``work`` and ``factors`` come from one taped _forward, whose
     work[0] still holds the last layer's output in that layer's layout.
-    The sweep overwrites ``bra`` and work[:3]: t is pulled back in place in
-    one of them, every product goes into one of two others, and rotations
-    run on float64 views of those arrays and the tape made once per call.
-    Pulling back through R_NX and Rz takes the forward's tables reversed,
-    since Z at the complement index is -Z: keep reversed is
-    cos(t_rnx / 2) exp(i t_rz Z / 2) bit for bit, and flip, also conjugated,
-    is i sin(t_rnx / 2) exp(-i t_rz Z / 2) up to the sign of zero entries.
+    The sweep overwrites ``bra`` and work: t is pulled back in place in one
+    of bra, work[1] and work[2], every product goes into one of the other
+    two, the replayed post-Rz state into work[0] once the last output is
+    read, and Phi_x is conjugated in place in work[3:]. Rotations run on
+    float64 views of those arrays made once per call. Pulling back through
+    R_NX and Rz takes the forward's tables reversed, since Z at the
+    complement index is -Z: keep reversed is cos(t_rnx / 2) exp(i t_rz Z / 2)
+    bit for bit, and flip, also conjugated, is i sin(t_rnx / 2)
+    exp(-i t_rz Z / 2) up to the sign of zero entries.
     """
     rot, phase, keep, flip = factors
     num_layers, n = params.num_layers, bra.shape[1].bit_length() - 1
     dims = [table.shape[-1] for table, _ in rot]
     jsum = [_jsum(n // 2), _jsum(n - n // 2)]
     rz_gen = -0.5j * _zdiag(n)
-    phase_conj = [np.conj(ph) for ph in phase]
-    keep, flip = keep[:, ::-1].copy(), np.conj(flip[:, ::-1])
+    phase_conj = np.conj(phase, out=phase)
+    back_keep, back_flip = keep[:, ::-1].copy(), np.conj(flip[:, ::-1])
     grad = np.empty((num_layers, 3))
-    t, a, b = bra, work[1], work[2]
+    t, a, b, s_rz = bra, work[1], work[2], work[0]
     if num_layers % 2:
         t, a = _transpose(bra, dims[0], out=a), t
     # float64 views of the rotated arrays, with either half leading
-    t_f, a_f, b_f, tape_f = ([_float_view(x, d) for d in dims] for x in (t, a, b, tape))
+    t_f, a_f, b_f, s_rz_f = ([_float_view(x, d) for d in dims] for x in (t, a, b, s_rz))
     out = work[0]
     for layer in reversed(range(num_layers)):
-        s_in, s_rz = tape[layer]
+        s_in = tape[layer]
         p, q = layer % 2, 1 - layer % 2
         # Phi_x, then half q's factor: its Ry term against the output with
         # Phi_x undone, and t pulled back through it and the transpose
@@ -475,16 +485,19 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
         table, which = rot[q]
         np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[q], out=a_f[q])
         _transpose(a, dims[q], out=t)
-        # half p's factor, then the Ry and Rz terms against the taped
-        # post-Rz state, with t (in a) pulled back to just after Rz
+        # half p's factor, then the Ry and Rz terms against the post-Rz
+        # state, replayed as _forward made it, with t (in a) pulled back to
+        # just after Rz
         table, which = rot[p]
         np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[p], out=a_f[p])
-        np.matmul(jsum[p], tape_f[p][layer, 1], out=b_f[p])
+        np.multiply(s_in, keep[layer], out=s_rz)
+        s_rz += np.multiply(flip[layer], s_in[:, ::-1], out=b)
+        np.matmul(jsum[p], s_rz_f[p], out=b_f[p])
         grad[layer, 2] = 0.5 * (_re_dot(a, b) + ry_q)
         grad[layer, 1] = _re_dot(a, np.multiply(rz_gen, s_rz, out=b))
         # Rz and R_NX, back into t; the R_NX term against the layer's input
-        np.multiply(a, keep[layer], out=t)
-        t += np.multiply(flip[layer], a[:, ::-1], out=b)
+        np.multiply(a, back_keep[layer], out=t)
+        t += np.multiply(back_flip[layer], a[:, ::-1], out=b)
         grad[layer, 0] = _re_dot(t, np.multiply(-0.5j, s_in[:, ::-1], out=b))
         out = s_in
     return grad.reshape(-1)
@@ -508,11 +521,11 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     """
     half = len(codes_x)
     canon, row_state, frame = _compositions(codes_x, codes_y)
-    # one block for the tape and the work rows of the forward pass and the
-    # sweep (see _forward, _sweep)
-    block = np.empty((2 * params.num_layers + 5, len(canon), 1 << codes_x.shape[1]),
+    # one block for the tape, one entry state per layer, and the work rows
+    # of the forward pass and the sweep (see _forward, _sweep)
+    block = np.empty((params.num_layers + 5, len(canon), 1 << codes_x.shape[1]),
                      dtype=np.complex128)
-    tape, work = block[:-5].reshape(params.num_layers, 2, *block.shape[1:]), block[-5:]
+    tape, work = block[:-5], block[-5:]
     states, factors = _forward(canon, params, work, tape)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
     _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
@@ -523,6 +536,8 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     bras = np.zeros_like(states)
     for state, bra in zip(row_state, rows):
         bras[state] += bra
+    # the sweep needs none of the rows; bra, a view of the last, would keep them
+    del rows, bra
     return values, 2.0 * _sweep(bras, tape, work, factors, params)
 
 

@@ -12,6 +12,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,15 +270,15 @@ class TestBatchedEngineAgainstReference:
         codes = encode_sequences([random_seq(rng, n) for _ in range(9)])
         for layers in (1, 2, 3, 24):
             params = random_params(rng, layers)
-            tape = np.empty((layers, 2, 9, 1 << n), np.complex128)
+            tape = np.empty((layers, 9, 1 << n), np.complex128)
             states, _ = _forward(codes, params, np.empty((5, 9, 1 << n), np.complex128), tape)
             assert states.tobytes() == feature_states(codes, params).tobytes()
-            np.testing.assert_array_equal(tape[0, 0], np.eye(1 << n)[[0] * 9])
+            np.testing.assert_array_equal(tape[0], np.eye(1 << n)[[0] * 9])
             for layer in range(1, layers):
                 head = feature_states(codes, KernelParams(layer, params.angles[:layer]))
                 if layer % 2:
                     head = _transpose(head, 1 << (n // 2), out=np.empty_like(head))
-                assert tape[layer, 0].tobytes() == head.tobytes()
+                assert tape[layer].tobytes() == head.tobytes()
 
     def test_production_width_matches_reference(self):
         # n = 8 splits the register into two 4-qubit factors; values against
@@ -736,7 +737,7 @@ def own_frame_loss_gradient(codes_x, codes_y, targets, params):
     imaginary parts apart)."""
     half, n = codes_x.shape
     canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
-    tape = np.empty((params.num_layers, 2, len(canon), 1 << n), np.complex128)
+    tape = np.empty((params.num_layers, len(canon), 1 << n), np.complex128)
     work = np.empty((5, len(canon), 1 << n), np.complex128)
     states, blocks = _forward(canon, params, work, tape)
     index = (row_state[:, None] << n) + np.left_shift(1, n - 1 - rank) @ bit_table(n).T
@@ -848,6 +849,28 @@ class TestLossGradient:
         for _ in range(5):
             model.kernel_and_grad_batch(theta, cx, cy, targets)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+    @pytest.mark.parametrize("layers", [1, 2, 24])
+    def test_traced_peak_keeps_one_tape_state_per_layer(self, layers):
+        # the tape holds one state per layer: the call's block is L + 5
+        # states per canonical row and its bras one more. The pair rows and
+        # gather indices, the parameter tables and numpy's ufunc buffers add
+        # 2 at L = 1 and 6 at L = 24 here; a post-Rz state taped per layer
+        # as well would add L
+        rng = np.random.default_rng(61)
+        model = QuantumKernelModel(8, layers)
+        theta = random_params(rng, layers).flat()
+        cx, cy = rng.integers(0, len(ALPHABET), (2, 32, 8))
+        targets = rng.uniform(0.0, 1.0, 32)
+        model.kernel_and_grad_batch(theta, cx, cy, targets)
+        tracemalloc.start()
+        try:
+            model.kernel_and_grad_batch(theta, cx, cy, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state_bytes = np.dtype(np.complex128).itemsize << 8
+        assert peak <= (layers + 14) * len(_compositions(cx, cy)[0]) * state_bytes
 
     def test_unaligned_batches_rejected(self):
         model = QuantumKernelModel(2, 1)
