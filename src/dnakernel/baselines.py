@@ -9,7 +9,7 @@ Gradients are hand-rolled reverse mode. The two inputs of a pair share every
 weight, so values and gradients share one forward pass over the a rows
 stacked on the b rows, and one reverse pass covers a whole batch: the
 batch-loss gradient weights each row's feature gradient by its pair's
-residual.
+dloss/dK, which the caller's cotangent gives (``training.mse``).
 """
 
 from __future__ import annotations
@@ -184,18 +184,18 @@ class ClassicalKernelModel:
         return np.concatenate([demb, (x.T @ dpre).reshape(-1), dpre.sum(axis=0),
                                (hid.T @ dout).reshape(-1), dout.sum(axis=0)])
 
-    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets):
-        """Kernel values and the gradient of the batch MSE against targets.
+    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, cotangent):
+        """Kernel values k and the gradient of sum_r w_r k_r, w = cotangent(k).
 
         The values come from the forward pass kernel_batch makes. The
         gradient is one reverse pass over the a and b rows, each row's
-        feature gradient weighted by its pair's (2 / batch) (k - target).
-        One pair's dK is a one-row call with target K - 1/2 (weight 1).
+        feature gradient weighted by its pair's w. One pair's dK is a
+        one-row call with cotangent np.ones_like.
         """
         p = self.unpack(flat_params)
-        codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b, targets)
+        codes_a, codes_b = check_pairs(self.seq_length, codes_a, codes_b)
         codes, cache, (k, du, dv, dhead) = self._pair_forward(p, codes_a, codes_b)
-        w = (2.0 / len(k)) * (k - targets)
+        w = cotangent(k)
         dout = np.concatenate([du, dv]) * np.concatenate([w, w])[:, None]
         return k, np.concatenate([self._reverse(p, codes, cache, dout), w @ dhead])
 

@@ -156,8 +156,10 @@ def _distances(triples) -> list:
     return list(zip(d[::2], d[1::2]))
 
 
-def _label_chunk(children: list, length: int) -> list:
-    """Label one triplet per SeedSequence child, in attempt rounds.
+def _label_chunk(children: list, length: int) -> tuple:
+    """Label one triplet per SeedSequence child, in attempt rounds: returns
+    each triplet's a, b and c as one string of 3 * length letters, and its
+    (d(a, b), d(a, c)) as a row of a (count, 2) array.
 
     A round draws (a, b, c) for every triplet still open, each from its own
     stream, and labels all of them in one batch; a triplet whose distances
@@ -167,21 +169,16 @@ def _label_chunk(children: list, length: int) -> list:
     the same values to one call of size 3n as to three calls of size n.
     """
     rngs = [np.random.default_rng(ss) for ss in children]
-    triplets = [None] * len(rngs)
-    open_ = list(range(len(rngs)))
-    while open_:
-        draws = []
+    letters = [""] * len(rngs)
+    distances = np.empty((len(rngs), 2), np.int64)
+    open_ = np.arange(len(rngs))
+    while len(open_):
         for i in open_:
-            abc = random_sequence(rngs[i], 3 * length)
-            draws.append((abc[:length], abc[length : 2 * length], abc[2 * length :]))
-        still_open = []
-        for i, (a, b, c), (d_ab, d_ac) in zip(open_, draws, _distances(draws)):
-            if d_ab == d_ac:
-                still_open.append(i)
-            else:
-                triplets[i] = LabeledTriplet(a, b, c, d_ab, d_ac)
-        open_ = still_open
-    return triplets
+            letters[i] = random_sequence(rngs[i], 3 * length)
+        distances[open_] = _distances([(abc[:length], abc[length : 2 * length], abc[2 * length :])
+                                       for abc in map(letters.__getitem__, open_)])
+        open_ = open_[distances[open_, 0] == distances[open_, 1]]
+    return letters, distances
 
 
 def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
@@ -208,7 +205,9 @@ def generate_triplets(seed: int, count: int, length: int, jobs: int = 1):
     parts = min(jobs, count)
     cuts = [count * k // parts for k in range(parts + 1)]
     chunks = [(children[lo:hi], length) for lo, hi in zip(cuts, cuts[1:])]
-    return TripletSet.of(t for chunk in pool_starmap(_label_chunk, chunks, jobs) for t in chunk)
+    labelled = pool_starmap(_label_chunk, chunks, jobs)
+    codes = encode([abc for letters, _ in labelled for abc in letters], 3 * length)
+    return TripletSet(codes.reshape(count, 3, length), np.concatenate([d for _, d in labelled]))
 
 
 def pool_starmap(func, args: list, jobs: int) -> list:

@@ -275,11 +275,8 @@ def _move_masks(n: int) -> np.ndarray:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys, by the stable argsort that ``pair_bounds`` runs.
-    ``np.sort`` maps another ~0.2 MB of numpy's code and ``np.unique`` imports
-    ``numpy.ma`` (~1 MB): either raises the ``label`` benchmark's peak RSS,
-    which stays within its 5% bound by a few hundred KB."""
-    keys = keys[np.argsort(keys, kind="stable")]
+    """Sorted distinct keys (not ``np.unique``, which imports ``numpy.ma``)."""
+    keys = np.sort(keys)
     first = np.ones(len(keys), bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
@@ -421,13 +418,7 @@ class _Search:
         their children new to their side (none on a pair's ``last`` level).
         A pair's nodes count up to the first whose meetings lower its best,
         which marks it ``held``: its later nodes run again with the new best."""
-        # numpy keeps up to 7 freed blocks of each size under 1 KiB; padding
-        # to a power of two with childless copies of nodes bounds the sizes
-        # (0.1-0.3 MB of peak RSS over 200 rounds of the label benchmark)
-        count = len(keys)
-        pad = np.arange(1 << (count - 1).bit_length()) % count
-        keys, owner = keys[pad], owner[pad]
-        children, parent = self._children(keys, n, count)
+        children, parent = self._children(keys, n)
         other = children + (_SIDE - 2 * (keys & _SIDE))[parent]  # the other side's key
         at = np.minimum(np.searchsorted(self.visited, other), len(self.visited) - 1)
         met = np.flatnonzero(self.visited[at] == other)
@@ -448,12 +439,12 @@ class _Search:
                                       "generated strings without an exact answer")
         new = _distinct(children[(done & ~last[owner])[parent]])
         at = np.minimum(np.searchsorted(self.visited, new), len(self.visited) - 1)
-        return done[:count], new[self.visited[at] != new]
+        return done, new[self.visited[at] != new]
 
-    def _children(self, keys: np.ndarray, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The children of the first ``count`` length-n nodes and each one's
-        parent, but none whose depth plus letter-count bound h reaches the
-        best: h = max(|s|, m) - c, with c letters in common with the target,
+    def _children(self, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The children of length-n nodes and each one's parent, but none
+        whose depth plus letter-count bound h reaches the best:
+        h = max(|s|, m) - c, with c letters in common with the target,
         and c falls with a letter o the target has no fewer of ("spare"),
         rises with a letter it has more of ("short"), and moves keep it."""
         groups = keys >> _NODE_BITS
@@ -465,7 +456,6 @@ class _Search:
         # how far an edit may raise h above the node's own: depth + 1 + h < best
         slack = (self.best[pairs] - self.depth[groups] - 1 - np.maximum(n, m)
                  + np.minimum(counts, target).sum(1))
-        slack[count:] = -4 * _NODE_BITS  # padding nodes have no children
         spare_old = spare[np.arange(len(keys))[:, None], letters]
         head, node = keys & ~_NODE_MASK, keys & _NODE_MASK
         cut = 2 * np.arange(n, -1, -1)  # bits below letter q, q = 0..n

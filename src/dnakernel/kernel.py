@@ -20,12 +20,13 @@ per set of test triplets, so each composition among the set's a, b and c
 sequences is simulated once. Each overlap is then one BLAS dot per pair, so
 a value depends on its own pair only, not on the rest of the call.
 
-Training uses the same identity and frames for the gradient of a batch's
-MSE (``kernel_values_and_loss_gradient``, the models' loss mode). The sweep
-is linear in its bra, and each row's bra, its partner's state in the row's
-own canonical frame times a weight, adds to the others of its composition:
-one taped forward pass and one sweep per distinct composition give the
-whole gradient. Per-row gradients are one-row loss-mode calls.
+Training uses the same identity and frames for the gradient of a batch
+loss (``kernel_values_and_loss_gradient``, the models' loss mode), whose
+weight w = dloss/dK per row the caller's cotangent gives. The sweep is
+linear in its bra, and each row's bra, its partner's state in the row's
+own canonical frame times its weight, adds to the others of its
+composition: one taped forward pass and one sweep per distinct composition
+give the whole gradient. Per-row gradients are one-row calls with weight 1.
 
 The circuit runs in real arithmetic where it can. A letter's encoding is
 Ry(tilt) then P(phase), and T, G, C share one tilt (circuits.base_angles).
@@ -145,10 +146,9 @@ def encode_sequences(seqs) -> np.ndarray:
     return encode(seqs, len(validate_sequence(seqs[0])))
 
 
-def check_pairs(width: int, codes_a, codes_b, targets=None):
+def check_pairs(width: int, codes_a, codes_b):
     """``codes_a`` and ``codes_b`` as arrays, checked to be aligned (batch,
-    width) integer base codes in 0..3; ``targets``, when given, must hold one
-    value per row of a nonempty batch."""
+    width) integer base codes in 0..3."""
     codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
     for codes in (codes_a, codes_b):
         if codes.ndim != 2 or codes.shape[1] != width:
@@ -158,10 +158,6 @@ def check_pairs(width: int, codes_a, codes_b, targets=None):
             raise ValueError("base codes must be integers in 0..3")
     if codes_a.shape != codes_b.shape:
         raise ValueError(f"unaligned code batches: {codes_a.shape} vs {codes_b.shape}")
-    if targets is not None and np.shape(targets) != codes_a.shape[:1]:
-        raise ValueError(f"expected {codes_a.shape[0]} targets, got shape {np.shape(targets)}")
-    if targets is not None and not len(codes_a):
-        raise ValueError("the batch MSE needs at least one pair, got an empty batch")
     return codes_a, codes_b
 
 
@@ -503,13 +499,12 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
     return grad.reshape(-1)
 
 
-def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelParams):
-    """Batched kernel values and the gradient of the batch MSE.
+def kernel_values_and_loss_gradient(codes_x, codes_y, cotangent, params: KernelParams):
+    """Batched kernel values and the gradient of a loss over them.
 
-    Returns (values (batch,), gradient (3L,)) for the loss
-    mean_r (K_r - targets_r)^2, whose gradient is sum_r w_r dK_r with
-    w = (2 / batch)(K - targets). With c = <psi(y)|psi(x)> and
-    dK = 2 Re(conj(c) dc), that is 2 Re of the sum over rows of
+    Returns (values (batch,), gradient (3L,)) of sum_r w_r K_r, with
+    w = cotangent(values) the loss's dloss/dK per row. With c = <psi(y)|psi(x)>
+    and dK = 2 Re(conj(c) dc), the gradient is 2 Re of the sum over rows of
     <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. After one taped
     forward pass over the compositions, each stacked row gathers its
     partner's canonical state into its own frame (_compositions): c is taken
@@ -517,7 +512,7 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     are kernel_values'. A row's bra, w c (x row) or w conj(c) (y row) times
     that state, is in its composition's frame, so each composition's bras
     add row by row, outside BLAS, before the sweep. The rows must be
-    aligned, with one target each; check_pairs sees to that.
+    aligned; check_pairs sees to that.
     """
     half = len(codes_x)
     canon, row_state, frame = _compositions(codes_x, codes_y)
@@ -531,7 +526,7 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, targets, params: KernelPar
     _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
     c = _dots(np.take(states, row_state[half:], axis=0), rows[half:])
     values = np.abs(c) ** 2
-    w = (2.0 / half) * (values - np.asarray(targets, dtype=np.float64))
+    w = cotangent(values)
     rows *= np.concatenate([w * c, w * np.conj(c)])[:, None]
     bras = np.zeros_like(states)
     for state, bra in zip(row_state, rows):
@@ -582,17 +577,17 @@ class QuantumKernelModel:
         codes_a, codes_b = check_pairs(self.num_qubits, codes_a, codes_b)
         return kernel_values(codes_a, codes_b, self._params(flat_params))
 
-    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, targets=None):
-        """Kernel values and the gradient (P,) of the batch MSE; without
-        targets, per-row gradients (batch, P), each a one-row loss with
-        target K - 1/2, whose weight 2(K - target) = 1 gives dK."""
-        codes_a, codes_b = check_pairs(self.num_qubits, codes_a, codes_b, targets)
+    def kernel_and_grad_batch(self, flat_params, codes_a, codes_b, cotangent=None):
+        """Kernel values and the gradient (P,) of sum_r w_r K_r, with
+        w = cotangent(values); without a cotangent, per-row gradients
+        (batch, P), each a one-row call with weight 1."""
+        codes_a, codes_b = check_pairs(self.num_qubits, codes_a, codes_b)
         params = self._params(flat_params)
-        if targets is not None:
-            return kernel_values_and_loss_gradient(codes_a, codes_b, targets, params)
+        if cotangent is not None:
+            return kernel_values_and_loss_gradient(codes_a, codes_b, cotangent, params)
         values = kernel_values(codes_a, codes_b, params)
-        grads = [kernel_values_and_loss_gradient(a[None], b[None], [k - 0.5], params)[1]
-                 for a, b, k in zip(codes_a, codes_b, values)]
+        grads = [kernel_values_and_loss_gradient(a[None], b[None], np.ones_like, params)[1]
+                 for a, b in zip(codes_a, codes_b)]
         return values, np.reshape(grads, (len(values), self.num_parameters))
 
     def checkpoint_payload(self, flat_params, seed, epoch) -> dict:

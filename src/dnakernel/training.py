@@ -7,9 +7,10 @@ test triplets by whether the kernel orders (a,b) against (a,c) the same way
 the ground truth does.
 A model here is anything with init_params / kernel_batch /
 kernel_and_grad_batch over code arrays and a flat parameter vector, where
-kernel_and_grad_batch(params, codes_a, codes_b, targets) returns the kernel
-values and the gradient of the batch MSE against targets. ``targets`` is
-required; the quantum model's per-row form without it exists only for the
+kernel_and_grad_batch(params, codes_a, codes_b, cotangent) returns the
+kernel values K and the gradient of sum_r w_r K_r, w = cotangent(K). Only
+``mse`` here knows the loss: its cotangent is the batch MSE's dloss/dK.
+The quantum model's per-row form without a cotangent exists only for the
 benchmark's train_quantum correctness check.
 Triplet sets arrive as ``dataset.TripletSet``, whose letter-code and
 distance arrays the pair layout reads directly: no ``LabeledTriplet`` is
@@ -113,6 +114,20 @@ def pairs_from_triplets(triplets) -> PairSet:
                    ((n - triplets.distances) / n).reshape(-1))
 
 
+def mse(targets):
+    """The batch MSE's cotangent, values K -> (2 / batch)(K - targets)."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if not targets.size:
+        raise ValueError("the batch MSE needs at least one pair, got an empty batch")
+
+    def cotangent(values):
+        if np.shape(values) != targets.shape:
+            raise ValueError(f"expected {len(values)} targets, got shape {targets.shape}")
+        return (2.0 / len(values)) * (values - targets)
+
+    return cotangent
+
+
 def dataset_mse(model, params, pairs: PairSet) -> float:
     """Mean squared error over a pair set without updating parameters.
 
@@ -129,8 +144,8 @@ def dataset_mse(model, params, pairs: PairSet) -> float:
 def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
     """One pass of shuffled mini-batches with exact gradients and Adam steps.
 
-    Returns (updated params, epoch mean MSE). Each step follows the
-    gradient of the batch's MSE, which the model computes. The Adam moments
+    Returns (updated params, epoch mean MSE). Each step follows the batch
+    MSE's gradient, through ``mse``'s cotangent. The Adam moments
     (Kingma & Ba, arXiv:1412.6980; beta1 0.9, beta2 0.999, eps 1e-8,
     step size config.learning_rate) start from zero in every call, so an
     epoch depends only on (params, rng). The adaptive step matters at depth:
@@ -150,7 +165,7 @@ def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
         # a diverging model overflows here; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             k, grad = model.kernel_and_grad_batch(params, pairs.codes_a[idx],
-                                                  pairs.codes_b[idx], targets)
+                                                  pairs.codes_b[idx], mse(targets))
         total_loss += float(np.sum((k - targets) ** 2))
         if not np.isfinite(grad).all():
             raise TrainingDivergedError(f"non-finite gradient in batch starting at pair {lo}")

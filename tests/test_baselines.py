@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dnakernel
+from dnakernel import training
 from dnakernel.baselines import HEADS, ClassicalKernelModel
 from dnakernel.kernel import encode_sequences
 
@@ -38,10 +39,10 @@ def fd_gradient(model, flat, ca, cb, step=FD_STEP):
 
 def pair_gradients(model, flat, ca, cb):
     """Values and per-pair gradients dK (batch, P), each pair's from a
-    one-row loss call with target K - 1/2, whose weight 2 (K - target) is 1."""
+    one-row call with weight 1."""
     k = model.kernel_batch(flat, ca, cb)
-    grads = [model.kernel_and_grad_batch(flat, a[None], b[None], [v - 0.5])[1]
-             for a, b, v in zip(ca, cb, k)]
+    grads = [model.kernel_and_grad_batch(flat, a[None], b[None], np.ones_like)[1]
+             for a, b in zip(ca, cb)]
     return k, np.array(grads)
 
 
@@ -259,7 +260,7 @@ class TestGradients:
             m = ClassicalKernelModel(head)
             flat = m.init_params(rng)
             k, g = m.kernel_and_grad_batch(flat, random_codes(rng, 6), random_codes(rng, 6),
-                                           rng.uniform(0.0, 1.0, 6))
+                                           training.mse(rng.uniform(0.0, 1.0, 6)))
             assert k.shape == (6,)
             assert g.shape == (m.num_parameters,)
 
@@ -269,7 +270,7 @@ class TestGradients:
         flat = m.init_params(rng)
         ca, cb = random_codes(rng, 5), random_codes(rng, 5)
         k1 = m.kernel_batch(flat, ca, cb)
-        k2, _ = m.kernel_and_grad_batch(flat, ca, cb, rng.uniform(0.0, 1.0, 5))
+        k2, _ = m.kernel_and_grad_batch(flat, ca, cb, training.mse(rng.uniform(0.0, 1.0, 5)))
         np.testing.assert_array_equal(k1, k2)
 
     @pytest.mark.parametrize("head", HEADS)
@@ -283,11 +284,32 @@ class TestGradients:
         targets = rng.uniform(0.0, 1.0, 7)
         k, grads = pair_gradients(m, flat, ca, cb)
         expected = (2.0 / 7) * ((k - targets)[:, None] * grads).sum(axis=0)
-        values, grad = m.kernel_and_grad_batch(flat, ca, cb, targets)
+        values, grad = m.kernel_and_grad_batch(flat, ca, cb, training.mse(targets))
         assert grad.shape == (m.num_parameters,)
         np.testing.assert_array_equal(values, k)
         np.testing.assert_allclose(grad, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_any_cotangent_weights_the_pair_gradients(self, head):
+        # the model knows no loss: random weights, not an MSE's, give
+        # w @ (per-pair gradients), and the cotangent is called once, on the
+        # values the call returns
+        rng = np.random.default_rng(23)
+        m = ClassicalKernelModel(head)
+        flat = m.init_params(rng)
+        ca, cb = random_codes(rng, 7), random_codes(rng, 7)
+        w = rng.normal(size=7)
+        seen = []
+
+        def cotangent(values):
+            seen.append(values.copy())
+            return w
+
+        values, grad = m.kernel_and_grad_batch(flat, ca, cb, cotangent)
+        expected = w @ pair_gradients(m, flat, ca, cb)[1]
+        assert len(seen) == 1 and seen[0].tobytes() == values.tobytes()
+        np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     @pytest.mark.parametrize("head", HEADS)
     def test_loss_mode_matches_finite_differences_of_batch_mse(self, head):
@@ -304,7 +326,7 @@ class TestGradients:
             step = np.zeros_like(flat)
             step[j] = FD_STEP
             fd[j] = (mse(flat + step) - mse(flat - step)) / (2 * FD_STEP)
-        _, grad = m.kernel_and_grad_batch(flat, ca, cb, targets)
+        _, grad = m.kernel_and_grad_batch(flat, ca, cb, training.mse(targets))
         np.testing.assert_array_less(np.abs(grad - fd),
                                      FD_RTOL * np.maximum(np.abs(fd), FD_FLOOR))
 
@@ -320,10 +342,10 @@ class TestGradients:
         ca, cb = random_codes(rng, 32), random_codes(rng, 32)
         targets = rng.uniform(0.0, 1.0, 32)
         for _ in range(5):
-            m.kernel_and_grad_batch(flat, ca, cb, targets)
+            m.kernel_and_grad_batch(flat, ca, cb, training.mse(targets))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(200):
-            m.kernel_and_grad_batch(flat, ca, cb, targets)
+            m.kernel_and_grad_batch(flat, ca, cb, training.mse(targets))
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
@@ -342,7 +364,7 @@ class TestUnalignedBatches:
         rng = np.random.default_rng(19)
         with pytest.raises(ValueError, match="unaligned"):
             m.kernel_and_grad_batch(m.init_params(rng), random_codes(rng, 5),
-                                    random_codes(rng, 1), np.zeros(5))
+                                    random_codes(rng, 1), training.mse(np.zeros(5)))
 
     def test_target_count(self):
         m = ClassicalKernelModel("rbf")
@@ -351,7 +373,7 @@ class TestUnalignedBatches:
         for rows, targets, message in ((5, np.zeros(4), "expected 5 targets"),
                                        (0, [], "empty batch")):
             with pytest.raises(ValueError, match=message):
-                m.kernel_and_grad_batch(m.init_params(rng), ca[:rows], cb[:rows], targets)
+                m.kernel_and_grad_batch(m.init_params(rng), ca[:rows], cb[:rows], training.mse(targets))
 
 
 def test_init_determinism():

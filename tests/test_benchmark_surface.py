@@ -20,6 +20,7 @@ import pytest
 
 from dnakernel import cli, dataset, training
 from dnakernel.baselines import ClassicalKernelModel
+from dnakernel.kernel import QuantumKernelModel
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -67,6 +68,28 @@ def test_tracer_installs_and_restores(tracing):
     outer = spans["training.order_accuracy"]["id"]
     assert spans["training.pairs_from_triplets"]["parent"] == outer
     assert spans["baselines.value"]["parent"] == outer
+
+
+@pytest.mark.parametrize("model, span", [(QuantumKernelModel(8, 2), "kernel.grad"),
+                                         (ClassicalKernelModel("rbf"), "baselines.grad")],
+                         ids=["quantum", "classical"])
+def test_train_epoch_batches_are_traced(tracing, model, span):
+    # training.batches, training.pairs and the grad_ms metrics read the
+    # model's grad spans under training.train_epoch: 64 pairs at batch 32
+    # must record two of them, each with its 32 rows
+    train = dataset.load_triplets(BENCH.parent / "results" / "acceptance" / "train.jsonl",
+                                  verify_fraction=0)
+    pairs = training.pairs_from_triplets(train[:32])
+    rng = np.random.default_rng(0)
+    tracer = tracing.Tracer("guard")
+    with tracer.installed():
+        training.train_epoch(model, model.init_params(rng), pairs,
+                             training.TrainingConfig(batch_size=32), rng)
+    (epoch,) = [s["id"] for s in tracer.spans if s["name"] == "training.train_epoch"]
+    grads = [(s["parent"], s["rows"]) for s in tracer.spans if s["name"] == span]
+    assert grads == [(epoch, 32)] * 2
+    metrics, _ = tracing.layer_metrics(tracer)
+    assert (metrics["training.batches"][0], metrics["training.pairs"][0]) == (2, 64)
 
 
 def test_gen_data_manifest_write_is_traced(tracing, tmp_path):

@@ -102,6 +102,17 @@ class TestGenerateTriplets:
             committed = b"".join(fh.readline() for _ in range(40))
         assert (tmp_path / "train.jsonl").read_bytes() == committed
 
+    def test_builds_no_labeled_triplet(self, monkeypatch):
+        # generation holds strings and distance arrays, and builds its set
+        # with one encode: no triplet object is made
+        expected = generate_triplets(seed=13, count=9, length=5)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("generate_triplets built a LabeledTriplet")
+
+        monkeypatch.setattr(LabeledTriplet, "__init__", refuse)
+        assert generate_triplets(seed=13, count=9, length=5) == expected
+
     def test_real_pool_matches_serial(self):
         # 10 triplets over 3 workers: chunks of 3, 3 and 4
         serial = generate_triplets(seed=12, count=10, length=5)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnakernel
-from dnakernel import kernel
+from dnakernel import kernel, training
 from dnakernel.baselines import ClassicalKernelModel
 from dnakernel.circuits import (
     ALPHABET,
@@ -307,7 +307,7 @@ class TestBatchedEngineAgainstReference:
         targets = rng.uniform(0.0, 1.0, 3)
         params = random_params(rng, layers)
         values, grad = QuantumKernelModel(n, layers).kernel_and_grad_batch(
-            params.flat(), encode_sequences(xs), encode_sequences(ys), targets)
+            params.flat(), encode_sequences(xs), encode_sequences(ys), training.mse(targets))
         for v, x, y in zip(values, xs, ys):
             assert abs(v - kernel_eval(x, y, params)) < 1e-12
 
@@ -364,11 +364,12 @@ def test_loss_gradient_independent_of_blas_threads():
     script = (
         "import numpy as np\n"
         "from dnakernel.kernel import QuantumKernelModel\n"
+        "from dnakernel.training import mse\n"
         "rng = np.random.default_rng(3)\n"
         "model = QuantumKernelModel(8, 6)\n"
         "a, b = rng.integers(0, 4, (2, 64, 8))\n"
         "_, grad = model.kernel_and_grad_batch(\n"
-        "    model.init_params(rng), a, b, rng.uniform(0, 1, 64))\n"
+        "    model.init_params(rng), a, b, mse(rng.uniform(0, 1, 64)))\n"
         "print(grad.tobytes().hex())\n"
     )
     assert len(outputs_by_blas_threads(script)) == 1
@@ -381,11 +382,12 @@ def test_loss_gradient_independent_of_blas_threads_at_odd_depth():
     script = (
         "import numpy as np\n"
         "from dnakernel.kernel import QuantumKernelModel\n"
+        "from dnakernel.training import mse\n"
         "rng = np.random.default_rng(4)\n"
         "model = QuantumKernelModel(8, 5)\n"
         "a, b = rng.integers(0, 4, (2, 64, 8))\n"
         "values, grad = model.kernel_and_grad_batch(\n"
-        "    model.init_params(rng), a, b, rng.uniform(0, 1, 64))\n"
+        "    model.init_params(rng), a, b, mse(rng.uniform(0, 1, 64)))\n"
         "print(values.tobytes().hex(), grad.tobytes().hex())\n"
     )
     assert len(outputs_by_blas_threads(script)) == 1
@@ -413,12 +415,13 @@ def test_values_and_gradients_independent_of_blas_threads_at_long_rows():
     script = (
         "import numpy as np\n"
         "from dnakernel.kernel import QuantumKernelModel\n"
+        "from dnakernel.training import mse\n"
         "for n in (8, 13, 14, 16):\n"
         "    rng = np.random.default_rng(n)\n"
         "    model = QuantumKernelModel(n, 2)\n"
         "    params = model.init_params(rng)\n"
         "    a, b = rng.integers(0, 4, (2, 6, n))\n"
-        "    values, grad = model.kernel_and_grad_batch(params, a, b, rng.uniform(0, 1, 6))\n"
+        "    values, grad = model.kernel_and_grad_batch(params, a, b, mse(rng.uniform(0, 1, 6)))\n"
         "    print(n, model.kernel_batch(params, a, b).tobytes().hex(),\n"
         "          values.tobytes().hex(), grad.tobytes().hex())\n"
     )
@@ -440,7 +443,7 @@ def test_classical_values_and_gradients_independent_of_blas_threads():
         "import numpy as np\n"
         "from dnakernel.baselines import HEADS, ClassicalKernelModel\n"
         "from dnakernel.dataset import load_triplets\n"
-        "from dnakernel.training import pairs_from_triplets\n"
+        "from dnakernel.training import mse, pairs_from_triplets\n"
         f"pairs = pairs_from_triplets(load_triplets({str(test_set)!r}, verify_fraction=0))\n"
         "for head in HEADS:\n"
         "    model = ClassicalKernelModel(head)\n"
@@ -448,7 +451,7 @@ def test_classical_values_and_gradients_independent_of_blas_threads():
         "    for size in (32, 256, len(pairs)):\n"
         "        a, b, t = pairs.codes_a[:size], pairs.codes_b[:size], pairs.targets[:size]\n"
         "        values = model.kernel_batch(params, a, b)\n"
-        "        loss_values, grad = model.kernel_and_grad_batch(params, a, b, t)\n"
+        "        loss_values, grad = model.kernel_and_grad_batch(params, a, b, mse(t))\n"
         "        print(head, size, *(hashlib.sha256(x.tobytes()).hexdigest()\n"
         "                            for x in (values, loss_values, grad)))\n"
     )
@@ -757,7 +760,7 @@ def assert_matches_own_frame_route(n, layers, xs, ys, rng):
     params = random_params(rng, layers)
     cx, cy = encode_sequences(xs), encode_sequences(ys)
     targets = rng.uniform(0.0, 1.0, len(xs))
-    values, grad = model.kernel_and_grad_batch(params.flat(), cx, cy, targets)
+    values, grad = model.kernel_and_grad_batch(params.flat(), cx, cy, training.mse(targets))
     ref_values, ref_grad = own_frame_loss_gradient(cx, cy, targets, params)
     np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-14)
     # x == y rows have a zero gradient, which gets the absolute floor
@@ -779,7 +782,7 @@ class TestLossGradient:
         targets = rng.uniform(0.0, 1.0, len(xs))
         k, grads = model.kernel_and_grad_batch(theta, cx, cy)
         expected = (2.0 / k.size) * ((k - targets)[:, None] * grads).sum(axis=0)
-        values, grad = model.kernel_and_grad_batch(theta, cx, cy, targets)
+        values, grad = model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
         assert grad.shape == (model.num_parameters,)
         # both modes take their overlaps through the same row dots
         assert values.tobytes() == k.tobytes()
@@ -829,8 +832,34 @@ class TestLossGradient:
             step = np.zeros_like(theta)
             step[j] = FD_STEP
             fd[j] = (mse(theta + step) - mse(theta - step)) / (2 * FD_STEP)
-        _, grad = model.kernel_and_grad_batch(theta, cx, cy, targets)
+        _, grad = model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("layers", [1, 6])
+    def test_any_cotangent_weights_the_per_row_gradients(self, layers):
+        # the engine knows no loss: random weights, not an MSE's, give
+        # w @ (per-row gradients), and the cotangent is called once, on the
+        # values the call returns
+        rng = np.random.default_rng(70 + layers)
+        model = QuantumKernelModel(8, layers)
+        theta = random_params(rng, layers).flat()
+        xs, ys = [], []
+        for kind in LOSS_BATCHES:
+            bx, by = loss_batch(kind, rng)
+            xs += bx
+            ys += by
+        cx, cy = encode_sequences(xs), encode_sequences(ys)
+        w = rng.normal(size=len(xs))
+        seen = []
+
+        def cotangent(values):
+            seen.append(values.copy())
+            return w
+
+        values, grad = model.kernel_and_grad_batch(theta, cx, cy, cotangent)
+        expected = w @ model.kernel_and_grad_batch(theta, cx, cy)[1]
+        assert len(seen) == 1 and seen[0].tobytes() == values.tobytes()
+        np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="heap page reuse is a glibc malloc property")
@@ -844,10 +873,10 @@ class TestLossGradient:
         cx, cy = rng.integers(0, len(ALPHABET), (2, 32, 8))
         targets = rng.uniform(0.0, 1.0, 32)
         for _ in range(2):
-            model.kernel_and_grad_batch(theta, cx, cy, targets)
+            model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(5):
-            model.kernel_and_grad_batch(theta, cx, cy, targets)
+            model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
     @pytest.mark.parametrize("layers", [1, 2, 24])
@@ -862,10 +891,10 @@ class TestLossGradient:
         theta = random_params(rng, layers).flat()
         cx, cy = rng.integers(0, len(ALPHABET), (2, 32, 8))
         targets = rng.uniform(0.0, 1.0, 32)
-        model.kernel_and_grad_batch(theta, cx, cy, targets)
+        model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
         tracemalloc.start()
         try:
-            model.kernel_and_grad_batch(theta, cx, cy, targets)
+            model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -874,10 +903,10 @@ class TestLossGradient:
 
     def test_unaligned_batches_rejected(self):
         model = QuantumKernelModel(2, 1)
-        for targets in (None, np.zeros(2)):
+        for cotangent in (None, training.mse(np.zeros(2))):
             with pytest.raises(ValueError, match="unaligned"):
                 model.kernel_and_grad_batch(np.zeros(3), encode_sequences(["AT", "GC"]),
-                                            encode_sequences(["AT"]), targets)
+                                            encode_sequences(["AT"]), cotangent)
 
     def test_target_count_checked(self):
         model = QuantumKernelModel(2, 1)
@@ -887,7 +916,7 @@ class TestLossGradient:
                                        (codes, np.zeros((2, 1)), "expected 2 targets"),
                                        (codes[:0], [], "empty batch")):
             with pytest.raises(ValueError, match=message):
-                model.kernel_and_grad_batch(np.zeros(3), rows, rows, targets)
+                model.kernel_and_grad_batch(np.zeros(3), rows, rows, training.mse(targets))
 
 
 class TestKernelGradient:
@@ -989,7 +1018,7 @@ def test_rejects_codes_outside_the_alphabet(model, mode, bad):
             if mode == "value":
                 model.kernel_batch(params, a, b)
             else:
-                model.kernel_and_grad_batch(params, a, b, [0.5])
+                model.kernel_and_grad_batch(params, a, b, training.mse([0.5]))
 
 
 def test_encode_sequences_matches_per_character_map():

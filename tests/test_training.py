@@ -64,17 +64,17 @@ class ToyModel:
     def kernel_batch(self, params, codes_a, codes_b):
         return self._features(codes_a, codes_b) @ params
 
-    def kernel_and_grad_batch(self, params, codes_a, codes_b, targets=None):
+    def kernel_and_grad_batch(self, params, codes_a, codes_b, cotangent=None):
         feats = self._features(codes_a, codes_b)
         k = feats @ params
-        if targets is None:
+        if cotangent is None:
             return k, feats
-        return k, (2.0 / k.size) * ((k - targets)[:, None] * feats).sum(axis=0)
+        return k, (cotangent(k)[:, None] * feats).sum(axis=0)
 
 
 class NaNGradModel(ToyModel):
-    def kernel_and_grad_batch(self, params, codes_a, codes_b, targets=None):
-        k, grad = super().kernel_and_grad_batch(params, codes_a, codes_b, targets)
+    def kernel_and_grad_batch(self, params, codes_a, codes_b, cotangent=None):
+        k, grad = super().kernel_and_grad_batch(params, codes_a, codes_b, cotangent)
         return k, np.full_like(grad, np.nan)
 
 
