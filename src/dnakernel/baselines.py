@@ -112,16 +112,11 @@ class ClassicalKernelModel:
             k = np.where(ok, dot / denom, 0.0)
             if not grads:
                 return k
-            du = np.where(
-                ok[:, None],
-                v / denom[:, None] - (k / np.where(ok, nu**2, 1.0))[:, None] * u,
-                0.0,
-            )
-            dv = np.where(
-                ok[:, None],
-                u / denom[:, None] - (k / np.where(ok, nv**2, 1.0))[:, None] * v,
-                0.0,
-            )
+            # d k / d x = y / (|x| |y|) - k x / |x|^2, for (x, y) = (u, v) and (v, u)
+            du, dv = (np.where(ok[:, None],
+                               y / denom[:, None] - (k / np.where(ok, nx**2, 1.0))[:, None] * x,
+                               0.0)
+                      for x, y, nx in ((u, v, nu), (v, u, nv)))
             return k, du, dv, np.zeros((u.shape[0], 0))
         if self.head == "rbf":
             gamma = np.exp(head_params[0])

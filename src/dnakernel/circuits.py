@@ -3,11 +3,12 @@ the nucleotide codec every module that takes strings goes through.
 
 Each nucleotide is written into its own qubit as one of the four single-qubit
 SIC states (a regular tetrahedron on the Bloch sphere, pairwise squared
-overlap 1/3). The trainable layer shares its three angles across all qubits:
-an entangling rotation generated by X on every qubit, followed by Rz and Ry
-on each qubit. Because every constituent commutes with qubit swaps, the whole
-circuit is insensitive to applying the same position permutation to its input
-sequence and its qubit register.
+overlap 1/3), Ry(tilt) then P(phase) on |0> with its row of ``LETTER_ANGLES``,
+the one table of the encoding. The trainable layer shares its three angles
+across all qubits: an entangling rotation generated by X on every qubit,
+followed by Rz and Ry on each qubit. Because every constituent commutes with
+qubit swaps, the whole circuit is insensitive to applying the same position
+permutation to its input sequence and its qubit register.
 
 The functions from ``ry_matrix`` on simulate the circuit one gate at a time
 on plain complex128 vectors of 2^n amplitudes. They are the readable
@@ -33,13 +34,10 @@ LETTER_BYTES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
 
 # Ry angle taking |0> to sqrt(1/3)|0> + sqrt(2/3)|1>, shared by T, G, C
 _TILT = 2 * np.arccos(1 / np.sqrt(3))
-
-_BASE_ANGLES = {
-    "A": (0.0, 0.0),
-    "T": (_TILT, 0.0),
-    "G": (_TILT, 2 * np.pi / 3),
-    "C": (_TILT, 4 * np.pi / 3),
-}
+# (tilt, phase) per base code: Ry(tilt) then P(phase) takes |0> to the base's
+# SIC state. A stays at |0>; T, G, C share one tilt, at azimuths 0, 2pi/3, 4pi/3
+LETTER_ANGLES = np.array([(0.0, 0.0), (_TILT, 0.0), (_TILT, 2 * np.pi / 3), (_TILT, 4 * np.pi / 3)])
+LETTER_ANGLES.flags.writeable = False
 
 
 def check_letters(s) -> str:
@@ -77,19 +75,6 @@ def encode(strings, length: int) -> np.ndarray:
             if len(s) != length:
                 raise ValueError(f"sequence length mismatch in batch: {len(s)} vs {length}")
     return codes.reshape(len(strings), length)
-
-
-def base_angles(base: str) -> tuple[float, float]:
-    """Rotation angles (ry_angle, phase_angle) preparing the SIC state of a base.
-
-    Applying Ry(ry_angle) then P(phase_angle) to |0> produces the encoded
-    single-qubit state: A stays at |0>, and T, G, C share one polar tilt with
-    azimuthal phases 0, 2pi/3, 4pi/3.
-    """
-    try:
-        return _BASE_ANGLES[base]
-    except KeyError:
-        raise ValueError(f"unknown nucleotide symbol {base!r}") from None
 
 
 @dataclass(frozen=True)
@@ -171,7 +156,7 @@ def apply_encoding_layer(state: np.ndarray, seq: str) -> np.ndarray:
             f"{state.size} amplitudes"
         )
     for i, base in enumerate(seq):
-        ry, ph = base_angles(base)
+        ry, ph = LETTER_ANGLES[ALPHABET.index(base)]
         state = apply_gate(apply_gate(state, i, ry_matrix(ry)), i, phase_matrix(ph))
     return state
 

@@ -74,7 +74,7 @@ class TripletSet(Sequence):
     of triplet i, one row each, and ``distances[i]`` its d(a, b) and
     d(a, c). An integer index builds that triplet's ``LabeledTriplet``, a
     slice is a TripletSet over views of both arrays, and iteration decodes
-    the whole set once. A set pickles as its two arrays.
+    the whole set once (``strings``). A set pickles as its two arrays.
     """
 
     __slots__ = ("codes", "distances")
@@ -120,13 +120,16 @@ class TripletSet(Sequence):
         i = range(len(self))[index(i)]  # IndexError past either end
         return next(iter(self[i : i + 1]))
 
-    def __iter__(self):
+    def strings(self) -> list:
+        """The (a, b, c) strings of every triplet, the codes decoded at once."""
         n = self.length
         text = LETTER_BYTES[self.codes].tobytes().decode("ascii")
-        for i, (d_ab, d_ac) in enumerate(self.distances.tolist()):
-            at = 3 * n * i
-            yield LabeledTriplet(text[at : at + n], text[at + n : at + 2 * n],
-                                 text[at + 2 * n : at + 3 * n], d_ab, d_ac)
+        return [(text[at : at + n], text[at + n : at + 2 * n], text[at + 2 * n : at + 3 * n])
+                for at in (3 * n * i for i in range(len(self)))]
+
+    def __iter__(self):
+        for abc, (d_ab, d_ac) in zip(self.strings(), self.distances.tolist()):
+            yield LabeledTriplet(*abc, d_ab, d_ac)
 
     def __eq__(self, other):
         if not isinstance(other, TripletSet):
@@ -230,13 +233,15 @@ def write_atomic(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def save_triplets(triplets, path) -> None:
-    """Write one JSON object per line, atomically (write then rename)."""
-    lines = (
-        json.dumps({"a": t.a, "b": t.b, "c": t.c, "d_ab": t.d_ab, "d_ac": t.d_ac,
-                    "s_ab": t.s_ab, "s_ac": t.s_ac}, sort_keys=True) + "\n"
-        for t in triplets
-    )
+def save_triplets(triplets: TripletSet, path) -> None:
+    """Write one JSON object per line, atomically (write then rename): the
+    line ``json.dumps(..., sort_keys=True)`` writes for each triplet, formatted
+    from the set's arrays (floats by repr, as JSON writes them)."""
+    n, d = triplets.length, triplets.distances
+    lines = (f'{{"a": "{a}", "b": "{b}", "c": "{c}", "d_ab": {d_ab}, "d_ac": {d_ac}, '
+             f'"s_ab": {s_ab!r}, "s_ac": {s_ac!r}}}\n'
+             for (a, b, c), (d_ab, d_ac), (s_ab, s_ac)
+             in zip(triplets.strings(), d.tolist(), ((n - d) / n).tolist()))
     write_atomic(path, "".join(lines))
 
 
@@ -357,10 +362,10 @@ def load_triplets(path, verify_fraction: float = 0.01) -> TripletSet:
         # there changes nothing, and keeps 1 / verify_fraction (inf for a
         # subnormal fraction) out of round
         stride = max(1, round(min(1 / verify_fraction, len(triplets))))
-        checked = list(triplets[::stride])
-        exact = _distances([(t.a, t.b, t.c) for t in checked])
-        for k, (t, d) in enumerate(zip(checked, exact)):
-            if d != (t.d_ab, t.d_ac):
+        checked = triplets[::stride]
+        exact = _distances(checked.strings())
+        for k, (d, stored) in enumerate(zip(exact, checked.distances.tolist())):
+            if list(d) != stored:
                 raise DatasetError(
                     f"line {k * stride + 1}: stored distances fail recomputation"
                 )

@@ -29,7 +29,7 @@ composition: one taped forward pass and one sweep per distinct composition
 give the whole gradient. Per-row gradients are one-row calls with weight 1.
 
 The circuit runs in real arithmetic where it can. A letter's encoding is
-Ry(tilt) then P(phase), and T, G, C share one tilt (circuits.base_angles).
+Ry(tilt) then P(phase), and T, G, C share one tilt (circuits.LETTER_ANGLES).
 Ry angles add, so a layer's block V(x) Ry(theta)^n is Phi_x, a diagonal of
 phases, times the real product of Ry(theta + tilt_q) over the qubits, which
 depends on x only through which qubits are tilted (see _rotations,
@@ -64,8 +64,8 @@ import numpy as np
 
 from dnakernel.circuits import (
     ALPHABET,
+    LETTER_ANGLES,
     KernelParams,
-    base_angles,
     encode,
     feature_state,
     validate_sequence,
@@ -81,10 +81,8 @@ def _tilt_table(letter_angles) -> tuple:
     return tilts, index
 
 
-# (ry_angle, phase_angle) per base code
-_LETTER_ANGLES = np.array([base_angles(b) for b in ALPHABET])
-_TILTS, _TILT_INDEX = _tilt_table(_LETTER_ANGLES)
-_PHASES = np.exp(1j * _LETTER_ANGLES[:, 1])
+_TILTS, _TILT_INDEX = _tilt_table(LETTER_ANGLES)
+_PHASES = np.exp(1j * LETTER_ANGLES[:, 1])
 
 # bytes of rows per pass of kernel_values, which bounds its working set:
 # 80 rows of 256-amplitude states, so a forward pass's five states per
@@ -450,7 +448,7 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
     two, the replayed post-Rz state into work[0] once the last output is
     read, and Phi_x is conjugated in place in work[3:]. Rotations run on
     float64 views of those arrays made once per call. Pulling back through
-    R_NX and Rz takes the forward's tables reversed, since Z at the
+    R_NX and Rz reads the forward's tables reversed, since Z at the
     complement index is -Z: keep reversed is cos(t_rnx / 2) exp(i t_rz Z / 2)
     bit for bit, and flip, also conjugated, is i sin(t_rnx / 2)
     exp(-i t_rz Z / 2) up to the sign of zero entries.
@@ -461,7 +459,6 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
     jsum = [_jsum(n // 2), _jsum(n - n // 2)]
     rz_gen = -0.5j * _zdiag(n)
     phase_conj = np.conj(phase, out=phase)
-    back_keep, back_flip = keep[:, ::-1].copy(), np.conj(flip[:, ::-1])
     grad = np.empty((num_layers, 3))
     t, a, b, s_rz = bra, work[1], work[2], work[0]
     if num_layers % 2:
@@ -492,8 +489,8 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
         grad[layer, 2] = 0.5 * (_re_dot(a, b) + ry_q)
         grad[layer, 1] = _re_dot(a, np.multiply(rz_gen, s_rz, out=b))
         # Rz and R_NX, back into t; the R_NX term against the layer's input
-        np.multiply(a, back_keep[layer], out=t)
-        t += np.multiply(back_flip[layer], a[:, ::-1], out=b)
+        np.multiply(a, keep[layer, ::-1], out=t)
+        t += np.multiply(np.conj(flip[layer, ::-1]), a[:, ::-1], out=b)
         grad[layer, 0] = _re_dot(t, np.multiply(-0.5j, s_in[:, ::-1], out=b))
         out = s_in
     return grad.reshape(-1)

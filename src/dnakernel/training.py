@@ -97,16 +97,13 @@ class PairSet:
         return self.targets.shape[0]
 
 
-def pairs_from_triplets(triplets) -> PairSet:
+def pairs_from_triplets(triplets: TripletSet) -> PairSet:
     """Two labeled pairs per triplet: (a, b, s_ab) and (a, c, s_ac).
 
-    Pure array work on a ``TripletSet``: every a's codes twice, the b and c
-    codes row by row, and the targets (n - d) / n over the distance array,
-    the same doubles as s_ab and s_ac. Any other iterable of LabeledTriplet
-    is converted through ``TripletSet.of`` first.
+    Pure array work on the set: every a's codes twice, the b and c codes
+    row by row, and the targets (n - d) / n over the distance array, the
+    same doubles as s_ab and s_ac.
     """
-    if not isinstance(triplets, TripletSet):
-        triplets = TripletSet.of(triplets)
     if not triplets:
         raise ValueError("empty triplet list")
     codes, n = triplets.codes, triplets.length
@@ -177,7 +174,7 @@ def train_epoch(model, params, pairs: PairSet, config: TrainingConfig, rng):
     return params, total_loss / len(pairs)
 
 
-def order_accuracy(model, params, triplets) -> float:
+def order_accuracy(model, params, triplets: TripletSet) -> float:
     """Fraction of triplets whose kernel ranking matches the ground truth.
 
     A predicted exact tie counts as incorrect; a ground-truth tie is a
@@ -211,8 +208,8 @@ def _pair_order_accuracy(model, params, pairs: PairSet) -> float:
     return int(np.sum(predicted == truth)) / truth.size
 
 
-def train_run(model, config: TrainingConfig, train_triplets, test_triplets,
-              run_seed: int, run_index: int = 0):
+def train_run(model, config: TrainingConfig, train_triplets: TripletSet,
+              test_triplets: TripletSet, run_seed: int, run_index: int = 0):
     """One full training run, evaluated on the test set after every epoch.
 
     Returns (curve, final flat parameters). The curve always starts with an
@@ -271,8 +268,8 @@ def aggregate_runs(curves) -> dict:
     return summary
 
 
-def run_experiment(model, config: TrainingConfig, train_triplets, test_triplets,
-                   jobs: int = 1):
+def run_experiment(model, config: TrainingConfig, train_triplets: TripletSet,
+                   test_triplets: TripletSet, jobs: int = 1):
     """Independent runs with per-run child seeds; returns (curves, params list)."""
     run_seeds = [
         int(ss.generate_state(1)[0])

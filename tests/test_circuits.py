@@ -10,10 +10,10 @@ from test_statevector import basis_state, random_state, swap_qubits
 
 from dnakernel.circuits import (
     ALPHABET,
+    LETTER_ANGLES,
     KernelParams,
     apply_encoding_layer,
     apply_param_layer,
-    base_angles,
     check_letters,
     feature_state,
     validate_sequence,
@@ -39,25 +39,31 @@ def random_params(rng, num_layers):
     return KernelParams(num_layers, rng.uniform(-np.pi, np.pi, size=(num_layers, 3)))
 
 
+def letter_angles(base):
+    """(tilt, phase) of a base, read from its row of LETTER_ANGLES."""
+    return tuple(LETTER_ANGLES[ALPHABET.index(base)])
+
+
 class TestBaseAngles:
     def test_adenine_needs_no_gate(self):
-        assert base_angles("A") == (0.0, 0.0)
+        assert letter_angles("A") == (0.0, 0.0)
 
     def test_thymine(self):
-        ry, ph = base_angles("T")
+        ry, ph = letter_angles("T")
         assert abs(ry - TILT) < 1e-15 and ph == 0.0
 
     def test_guanine(self):
-        ry, ph = base_angles("G")
+        ry, ph = letter_angles("G")
         assert abs(ry - TILT) < 1e-15 and abs(ph - 2 * np.pi / 3) < 1e-15
 
     def test_cytosine(self):
-        ry, ph = base_angles("C")
+        ry, ph = letter_angles("C")
         assert abs(ry - TILT) < 1e-15 and abs(ph - 4 * np.pi / 3) < 1e-15
 
-    def test_unknown_symbol(self):
-        with pytest.raises(ValueError, match="unknown nucleotide"):
-            base_angles("X")
+    def test_table_is_read_only(self):
+        assert LETTER_ANGLES.shape == (len(ALPHABET), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            LETTER_ANGLES[0, 0] = 1.0
 
     @pytest.mark.parametrize("base", ALPHABET)
     def test_base_state_matches_reference(self, base):

@@ -162,6 +162,29 @@ class TestSaveLoadRoundTrip:
         save_triplets(trips, path)
         assert len(path.read_text().splitlines()) == 7
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_lines_are_json_dumps_lines(self, tmp_path, n):
+        # every pair of distances 0..n, so s = 1.0 and s = 0.0 both appear
+        rng = np.random.default_rng(n)
+        d = np.array([(d_ab, d_ac) for d_ab in range(n + 1) for d_ac in range(n + 1)])
+        trips = TripletSet(rng.integers(0, 4, (len(d), 3, n)), d)
+        save_triplets(trips, tmp_path / "t.jsonl")
+        want = "".join(json.dumps({"a": t.a, "b": t.b, "c": t.c, "d_ab": t.d_ab, "d_ac": t.d_ac,
+                                   "s_ab": t.s_ab, "s_ac": t.s_ac}, sort_keys=True) + "\n"
+                       for t in trips)
+        assert (tmp_path / "t.jsonl").read_text() == want
+
+    def test_save_and_verified_load_build_no_labeled_triplet(self, tmp_path, monkeypatch):
+        # saving writes from the set's arrays, and verification recomputes
+        # the distances of a slice of the loaded set
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a LabeledTriplet was built")
+
+        monkeypatch.setattr(LabeledTriplet, "__init__", refuse)
+        trips = generate_triplets(seed=8, count=15, length=5)
+        save_triplets(trips, tmp_path / "t.jsonl")
+        assert load_triplets(tmp_path / "t.jsonl", verify_fraction=1.0) == trips
+
 
 def _write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines))

@@ -508,6 +508,18 @@ class TestExactDistances:
         monkeypatch.setattr(edm, "_SEARCH_KEYS", keys)
         assert searched(xs, ys)[1:] == (distances, generated)
 
+    @pytest.mark.parametrize("block", [16, 1 << 20])
+    def test_counts_do_not_depend_on_the_chunk_size(self, monkeypatch, block):
+        # a pair's later nodes run again when one of them lowers its best, so
+        # cutting a level into chunks of 16 children or not cutting it at all
+        # gives each pinned pair the default's distance and generated count
+        pairs, pinned = self.pinned_pairs()
+        xs, ys = map(list, zip(*pairs))
+        _, distances, generated = searched(xs, ys)
+        assert generated == pinned
+        monkeypatch.setattr(edm, "_CHILD_BLOCK", block)
+        assert searched(xs, ys)[1:] == (distances, generated)
+
     @pytest.mark.parametrize("where", [0, 3, 8])
     def test_over_budget_pair_in_a_batch_raises(self, monkeypatch, where):
         # line 1 generates 13,577 children; on a budget one below that it

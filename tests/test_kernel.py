@@ -25,8 +25,8 @@ from dnakernel import kernel, training
 from dnakernel.baselines import ClassicalKernelModel
 from dnakernel.circuits import (
     ALPHABET,
+    LETTER_ANGLES,
     KernelParams,
-    base_angles,
     feature_state,
     phase_matrix,
     ry_matrix,
@@ -330,7 +330,7 @@ class TestBatchedEngineAgainstReference:
 def test_encoding_block_factorizes(base, theta):
     # the identity the engine rests on: a letter's encoding after the
     # trainable Ry is a phase diagonal times one real rotation
-    tilt, phase = base_angles(base)
+    tilt, phase = LETTER_ANGLES[ALPHABET.index(base)]
     block = phase_matrix(phase) @ ry_matrix(tilt) @ ry_matrix(theta)
     np.testing.assert_allclose(
         block, np.diag([1.0, np.exp(1j * phase)]) @ ry_matrix(theta + tilt),
@@ -338,7 +338,7 @@ def test_encoding_block_factorizes(base, theta):
 
 
 def test_tilt_table_rejects_a_third_tilt():
-    tilts, index = _tilt_table([base_angles(b) for b in ALPHABET])
+    tilts, index = _tilt_table(LETTER_ANGLES)
     assert tilts.size == 2 and list(index) == [0, 1, 1, 1]
     with pytest.raises(ValueError, match="3 Ry tilts"):
         _tilt_table([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 2.0)])

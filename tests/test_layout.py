@@ -1,8 +1,9 @@
-"""The package holds no public code that only tests reach.
+"""The package holds no code that only tests reach.
 
-Every public top-level function, class and constant of ``src/dnakernel``
-needs a reference from the package, the scripts or the benchmark; one that
-only tests reference belongs in the tests, or nowhere.
+Every top-level function, class and constant of ``src/dnakernel``, public
+or private (dunders aside), needs a reference from the package, the scripts
+or the benchmark; one that only tests reference belongs in the tests, or
+nowhere.
 """
 
 import ast
@@ -13,8 +14,9 @@ PACKAGE = ROOT / "src" / "dnakernel"
 CALLER_DIRS = ("src", "scripts", "benchmarks")
 
 
-def public_definitions(tree: ast.Module) -> set:
-    """Names of the module's public top-level functions, classes and constants."""
+def top_level_definitions(tree: ast.Module) -> set:
+    """Names of the module's top-level functions, classes and constants, but
+    not its dunders (``__all__``, ``__version__``)."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -22,7 +24,7 @@ def public_definitions(tree: ast.Module) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
 def references(tree: ast.Module, modules: set) -> set:
@@ -51,7 +53,7 @@ def test_every_public_name_has_a_caller_outside_tests():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for name in public_definitions(ast.parse(path.read_text(), str(path))):
+        for name in top_level_definitions(ast.parse(path.read_text(), str(path))):
             defined[name] = path.name
     callers = set()
     for directory in CALLER_DIRS:
@@ -60,16 +62,17 @@ def test_every_public_name_has_a_caller_outside_tests():
                 callers |= references(ast.parse(path.read_text(), str(path)), modules)
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in callers)
-    assert not unused, f"public names no code outside tests references: {unused}"
+    assert not unused, f"names no code outside tests references: {unused}"
 
 
 def test_a_tests_only_helper_is_caught():
     # the scan itself: a name that is only defined, documented, or an
     # attribute of something other than a package module is not referenced
-    module = ast.parse("def helper():\n    return 1\n\nLIMIT = 3\nBOUND = LIMIT + 1\n")
+    module = ast.parse("__all__ = []\n\ndef helper():\n    return 1\n\ndef _private():\n"
+                       "    return 2\n\nLIMIT = 3\nBOUND = LIMIT + 1\n")
     caller = ast.parse("from pkg import BOUND\nimport pkg.mod as m\n"
                        "print('helper is documented here', 'ATGC'.helper, m.run)\n")
-    assert public_definitions(module) == {"helper", "LIMIT", "BOUND"}
+    assert top_level_definitions(module) == {"helper", "_private", "LIMIT", "BOUND"}
     refs = references(module, {"mod"}) | references(caller, {"mod"})
     assert {"LIMIT", "BOUND", "run"} <= refs
-    assert "helper" not in refs
+    assert not {"helper", "_private"} & refs

@@ -15,7 +15,7 @@ from scipy import stats
 
 from dnakernel.baselines import ClassicalKernelModel
 from dnakernel import training
-from dnakernel.dataset import LabeledTriplet, generate_triplets, load_triplets
+from dnakernel.dataset import LabeledTriplet, TripletSet, generate_triplets, load_triplets
 from dnakernel.kernel import QuantumKernelModel, encode_sequences
 from dnakernel.training import (
     CURVE_HEADER,
@@ -159,13 +159,11 @@ class TestPairs:
 
     @pytest.mark.parametrize("name", ["train", "test", "fresh"])
     def test_committed_sets_match_per_object_build(self, name):
-        # from the loaded set, and from a list of its triplets
         triplets = load_triplets(ACCEPT_DIR / f"{name}.jsonl", verify_fraction=0)
-        want = per_object_pairs(triplets)
-        for got in (pairs_from_triplets(triplets), pairs_from_triplets(list(triplets))):
-            for field in ("codes_a", "codes_b", "targets"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        got, want = pairs_from_triplets(triplets), per_object_pairs(triplets)
+        for field in ("codes_a", "codes_b", "targets"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     @pytest.mark.parametrize("source", ["loaded", "generated"])
     def test_array_sets_build_no_triplet_objects(self, monkeypatch, source):
@@ -329,7 +327,7 @@ class TestOrderAccuracy:
             table[a, c] = k_ac
         model = FixedKernelModel(table)
         # t1 ranked correctly, t2 inverted
-        assert order_accuracy(model, np.zeros(1), [t1, t2]) == 0.5
+        assert order_accuracy(model, np.zeros(1), TripletSet.of([t1, t2])) == 0.5
 
     def test_ground_truth_model_scores_one(self):
         triplets = make_triplets(6, seed=4)
@@ -345,16 +343,16 @@ class TestOrderAccuracy:
         t = LabeledTriplet("AAAA", "AAAT", "TTTT", 1, 4)
         a, b, c = (tuple(encode_sequences([s])[0]) for s in (t.a, t.b, t.c))
         model = FixedKernelModel({(a, b): 0.5, (a, c): 0.5})
-        assert order_accuracy(model, np.zeros(1), [t]) == 0.0
+        assert order_accuracy(model, np.zeros(1), TripletSet.of([t])) == 0.0
 
     def test_ground_truth_tie_rejected(self):
         t = LabeledTriplet("AAAA", "AAAT", "AATA", 1, 1)
         with pytest.raises(ValueError, match="tie"):
-            order_accuracy(ToyModel(), np.zeros(3), [t])
+            order_accuracy(ToyModel(), np.zeros(3), TripletSet.of([t]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            order_accuracy(ToyModel(), np.zeros(3), [])
+            order_accuracy(ToyModel(), np.zeros(3), TripletSet.of([]))
 
     @pytest.mark.parametrize("name, ties", [("test", []), ("train", [309]), ("fresh", [366])])
     def test_committed_sets_exact_kernel_ties(self, name, ties):
