@@ -7,9 +7,10 @@ line-delimited JSON, deterministic byte for byte given the seed.
 
 A set of triplets is a ``TripletSet``: a (count, 3, n) uint8 array of the
 a, b and c of each triplet in ``circuits`` letter codes and a (count, 2)
-int64 array of d(a, b) and d(a, c). Generation, loading and the pair
-layout of training all work on those two arrays; a ``LabeledTriplet`` is
-built only when one triplet is indexed or the set is iterated.
+int64 array of d(a, b) and d(a, c). Generation and both loaders (the batch
+pass and the per-line loop) build a set from those two arrays alone, and
+the pair layout of training reads them; a ``LabeledTriplet`` is an output
+only, built when one triplet is indexed or the set is iterated.
 
 Labels come in batches: one ``edm.exact_distances`` call per batch brackets
 every pair with ``pair_bounds`` and searches all pairs whose bracket is open
@@ -89,17 +90,6 @@ class TripletSet(Sequence):
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
-    @classmethod
-    def of(cls, triplets) -> TripletSet:
-        """The set of an iterable of LabeledTriplet, every sequence checked
-        by one ``encode`` call to be over ALPHABET with the first a's length."""
-        triplets = list(triplets)
-        n = len(validate_sequence(triplets[0].a)) if triplets else 0
-        codes = encode([s for t in triplets for s in (t.a, t.b, t.c)], n)
-        distances = np.fromiter((d for t in triplets for d in (t.d_ab, t.d_ac)), np.int64,
-                                count=2 * len(triplets))
-        return cls(codes.reshape(len(triplets), 3, n), distances.reshape(-1, 2))
-
     def __setattr__(self, name, value):
         raise AttributeError(f"TripletSet is read-only: cannot set {name!r}")
 
@@ -146,17 +136,17 @@ def random_sequence(rng: np.random.Generator, length: int) -> str:
     return LETTER_BYTES[codes].tobytes().decode("ascii")
 
 
-def _distances(triples) -> list:
-    """Exact (d(a, b), d(a, c)) of each (a, b, c): all pairs are searched in
-    one ``exact_distances`` call, then each distance goes through
-    ``edm_exact`` as a closed bracket, which returns it. That per-pair call
-    is where the benchmark's tracer counts labels and its label check
+def _distances(triples) -> np.ndarray:
+    """The (count, 2) array of each (a, b, c)'s exact d(a, b) and d(a, c): all
+    pairs are searched in one ``exact_distances`` call, then each distance goes
+    through ``edm_exact`` as a closed bracket, which returns it. That per-pair
+    call is where the benchmark's tracer counts labels and its label check
     perturbs them; it searches nothing."""
     xs = [a for a, _, _ in triples for _ in range(2)]
     ys = [y for _, b, c in triples for y in (b, c)]
     d = [edm_exact(x, y, bounds=(e, e))
          for x, y, e in zip(xs, ys, exact_distances(xs, ys).tolist())]
-    return list(zip(d[::2], d[1::2]))
+    return np.array(d, np.int64).reshape(-1, 2)
 
 
 def _label_chunk(children: list, length: int) -> tuple:
@@ -245,56 +235,47 @@ def save_triplets(triplets: TripletSet, path) -> None:
     write_atomic(path, "".join(lines))
 
 
-def _parse_line(line: str, lineno: int) -> LabeledTriplet:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from None
-    try:
-        a, b, c = obj["a"], obj["b"], obj["c"]
-        d_ab, d_ac = obj["d_ab"], obj["d_ac"]
-        s_ab, s_ac = obj["s_ab"], obj["s_ac"]
-    except (KeyError, TypeError) as e:
-        raise DatasetError(f"line {lineno}: missing field {e}") from None
-    for name, seq in (("a", a), ("b", b), ("c", c)):
-        try:
-            validate_sequence(seq)
-        except ValueError as e:
-            raise DatasetError(f"line {lineno}: field {name}: {e}") from None
-    if not (len(a) == len(b) == len(c)):
-        raise DatasetError(f"line {lineno}: sequences have unequal lengths")
-    n = len(a)
-    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-    if not (type(d_ab) is int and type(d_ac) is int):
-        raise DatasetError(f"line {lineno}: distances must be integers")
-    if not {type(s_ab), type(s_ac)} <= {int, float}:
-        raise DatasetError(f"line {lineno}: similarity labels must be numbers")
-    if not (0 <= d_ab <= n and 0 <= d_ac <= n):
-        raise DatasetError(f"line {lineno}: distance out of range 0..{n}")
-    if d_ab == d_ac:
-        raise DatasetError(f"line {lineno}: tied distances d_ab = d_ac = {d_ab}")
-    if s_ab != (n - d_ab) / n or s_ac != (n - d_ac) / n:
-        raise DatasetError(
-            f"line {lineno}: similarity labels do not match (N - d)/N"
-        )
-    return LabeledTriplet(a, b, c, d_ab, d_ac)
-
-
-def _line_triplets(lines) -> list:
-    """The triplets of a file's lines, parsed and checked one line at a
-    time: the statement of every refusal and its wording."""
-    triplets = []
+def _line_triplets(lines) -> TripletSet:
+    """The TripletSet of a file's nonempty lines, parsed and checked one line
+    at a time: the statement of every refusal and its wording. Each line's
+    strings and distances are kept, and encoded at once at the end."""
+    strings, distances = [], []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             raise DatasetError(f"line {lineno}: empty line")
-        triplet = _parse_line(line, lineno)
-        if triplets and triplet.length != triplets[0].length:
-            raise DatasetError(
-                f"line {lineno}: sequence length {triplet.length} differs "
-                f"from {triplets[0].length} on line 1"
-            )
-        triplets.append(triplet)
-    return triplets
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from None
+        try:
+            a, b, c, d_ab, d_ac, s_ab, s_ac = _FIELDS(obj)
+        except (KeyError, TypeError) as e:
+            raise DatasetError(f"line {lineno}: missing field {e}") from None
+        for name, seq in zip("abc", (a, b, c)):
+            try:
+                validate_sequence(seq)
+            except ValueError as e:
+                raise DatasetError(f"line {lineno}: field {name}: {e}") from None
+        if not (len(a) == len(b) == len(c)):
+            raise DatasetError(f"line {lineno}: sequences have unequal lengths")
+        n = len(a)
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if not (type(d_ab) is int and type(d_ac) is int):
+            raise DatasetError(f"line {lineno}: distances must be integers")
+        if not {type(s_ab), type(s_ac)} <= {int, float}:
+            raise DatasetError(f"line {lineno}: similarity labels must be numbers")
+        if not (0 <= d_ab <= n and 0 <= d_ac <= n):
+            raise DatasetError(f"line {lineno}: distance out of range 0..{n}")
+        if d_ab == d_ac:
+            raise DatasetError(f"line {lineno}: tied distances d_ab = d_ac = {d_ab}")
+        if s_ab != (n - d_ab) / n or s_ac != (n - d_ac) / n:
+            raise DatasetError(f"line {lineno}: similarity labels do not match (N - d)/N")
+        if strings and 3 * n != len(strings[0]):
+            raise DatasetError(f"line {lineno}: sequence length {n} differs "
+                               f"from {len(strings[0]) // 3} on line 1")
+        strings.append(a + b + c)
+        distances.append((d_ab, d_ac))
+    return TripletSet(encode(strings, 3 * n).reshape(len(strings), 3, n), distances)
 
 
 def _batch_triplets(lines):
@@ -356,17 +337,14 @@ def load_triplets(path, verify_fraction: float = 0.01) -> TripletSet:
     except Exception:  # _line_triplets says why
         triplets = None
     if triplets is None:
-        triplets = TripletSet.of(_line_triplets(lines))
+        triplets = _line_triplets(lines)
     if verify_fraction > 0:
         # a stride past the last line verifies line 1 alone, so capping it
         # there changes nothing, and keeps 1 / verify_fraction (inf for a
         # subnormal fraction) out of round
         stride = max(1, round(min(1 / verify_fraction, len(triplets))))
         checked = triplets[::stride]
-        exact = _distances(checked.strings())
-        for k, (d, stored) in enumerate(zip(exact, checked.distances.tolist())):
-            if list(d) != stored:
-                raise DatasetError(
-                    f"line {k * stride + 1}: stored distances fail recomputation"
-                )
+        bad = np.flatnonzero((_distances(checked.strings()) != checked.distances).any(axis=1))
+        if len(bad):
+            raise DatasetError(f"line {bad[0] * stride + 1}: stored distances fail recomputation")
     return triplets

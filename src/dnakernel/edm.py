@@ -518,5 +518,5 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
         raise ValueError(f"bounds must be integers (upper, lower) with "
                          f"0 <= lower <= upper, got {bounds!r}")
     if upper <= lower:
-        return upper
+        return int(upper)
     return int(_Search([x], [y], np.array([upper]), np.array([lower])).run()[0])

@@ -277,6 +277,19 @@ class TestLoadValidation:
         _write_lines(path, [_valid_line(length=5, seed=12), _forged_line()])
         assert len(load_triplets(path, verify_fraction=5e-324)) == 2
 
+    def test_spot_check_names_a_later_stride_line(self, tmp_path):
+        # the default fraction verifies every 100th line: lines 1 and 101 of 150
+        path = tmp_path / "forged.jsonl"
+        save_triplets(generate_triplets(seed=7, count=150, length=5), path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[100])
+        forged = next(d for d in range(6) if d not in (obj["d_ab"], obj["d_ac"]))
+        obj["d_ab"], obj["s_ab"] = forged, (5 - forged) / 5
+        lines[100] = json.dumps(obj, sort_keys=True)
+        _write_lines(path, lines)
+        with pytest.raises(DatasetError, match="line 101: stored distances fail recomputation"):
+            load_triplets(path)
+
     @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5])
     def test_verify_fraction_outside_unit_interval_refused(self, tmp_path, fraction):
         # a NaN or negative fraction must not skip verification silently;
@@ -346,7 +359,7 @@ def line_by_line(path):
 def loaded(path):
     """What load_triplets makes of a file, unverified: its triplets, or its refusal."""
     try:
-        return list(load_triplets(path, verify_fraction=0))
+        return load_triplets(path, verify_fraction=0)
     except DatasetError as e:
         return str(e)
 
@@ -424,15 +437,25 @@ def test_corrupt_line_loads_as_line_by_line(tmp_path_factory, data, where):
 def test_committed_dataset_loads_as_line_by_line(name):
     path = ACCEPT_DIR / f"{name}.jsonl"
     triplets = load_triplets(path, verify_fraction=0)
-    assert len(triplets) == 3200 and list(triplets) == line_by_line(path)
+    assert len(triplets) == 3200 and triplets == line_by_line(path)
 
 
 def test_committed_train_set_takes_the_batch_pass(monkeypatch):
-    def refuse(line, lineno):
-        raise AssertionError(f"line {lineno} was parsed on its own")
+    def refuse(lines):
+        raise AssertionError("the lines were parsed one at a time")
 
-    monkeypatch.setattr(dataset, "_parse_line", refuse)
+    monkeypatch.setattr(dataset, "_line_triplets", refuse)
     assert len(load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)) == 3200
+
+
+def test_padded_train_set_loads_line_by_line_as_the_plain_file(tmp_path):
+    # a quoted "}" on every line leaves every block to the per-line loop
+    plain = ACCEPT_DIR / "train.jsonl"
+    lines = ['{"pad": "}", ' + line[1:] for line in plain.read_text().splitlines()]
+    path = tmp_path / "padded.jsonl"
+    _write_lines(path, lines)
+    assert dataset._batch_triplets(lines) is None
+    assert load_triplets(path, verify_fraction=0) == load_triplets(plain, verify_fraction=0)
 
 
 def _split_with_quoted_braces():
@@ -479,12 +502,12 @@ def test_labeled_triplet_length():
 
 class TestTripletSet:
     def test_sequence_of_labeled_triplets(self):
-        objs = list(generate_triplets(seed=14, count=6, length=5))
-        s = TripletSet.of(objs)
+        s = generate_triplets(seed=14, count=6, length=5)
+        objs = list(s)
         assert (len(s), s.length, s.codes.shape, s.distances.shape) == (6, 5, (6, 3, 5), (6, 2))
         assert list(s) == objs and [s[i] for i in range(-6, 6)] == objs + objs
         assert list(s[1:4]) == objs[1:4] and list(s[::2]) == objs[::2]
-        assert s[1:4] == TripletSet.of(objs[1:4]) != s
+        assert s[1:4] == TripletSet(s.codes[1:4].copy(), s.distances[1:4].copy()) != s
         assert np.shares_memory(s[1:4].codes, s.codes)
         assert objs[3] in s and s.index(objs[3]) == 3
         with pytest.raises(IndexError):
@@ -514,15 +537,6 @@ class TestTripletSet:
         assert not (back.codes.flags.writeable or back.distances.flags.writeable)
         # a slice pickles its own rows, not the arrays it views
         assert len(pickle.dumps(s[:10])) < len(pickle.dumps(s)) // 100
-
-    def test_of_checks_every_sequence(self):
-        assert len(TripletSet.of([])) == 0
-        with pytest.raises(ValueError, match="length mismatch"):
-            TripletSet.of([LabeledTriplet("ATGC", "ATG", "ATGC", 1, 2)])
-        with pytest.raises(ValueError, match="outside"):
-            TripletSet.of([LabeledTriplet("ATGC", "ATGC", "ATGX", 0, 1)])
-        with pytest.raises(ValueError, match="nonempty"):
-            TripletSet.of([LabeledTriplet("", "", "", 0, 1)])
 
 
 def test_loaded_train_set_retains_little_memory():
@@ -561,4 +575,4 @@ def test_pipe_loads_like_a_regular_file(tmp_path, lines):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert got == loaded(regular)
-    assert isinstance(got, list) if lines == VALID else got == "line 2: missing field 'b'"
+    assert isinstance(got, TripletSet) if lines == VALID else got == "line 2: missing field 'b'"

@@ -357,6 +357,11 @@ class TestEdmExact:
         with pytest.raises(ValueError, match="bounds must be integers"):
             edm_exact(x, y, bounds=bounds)
 
+    def test_closed_numpy_bracket_returns_a_python_int(self):
+        # as open brackets and bounds=None do: json.dumps refuses numpy.int64
+        d = edm_exact("ACG", "ACG", bounds=(np.int64(0), np.int64(0)))
+        assert type(d) is int and json.dumps(d) == "0"
+
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(4)
         for trial in range(60):

@@ -3,7 +3,8 @@
 Every top-level function, class and constant of ``src/dnakernel``, public
 or private (dunders aside), needs a reference from the package, the scripts
 or the benchmark; one that only tests reference belongs in the tests, or
-nowhere.
+nowhere. So does every method of a top-level class (dunders aside), through
+an attribute of any object (``.name``) or a string equal to its name.
 """
 
 import ast
@@ -25,6 +26,21 @@ def top_level_definitions(tree: ast.Module) -> set:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def method_definitions(tree: ast.Module) -> set:
+    """Names of the methods (properties too) of the module's top-level
+    classes, but not their dunders."""
+    return {node.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def attribute_references(tree: ast.Module) -> set:
+    """Attribute names a file reads on any object, and its strings."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
 def references(tree: ast.Module, modules: set) -> set:
@@ -49,20 +65,32 @@ def references(tree: ast.Module, modules: set) -> set:
     return refs
 
 
+def caller_trees() -> list:
+    """The parsed files of the package, the scripts and the benchmark, tests aside."""
+    return [ast.parse(path.read_text(), str(path))
+            for directory in CALLER_DIRS for path in sorted((ROOT / directory).rglob("*.py"))
+            if "tests" not in path.relative_to(ROOT).parts]
+
+
+def unreferenced(definitions, refs) -> list:
+    """``module:name`` of each name the package's modules define by
+    ``definitions`` that is not among ``refs``."""
+    return sorted(f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+                  for name in definitions(ast.parse(path.read_text(), str(path)))
+                  if name not in refs)
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
-    defined = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name in top_level_definitions(ast.parse(path.read_text(), str(path))):
-            defined[name] = path.name
-    callers = set()
-    for directory in CALLER_DIRS:
-        for path in (ROOT / directory).rglob("*.py"):
-            if "tests" not in path.relative_to(ROOT).parts:
-                callers |= references(ast.parse(path.read_text(), str(path)), modules)
-    unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in callers)
+    callers = set().union(*(references(tree, modules) for tree in caller_trees()))
+    unused = unreferenced(top_level_definitions, callers)
     assert not unused, f"names no code outside tests references: {unused}"
+
+
+def test_every_method_has_a_caller_outside_tests():
+    callers = set().union(*map(attribute_references, caller_trees()))
+    unused = unreferenced(method_definitions, callers)
+    assert not unused, f"methods no code outside tests references: {unused}"
 
 
 def test_a_tests_only_helper_is_caught():
@@ -76,3 +104,11 @@ def test_a_tests_only_helper_is_caught():
     refs = references(module, {"mod"}) | references(caller, {"mod"})
     assert {"LIMIT", "BOUND", "run"} <= refs
     assert not {"helper", "_private"} & refs
+    # methods: any attribute or string reaches one, a mere definition does not
+    module = ast.parse("class Set:\n    def __len__(self):\n        return 0\n\n"
+                       "    @classmethod\n    def of(cls, items):\n        return cls()\n\n"
+                       "    @property\n    def size(self):\n        return len(self)\n\n"
+                       "    def strings(self):\n        return self.size\n")
+    assert method_definitions(module) == {"of", "size", "strings"}
+    refs = attribute_references(module) | attribute_references(ast.parse("getattr(x, 'strings')"))
+    assert {"size", "strings"} <= refs and "of" not in refs

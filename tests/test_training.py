@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from dnakernel.baselines import ClassicalKernelModel
+from dnakernel.circuits import encode
 from dnakernel import training
 from dnakernel.dataset import LabeledTriplet, TripletSet, generate_triplets, load_triplets
 from dnakernel.kernel import QuantumKernelModel, encode_sequences
@@ -97,6 +98,14 @@ class FixedKernelModel:
 
 def make_triplets(num, length=4, seed=7):
     return generate_triplets(seed, num, length)
+
+
+def triplet_set(*triplets) -> TripletSet:
+    """The TripletSet of LabeledTriplets of one length, from their letter
+    codes and distances."""
+    n = triplets[0].length if triplets else 0
+    codes = encode([t.a + t.b + t.c for t in triplets], 3 * n).reshape(len(triplets), 3, n)
+    return TripletSet(codes, np.array([(t.d_ab, t.d_ac) for t in triplets]).reshape(-1, 2))
 
 
 def per_object_pairs(triplets) -> PairSet:
@@ -327,7 +336,7 @@ class TestOrderAccuracy:
             table[a, c] = k_ac
         model = FixedKernelModel(table)
         # t1 ranked correctly, t2 inverted
-        assert order_accuracy(model, np.zeros(1), TripletSet.of([t1, t2])) == 0.5
+        assert order_accuracy(model, np.zeros(1), triplet_set(t1, t2)) == 0.5
 
     def test_ground_truth_model_scores_one(self):
         triplets = make_triplets(6, seed=4)
@@ -343,16 +352,16 @@ class TestOrderAccuracy:
         t = LabeledTriplet("AAAA", "AAAT", "TTTT", 1, 4)
         a, b, c = (tuple(encode_sequences([s])[0]) for s in (t.a, t.b, t.c))
         model = FixedKernelModel({(a, b): 0.5, (a, c): 0.5})
-        assert order_accuracy(model, np.zeros(1), TripletSet.of([t])) == 0.0
+        assert order_accuracy(model, np.zeros(1), triplet_set(t)) == 0.0
 
     def test_ground_truth_tie_rejected(self):
         t = LabeledTriplet("AAAA", "AAAT", "AATA", 1, 1)
         with pytest.raises(ValueError, match="tie"):
-            order_accuracy(ToyModel(), np.zeros(3), TripletSet.of([t]))
+            order_accuracy(ToyModel(), np.zeros(3), triplet_set(t))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            order_accuracy(ToyModel(), np.zeros(3), TripletSet.of([]))
+            order_accuracy(ToyModel(), np.zeros(3), triplet_set())
 
     @pytest.mark.parametrize("name, ties", [("test", []), ("train", [309]), ("fresh", [366])])
     def test_committed_sets_exact_kernel_ties(self, name, ties):
