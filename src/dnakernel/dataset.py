@@ -247,6 +247,8 @@ def _line_triplets(lines) -> TripletSet:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise DatasetError(f"line {lineno}: expected a JSON object")
         try:
             a, b, c, d_ab, d_ac, s_ab, s_ac = _FIELDS(obj)
         except (KeyError, TypeError) as e:

@@ -25,8 +25,8 @@ loss (``kernel_values_and_loss_gradient``, the models' loss mode), whose
 weight w = dloss/dK per row the caller's cotangent gives. The sweep is
 linear in its bra, and each row's bra, its partner's state in the row's
 own canonical frame times its weight, adds to the others of its
-composition: one taped forward pass and one sweep per distinct composition
-give the whole gradient. Per-row gradients are one-row calls with weight 1.
+composition: one forward pass and one sweep per distinct composition give
+the whole gradient. Per-row gradients are one-row calls with weight 1.
 
 The circuit runs in real arithmetic where it can. A letter's encoding is
 Ry(tilt) then P(phase), and T, G, C share one tilt (circuits.LETTER_ANGLES).
@@ -35,21 +35,22 @@ phases, times the real product of Ry(theta + tilt_q) over the qubits, which
 depends on x only through which qubits are tilted (see _rotations,
 _phases, _forward).
 
-Each call keeps its state-sized arrays in one block, written with out=:
-the taped pass's tape, which holds one state per layer (the state entering
-it; the sweep replays the state after R_NX and Rz from it, byte for byte),
-work rows and phase diagonals, which the reverse sweep then reuses, with
-the call's bra array, for all of its buffers, L + 5 states per canonical
-row in all; or kernel_values' canonical states and the scratch of its
-forward passes (phase diagonals included) and gathers. The layers' parameter tables, the
-real Ry factors of every tilt mask present (_rotations) and the R_NX and Rz
+Each call keeps its state-sized arrays in one block, written with out=.
+One forward loop serves both calls: layer l reads its entry state from a
+tape and writes its output to the next slot, round the tape. The loss call
+passes a tape of L + 1 states, each layer's entry state and the last
+output, and four work rows, two of them the phase diagonals, which the
+reverse sweep reuses with the call's bra array for all its buffers: L + 5
+states per canonical row. kernel_values passes a ring of two states and
+three work rows, five per canonical row, beside its canonical states and
+the gathers of its overlaps. The layers' parameter tables, the real Ry
+factors of every tilt mask present (_rotations) and the R_NX and Rz
 diagonals (_rnx_rz), are built once per call, for all forward passes and
 the sweep alike. glibc unmaps freed temporaries above its mmap threshold
-and the next call faults them back in (about 3,400 minor faults per
-1,024-triplet ranking); freeing one block of the call's size raises its
-mmap threshold to that size and its trim threshold to twice it, so warm
-calls reuse mapped heap pages while the call's other arrays stay smaller
-than the block.
+and the next call faults them back in; freeing one block of the call's
+size raises its mmap threshold to that size and its trim threshold to
+twice it, so warm calls reuse mapped heap pages while the call's other
+arrays stay smaller than the block.
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the circuits module (qubit 0 = most significant bit).
@@ -85,9 +86,9 @@ _TILTS, _TILT_INDEX = _tilt_table(LETTER_ANGLES)
 _PHASES = np.exp(1j * LETTER_ANGLES[:, 1])
 
 # bytes of rows per pass of kernel_values, which bounds its working set:
-# 80 rows of 256-amplitude states, so a forward pass's five states per
-# canonical row (1.6 MB) and an overlap block's two and a half per pair
-# stay within a 2 MiB per-core L2
+# 80 rows of 256-amplitude states, so a forward pass's ring of two and
+# three work rows per canonical row (1.6 MB) and an overlap block's two and
+# a half states per pair stay within a 2 MiB per-core L2
 VALUE_BYTES = 5 << 16
 # elements per BLAS dot of _dots
 DOT_AMPLITUDES = 1 << 13
@@ -232,53 +233,48 @@ def _rnx_rz(params: KernelParams, num_qubits: int) -> tuple:
             np.take(-1j * np.sin(t_rnx / 2) * rz, weights, axis=1))
 
 
-def _forward(codes, params, work, tape=None, tables=None):
+def _forward(codes, params, tape, work, tables):
     """Run the re-uploading circuit on a batch of codes.
 
     ``tables`` is (rot, keep, flip): _rotations' factors of these rows and
-    _rnx_rz's diagonals, built here unless the caller passes them. Returns
-    (states, factors): factors are (rot, phase, keep, flip), phase the rows'
-    Phi_x from _phases. Each layer applies R_NX, the Rz diagonal, the
-    real factor of register half p, that of half 1 - p, and Phi_x. A factor
-    is a left product on the state viewed as a stack with its half leading,
-    so the state is transposed once between them and the layout alternates:
-    layer l starts with half l % 2 leading. R_NX (the index complement) and
-    Rz (a function of the index's popcount) read the same in both layouts.
-    Final states are in layout 0.
+    _rnx_rz's diagonals. Returns (states, factors): factors are (rot, phase,
+    keep, flip), phase the rows' Phi_x from _phases. Each layer applies R_NX,
+    the Rz diagonal, the real factor of register half p, that of half 1 - p,
+    and Phi_x. A factor is a left product on the state viewed as a stack
+    with its half leading, so the state is transposed once between them and
+    the layout alternates: layer l starts with half l % 2 leading. R_NX (the
+    index complement) and Rz (a function of the index's popcount) read the
+    same in both layouts. Final states are in layout 0.
 
-    Every state-sized result goes into the caller's arrays: ``work`` is
-    (5, rows, 2^n) scratch, work[3:] receive the phase, and the states
-    returned are one of the first three rows. A
-    ``tape``, (L, rows, 2^n), receives per layer the state entering the
-    layer, in that layer's layout: each layer writes its output straight
-    into the next layer's entry, and the last layer's into work[0], where it
-    stays in its own layout. The state after Rz goes to work[2], from which
-    _sweep does not read it: it replays these two steps on the entry state.
+    Every state-sized result goes into the caller's arrays. ``tape``, (T,
+    rows, 2^n) with T >= 2, is a ring: layer l reads tape[l % T] and writes
+    its output to tape[(l + 1) % T], in the next layer's layout. A tape of
+    L + 1 keeps every layer's entry state and the last output for _sweep; a
+    ring of two keeps only the states in flight. ``work`` is (k, rows, 2^n)
+    scratch, k >= 3: its last two rows receive the phase, and work[0] holds
+    the post-Rz state and then, once that is read, the transposed one. The
+    states returned are the last output, or its transpose in work[0] at odd
+    depth.
     """
-    rot, keep, flip = tables or (_rotations(codes, params), *_rnx_rz(params, codes.shape[1]))
-    phase = work[3:]
+    rot, keep, flip = tables
+    phase, mid = work[-2:], work[0]
     _phases(codes, phase)
     num_layers = params.num_layers
-    s = work[0] if tape is None else tape[0]
-    s[...] = 0.0
-    s[:, 0] = 1.0
+    tape[0] = 0.0
+    tape[0, :, 0] = 1.0
     for layer in range(num_layers):
         p = layer % 2
-        if tape is None:
-            # s is free once R_NX and Rz have read it; out alternates with it
-            s_rz, turned, out = work[1], s, work[2 - 2 * p]
-        else:
-            s_rz, turned = work[2], work[1]
-            out = tape[layer + 1] if layer + 1 < num_layers else work[0]
-        np.multiply(s, keep[layer], out=s_rz)
-        s_rz += np.multiply(flip[layer], s[:, ::-1], out=out)
+        s, out = tape[layer % len(tape)], tape[(layer + 1) % len(tape)]
+        np.multiply(s, keep[layer], out=mid)
+        mid += np.multiply(flip[layer], s[:, ::-1], out=out)
         table, which = rot[p]
-        _transpose(_rotate(s_rz, table[layer][which], out=out), table.shape[-1], out=turned)
+        _transpose(_rotate(mid, table[layer][which], out=out), table.shape[-1], out=mid)
         table, which = rot[1 - p]
-        s = _rotate(turned, table[layer][which], out=out)
-        s *= phase[1 - p]
+        _rotate(mid, table[layer][which], out=out)
+        out *= phase[1 - p]
+    s = tape[num_layers % len(tape)]
     if num_layers % 2:
-        s = _transpose(s, rot[1][0].shape[-1], out=work[1])
+        s = _transpose(s, rot[1][0].shape[-1], out=mid)
     return s, (rot, phase, keep, flip)
 
 
@@ -375,17 +371,18 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
     aligned; the models' check_pairs sees to that.
 
     The call's one block holds the canonical states, then scratch for the
-    forward passes (_forward's work) and, after them, each overlap block's
-    x rows, y rows and gather indices. _gather says why its unchecked
-    indices stay in range; the row takes stay in range because every
-    row_state is below len(canon).
+    forward passes (_forward's ring of two and work) and, after them, each
+    overlap block's x rows, y rows and gather indices. _gather says why its
+    unchecked indices stay in range; the row takes stay in range because
+    every row_state is below len(canon).
     """
     half, n = codes_x.shape
     dim, block_rows = 1 << n, max(1, VALUE_BYTES >> (n + 4))
     canon, row_state, frame = _compositions(codes_x, codes_y)
     rot, keep, flip = _rotations(canon, params), *_rnx_rz(params, n)
-    # a forward pass takes five states per canonical row; an overlap block
-    # two per pair plus an intp index, as large as half a state
+    # a forward pass takes five states per canonical row, a ring of two and
+    # three work rows; an overlap block two per pair plus an intp index, as
+    # large as half a state
     scratch_rows = max(5 * min(len(canon), block_rows), -(-5 * min(half, block_rows) // 2))
     block = np.empty((len(canon) + scratch_rows, dim), dtype=np.complex128)
     states, scratch = block[: len(canon)], block[len(canon) :].reshape(-1)
@@ -393,7 +390,7 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
         codes = canon[lo : lo + block_rows]
         work = scratch[: 5 * len(codes) * dim].reshape(5, len(codes), dim)
         tables = ([(table, which[lo : lo + block_rows]) for table, which in rot], keep, flip)
-        states[lo : lo + block_rows] = _forward(codes, params, work, tables=tables)[0]
+        states[lo : lo + block_rows] = _forward(codes, params, work[:2], work[2:], tables)[0]
     table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, block_rows):
@@ -436,22 +433,22 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
     the forward layouts. Generators commute with their own gates, so the
     R_NX term is taken one step later, and the Ry term (J_0 + J_1)/2, J_k the
     real sum of -iY over half k's qubits, at each half's factor: against the
-    post-Rz state, and the layer's output with Phi_x undone. The tape holds
-    only each layer's entry state; its post-Rz state is replayed from it by
-    the forward's own two statements, operands and order, so it is the
+    post-Rz state, and the layer's output with Phi_x undone. The tape keeps
+    no post-Rz state: each layer's is replayed from its entry state by the
+    forward's own two statements, operands and order, so it is the
     forward's bytes.
 
-    ``tape``, ``work`` and ``factors`` come from one taped _forward, whose
-    work[0] still holds the last layer's output in that layer's layout.
-    The sweep overwrites ``bra`` and work: t is pulled back in place in one
-    of bra, work[1] and work[2], every product goes into one of the other
-    two, the replayed post-Rz state into work[0] once the last output is
-    read, and Phi_x is conjugated in place in work[3:]. Rotations run on
-    float64 views of those arrays made once per call. Pulling back through
-    R_NX and Rz reads the forward's tables reversed, since Z at the
-    complement index is -Z: keep reversed is cos(t_rnx / 2) exp(i t_rz Z / 2)
-    bit for bit, and flip, also conjugated, is i sin(t_rnx / 2)
-    exp(-i t_rz Z / 2) up to the sign of zero entries.
+    ``tape``, ``work`` and ``factors`` come from one _forward with a tape
+    of L + 1: tape[l] is layer l's entry state and tape[l + 1] its output,
+    in their forward layouts. The sweep overwrites ``bra`` and work: t is
+    pulled back in place in one of bra, work[0] and work[1], every product
+    goes into one of the other two, the replayed post-Rz state into tape[L]
+    once the last output there is read, and Phi_x is conjugated in place in
+    work[-2:]. Rotations run on float64 views of those arrays made once per
+    call. Pulling back through R_NX and Rz reads the forward's tables
+    reversed, since Z at the complement index is -Z: keep reversed is
+    cos(t_rnx / 2) exp(i t_rz Z / 2) bit for bit, and flip, also conjugated,
+    is i sin(t_rnx / 2) exp(-i t_rz Z / 2) up to the sign of zero entries.
     """
     rot, phase, keep, flip = factors
     num_layers, n = params.num_layers, bra.shape[1].bit_length() - 1
@@ -460,19 +457,18 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
     rz_gen = -0.5j * _zdiag(n)
     phase_conj = np.conj(phase, out=phase)
     grad = np.empty((num_layers, 3))
-    t, a, b, s_rz = bra, work[1], work[2], work[0]
+    t, a, b, s_rz = bra, work[0], work[1], tape[num_layers]
     if num_layers % 2:
         t, a = _transpose(bra, dims[0], out=a), t
     # float64 views of the rotated arrays, with either half leading
     t_f, a_f, b_f, s_rz_f = ([_float_view(x, d) for d in dims] for x in (t, a, b, s_rz))
-    out = work[0]
     for layer in reversed(range(num_layers)):
         s_in = tape[layer]
         p, q = layer % 2, 1 - layer % 2
         # Phi_x, then half q's factor: its Ry term against the output with
         # Phi_x undone, and t pulled back through it and the transpose
         t *= phase_conj[q]
-        np.multiply(out, phase_conj[q], out=a)
+        np.multiply(tape[layer + 1], phase_conj[q], out=a)
         np.matmul(jsum[q], a_f[q], out=b_f[q])
         ry_q = _re_dot(t, b)
         table, which = rot[q]
@@ -492,7 +488,6 @@ def _sweep(bra, tape, work, factors, params: KernelParams):
         np.multiply(a, keep[layer, ::-1], out=t)
         t += np.multiply(np.conj(flip[layer, ::-1]), a[:, ::-1], out=b)
         grad[layer, 0] = _re_dot(t, np.multiply(-0.5j, s_in[:, ::-1], out=b))
-        out = s_in
     return grad.reshape(-1)
 
 
@@ -502,23 +497,24 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, cotangent, params: KernelP
     Returns (values (batch,), gradient (3L,)) of sum_r w_r K_r, with
     w = cotangent(values) the loss's dloss/dK per row. With c = <psi(y)|psi(x)>
     and dK = 2 Re(conj(c) dc), the gradient is 2 Re of the sum over rows of
-    <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. After one taped
-    forward pass over the compositions, each stacked row gathers its
-    partner's canonical state into its own frame (_compositions): c is taken
-    in y's by the same row dots (_dots) as in kernel_values, so the values
-    are kernel_values'. A row's bra, w c (x row) or w conj(c) (y row) times
+    <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. After one forward
+    pass over the compositions through a tape of L + 1 states, each stacked
+    row gathers its partner's canonical state into its own frame
+    (_compositions): c is taken in y's by the same row dots (_dots) as in
+    kernel_values, so the values are kernel_values'. A row's bra, w c (x row) or w conj(c) (y row) times
     that state, is in its composition's frame, so each composition's bras
     add row by row, outside BLAS, before the sweep. The rows must be
     aligned; check_pairs sees to that.
     """
     half = len(codes_x)
     canon, row_state, frame = _compositions(codes_x, codes_y)
-    # one block for the tape, one entry state per layer, and the work rows
-    # of the forward pass and the sweep (see _forward, _sweep)
-    block = np.empty((params.num_layers + 5, len(canon), 1 << codes_x.shape[1]),
-                     dtype=np.complex128)
-    tape, work = block[:-5], block[-5:]
-    states, factors = _forward(canon, params, work, tape)
+    n = codes_x.shape[1]
+    # one block for the tape, each layer's entry state and the last output,
+    # and the work rows of the forward pass and the sweep (see _forward, _sweep)
+    block = np.empty((params.num_layers + 5, len(canon), 1 << n), dtype=np.complex128)
+    tape, work = block[:-4], block[-4:]
+    tables = (_rotations(canon, params), *_rnx_rz(params, n))
+    states, factors = _forward(canon, params, tape, work, tables)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
     _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
     c = _dots(np.take(states, row_state[half:], axis=0), rows[half:])

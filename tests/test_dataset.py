@@ -483,14 +483,17 @@ def test_refusals_that_column_checks_alone_would_miss(tmp_path, lines, message):
 
 
 def test_later_block_refusal_names_its_line(tmp_path):
-    # a bad line past the first block, and one whose length differs from
-    # line 1's, are named as the per-line loop names them
+    # a bad line past the first block, one whose length differs from line
+    # 1's, and one that decodes to no object are named as the per-line loop
+    # names them
     with open(ACCEPT_DIR / "train.jsonl") as fh:
         lines = [fh.readline().rstrip("\n") for _ in range(BATCH_LINES + 100)]
     path = tmp_path / "t.jsonl"
     for bad, message in [(_valid_line(length=5), f"line {BATCH_LINES + 50}: sequence length 5 "
                                                  "differs from 8 on line 1"),
-                         ("{}", f"line {BATCH_LINES + 50}: missing field 'a'")]:
+                         ("{}", f"line {BATCH_LINES + 50}: missing field 'a'"),
+                         ("[1, 2]", f"line {BATCH_LINES + 50}: expected a JSON object"),
+                         ("null", f"line {BATCH_LINES + 50}: expected a JSON object")]:
         _write_lines(path, lines[: BATCH_LINES + 49] + [bad] + lines[BATCH_LINES + 49 :])
         assert loaded(path) == line_by_line(path) == message
 

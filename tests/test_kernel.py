@@ -75,11 +75,17 @@ def assert_gradient_close(analytic, fd):
     )
 
 
+def layer_tables(codes, params):
+    """_forward's parameter tables for a batch of codes."""
+    return (kernel._rotations(codes, params), *kernel._rnx_rz(params, codes.shape[1]))
+
+
 def feature_states(codes, params):
-    """Batched feature states, one row per sequence, from one untaped pass."""
+    """Batched feature states, one row per sequence, from one pass through a
+    ring of two states."""
     codes = np.asarray(codes)
-    work = np.empty((5, len(codes), 1 << codes.shape[1]), np.complex128)
-    return _forward(codes, params, work)[0]
+    ring = np.empty((5, len(codes), 1 << codes.shape[1]), np.complex128)
+    return _forward(codes, params, ring[:2], ring[2:], layer_tables(codes, params))[0]
 
 
 def kernel_gradient(x, y, params):
@@ -261,20 +267,25 @@ class TestBatchedEngineAgainstReference:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 9])
     def test_taped_forward_matches_feature_states(self, n):
-        # one layer loop serves both passes: at odd and even depths the taped
-        # pass's final states equal the untaped pass's, and the state entering
-        # layer l is the l-layer circuit's, stored with register half l % 2
-        # leading (the untaped pass returns layout 0, so an odd-depth head is
-        # transposed back for the bytes)
+        # one layer loop serves both passes: at odd and even depths a ring of
+        # two gives the (L + 1)-state tape's final states and last output
+        # byte for byte, and tape slot l holds the l-layer circuit's state,
+        # stored with register half l % 2 leading (final states are in
+        # layout 0, so an odd-depth head is transposed back for the bytes)
         rng = np.random.default_rng(13 + n)
         codes = encode_sequences([random_seq(rng, n) for _ in range(9)])
         for layers in (1, 2, 3, 24):
             params = random_params(rng, layers)
-            tape = np.empty((layers, 9, 1 << n), np.complex128)
-            states, _ = _forward(codes, params, np.empty((5, 9, 1 << n), np.complex128), tape)
-            assert states.tobytes() == feature_states(codes, params).tobytes()
+            tables = layer_tables(codes, params)
+            tape = np.empty((layers + 1, 9, 1 << n), np.complex128)
+            work = np.empty((4, 9, 1 << n), np.complex128)
+            states, _ = _forward(codes, params, tape, work, tables)
+            ring = np.empty((5, 9, 1 << n), np.complex128)
+            ring_states, _ = _forward(codes, params, ring[:2], ring[2:], tables)
+            assert ring_states.tobytes() == states.tobytes()
+            assert ring[layers % 2].tobytes() == tape[layers].tobytes()
             np.testing.assert_array_equal(tape[0], np.eye(1 << n)[[0] * 9])
-            for layer in range(1, layers):
+            for layer in range(1, layers + 1):
                 head = feature_states(codes, KernelParams(layer, params.angles[:layer]))
                 if layer % 2:
                     head = _transpose(head, 1 << (n // 2), out=np.empty_like(head))
@@ -660,6 +671,34 @@ def test_warm_value_calls_do_not_refault_heap():
     assert window < 100 and whole < 100, (window, whole)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 24])
+def test_traced_peak_keeps_five_pass_states_per_canonical_row(layers):
+    # a warm ranking call holds its canonical states and, per forward pass,
+    # a ring of two states and three work rows per canonical row. The
+    # parameter tables add 7 states per layer here (each half's Ry factors
+    # of at most five tilt masks, the R_NX and Rz diagonals), and the
+    # overlap passes and numpy's buffers about 92 more, against 135 allowed.
+    # On a 1,024-triplet window of the committed test set (148
+    # compositions) the peak sits 43 states under the bound at every depth;
+    # a transposed state kept apart from the post-Rz one, six states per
+    # canonical row, would exceed it by 37
+    test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+    pairs = pairs_from_triplets(test[:1024])
+    params = random_params(np.random.default_rng(62), layers)
+    kernel_values(pairs.codes_a, pairs.codes_b, params)
+    tracemalloc.start()
+    try:
+        kernel_values(pairs.codes_a, pairs.codes_b, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    canon = len(_compositions(pairs.codes_a, pairs.codes_b)[0])
+    rows_per_pass = VALUE_BYTES >> (8 + 4)
+    state_bytes = np.dtype(np.complex128).itemsize << 8
+    states = canon + 5 * min(canon, rows_per_pass) + 7 * layers + 135
+    assert peak <= states * state_bytes, (peak / state_bytes, states)
+
+
 class TestCanonicalKernelValues:
     """kernel_values' canonical route against per-row direct feature states."""
 
@@ -740,9 +779,9 @@ def own_frame_loss_gradient(codes_x, codes_y, targets, params):
     imaginary parts apart)."""
     half, n = codes_x.shape
     canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
-    tape = np.empty((params.num_layers, len(canon), 1 << n), np.complex128)
-    work = np.empty((5, len(canon), 1 << n), np.complex128)
-    states, blocks = _forward(canon, params, work, tape)
+    tape = np.empty((params.num_layers + 1, len(canon), 1 << n), np.complex128)
+    work = np.empty((4, len(canon), 1 << n), np.complex128)
+    states, blocks = _forward(canon, params, tape, work, layer_tables(canon, params))
     index = (row_state[:, None] << n) + np.left_shift(1, n - 1 - rank) @ bit_table(n).T
     sx, sy = states.reshape(-1)[index[:half]], states.reshape(-1)[index[half:]]
     c = np.einsum("bi,bi->b", np.conj(sy), sx)
