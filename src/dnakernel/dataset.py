@@ -10,22 +10,22 @@ a, b and c of each triplet in ``circuits`` letter codes and a (count, 2)
 int64 array of d(a, b) and d(a, c). Generation and both loaders (the batch
 pass and the per-line loop) build a set from those two arrays alone, and
 the pair layout of training reads them; a ``LabeledTriplet`` is an output
-only, built when one triplet is indexed or the set is iterated.
+only, built when the set is iterated.
 
 Labels come in batches: one ``edm.exact_distances`` call per batch brackets
 every pair with ``pair_bounds`` and searches all pairs whose bracket is open
 together, a BFS level of many of them per step. Each distance then passes
-through ``edm_exact`` as a closed bracket, one call per pair.
+through ``edm_exact`` as a closed bracket (d, d), one call per pair, which
+returns d.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from operator import index, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, exact_distances
 
 
 BATCH_LINES = 128  # lines load_triplets decodes as one JSON array
+VERIFY_STRIDE = 100  # load_triplets recomputes lines 1, 1 + stride, ...
 _FIELDS = itemgetter("a", "b", "c", "d_ab", "d_ac", "s_ab", "s_ac")
 
 
@@ -68,14 +69,14 @@ class LabeledTriplet:
         return (len(self.a) - self.d_ac) / len(self.a)
 
 
-class TripletSet(Sequence):
-    """A read-only sequence of labeled triplets held as two arrays.
+class TripletSet:
+    """A read-only set of labeled triplets held as two arrays.
 
     ``codes[i]`` holds the letter codes (``circuits.encode``) of a, b and c
     of triplet i, one row each, and ``distances[i]`` its d(a, b) and
-    d(a, c). An integer index builds that triplet's ``LabeledTriplet``, a
-    slice is a TripletSet over views of both arrays, and iteration decodes
-    the whole set once (``strings``). A set pickles as its two arrays.
+    d(a, c). A set has a length, a slice is a TripletSet over views of both
+    arrays, and iteration decodes the whole set once (``strings``) into
+    ``LabeledTriplet``s. A set pickles as its two arrays.
     """
 
     __slots__ = ("codes", "distances")
@@ -104,11 +105,10 @@ class TripletSet(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TripletSet(self.codes[i], self.distances[i])
-        i = range(len(self))[index(i)]  # IndexError past either end
-        return next(iter(self[i : i + 1]))
+    def __getitem__(self, i: slice):
+        if not isinstance(i, slice):
+            raise TypeError(f"TripletSet indices must be slices, not {type(i).__name__}")
+        return TripletSet(self.codes[i], self.distances[i])
 
     def strings(self) -> list:
         """The (a, b, c) strings of every triplet, the codes decoded at once."""
@@ -121,12 +121,6 @@ class TripletSet(Sequence):
         for abc, (d_ab, d_ac) in zip(self.strings(), self.distances.tolist()):
             yield LabeledTriplet(*abc, d_ab, d_ac)
 
-    def __eq__(self, other):
-        if not isinstance(other, TripletSet):
-            return NotImplemented
-        return (np.array_equal(self.codes, other.codes)
-                and np.array_equal(self.distances, other.distances))
-
 
 def random_sequence(rng: np.random.Generator, length: int) -> str:
     """Draw each position independently and uniformly from the alphabet."""
@@ -138,10 +132,10 @@ def random_sequence(rng: np.random.Generator, length: int) -> str:
 
 def _distances(triples) -> np.ndarray:
     """The (count, 2) array of each (a, b, c)'s exact d(a, b) and d(a, c): all
-    pairs are searched in one ``exact_distances`` call, then each distance goes
-    through ``edm_exact`` as a closed bracket, which returns it. That per-pair
-    call is where the benchmark's tracer counts labels and its label check
-    perturbs them; it searches nothing."""
+    pairs are searched in one ``exact_distances`` call, then each distance d
+    goes through ``edm_exact`` as the closed bracket (d, d), which returns d.
+    That per-pair call is where the benchmark's tracer counts labels and its
+    label check perturbs them; it searches nothing."""
     xs = [a for a, _, _ in triples for _ in range(2)]
     ys = [y for _, b, c in triples for y in (b, c)]
     d = [edm_exact(x, y, bounds=(e, e))
@@ -251,7 +245,7 @@ def _line_triplets(lines) -> TripletSet:
             raise DatasetError(f"line {lineno}: expected a JSON object")
         try:
             a, b, c, d_ab, d_ac, s_ab, s_ac = _FIELDS(obj)
-        except (KeyError, TypeError) as e:
+        except KeyError as e:
             raise DatasetError(f"line {lineno}: missing field {e}") from None
         for name, seq in zip("abc", (a, b, c)):
             try:
@@ -317,19 +311,16 @@ def _batch_triplets(lines):
     return TripletSet(np.concatenate(codes), np.concatenate(distances))
 
 
-def load_triplets(path, verify_fraction: float = 0.01) -> TripletSet:
+def load_triplets(path) -> TripletSet:
     """Load and validate a triplet file.
 
     Every line is checked for format and label consistency; on top of that,
-    a deterministic stride of about ``verify_fraction`` of the lines has its
-    distances recomputed against the exact oracle; 0 verifies none. The
-    file is read once, so a pipe loads like a regular file. Its lines go
-    through the batch pass first; lines it does not accept go through the
-    per-line loop, which accepts the same files and names the first bad
-    line.
+    every VERIFY_STRIDE-th line from line 1 has its distances recomputed
+    against the exact oracle. The file is read once, so a pipe loads like a
+    regular file. Its lines go through the batch pass first; lines it does
+    not accept go through the per-line loop, which accepts the same files
+    and names the first bad line.
     """
-    if not 0 <= verify_fraction <= 1:
-        raise ValueError(f"verify_fraction must be in [0, 1], got {verify_fraction}")
     with open(path) as fh:
         lines = fh.readlines()
     if not lines:
@@ -340,13 +331,8 @@ def load_triplets(path, verify_fraction: float = 0.01) -> TripletSet:
         triplets = None
     if triplets is None:
         triplets = _line_triplets(lines)
-    if verify_fraction > 0:
-        # a stride past the last line verifies line 1 alone, so capping it
-        # there changes nothing, and keeps 1 / verify_fraction (inf for a
-        # subnormal fraction) out of round
-        stride = max(1, round(min(1 / verify_fraction, len(triplets))))
-        checked = triplets[::stride]
-        bad = np.flatnonzero((_distances(checked.strings()) != checked.distances).any(axis=1))
-        if len(bad):
-            raise DatasetError(f"line {bad[0] * stride + 1}: stored distances fail recomputation")
+    checked = triplets[::VERIFY_STRIDE]
+    bad = np.flatnonzero((_distances(checked.strings()) != checked.distances).any(axis=1))
+    if len(bad):
+        raise DatasetError(f"line {bad[0] * VERIFY_STRIDE + 1}: stored distances fail recomputation")
     return triplets

@@ -504,9 +504,8 @@ def exact_distances(xs, ys) -> np.ndarray:
 
 def edm_exact(x: str, y: str, bounds=None) -> int:
     """Exact edit distance with moves of one pair: ``exact_distances`` of a
-    batch of one or, for a caller that already holds the pair's bracket
-    ``bounds`` = (upper, lower), integers with 0 <= lower <= upper (else
-    ValueError), the search from it. A closed bracket is the answer."""
+    batch of one or, for a caller that already holds it, d from the closed
+    bracket ``bounds`` = (d, d), an integer d >= 0 (else ValueError)."""
     if bounds is None:
         return int(exact_distances([x], [y])[0])
     _check_length(x, y)
@@ -514,9 +513,6 @@ def edm_exact(x: str, y: str, bounds=None) -> int:
     check_letters(y)
     upper, lower = bounds
     if not (all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in bounds)
-            and 0 <= lower <= upper):
-        raise ValueError(f"bounds must be integers (upper, lower) with "
-                         f"0 <= lower <= upper, got {bounds!r}")
-    if upper <= lower:
-        return int(upper)
-    return int(_Search([x], [y], np.array([upper]), np.array([lower])).run()[0])
+            and 0 <= lower == upper):
+        raise ValueError(f"bounds must be integers (d, d) with d >= 0, got {bounds!r}")
+    return int(upper)

@@ -209,7 +209,7 @@ def _pair_order_accuracy(model, params, pairs: PairSet) -> float:
 
 
 def train_run(model, config: TrainingConfig, train_triplets: TripletSet,
-              test_triplets: TripletSet, run_seed: int, run_index: int = 0):
+              test_triplets: TripletSet, run_seed: int, run_index: int):
     """One full training run, evaluated on the test set after every epoch.
 
     Returns (curve, final flat parameters). The curve always starts with an

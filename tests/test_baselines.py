@@ -203,8 +203,7 @@ class TestKernelHeads:
             "from dnakernel.baselines import ClassicalKernelModel\n"
             "from dnakernel.dataset import load_triplets\n"
             "from dnakernel.training import pairs_from_triplets\n"
-            "pairs = pairs_from_triplets(load_triplets(sys.argv[1] + '/test.jsonl',\n"
-            "                                          verify_fraction=0))\n"
+            "pairs = pairs_from_triplets(load_triplets(sys.argv[1] + '/test.jsonl'))\n"
             "model = ClassicalKernelModel('rbf')\n"
             "flat = model.init_params(np.random.default_rng(0))\n"
             "for call in range(7):\n"

@@ -77,8 +77,7 @@ def test_train_epoch_batches_are_traced(tracing, model, span):
     # training.batches, training.pairs and the grad_ms metrics read the
     # model's grad spans under training.train_epoch: 64 pairs at batch 32
     # must record two of them, each with its 32 rows
-    train = dataset.load_triplets(BENCH.parent / "results" / "acceptance" / "train.jsonl",
-                                  verify_fraction=0)
+    train = dataset.load_triplets(BENCH.parent / "results" / "acceptance" / "train.jsonl")
     pairs = training.pairs_from_triplets(train[:32])
     rng = np.random.default_rng(0)
     tracer = tracing.Tracer("guard")
@@ -113,8 +112,9 @@ def test_every_label_goes_through_dataset_edm_exact(tracing, monkeypatch, tmp_pa
     triplets = dataset.generate_triplets(seed=0, count=4, length=6)
     dataset.save_triplets(triplets, tmp_path / "t.jsonl")
     tracer = tracing.Tracer("guard")
+    monkeypatch.setattr(dataset, "VERIFY_STRIDE", 1)
     with tracer.installed():
-        dataset.load_triplets(tmp_path / "t.jsonl", verify_fraction=1.0)
+        dataset.load_triplets(tmp_path / "t.jsonl")
     got = [s["d"] for s in tracer.spans if s["name"] == "edm.edm_exact"]
     assert got == triplets.distances.ravel().tolist()
     real = dataset.edm_exact

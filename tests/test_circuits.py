@@ -101,7 +101,7 @@ STRING_ENTRIES = {
     "pair_bounds_y": lambda s: pair_bounds(["AT"], [s]),
     "edm_exact_x": lambda s: edm_exact(s, "AT"),
     "edm_exact_y": lambda s: edm_exact("AT", s),
-    "edm_exact_bounds": lambda s: edm_exact(s, "AT", bounds=(2, 0)),
+    "edm_exact_bounds": lambda s: edm_exact(s, "AT", bounds=(2, 2)),
     "exact_distances": lambda s: exact_distances(["AT", s], ["AT", "GCA"]),
     "levenshtein_x": lambda s: levenshtein(s, "AT"),
     "levenshtein_y": lambda s: levenshtein("AT", s),

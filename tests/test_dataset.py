@@ -7,6 +7,7 @@ import pickle
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,20 @@ from dnakernel.dataset import (
 from dnakernel.edm import edm_exact
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
+
+
+def same_triplets(s, t) -> bool:
+    """Whether two TripletSets hold equal codes and equal distances; any
+    other pair of values (a loader's refusal message) compares with ==."""
+    if isinstance(s, TripletSet) and isinstance(t, TripletSet):
+        return np.array_equal(s.codes, t.codes) and np.array_equal(s.distances, t.distances)
+    return s == t
+
+
+@pytest.fixture
+def verify_every_line(monkeypatch):
+    """load_triplets recomputes the distances of every line."""
+    monkeypatch.setattr(dataset, "VERIFY_STRIDE", 1)
 
 
 class TestRandomSequence:
@@ -71,18 +86,16 @@ class TestGenerateTriplets:
             assert (t.d_ab, t.d_ac, t.s_ab, t.s_ac) == labels
 
     def test_determinism(self):
-        assert generate_triplets(seed=4, count=8, length=4) == generate_triplets(
-            seed=4, count=8, length=4
-        )
-        assert generate_triplets(seed=4, count=8, length=4) != generate_triplets(
-            seed=5, count=8, length=4
-        )
+        assert same_triplets(generate_triplets(seed=4, count=8, length=4),
+                             generate_triplets(seed=4, count=8, length=4))
+        assert not same_triplets(generate_triplets(seed=4, count=8, length=4),
+                                 generate_triplets(seed=5, count=8, length=4))
 
     def test_prefix_stability(self):
         # per-triplet seed streams: a longer run starts with the same triplets
         short = generate_triplets(seed=6, count=5, length=4)
         long = generate_triplets(seed=6, count=9, length=4)
-        assert long[:5] == short
+        assert same_triplets(long[:5], short)
 
     def test_length_cap(self):
         with pytest.raises(ValueError, match="length"):
@@ -111,12 +124,12 @@ class TestGenerateTriplets:
             raise AssertionError("generate_triplets built a LabeledTriplet")
 
         monkeypatch.setattr(LabeledTriplet, "__init__", refuse)
-        assert generate_triplets(seed=13, count=9, length=5) == expected
+        assert same_triplets(generate_triplets(seed=13, count=9, length=5), expected)
 
     def test_real_pool_matches_serial(self):
         # 10 triplets over 3 workers: chunks of 3, 3 and 4
         serial = generate_triplets(seed=12, count=10, length=5)
-        assert generate_triplets(seed=12, count=10, length=5, jobs=3) == serial
+        assert same_triplets(generate_triplets(seed=12, count=10, length=5, jobs=3), serial)
 
     def test_worker_pool_capped_at_count(self, monkeypatch):
         sizes = []
@@ -139,15 +152,15 @@ class TestGenerateTriplets:
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         trips = generate_triplets(seed=7, count=4, length=4, jobs=64)
         assert sizes == [4]
-        assert trips == generate_triplets(seed=7, count=4, length=4)
+        assert same_triplets(trips, generate_triplets(seed=7, count=4, length=4))
 
 
 class TestSaveLoadRoundTrip:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, verify_every_line):
         trips = generate_triplets(seed=8, count=15, length=5)
         path = tmp_path / "trips.jsonl"
         save_triplets(trips, path)
-        assert load_triplets(path, verify_fraction=1.0) == trips
+        assert same_triplets(load_triplets(path), trips)
 
     def test_byte_identical_rewrites(self, tmp_path):
         trips = generate_triplets(seed=9, count=10, length=4)
@@ -174,7 +187,8 @@ class TestSaveLoadRoundTrip:
                        for t in trips)
         assert (tmp_path / "t.jsonl").read_text() == want
 
-    def test_save_and_verified_load_build_no_labeled_triplet(self, tmp_path, monkeypatch):
+    def test_save_and_verified_load_build_no_labeled_triplet(self, tmp_path, monkeypatch,
+                                                             verify_every_line):
         # saving writes from the set's arrays, and verification recomputes
         # the distances of a slice of the loaded set
         def refuse(self, *args, **kwargs):
@@ -183,7 +197,7 @@ class TestSaveLoadRoundTrip:
         monkeypatch.setattr(LabeledTriplet, "__init__", refuse)
         trips = generate_triplets(seed=8, count=15, length=5)
         save_triplets(trips, tmp_path / "t.jsonl")
-        assert load_triplets(tmp_path / "t.jsonl", verify_fraction=1.0) == trips
+        assert same_triplets(load_triplets(tmp_path / "t.jsonl"), trips)
 
 
 def _write_lines(path, lines):
@@ -191,7 +205,7 @@ def _write_lines(path, lines):
 
 
 def _valid_line(length=4, seed=11):
-    t = generate_triplets(seed=seed, count=1, length=length)[0]
+    (t,) = generate_triplets(seed=seed, count=1, length=length)
     return json.dumps(
         {
             "a": t.a,
@@ -265,20 +279,10 @@ class TestLoadValidation:
         path = tmp_path / "forged.jsonl"
         _write_lines(path, [_forged_line()])
         with pytest.raises(DatasetError, match="recomputation"):
-            load_triplets(path, verify_fraction=1.0)
-
-    def test_subnormal_verify_fraction_checks_line_one(self, tmp_path):
-        # 1 / 5e-324 is inf, which round cannot take; any positive fraction
-        # verifies line 1, and a tiny one nothing else
-        path = tmp_path / "forged.jsonl"
-        _write_lines(path, [_forged_line(), _valid_line(length=5, seed=12)])
-        with pytest.raises(DatasetError, match="line 1: stored distances fail recomputation"):
-            load_triplets(path, verify_fraction=5e-324)
-        _write_lines(path, [_valid_line(length=5, seed=12), _forged_line()])
-        assert len(load_triplets(path, verify_fraction=5e-324)) == 2
+            load_triplets(path)
 
     def test_spot_check_names_a_later_stride_line(self, tmp_path):
-        # the default fraction verifies every 100th line: lines 1 and 101 of 150
+        # VERIFY_STRIDE verifies every 100th line: lines 1 and 101 of 150
         path = tmp_path / "forged.jsonl"
         save_triplets(generate_triplets(seed=7, count=150, length=5), path)
         lines = path.read_text().splitlines()
@@ -289,16 +293,6 @@ class TestLoadValidation:
         _write_lines(path, lines)
         with pytest.raises(DatasetError, match="line 101: stored distances fail recomputation"):
             load_triplets(path)
-
-    @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5])
-    def test_verify_fraction_outside_unit_interval_refused(self, tmp_path, fraction):
-        # a NaN or negative fraction must not skip verification silently;
-        # 0 is the explicit "verify none"
-        path = tmp_path / "one.jsonl"
-        _write_lines(path, [_valid_line(length=5, seed=13)])
-        with pytest.raises(ValueError, match="verify_fraction"):
-            load_triplets(path, verify_fraction=fraction)
-        assert len(load_triplets(path, verify_fraction=0)) == 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -314,7 +308,7 @@ class TestLoadValidation:
         with pytest.raises(DatasetError, match="integers"):
             load_triplets(path)
 
-    def test_boolean_distance_rejected(self, tmp_path):
+    def test_boolean_distance_rejected(self, tmp_path, verify_every_line):
         # json true is an int subclass equal to 1, so it would pass the label
         # and recomputation checks as distance 1 without a type check
         a, b, c = "ATGC", "ATGG", "CCAA"
@@ -325,9 +319,9 @@ class TestLoadValidation:
         path = tmp_path / "bad.jsonl"
         _write_lines(path, [_valid_line(), line])
         with pytest.raises(DatasetError, match="line 2: distances must be integers"):
-            load_triplets(path, verify_fraction=1.0)
+            load_triplets(path)
 
-    def test_boolean_similarity_rejected(self, tmp_path):
+    def test_boolean_similarity_rejected(self, tmp_path, verify_every_line):
         # json true equals 1.0, the label of distance 0, so only a type check
         # refuses it
         a, c = "ATGC", "CCAA"
@@ -337,7 +331,7 @@ class TestLoadValidation:
         path = tmp_path / "bad.jsonl"
         _write_lines(path, [_valid_line(), line])
         with pytest.raises(DatasetError, match="line 2: similarity labels must be numbers"):
-            load_triplets(path, verify_fraction=1.0)
+            load_triplets(path)
 
     def test_mixed_sequence_lengths_rejected(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -347,21 +341,19 @@ class TestLoadValidation:
             load_triplets(path)
 
 
-def line_by_line(path):
-    """What the per-line loop makes of a file: its triplets, or its refusal."""
-    with open(path) as fh:
-        try:
-            return dataset._line_triplets(fh)
-        except DatasetError as e:
-            return str(e)
-
-
 def loaded(path):
-    """What load_triplets makes of a file, unverified: its triplets, or its refusal."""
+    """What load_triplets makes of a file: its triplets, or its refusal."""
     try:
-        return load_triplets(path, verify_fraction=0)
+        return load_triplets(path)
     except DatasetError as e:
         return str(e)
+
+
+def line_by_line(path):
+    """What load_triplets makes of a file with every line left to the
+    per-line loop: its triplets, or its refusal."""
+    with mock.patch.object(dataset, "_batch_triplets", lambda lines: None):
+        return loaded(path)
 
 
 VALID = [_valid_line(length=5, seed=s) for s in (21, 22, 23)]
@@ -430,14 +422,14 @@ def test_corrupt_line_loads_as_line_by_line(tmp_path_factory, data, where):
         lines.insert(where, data.draw(st.sampled_from(["", " ", "\t"])))
     path = tmp_path_factory.mktemp("corrupt") / "t.jsonl"
     _write_lines(path, lines)
-    assert loaded(path) == line_by_line(path)
+    assert same_triplets(loaded(path), line_by_line(path))
 
 
 @pytest.mark.parametrize("name", ["train", "test", "fresh"])
 def test_committed_dataset_loads_as_line_by_line(name):
     path = ACCEPT_DIR / f"{name}.jsonl"
-    triplets = load_triplets(path, verify_fraction=0)
-    assert len(triplets) == 3200 and triplets == line_by_line(path)
+    triplets = load_triplets(path)
+    assert len(triplets) == 3200 and same_triplets(triplets, line_by_line(path))
 
 
 def test_committed_train_set_takes_the_batch_pass(monkeypatch):
@@ -445,7 +437,7 @@ def test_committed_train_set_takes_the_batch_pass(monkeypatch):
         raise AssertionError("the lines were parsed one at a time")
 
     monkeypatch.setattr(dataset, "_line_triplets", refuse)
-    assert len(load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)) == 3200
+    assert len(load_triplets(ACCEPT_DIR / "train.jsonl")) == 3200
 
 
 def test_padded_train_set_loads_line_by_line_as_the_plain_file(tmp_path):
@@ -455,7 +447,7 @@ def test_padded_train_set_loads_line_by_line_as_the_plain_file(tmp_path):
     path = tmp_path / "padded.jsonl"
     _write_lines(path, lines)
     assert dataset._batch_triplets(lines) is None
-    assert load_triplets(path, verify_fraction=0) == load_triplets(plain, verify_fraction=0)
+    assert same_triplets(load_triplets(path), load_triplets(plain))
 
 
 def _split_with_quoted_braces():
@@ -508,13 +500,17 @@ class TestTripletSet:
         s = generate_triplets(seed=14, count=6, length=5)
         objs = list(s)
         assert (len(s), s.length, s.codes.shape, s.distances.shape) == (6, 5, (6, 3, 5), (6, 2))
-        assert list(s) == objs and [s[i] for i in range(-6, 6)] == objs + objs
+        assert list(s) == objs and len(set(objs)) == 6
         assert list(s[1:4]) == objs[1:4] and list(s[::2]) == objs[::2]
-        assert s[1:4] == TripletSet(s.codes[1:4].copy(), s.distances[1:4].copy()) != s
+        assert same_triplets(s[1:4], TripletSet(s.codes[1:4].copy(), s.distances[1:4].copy()))
         assert np.shares_memory(s[1:4].codes, s.codes)
-        assert objs[3] in s and s.index(objs[3]) == 3
-        with pytest.raises(IndexError):
-            s[6]
+
+    @pytest.mark.parametrize("index", [0, np.int64(2), np.array([0, 2])], ids=repr)
+    def test_integer_index_refused(self, index):
+        # a set slices and iterates; one triplet is list(s[i : i + 1])[0]
+        s = generate_triplets(seed=14, count=6, length=5)
+        with pytest.raises(TypeError, match="must be slices"):
+            s[index]
 
     def test_read_only(self):
         s = generate_triplets(seed=14, count=3, length=5)
@@ -534,9 +530,9 @@ class TestTripletSet:
             TripletSet(codes, distances[:1])
 
     def test_pickles_as_its_two_arrays(self):
-        s = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        s = load_triplets(ACCEPT_DIR / "train.jsonl")
         back = pickle.loads(pickle.dumps(s))
-        assert back == s and list(back[:3]) == list(s[:3])
+        assert same_triplets(back, s) and list(back[:3]) == list(s[:3])
         assert not (back.codes.flags.writeable or back.distances.flags.writeable)
         # a slice pickles its own rows, not the arrays it views
         assert len(pickle.dumps(s[:10])) < len(pickle.dumps(s)) // 100
@@ -544,12 +540,10 @@ class TestTripletSet:
 
 def test_loaded_train_set_retains_little_memory():
     path = ACCEPT_DIR / "train.jsonl"
-    load_triplets(path, verify_fraction=0)  # first calls fill module-level caches
+    load_triplets(path)  # first calls fill module-level caches
     tracemalloc.start()
     try:
-        # unverified: the exact search refills the interpreter's tuple free
-        # list, memory the set does not hold
-        triplets = load_triplets(path, verify_fraction=0)
+        triplets = load_triplets(path)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -560,7 +554,7 @@ def test_loaded_train_set_retains_little_memory():
 @pytest.mark.parametrize("name", ["train", "test", "fresh"])
 def test_committed_dataset_saves_byte_identical(tmp_path, name):
     path = ACCEPT_DIR / f"{name}.jsonl"
-    save_triplets(load_triplets(path, verify_fraction=0), tmp_path / "t.jsonl")
+    save_triplets(load_triplets(path), tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_bytes() == path.read_bytes()
 
 
@@ -577,5 +571,5 @@ def test_pipe_loads_like_a_regular_file(tmp_path, lines):
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
-    assert got == loaded(regular)
+    assert same_triplets(got, loaded(regular))
     assert isinstance(got, TripletSet) if lines == VALID else got == "line 2: missing field 'b'"

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from test_scripts import load_script
 
-from dnakernel import edm
+from dnakernel import dataset, edm
 from dnakernel.dataset import DatasetError, generate_triplets, load_triplets, save_triplets
 from dnakernel.edm import (
     MAX_EDM_LENGTH,
@@ -351,14 +351,15 @@ class TestEdmExact:
         ("ACGT", "TGCA", (-3, 0)),  # negative: returned -3
         ("A", "T", (2.5, 1)),  # not integers: returned 2.5
         ("ATGC", "ATGG", (True, True)),  # bools: returned True
+        ("ACGT", "TGCA", (3, 1)),  # open: exact_distances searches it
     ])
     def test_rejects_bad_bounds(self, x, y, bounds):
-        # pair_bounds' own brackets pass: test_bounds_argument_gives_the_same_distance
+        # only a closed bracket passes: exact_distances searches open ones
         with pytest.raises(ValueError, match="bounds must be integers"):
             edm_exact(x, y, bounds=bounds)
 
     def test_closed_numpy_bracket_returns_a_python_int(self):
-        # as open brackets and bounds=None do: json.dumps refuses numpy.int64
+        # as bounds=None does: json.dumps refuses numpy.int64
         d = edm_exact("ACG", "ACG", bounds=(np.int64(0), np.int64(0)))
         assert type(d) is int and json.dumps(d) == "0"
 
@@ -401,10 +402,11 @@ class TestEdmExact:
                 assert edm_exact(x, y) == bfs_edm_oracle(x, y), (x, y)
 
     @pytest.mark.parametrize("name", ["train", "test", "fresh"])
-    def test_committed_labels(self, name):
+    def test_committed_labels(self, name, monkeypatch):
         # the committed length-8 labels were written by an earlier search;
         # recompute every 20th line (load_triplets raises on a mismatch)
-        triplets = load_triplets(ACCEPT_DIR / f"{name}.jsonl", verify_fraction=0.05)
+        monkeypatch.setattr(dataset, "VERIFY_STRIDE", 20)
+        triplets = load_triplets(ACCEPT_DIR / f"{name}.jsonl")
         assert len(triplets) == 3200
 
     def test_symmetry(self):
@@ -661,17 +663,14 @@ class TestPairBounds:
                 assert got == edm._lower_bound(lc_s, gap), (s, t)
 
     def test_bounds_argument_gives_the_same_distance(self):
-        # the search started from pair_bounds' brackets, as one block and
-        # through edm_exact's bounds argument, gives each pair's edm_exact
+        # the search started from pair_bounds' brackets, as one block, gives
+        # each pair's edm_exact
         rng = np.random.default_rng(15)
         xs = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
         ys = [random_string(rng, int(rng.integers(1, 8))) for _ in range(80)]
         at, distances, _ = searched(xs, ys)
         assert len(at) > 20
         assert distances == [edm_exact(xs[i], ys[i]) for i in at]
-        upper, lower = pair_bounds(xs, ys)
-        for x, y, up, lo in zip(xs, ys, upper.tolist(), lower.tolist()):
-            assert edm_exact(x, y, bounds=(up, lo)) == edm_exact(x, y), (x, y)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="outside"):
@@ -689,11 +688,13 @@ class TestSimilarity:
 
     @staticmethod
     def load_one(tmp_path, a, b, c, s_ab, s_ac):
-        """Load a one-triplet file with exact distances and the given labels."""
+        """Load a one-triplet file with exact distances and the given labels
+        (line 1 is always verified)."""
         row = dict(a=a, b=b, c=c, d_ab=edm_exact(a, b), d_ac=edm_exact(a, c))
         path = tmp_path / "one.jsonl"
         path.write_text(json.dumps(dict(row, s_ab=s_ab, s_ac=s_ac)) + "\n")
-        return load_triplets(path, verify_fraction=1.0)[0]
+        (t,) = load_triplets(path)
+        return t
 
     def test_identical(self, tmp_path):
         t = self.load_one(tmp_path, "ATGCATGC", "ATGCATGC", "TTGCATGA", 1.0, 0.75)

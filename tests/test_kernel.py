@@ -241,7 +241,7 @@ class TestBatchedEngineAgainstReference:
         # a ranking value depends on its own pair only: a shuffled subset of
         # the committed test pairs, and each 1,024-triplet window that the
         # evaluate benchmark ranks, get the whole set's values byte for byte
-        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        test = load_triplets(ACCEPT_DIR / "test.jsonl")
         with open(ACCEPT_DIR / "qk24_checkpoints.json") as fh:
             ckpt = json.load(fh)["runs"][0]
         params = KernelParams.from_flat(ckpt["theta"])
@@ -455,7 +455,7 @@ def test_classical_values_and_gradients_independent_of_blas_threads():
         "from dnakernel.baselines import HEADS, ClassicalKernelModel\n"
         "from dnakernel.dataset import load_triplets\n"
         "from dnakernel.training import mse, pairs_from_triplets\n"
-        f"pairs = pairs_from_triplets(load_triplets({str(test_set)!r}, verify_fraction=0))\n"
+        f"pairs = pairs_from_triplets(load_triplets({str(test_set)!r}))\n"
         "for head in HEADS:\n"
         "    model = ClassicalKernelModel(head)\n"
         "    params = model.init_params(np.random.default_rng(6))\n"
@@ -651,7 +651,7 @@ def test_warm_value_calls_do_not_refault_heap():
         "from dnakernel.kernel import QuantumKernelModel\n"
         "from dnakernel.training import pairs_from_triplets\n"
         "root = sys.argv[1]\n"
-        "test = load_triplets(root + '/test.jsonl', verify_fraction=0)\n"
+        "test = load_triplets(root + '/test.jsonl')\n"
         "with open(root + '/qk24_checkpoints.json') as fh:\n"
         "    ckpt = json.load(fh)['runs'][0]\n"
         "model = QuantumKernelModel(ckpt['num_qubits'], ckpt['layers'])\n"
@@ -682,7 +682,7 @@ def test_traced_peak_keeps_five_pass_states_per_canonical_row(layers):
     # compositions) the peak sits 43 states under the bound at every depth;
     # a transposed state kept apart from the post-Rz one, six states per
     # canonical row, would exceed it by 37
-    test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+    test = load_triplets(ACCEPT_DIR / "test.jsonl")
     pairs = pairs_from_triplets(test[:1024])
     params = random_params(np.random.default_rng(62), layers)
     kernel_values(pairs.codes_a, pairs.codes_b, params)
@@ -1061,7 +1061,7 @@ def test_rejects_codes_outside_the_alphabet(model, mode, bad):
 
 
 def test_encode_sequences_matches_per_character_map():
-    triplets = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+    triplets = load_triplets(ACCEPT_DIR / "test.jsonl")
     seqs = [s for t in triplets for s in (t.a, t.b, t.c)]
     expected = np.array([[ALPHABET.index(ch) for ch in s] for s in seqs], dtype=np.uint8)
     codes = encode_sequences(seqs)

@@ -168,7 +168,7 @@ class TestPairs:
 
     @pytest.mark.parametrize("name", ["train", "test", "fresh"])
     def test_committed_sets_match_per_object_build(self, name):
-        triplets = load_triplets(ACCEPT_DIR / f"{name}.jsonl", verify_fraction=0)
+        triplets = load_triplets(ACCEPT_DIR / f"{name}.jsonl")
         got, want = pairs_from_triplets(triplets), per_object_pairs(triplets)
         for field in ("codes_a", "codes_b", "targets"):
             a, b = getattr(got, field), getattr(want, field)
@@ -177,7 +177,7 @@ class TestPairs:
     @pytest.mark.parametrize("source", ["loaded", "generated"])
     def test_array_sets_build_no_triplet_objects(self, monkeypatch, source):
         if source == "loaded":
-            triplets = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+            triplets = load_triplets(ACCEPT_DIR / "test.jsonl")
         else:
             triplets = make_triplets(6)
 
@@ -314,7 +314,7 @@ class TestAdamUpdate:
         test = make_triplets(8, seed=2)
         cfg = TrainingConfig(epochs=4, batch_size=3)
         model = ToyModel()
-        curve, final = train_run(model, cfg, train, test, run_seed=42)
+        curve, final = train_run(model, cfg, train, test, run_seed=42, run_index=0)
         rng = np.random.default_rng(42)
         params = model.init_params(rng)
         pairs = pairs_from_triplets(train)
@@ -369,8 +369,7 @@ class TestOrderAccuracy:
         # pairs, position order aside, is an exact tie of the invariant
         # kernel, so float rounding alone signs it; test.jsonl has none, so
         # its accuracies do not depend on the overlap's summation order
-        pairs = pairs_from_triplets(load_triplets(ACCEPT_DIR / f"{name}.jsonl",
-                                                  verify_fraction=0))
+        pairs = pairs_from_triplets(load_triplets(ACCEPT_DIR / f"{name}.jsonl"))
         aligned = 4 * pairs.codes_a.astype(np.int64) + pairs.codes_b
         tables = (aligned[:, :, None] == np.arange(16)).sum(axis=1)
         assert list(np.flatnonzero((tables[0::2] == tables[1::2]).all(axis=1))) == ties
@@ -402,14 +401,14 @@ class TestOneCallPerSet:
 
     def test_order_accuracy_one_call(self, counted):
         model, calls = counted
-        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        test = load_triplets(ACCEPT_DIR / "test.jsonl")
         assert len(test) == 3200
         order_accuracy(model, model.init_params(np.random.default_rng(0)), test)
         assert len(calls) == 1
 
     def test_dataset_mse_one_call(self, counted):
         model, calls = counted
-        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
+        train = load_triplets(ACCEPT_DIR / "train.jsonl")
         pairs = pairs_from_triplets(train)
         assert len(pairs) == 6400
         dataset_mse(model, model.init_params(np.random.default_rng(0)), pairs)
@@ -421,7 +420,7 @@ class TestTrainRun:
         train = make_triplets(6, seed=1)
         test = make_triplets(6, seed=2)
         cfg = TrainingConfig(epochs=0)
-        curve, params = train_run(ToyModel(), cfg, train, test, run_seed=11)
+        curve, params = train_run(ToyModel(), cfg, train, test, run_seed=11, run_index=0)
         assert len(curve.records) == 1
         rec = curve.records[0]
         assert rec.epoch == 0
@@ -446,8 +445,8 @@ class TestTrainRun:
         train = make_triplets(6, seed=1)
         test = make_triplets(6, seed=2)
         cfg = TrainingConfig(epochs=3, batch_size=4)
-        c1, p1 = train_run(ToyModel(), cfg, train, test, run_seed=42)
-        c2, p2 = train_run(ToyModel(), cfg, train, test, run_seed=42)
+        c1, p1 = train_run(ToyModel(), cfg, train, test, run_seed=42, run_index=0)
+        c2, p2 = train_run(ToyModel(), cfg, train, test, run_seed=42, run_index=0)
         assert c1 == c2
         np.testing.assert_array_equal(p1, p2)
 
@@ -475,7 +474,7 @@ class TestTrainRun:
         for epochs in (1, 4):
             calls.clear()
             train_run(ToyModel(), TrainingConfig(epochs=epochs, batch_size=4),
-                      train, test, run_seed=42)
+                      train, test, run_seed=42, run_index=0)
             counts.append(len(calls))
         assert counts == [2, 2]
 
@@ -483,13 +482,13 @@ class TestTrainRun:
     def test_committed_classical_epoch0_reproduced(self, head):
         # the epoch-0 row of every committed ck_* run follows from init_params
         # and the run seed in its manifest alone
-        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
-        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        train = load_triplets(ACCEPT_DIR / "train.jsonl")
+        test = load_triplets(ACCEPT_DIR / "test.jsonl")
         pairs = pairs_from_triplets(train)
         manifest = json.loads(
             (ACCEPT_DIR / f"ck_{head}_curves.csv.manifest.json").read_text())
         curves = load_curves(ACCEPT_DIR / f"ck_{head}_curves.csv")
-        model = ClassicalKernelModel(head, seq_length=train[0].length)
+        model = ClassicalKernelModel(head, seq_length=train.length)
         assert len(manifest["seeds"]) == len(curves)
         for seed, curve in zip(manifest["seeds"], curves):
             params = model.init_params(np.random.default_rng(seed))
@@ -501,11 +500,11 @@ class TestTrainRun:
     def test_committed_classical_checkpoints_reproduced(self, head):
         # every committed ck_* final checkpoint scores its curve's last
         # accuracy exactly
-        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        test = load_triplets(ACCEPT_DIR / "test.jsonl")
         checkpoints = json.loads(
             (ACCEPT_DIR / f"ck_{head}_checkpoints.json").read_text())["runs"]
         curves = load_curves(ACCEPT_DIR / f"ck_{head}_curves.csv")
-        model = ClassicalKernelModel(head, seq_length=test[0].length)
+        model = ClassicalKernelModel(head, seq_length=test.length)
         assert len(checkpoints) == len(curves)
         for ckpt, curve in zip(checkpoints, curves):
             last = curve.records[-1]
@@ -518,13 +517,13 @@ class TestTrainRun:
         # the classical training path pinned to the committed bytes: run 0 of
         # each ck_* head, initialized from its manifest seed, takes one
         # train_epoch to the committed epoch-1 row exactly
-        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
-        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        train = load_triplets(ACCEPT_DIR / "train.jsonl")
+        test = load_triplets(ACCEPT_DIR / "test.jsonl")
         manifest = json.loads(
             (ACCEPT_DIR / f"ck_{head}_curves.csv.manifest.json").read_text())
         config = manifest["config"]
         row = load_curves(ACCEPT_DIR / f"ck_{head}_curves.csv")[0].records[1]
-        model = ClassicalKernelModel(head, seq_length=train[0].length)
+        model = ClassicalKernelModel(head, seq_length=train.length)
         rng = np.random.default_rng(manifest["seeds"][0])
         params, train_mse = train_epoch(
             model, model.init_params(rng), pairs_from_triplets(train),
@@ -538,12 +537,12 @@ class TestTrainRun:
         """Run 0 of qk{layers}, initialized from its manifest seed and taken
         through one train_epoch: (committed epoch-1 row, train_mse, test
         accuracy)."""
-        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
-        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        train = load_triplets(ACCEPT_DIR / "train.jsonl")
+        test = load_triplets(ACCEPT_DIR / "test.jsonl")
         manifest = json.loads((ACCEPT_DIR / f"qk{layers}_curves.csv.manifest.json").read_text())
         config = manifest["config"]
         row = load_curves(ACCEPT_DIR / f"qk{layers}_curves.csv")[0].records[1]
-        model = QuantumKernelModel(train[0].length, config["layers"])
+        model = QuantumKernelModel(train.length, config["layers"])
         rng = np.random.default_rng(manifest["seeds"][0])
         params, train_mse = train_epoch(
             model, model.init_params(rng), pairs_from_triplets(train),
@@ -570,15 +569,15 @@ class TestTrainRun:
         # every committed qk* run: its final checkpoint scores the curve's
         # last accuracy exactly, and its epoch-0 row follows exactly from
         # the run seed in the manifest
-        train = load_triplets(ACCEPT_DIR / "train.jsonl", verify_fraction=0)
-        test = load_triplets(ACCEPT_DIR / "test.jsonl", verify_fraction=0)
+        train = load_triplets(ACCEPT_DIR / "train.jsonl")
+        test = load_triplets(ACCEPT_DIR / "test.jsonl")
         pairs = pairs_from_triplets(train)
         manifest = json.loads(
             (ACCEPT_DIR / f"qk{layers}_curves.csv.manifest.json").read_text())
         checkpoints = json.loads(
             (ACCEPT_DIR / f"qk{layers}_checkpoints.json").read_text())["runs"]
         curves = load_curves(ACCEPT_DIR / f"qk{layers}_curves.csv")
-        model = QuantumKernelModel(train[0].length, layers)
+        model = QuantumKernelModel(train.length, layers)
         assert len(manifest["seeds"]) == len(checkpoints) == len(curves)
         for seed, ckpt, curve in zip(manifest["seeds"], checkpoints, curves):
             first, last = curve.records[0], curve.records[-1]
@@ -751,7 +750,7 @@ class TestRealModels:
         test = make_triplets(4, length=3, seed=2)
         model = QuantumKernelModel(num_qubits=3, num_layers=1)
         cfg = TrainingConfig(epochs=2, batch_size=4)
-        curve, params = train_run(model, cfg, train, test, run_seed=0)
+        curve, params = train_run(model, cfg, train, test, run_seed=0, run_index=0)
         assert len(curve.records) == 3
         for r in curve.records:
             assert np.isfinite(r.train_mse)
@@ -763,7 +762,7 @@ class TestRealModels:
         test = make_triplets(4, length=3, seed=2)
         model = ClassicalKernelModel(seq_length=3, head="rbf")
         cfg = TrainingConfig(epochs=2, batch_size=4)
-        curve, params = train_run(model, cfg, train, test, run_seed=0)
+        curve, params = train_run(model, cfg, train, test, run_seed=0, run_index=0)
         assert len(curve.records) == 3
         for r in curve.records:
             assert np.isfinite(r.train_mse)
