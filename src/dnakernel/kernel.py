@@ -37,20 +37,20 @@ _phases, _forward).
 
 Each call keeps its state-sized arrays in one block, written with out=.
 One forward loop serves both calls: layer l reads its entry state from a
-tape and writes its output to the next slot, round the tape. The loss call
-passes a tape of L + 1 states, each layer's entry state and the last
-output, and four work rows, two of them the phase diagonals, which the
-reverse sweep reuses with the call's bra array for all its buffers: L + 5
-states per canonical row. kernel_values passes a ring of two states and
-three work rows, five per canonical row, beside its canonical states and
-the gathers of its overlaps. The layers' parameter tables, the real Ry
-factors of every tilt mask present (_rotations) and the R_NX and Rz
-diagonals (_rnx_rz), are built once per call, for all forward passes and
-the sweep alike. glibc unmaps freed temporaries above its mmap threshold
-and the next call faults them back in; freeing one block of the call's
-size raises its mmap threshold to that size and its trim threshold to
-twice it, so warm calls reuse mapped heap pages while the call's other
-arrays stay smaller than the block.
+ring of two states and writes its output to the other slot, with three
+work rows, two of them the phase diagonals. kernel_values keeps these five
+per canonical row beside its canonical states and the gathers of its
+overlaps. The loss call adds a second stack of two for the reverse sweep,
+which uncomputes each layer's states as it pulls the bra back instead of
+reading them from a tape: seven states per canonical row at any depth.
+The layers' parameter tables, the real Ry factors of every tilt mask
+present (_rotations) and the R_NX and Rz diagonals (_rnx_rz), are built
+once per call, for all forward passes and the sweep alike. glibc unmaps
+freed temporaries above its mmap threshold and the next call faults them
+back in; freeing one block of the call's size raises its mmap threshold
+to that size and its trim threshold to twice it, so warm calls reuse
+mapped heap pages while the call's other arrays stay smaller than the
+block.
 
 Batched states are (batch, 2^n) complex arrays, amplitude index convention
 as in the circuits module (qubit 0 = most significant bit).
@@ -213,32 +213,33 @@ def _float_view(states, d):
 def _transpose(states, d, out):
     """States viewed (rows, d, 2^n/d), with the two axes swapped, copied into
     ``out``."""
-    swapped = states.reshape(len(states), d, -1).swapaxes(1, 2)
+    swapped = states.reshape(-1, d, states.shape[-1] // d).swapaxes(1, 2)
     out.reshape(swapped.shape)[...] = swapped
     return out
+
+
+def _rz(t_rz, num_qubits: int) -> np.ndarray:
+    """Rz = exp(-i t_rz Z / 2) for (L, 1) angles as (L, 2^n) diagonals, Z =
+    ``_zdiag``. Z takes n + 1 values, one per popcount w (n - 2w): the table
+    is evaluated on those and gathered by each index's popcount."""
+    rz = np.exp(-0.5j * t_rz * (num_qubits - 2.0 * np.arange(num_qubits + 1)))
+    # take, not [:, weights], whose result is column-major: the layers read rows
+    return np.take(rz, _weights(num_qubits), axis=1)
 
 
 def _rnx_rz(params: KernelParams, num_qubits: int) -> tuple:
     """Every layer's R_NX then Rz as two (L, 2^n) diagonals, keep and flip:
     the layer maps s to keep * s + flip * s[:, ::-1] (R_NX = cos - i sin X^n,
-    X^n the index reversal). keep = cos(t_rnx / 2) exp(-i t_rz Z / 2) and
-    flip = -i sin(t_rnx / 2) exp(-i t_rz Z / 2), Z = ``_zdiag``. Z takes
-    n + 1 values, one per popcount w (n - 2w): both tables are evaluated on
-    those and gathered by each index's popcount."""
-    t_rnx, t_rz = params.angles[:, :1], params.angles[:, 1:2]
-    rz = np.exp(-0.5j * t_rz * (num_qubits - 2.0 * np.arange(num_qubits + 1)))
-    weights = _weights(num_qubits)
-    # take, not [:, weights], whose result is column-major: the layers read rows
-    return (np.take(np.cos(t_rnx / 2) * rz, weights, axis=1),
-            np.take(-1j * np.sin(t_rnx / 2) * rz, weights, axis=1))
+    X^n the index reversal): keep = cos(t_rnx / 2) Rz, flip = -i sin(t_rnx / 2) Rz."""
+    t_rnx, rz = params.angles[:, :1], _rz(params.angles[:, 1:2], num_qubits)
+    return np.cos(t_rnx / 2) * rz, -1j * np.sin(t_rnx / 2) * rz
 
 
-def _forward(codes, params, tape, work, tables):
+def _forward(codes, params, ring, work, tables):
     """Run the re-uploading circuit on a batch of codes.
 
     ``tables`` is (rot, keep, flip): _rotations' factors of these rows and
-    _rnx_rz's diagonals. Returns (states, factors): factors are (rot, phase,
-    keep, flip), phase the rows' Phi_x from _phases. Each layer applies R_NX,
+    _rnx_rz's diagonals. Returns the final states. Each layer applies R_NX,
     the Rz diagonal, the real factor of register half p, that of half 1 - p,
     and Phi_x. A factor is a left product on the state viewed as a stack
     with its half leading, so the state is transposed once between them and
@@ -246,12 +247,12 @@ def _forward(codes, params, tape, work, tables):
     index complement) and Rz (a function of the index's popcount) read the
     same in both layouts. Final states are in layout 0.
 
-    Every state-sized result goes into the caller's arrays. ``tape``, (T,
-    rows, 2^n) with T >= 2, is a ring: layer l reads tape[l % T] and writes
-    its output to tape[(l + 1) % T], in the next layer's layout. A tape of
-    L + 1 keeps every layer's entry state and the last output for _sweep; a
-    ring of two keeps only the states in flight. ``work`` is (k, rows, 2^n)
-    scratch, k >= 3: its last two rows receive the phase, and work[0] holds
+    Every state-sized result goes into the caller's arrays. ``ring``, (T,
+    rows, 2^n) with T >= 2: layer l reads ring[l % T] and writes its output
+    to ring[(l + 1) % T], in the next layer's layout. The engine passes two,
+    which keep only the states in flight; L + 1 would keep every layer's
+    entry state and the last output. ``work`` is (k, rows, 2^n) scratch,
+    k >= 3: its last two rows receive Phi_x (_phases), and work[0] holds
     the post-Rz state and then, once that is read, the transposed one. The
     states returned are the last output, or its transpose in work[0] at odd
     depth.
@@ -260,11 +261,11 @@ def _forward(codes, params, tape, work, tables):
     phase, mid = work[-2:], work[0]
     _phases(codes, phase)
     num_layers = params.num_layers
-    tape[0] = 0.0
-    tape[0, :, 0] = 1.0
+    ring[0] = 0.0
+    ring[0, :, 0] = 1.0
     for layer in range(num_layers):
         p = layer % 2
-        s, out = tape[layer % len(tape)], tape[(layer + 1) % len(tape)]
+        s, out = ring[layer % len(ring)], ring[(layer + 1) % len(ring)]
         np.multiply(s, keep[layer], out=mid)
         mid += np.multiply(flip[layer], s[:, ::-1], out=out)
         table, which = rot[p]
@@ -272,10 +273,10 @@ def _forward(codes, params, tape, work, tables):
         table, which = rot[1 - p]
         _rotate(mid, table[layer][which], out=out)
         out *= phase[1 - p]
-    s = tape[num_layers % len(tape)]
+    s = ring[num_layers % len(ring)]
     if num_layers % 2:
         s = _transpose(s, rot[1][0].shape[-1], out=mid)
-    return s, (rot, phase, keep, flip)
+    return s
 
 
 def _compositions(codes_x, codes_y):
@@ -390,7 +391,7 @@ def kernel_values(codes_x, codes_y, params: KernelParams) -> np.ndarray:
         codes = canon[lo : lo + block_rows]
         work = scratch[: 5 * len(codes) * dim].reshape(5, len(codes), dim)
         tables = ([(table, which[lo : lo + block_rows]) for table, which in rot], keep, flip)
-        states[lo : lo + block_rows] = _forward(codes, params, work[:2], work[2:], tables)[0]
+        states[lo : lo + block_rows] = _forward(codes, params, work[:2], work[2:], tables)
     table = states.reshape(-1)
     values = np.empty(half)
     for lo in range(0, half, block_rows):
@@ -425,69 +426,67 @@ def _re_dot(bra, ket) -> float:
     return _dots(bra.view(np.float64), ket.view(np.float64)).sum()
 
 
-def _sweep(bra, tape, work, factors, params: KernelParams):
+def _sweep(ring, pair, work, rot, params: KernelParams):
     """Reverse sweep: Re d<bra|psi>/d(theta_k), summed over rows.
 
     Each trainable block contributes <t|G|s>, with s the forward state just
     after the block and t the bra pulled back through all later gates, in
     the forward layouts. Generators commute with their own gates, so the
-    R_NX term is taken one step later, and the Ry term (J_0 + J_1)/2, J_k the
-    real sum of -iY over half k's qubits, at each half's factor: against the
-    post-Rz state, and the layer's output with Phi_x undone. The tape keeps
-    no post-Rz state: each layer's is replayed from its entry state by the
-    forward's own two statements, operands and order, so it is the
-    forward's bytes.
+    R_NX term is taken one step later, between Rz and R_NX, and the Ry term
+    (J_0 + J_1)/2, J_k the real sum of -iY over half k's qubits, at each
+    half's factor: against the post-Rz state, and the layer's output with
+    Phi_x undone.
 
-    ``tape``, ``work`` and ``factors`` come from one _forward with a tape
-    of L + 1: tape[l] is layer l's entry state and tape[l + 1] its output,
-    in their forward layouts. The sweep overwrites ``bra`` and work: t is
-    pulled back in place in one of bra, work[0] and work[1], every product
-    goes into one of the other two, the replayed post-Rz state into tape[L]
-    once the last output there is read, and Phi_x is conjugated in place in
-    work[-2:]. Rotations run on float64 views of those arrays made once per
-    call. Pulling back through R_NX and Rz reads the forward's tables
-    reversed, since Z at the complement index is -Z: keep reversed is
-    cos(t_rnx / 2) exp(i t_rz Z / 2) bit for bit, and flip, also conjugated,
-    is i sin(t_rnx / 2) exp(-i t_rz Z / 2) up to the sign of zero entries.
+    No state is taped: t and s are one (2, rows, 2^n) stack, pulled back
+    through each layer's inverse by the same numpy calls, so each layer's
+    output, post-Rz and entry states are uncomputed as t moves. ``ring``,
+    ``work`` and ``rot`` come from one _forward: ring[L % 2] holds the
+    last output, in layout L % 2, and the caller sums the bras, in layout 0,
+    into the other slot. The stack moves between ``ring`` and ``pair``, of
+    the same shape; work[0] takes every product with a generator, and
+    Phi_x is conjugated in place in work[-2:]. Rotations run on float64 views
+    of the stacks made once per call. The inverse of R_NX then Rz is Rz
+    conjugated, w = conj(Rz) s, then cos(t_rnx / 2) w + i sin(t_rnx / 2)
+    X^n w: a diagonal, a reversed copy and two scalars, where the forward's
+    keep and flip tables would take a product with a reversed operand, which
+    numpy runs several times slower than a copy.
     """
-    rot, phase, keep, flip = factors
-    num_layers, n = params.num_layers, bra.shape[1].bit_length() - 1
+    num_layers, n = params.num_layers, ring.shape[-1].bit_length() - 1
     dims = [table.shape[-1] for table, _ in rot]
-    jsum = [_jsum(n // 2), _jsum(n - n // 2)]
-    rz_gen = -0.5j * _zdiag(n)
-    phase_conj = np.conj(phase, out=phase)
+    jsum, zdiag = [_jsum(n // 2), _jsum(n - n // 2)], _zdiag(n)
+    phase_conj = np.conj(work[-2:], out=work[-2:])
+    cos, isin = np.cos(params.angles[:, 0] / 2), 1j * np.sin(params.angles[:, 0] / 2)
+    rz_back = _rz(-params.angles[:, 1:2], n)
     grad = np.empty((num_layers, 3))
-    t, a, b, s_rz = bra, work[0], work[1], tape[num_layers]
+    t, s, b = 1 - num_layers % 2, num_layers % 2, work[0]
     if num_layers % 2:
-        t, a = _transpose(bra, dims[0], out=a), t
-    # float64 views of the rotated arrays, with either half leading
-    t_f, a_f, b_f, s_rz_f = ([_float_view(x, d) for d in dims] for x in (t, a, b, s_rz))
+        ring[t] = _transpose(ring[t], dims[0], out=pair[t])
+    # float64 views, with either half leading
+    ring_f, pair_f, b_f = ([_float_view(x, d) for d in dims] for x in (ring, pair, b))
     for layer in reversed(range(num_layers)):
-        s_in = tape[layer]
         p, q = layer % 2, 1 - layer % 2
         # Phi_x, then half q's factor: its Ry term against the output with
-        # Phi_x undone, and t pulled back through it and the transpose
-        t *= phase_conj[q]
-        np.multiply(tape[layer + 1], phase_conj[q], out=a)
-        np.matmul(jsum[q], a_f[q], out=b_f[q])
-        ry_q = _re_dot(t, b)
+        # Phi_x undone, and both pulled back through it and the transpose
+        ring *= phase_conj[q]
+        np.matmul(jsum[q], ring_f[q][s], out=b_f[q])
+        ry_q = _re_dot(ring[t], b)
         table, which = rot[q]
-        np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[q], out=a_f[q])
-        _transpose(a, dims[q], out=t)
-        # half p's factor, then the Ry and Rz terms against the post-Rz
-        # state, replayed as _forward made it, with t (in a) pulled back to
-        # just after Rz
+        np.matmul(np.swapaxes(table[layer], 1, 2)[which], ring_f[q], out=pair_f[q])
+        _transpose(pair, dims[q], out=ring)
+        # half p's factor, then the Ry and Rz terms against the post-Rz state
         table, which = rot[p]
-        np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[p], out=a_f[p])
-        np.multiply(s_in, keep[layer], out=s_rz)
-        s_rz += np.multiply(flip[layer], s_in[:, ::-1], out=b)
-        np.matmul(jsum[p], s_rz_f[p], out=b_f[p])
-        grad[layer, 2] = 0.5 * (_re_dot(a, b) + ry_q)
-        grad[layer, 1] = _re_dot(a, np.multiply(rz_gen, s_rz, out=b))
-        # Rz and R_NX, back into t; the R_NX term against the layer's input
-        np.multiply(a, keep[layer, ::-1], out=t)
-        t += np.multiply(np.conj(flip[layer, ::-1]), a[:, ::-1], out=b)
-        grad[layer, 0] = _re_dot(t, np.multiply(-0.5j, s_in[:, ::-1], out=b))
+        np.matmul(np.swapaxes(table[layer], 1, 2)[which], ring_f[p], out=pair_f[p])
+        np.matmul(jsum[p], pair_f[p][s], out=b_f[p])
+        grad[layer, 2] = 0.5 * (_re_dot(pair[t], b) + ry_q)
+        # Re<t|-i Z s / 2> and, after Rz, Re<t|-i X^n s / 2>
+        grad[layer, 1] = 0.5 * _dots(pair[t], np.multiply(pair[s], zdiag, out=b)).sum().imag
+        pair *= rz_back[layer]
+        np.copyto(ring, pair[..., ::-1])
+        grad[layer, 0] = 0.5 * _dots(pair[t], ring[s]).sum().imag
+        # R_NX, back into the ring
+        ring *= isin[layer]
+        pair *= cos[layer]
+        ring += pair
     return grad.reshape(-1)
 
 
@@ -498,35 +497,36 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, cotangent, params: KernelP
     w = cotangent(values) the loss's dloss/dK per row. With c = <psi(y)|psi(x)>
     and dK = 2 Re(conj(c) dc), the gradient is 2 Re of the sum over rows of
     <w c psi(y)|d psi(x)> + <w conj(c) psi(x)|d psi(y)>. After one forward
-    pass over the compositions through a tape of L + 1 states, each stacked
+    pass over the compositions through a ring of two states, each stacked
     row gathers its partner's canonical state into its own frame
     (_compositions): c is taken in y's by the same row dots (_dots) as in
     kernel_values, so the values are kernel_values'. A row's bra, w c (x row) or w conj(c) (y row) times
     that state, is in its composition's frame, so each composition's bras
-    add row by row, outside BLAS, before the sweep. The rows must be
-    aligned; check_pairs sees to that.
+    add row by row, outside BLAS, into the ring slot beside the last output
+    before the sweep. The rows must be aligned; check_pairs sees to that.
     """
     half = len(codes_x)
     canon, row_state, frame = _compositions(codes_x, codes_y)
-    n = codes_x.shape[1]
-    # one block for the tape, each layer's entry state and the last output,
-    # and the work rows of the forward pass and the sweep (see _forward, _sweep)
-    block = np.empty((params.num_layers + 5, len(canon), 1 << n), dtype=np.complex128)
-    tape, work = block[:-4], block[-4:]
+    n, num_layers = codes_x.shape[1], params.num_layers
+    # one block of seven states per canonical row, whatever the depth: the
+    # forward's ring and work rows, and the sweep's second stack (see _sweep)
+    block = np.empty((7, len(canon), 1 << n), dtype=np.complex128)
+    ring, pair, work = block[:2], block[2:4], block[4:]
     tables = (_rotations(canon, params), *_rnx_rz(params, n))
-    states, factors = _forward(canon, params, tape, work, tables)
+    states = _forward(canon, params, ring, work, tables)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
     _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
     c = _dots(np.take(states, row_state[half:], axis=0), rows[half:])
     values = np.abs(c) ** 2
     w = cotangent(values)
     rows *= np.concatenate([w * c, w * np.conj(c)])[:, None]
-    bras = np.zeros_like(states)
+    bras = ring[1 - num_layers % 2]
+    bras[...] = 0.0
     for state, bra in zip(row_state, rows):
         bras[state] += bra
     # the sweep needs none of the rows; bra, a view of the last, would keep them
     del rows, bra
-    return values, 2.0 * _sweep(bras, tape, work, factors, params)
+    return values, 2.0 * _sweep(ring, pair, work, tables[0], params)
 
 
 def kernel_eval(x: str, y: str, params: KernelParams) -> float:

@@ -484,6 +484,23 @@ class TestExactDistances:
         assert {len(s) for s in xs + ys} == set(range(1, 7))
         assert exact_distances(xs, ys).tolist() == [bfs_edm_oracle(x, y) for x, y in zip(xs, ys)]
 
+    @pytest.mark.parametrize("n, count", [(9, 100), (10, 40)])
+    def test_metamorphic_relations_past_the_bfs_oracle(self, n, count):
+        # EDM is unchanged by swapping the two strings, reversing both, and
+        # relabeling both by one letter permutation (here a transposition,
+        # a 3-cycle and a 4-cycle); each variant sends the search down
+        # other paths, at lengths exhaustive BFS cannot check
+        rng = np.random.default_rng(30 + n)
+        xs = [random_string(rng, n) for _ in range(count)]
+        ys = [random_string(rng, n) for _ in range(count)]
+        expected = exact_distances(xs, ys).tolist()
+        variants = [(ys, xs), ([x[::-1] for x in xs], [y[::-1] for y in ys])]
+        for perm in ("TAGC", "TGAC", "TGCA"):
+            table = str.maketrans(ALPHABET, perm)
+            variants.append(([x.translate(table) for x in xs], [y.translate(table) for y in ys]))
+        for vx, vy in variants:
+            assert exact_distances(vx, vy).tolist() == expected
+
     def test_generated_counts_do_not_depend_on_the_batch(self):
         # each pinned pair, and random length-7 and length-8 pairs, generates
         # as many children and gets the same distance alone, in one block and

@@ -85,7 +85,7 @@ def feature_states(codes, params):
     ring of two states."""
     codes = np.asarray(codes)
     ring = np.empty((5, len(codes), 1 << codes.shape[1]), np.complex128)
-    return _forward(codes, params, ring[:2], ring[2:], layer_tables(codes, params))[0]
+    return _forward(codes, params, ring[:2], ring[2:], layer_tables(codes, params))
 
 
 def kernel_gradient(x, y, params):
@@ -279,9 +279,9 @@ class TestBatchedEngineAgainstReference:
             tables = layer_tables(codes, params)
             tape = np.empty((layers + 1, 9, 1 << n), np.complex128)
             work = np.empty((4, 9, 1 << n), np.complex128)
-            states, _ = _forward(codes, params, tape, work, tables)
+            states = _forward(codes, params, tape, work, tables)
             ring = np.empty((5, 9, 1 << n), np.complex128)
-            ring_states, _ = _forward(codes, params, ring[:2], ring[2:], tables)
+            ring_states = _forward(codes, params, ring[:2], ring[2:], tables)
             assert ring_states.tobytes() == states.tobytes()
             assert ring[layers % 2].tobytes() == tape[layers].tobytes()
             np.testing.assert_array_equal(tape[0], np.eye(1 << n)[[0] * 9])
@@ -779,9 +779,10 @@ def own_frame_loss_gradient(codes_x, codes_y, targets, params):
     imaginary parts apart)."""
     half, n = codes_x.shape
     canon, row_state, rank = argsort_compositions(np.concatenate([codes_x, codes_y]))
-    tape = np.empty((params.num_layers + 1, len(canon), 1 << n), np.complex128)
-    work = np.empty((4, len(canon), 1 << n), np.complex128)
-    states, blocks = _forward(canon, params, tape, work, layer_tables(canon, params))
+    block = np.empty((7, len(canon), 1 << n), np.complex128)
+    ring, pair, work = block[:2], block[2:4], block[4:]
+    tables = layer_tables(canon, params)
+    states = _forward(canon, params, ring, work, tables)
     index = (row_state[:, None] << n) + np.left_shift(1, n - 1 - rank) @ bit_table(n).T
     sx, sy = states.reshape(-1)[index[:half]], states.reshape(-1)[index[half:]]
     c = np.einsum("bi,bi->b", np.conj(sy), sx)
@@ -790,8 +791,70 @@ def own_frame_loss_gradient(codes_x, codes_y, targets, params):
     bras = np.concatenate([(w * c)[:, None] * sy, (w * np.conj(c))[:, None] * sx])
     scatter = [np.bincount(index.reshape(-1), part.reshape(-1), states.size)
                for part in (bras.real, bras.imag)]
-    canon_bras = (scatter[0] + 1j * scatter[1]).reshape(states.shape)
-    return values, 2.0 * _sweep(canon_bras, tape, work, blocks, params)
+    ring[1 - params.num_layers % 2] = (scatter[0] + 1j * scatter[1]).reshape(states.shape)
+    return values, 2.0 * _sweep(ring, pair, work, tables[0], params)
+
+
+def taped_sweep(bra, tape, work, tables, params):
+    """Reference reverse sweep, Re d<bra|psi>/d(theta_k) summed over rows,
+    from a tape of L + 1 states: tape[l] is layer l's entry state and
+    tape[L] the last output, in their forward layouts (one _forward with a
+    tape of L + 1, these tables and this work). Each layer's post-Rz state
+    is replayed from its entry state by the forward's own two statements,
+    so every state the sweep reads is the forward's bytes; the bra, in
+    layout 0, is pulled back through the forward's keep and flip tables
+    read reversed. Overwrites bra, work and tape[L]."""
+    (rot, keep, flip), phase = tables, work[-2:]
+    num_layers, n = params.num_layers, bra.shape[1].bit_length() - 1
+    dims = [table.shape[-1] for table, _ in rot]
+    jsum = [kernel._jsum(n // 2), kernel._jsum(n - n // 2)]
+    rz_gen = -0.5j * kernel._zdiag(n)
+    phase_conj = np.conj(phase, out=phase)
+    grad = np.empty((num_layers, 3))
+    t, a, b, s_rz = bra, work[0], work[1], tape[num_layers]
+    if num_layers % 2:
+        t, a = _transpose(bra, dims[0], out=a), t
+    t_f, a_f, b_f, s_rz_f = ([kernel._float_view(x, d) for d in dims] for x in (t, a, b, s_rz))
+    for layer in reversed(range(num_layers)):
+        s_in = tape[layer]
+        p, q = layer % 2, 1 - layer % 2
+        t *= phase_conj[q]
+        np.multiply(tape[layer + 1], phase_conj[q], out=a)
+        np.matmul(jsum[q], a_f[q], out=b_f[q])
+        ry_q = kernel._re_dot(t, b)
+        table, which = rot[q]
+        np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[q], out=a_f[q])
+        _transpose(a, dims[q], out=t)
+        table, which = rot[p]
+        np.matmul(np.swapaxes(table[layer], 1, 2)[which], t_f[p], out=a_f[p])
+        np.multiply(s_in, keep[layer], out=s_rz)
+        s_rz += np.multiply(flip[layer], s_in[:, ::-1], out=b)
+        np.matmul(jsum[p], s_rz_f[p], out=b_f[p])
+        grad[layer, 2] = 0.5 * (kernel._re_dot(a, b) + ry_q)
+        grad[layer, 1] = kernel._re_dot(a, np.multiply(rz_gen, s_rz, out=b))
+        np.multiply(a, keep[layer, ::-1], out=t)
+        t += np.multiply(np.conj(flip[layer, ::-1]), a[:, ::-1], out=b)
+        grad[layer, 0] = kernel._re_dot(t, np.multiply(-0.5j, s_in[:, ::-1], out=b))
+    return grad.reshape(-1)
+
+
+def taped_loss_gradient(codes_x, codes_y, cotangent, params):
+    """kernel_values_and_loss_gradient's gradient through a forward tape of
+    L + 1 states and taped_sweep."""
+    half, n = codes_x.shape
+    canon, row_state, frame = _compositions(codes_x, codes_y)
+    tape = np.empty((params.num_layers + 1, len(canon), 1 << n), np.complex128)
+    work = np.empty((4, len(canon), 1 << n), np.complex128)
+    tables = layer_tables(canon, params)
+    states = _forward(canon, params, tape, work, tables)
+    rows = np.empty((2 * half, 1 << n), np.complex128)
+    _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
+    c = np.vecdot(states[row_state[half:]], rows[half:])
+    w = cotangent(np.abs(c) ** 2)
+    rows *= np.concatenate([w * c, w * np.conj(c)])[:, None]
+    bras = np.zeros_like(states)
+    np.add.at(bras, row_state, rows)
+    return 2.0 * taped_sweep(bras, tape, work, tables, params)
 
 
 def assert_matches_own_frame_route(n, layers, xs, ys, rng):
@@ -850,6 +913,25 @@ class TestLossGradient:
             ys += by
         assert_matches_own_frame_route(n, layers, xs, ys, rng)
 
+    @pytest.mark.parametrize("n", [3, 8, 9, 12])
+    def test_matches_taped_sweep(self, n):
+        # the sweep uncomputes every state it reads; the taped reference
+        # reads the forward's own, so the two agree up to rounding, which
+        # does not grow with depth past the tolerance
+        rng = np.random.default_rng(110 + n)
+        for layers in (1, 2, 3, 24):
+            model = QuantumKernelModel(n, layers)
+            params = random_params(rng, layers)
+            for kind in LOSS_BATCHES:
+                cx, cy = map(encode_sequences, loss_batch(kind, rng, n))
+                cotangent = training.mse(rng.uniform(0.0, 1.0, len(cx)))
+                values, grad = model.kernel_and_grad_batch(params.flat(), cx, cy, cotangent)
+                expected = taped_loss_gradient(cx, cy, cotangent, params)
+                assert values.tobytes() == kernel_values(cx, cy, params).tobytes()
+                # x == y rows have a zero gradient, which gets the absolute floor
+                tol = max(1e-12 * np.abs(expected).max(), 1e-14)
+                np.testing.assert_allclose(grad, expected, rtol=0, atol=tol)
+
     @pytest.mark.parametrize("layers", [6, 12, 24])
     def test_matches_finite_differences_of_batch_mse(self, layers):
         rng = np.random.default_rng(50 + layers)
@@ -903,9 +985,10 @@ class TestLossGradient:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="heap page reuse is a glibc malloc property")
     def test_warm_calls_do_not_refault_heap(self):
-        # the forward tape is one block, which glibc keeps mapped once its
-        # size has been freed; 2L separate tape blocks were unmapped on free
-        # and faulted back in, about 5,800 minor faults per call
+        # the call's states are one block, which glibc keeps mapped once its
+        # size has been freed; 2L separate tape blocks of an earlier taped
+        # sweep were unmapped on free and faulted back in, about 5,800
+        # minor faults per call
         rng = np.random.default_rng(60)
         model = QuantumKernelModel(8, 24)
         theta = random_params(rng, 24).flat()
@@ -920,11 +1003,11 @@ class TestLossGradient:
 
     @pytest.mark.parametrize("layers", [1, 2, 24])
     def test_traced_peak_keeps_one_tape_state_per_layer(self, layers):
-        # the tape holds one state per layer: the call's block is L + 5
-        # states per canonical row and its bras one more. The pair rows and
-        # gather indices, the parameter tables and numpy's ufunc buffers add
-        # 2 at L = 1 and 6 at L = 24 here; a post-Rz state taped per layer
-        # as well would add L
+        # an upper bound kept from the taped sweep, whose block was L + 5
+        # states per canonical row and its bras one more: the tape-free
+        # call's block is 7 at any depth, and the pair rows and gather
+        # indices, the parameter tables and numpy's ufunc buffers add about
+        # 3 at L = 1 and 6 at L = 24 here
         rng = np.random.default_rng(61)
         model = QuantumKernelModel(8, layers)
         theta = random_params(rng, layers).flat()
@@ -939,6 +1022,33 @@ class TestLossGradient:
             tracemalloc.stop()
         state_bytes = np.dtype(np.complex128).itemsize << 8
         assert peak <= (layers + 14) * len(_compositions(cx, cy)[0]) * state_bytes
+
+    @pytest.mark.parametrize("layers", [1, 2, 24])
+    def test_traced_peak_does_not_grow_with_depth(self, layers):
+        # past the parameter tables (each half's Ry factors of the tilt
+        # masks present, the R_NX and Rz diagonals), a warm call holds the
+        # same states per canonical row at every depth: its block of 7, and
+        # the pair rows, gather indices and overlap operands, 4 states per
+        # pair, which sit at 9.4 here at L = 1, 2 and 24 alike. A tape of
+        # each layer's entry state would add L
+        rng = np.random.default_rng(61)
+        model = QuantumKernelModel(8, layers)
+        params = random_params(rng, layers)
+        cx, cy = rng.integers(0, len(ALPHABET), (2, 32, 8))
+        targets = rng.uniform(0.0, 1.0, 32)
+        model.kernel_and_grad_batch(params.flat(), cx, cy, training.mse(targets))
+        tracemalloc.start()
+        try:
+            model.kernel_and_grad_batch(params.flat(), cx, cy, training.mse(targets))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        canon = _compositions(cx, cy)[0]
+        state_bytes = np.dtype(np.complex128).itemsize << 8
+        rot, keep, flip = layer_tables(canon, params)
+        tables = sum(table.nbytes for table, _ in rot) + keep.nbytes + flip.nbytes
+        assert peak - tables <= 10 * len(canon) * state_bytes, (
+            (peak - tables) / state_bytes / len(canon))
 
     def test_unaligned_batches_rejected(self):
         model = QuantumKernelModel(2, 1)

@@ -554,7 +554,7 @@ class TestTrainRun:
         # one train_epoch to the committed epoch-1 row exactly
         row, train_mse, accuracy = self._quantum_epoch1(6)
         assert row.epoch == 1
-        assert train_mse == row.train_mse == 0.059200911652415165
+        assert train_mse == row.train_mse == 0.05920091165241516
         assert accuracy == row.test_order_accuracy
 
     def test_committed_qk24_epoch1_reproduced(self):
