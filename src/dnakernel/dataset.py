@@ -12,11 +12,13 @@ pass and the per-line loop) build a set from those two arrays alone, and
 the pair layout of training reads them; a ``LabeledTriplet`` is an output
 only, built when the set is iterated.
 
-Labels come in batches: one ``edm.exact_distances`` call per batch brackets
-every pair with ``pair_bounds`` and searches all pairs whose bracket is open
-together, a BFS level of many of them per step. Each distance then passes
-through ``edm_exact`` as a closed bracket (d, d), one call per pair, which
-returns d.
+Each chunk of triplets is labelled through one streaming search
+(``edm._Search``): it brackets the pairs queued into it with ``pair_bounds``
+and searches those whose bracket is open together, a BFS level of many of
+them per step, and a tie's redraw joins it at its next level. Each distance
+then passes through ``edm_exact`` as a closed bracket (d, d), one call per
+pair, which returns d. Verification labels its pairs in one
+``edm.exact_distances`` call, which streams a fixed list the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import itemgetter
 import numpy as np
 
 from dnakernel.circuits import ALPHABET, LETTER_BYTES, encode, validate_sequence
-from dnakernel.edm import MAX_EDM_LENGTH, edm_exact, exact_distances
+from dnakernel.edm import MAX_EDM_LENGTH, _Search, edm_exact, exact_distances
 
 
 BATCH_LINES = 128  # lines load_triplets decodes as one JSON array
@@ -132,10 +134,11 @@ def random_sequence(rng: np.random.Generator, length: int) -> str:
 
 def _distances(triples) -> np.ndarray:
     """The (count, 2) array of each (a, b, c)'s exact d(a, b) and d(a, c): all
-    pairs are searched in one ``exact_distances`` call, then each distance d
+    pairs are labelled in one ``exact_distances`` call, then each distance d
     goes through ``edm_exact`` as the closed bracket (d, d), which returns d.
-    That per-pair call is where the benchmark's tracer counts labels and its
-    label check perturbs them; it searches nothing."""
+    That per-pair call, which ``_label_chunk`` makes too, is where the
+    benchmark's tracer counts labels and its label check perturbs them; it
+    searches nothing."""
     xs = [a for a, _, _ in triples for _ in range(2)]
     ys = [y for _, b, c in triples for y in (b, c)]
     d = [edm_exact(x, y, bounds=(e, e))
@@ -144,27 +147,53 @@ def _distances(triples) -> np.ndarray:
 
 
 def _label_chunk(children: list, length: int) -> tuple:
-    """Label one triplet per SeedSequence child, in attempt rounds: returns
-    each triplet's a, b and c as one string of 3 * length letters, and its
-    (d(a, b), d(a, c)) as a row of a (count, 2) array.
+    """Label one triplet per SeedSequence child: returns each triplet's a, b
+    and c as one string of 3 * length letters, and its (d(a, b), d(a, c)) as
+    a row of a (count, 2) array.
 
-    A round draws (a, b, c) for every triplet still open, each from its own
-    stream, and labels all of them in one batch; a triplet whose distances
-    tie draws again in the next round, so every stream sees the same draws
-    as when triplets are labelled one at a time. An attempt draws its three
-    strings as one sequence of 3 * length letters: the generator hands out
-    the same values to one call of size 3n as to three calls of size n.
+    Every triplet draws its first attempt, and the attempts' pairs stream
+    through one ``edm._Search``. Once both distances of an attempt are out,
+    each goes through ``edm_exact`` as the closed bracket (d, d), and the
+    values it returns decide: a triplet whose distances tie draws its next
+    attempt from its own stream, whose pairs join the running search. So
+    every stream sees the same draws as when triplets are labelled one at a
+    time. An attempt draws its three strings as one sequence of 3 * length
+    letters: the generator hands out the same values to one call of size 3n
+    as to three calls of size n.
     """
     rngs = [np.random.default_rng(ss) for ss in children]
-    letters = [""] * len(rngs)
+    letters = [random_sequence(rng, 3 * length) for rng in rngs]
     distances = np.empty((len(rngs), 2), np.int64)
-    open_ = np.arange(len(rngs))
-    while len(open_):
-        for i in open_:
-            letters[i] = random_sequence(rngs[i], 3 * length)
-        distances[open_] = _distances([(abc[:length], abc[length : 2 * length], abc[2 * length :])
-                                       for abc in map(letters.__getitem__, open_)])
-        open_ = open_[distances[open_, 0] == distances[open_, 1]]
+    search, attempts, out = _Search(), [], {}  # attempt k's pairs are numbers 2k and 2k + 1
+
+    def draw(triplets):
+        """Queue the pairs (a, b) and (a, c) of each triplet's attempt."""
+        abc = [letters[i] for i in triplets]
+        search.push([a for s in abc for a in (s[:length],) * 2],
+                    [y for s in abc for y in (s[length : 2 * length], s[2 * length :])])
+        attempts.extend(triplets)
+
+    draw(range(len(rngs)))
+    left = len(rngs)
+    while left:
+        ties = []
+        for pair, d in zip(*(found.tolist() for found in search.step())):
+            other = out.pop(pair ^ 1, None)
+            if other is None:  # the attempt's other distance is still to come
+                out[pair] = d
+                continue
+            i = attempts[pair >> 1]
+            a, b, c = (letters[i][lo : lo + length] for lo in range(0, 3 * length, length))
+            d_ab, d_ac = (other, d) if pair & 1 else (d, other)
+            d_ab, d_ac = edm_exact(a, b, bounds=(d_ab, d_ab)), edm_exact(a, c, bounds=(d_ac, d_ac))
+            if d_ab == d_ac:
+                letters[i] = random_sequence(rngs[i], 3 * length)
+                ties.append(i)
+            else:
+                distances[i] = d_ab, d_ac
+                left -= 1
+        if ties:
+            draw(ties)
     return letters, distances
 
 

@@ -21,16 +21,21 @@ swap of two adjacent non-empty blocks, s[i:j] and s[j:k]. The lower bound
 counts letters and, after Ukkonen's q-gram distance (TCS 1992), bigrams of
 ^x$ against ^y$.
 
-``exact_distances`` searches the pairs whose bounds differ, a batch at once:
-a string is one int64 key of 2-bit letters, a BFS level of every open pair
-is a few numpy passes over frontier keys, and a node is not expanded when
-its depth plus the same lower bound against its target reaches the best.
+``exact_distances`` streams its pairs through one search, ``_Search``: a
+pair whose bounds meet has its answer, and the others are searched together,
+up to _SEARCH_BLOCK at a time. A string is one int64 key of 2-bit letters, a
+BFS level of every open pair, of all lengths at once, is a few numpy passes
+over frontier keys, and a node is not expanded when its depth plus the same
+lower bound against its target reaches the best. Pairs queued while the
+search runs join it at its next level, as slots free up; generation queues
+a tie's redraw that way (``dataset._label_chunk``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from dnakernel.circuits import ALPHABET, check_letters, encode
 
 MAX_EDM_LENGTH = 10
 NODE_BUDGET = 20_000_000
-BOUNDS_BLOCK = 64  # pairs per numpy pass of pair_bounds: its memory stays under ~1 MB
+BOUNDS_BLOCK = 64  # pairs per numpy pass of pair_bounds at MAX_EDM_LENGTH (_bounds_rows)
 TWO_MOVE_SEEDS = 8  # single moves per open pair that pair_bounds moves a second time
 
 # bigram symbols: the letters, then the ^ and $ end markers
@@ -50,10 +55,12 @@ _POPCOUNT = np.array([v.bit_count() for v in range(1 << MAX_EDM_LENGTH)], np.int
 _NODE_BITS = 4 * MAX_EDM_LENGTH
 _NODE_MASK = (1 << _NODE_BITS) - 1
 _SIDE = 1 << _NODE_BITS
-_SEARCH_BLOCK = 256  # open pairs one _Search holds; below 2 ** (62 - _NODE_BITS)
-_CHILD_BLOCK = 1 << 13  # children per numpy pass of the search
+_SEARCH_BLOCK = 256  # slots of a _Search, its open pairs at once; below 2 ** (62 - _NODE_BITS)
+_CHILD_BLOCK = 1 << 14  # children per numpy pass of the search
 _SEARCH_KEYS = 1 << 13  # visited nodes of a _Search past which its later open pairs wait
 _SENTINELS = 1 << 2 * np.arange(2 * MAX_EDM_LENGTH)  # the least node key of each length
+_DIGITS = str.maketrans(ALPHABET, "0123")  # a string's letters as the base-4 digits of its key
+_MOVES = np.array([math.comb(n + 1, 3) for n in range(2 * MAX_EDM_LENGTH)])  # of a length-n node
 
 
 class BudgetExceededError(RuntimeError):
@@ -68,6 +75,14 @@ def _check_length(x: str, y: str) -> None:
             f"exact search supports lengths up to {MAX_EDM_LENGTH}, "
             f"got {len(x)} and {len(y)}"
         )
+
+
+def _pair_lists(xs, ys) -> tuple[list, list]:
+    """xs and ys as lists of the same length (else ValueError)."""
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"got {len(xs)} first strings and {len(ys)} second strings")
+    return xs, ys
 
 
 def _lev_columns(eqs, m: int):
@@ -127,6 +142,15 @@ def _move_table(n: int) -> np.ndarray:
     return table
 
 
+def _bounds_rows(n: int) -> int:
+    """Pairs with length-n first strings per numpy pass of ``pair_bounds``:
+    BOUNDS_BLOCK at MAX_EDM_LENGTH, which keeps a pass under ~1 MB, and as
+    many more at shorter n as their fewer moves leave room for, up to four
+    times as many."""
+    moves = len(_move_table(MAX_EDM_LENGTH)) // len(_move_table(n))
+    return BOUNDS_BLOCK * min(4, moves)
+
+
 def _row_counts(codes: np.ndarray, bins: int) -> np.ndarray:
     """Per-row histogram of the values 0..bins-1 in a 2-D code array."""
     rows = len(codes)
@@ -141,7 +165,7 @@ def _lev_lanes(texts: np.ndarray, yc: np.ndarray, repeats: int) -> np.ndarray:
     m = yc.shape[1]
     letters = len(ALPHABET)
     bits = np.uint64(1) << np.arange(m, dtype=np.uint64)
-    peq = np.stack([((yc == c) * bits).sum(1) for c in range(letters)], 1).ravel()
+    peq = ((yc[:, :, None] == np.arange(letters)) * bits[:, None]).sum(1).ravel()
     base = np.repeat(np.arange(0, letters * len(yc), letters), repeats)
     pv, mv = _lev_columns((peq[base + column] for column in texts), m)
     return len(texts) + _POPCOUNT[pv] - _POPCOUNT[mv]
@@ -176,7 +200,7 @@ def _upper_bounds(xc: np.ndarray, yc: np.ndarray, lower: np.ndarray,
     seeds = 1 + np.argsort(score[open_, 1:], axis=1, kind="stable")[:, :TWO_MOVE_SEEDS]
     del score  # the passes below stay within the first stage's memory
     lanes = seeds.shape[1] * moves  # per open pair
-    step = max(1, BOUNDS_BLOCK * len(table) // lanes)
+    step = max(1, _bounds_rows(n) * len(table) // lanes)
     for lo in range(0, len(open_), step):
         rows = open_[lo : lo + step]
         first = xc[rows[:, None, None], table[seeds[lo : lo + step]]]  # (rows, seeds, n)
@@ -228,16 +252,14 @@ def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower) bounds on the edit distance with moves of each pair.
 
     Pairs are grouped by their length pair and run through numpy in blocks
-    of at most BOUNDS_BLOCK pairs; a block takes its lower bounds first, so
+    of at most ``_bounds_rows`` pairs; a block takes its lower bounds first, so
     that the upper bound's two-move stage runs only where it can close or
     narrow the bracket.
     Where upper <= lower, upper is the exact distance. Raises ValueError for
     symbols outside the alphabet, for lengths above MAX_EDM_LENGTH, and for
     batches of unequal size.
     """
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise ValueError(f"got {len(xs)} first strings and {len(ys)} second strings")
+    xs, ys = _pair_lists(xs, ys)
     groups: dict = {}
     for i, (x, y) in enumerate(zip(xs, ys)):
         _check_length(x, y)
@@ -245,8 +267,9 @@ def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     upper = np.empty(len(xs), np.int64)
     lower = np.empty(len(xs), np.int64)
     for (n, m), members in groups.items():
-        for start in range(0, len(members), BOUNDS_BLOCK):
-            idx = members[start : start + BOUNDS_BLOCK]
+        rows = _bounds_rows(n)
+        for start in range(0, len(members), rows):
+            idx = members[start : start + rows]
             xc = encode([xs[i] for i in idx], n)
             yc = encode([ys[i] for i in idx], m)
             lower[idx], lc = _lower_bounds(n, _profile(xc), m, _profile(yc))
@@ -254,9 +277,27 @@ def pair_bounds(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-def _letters(keys: np.ndarray, n: int) -> np.ndarray:
-    """(len(keys), n) uint8 letter codes of length-n node keys."""
-    return (keys[:, None] >> np.arange(2 * n - 2, -1, -2) & 3).astype(np.uint8)
+def _slots(keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Letters of node keys from the end: slot j of a key is its letter j
+    places from the end, at bits 2j, for j below the longest of ``lengths``
+    (a shorter key's slots past its string hold its sentinel and zeros)."""
+    return keys[:, None] >> 2 * np.arange(lengths.max(initial=0)) & 3
+
+
+def _key_profile(slots: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_profile`` of node keys of mixed lengths from their ``_slots``: the
+    slots and bigrams past a key's string count in a spare bin, dropped."""
+    rows, width = slots.shape
+    ends = lengths[:, None]
+    ext = np.zeros((rows, width + 2), np.int64)  # $, the slots, ^ past the last
+    ext[:, 0], ext[:, 1:-1] = _END, slots
+    ext[np.arange(rows), lengths + 1] = _START
+    # bigram j is (ext[j + 1], ext[j]), for j up to the key's length
+    bigrams = np.where(np.arange(width + 1) <= ends, ext[:, 1:] * _SYMBOLS + ext[:, :-1],
+                       _SYMBOLS**2)
+    letters = np.where(np.arange(width) < ends, slots, len(ALPHABET))
+    return (_row_counts(letters, len(ALPHABET) + 1)[:, :-1],
+            _row_counts(bigrams, _SYMBOLS**2 + 1)[:, :-1])
 
 
 @functools.cache
@@ -282,11 +323,29 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _inserted(array: np.ndarray, at: np.ndarray, values) -> np.ndarray:
+    """``array`` with ``values`` put at the ascending positions ``at`` of the
+    result (``np.insert`` without its argument handling)."""
+    out = np.empty(len(array) + len(at), array.dtype)
+    rest = np.ones(len(out), bool)
+    rest[at] = False
+    out[at], out[rest] = values, array
+    return out
+
+
 class _Search:
-    """Bidirectional BFS of a block of open pairs, one level of many of them at a time.
+    """Bidirectional BFS of a stream of pairs, one level of many of them at a time.
+
+    ``push`` queues pairs, numbered in the order they come. Each ``step``
+    brackets the pairs queued since the last one with ``pair_bounds``, admits
+    the open ones, in order, to free slots (_SEARCH_BLOCK of them) while the
+    search holds fewer than _SEARCH_KEYS visited nodes, expands one level,
+    and returns the numbers and distances of the pairs it finished: those
+    their bounds close, and those whose search ended on that level, whose
+    slots the next step refills.
 
     A node is an int64 key: its 2-bit letter codes, first letter highest,
-    under a sentinel 1 bit ("" is 1), plus group * _SIDE, group = 2 * pair
+    under a sentinel 1 bit ("" is 1), plus group * _SIDE, group = 2 * slot
     + side (side 0 searches from x, 1 from y). Visited nodes sit in one
     sorted array with their depths, those at each side's current depth in
     another, the frontier. Each level, the open pairs, in order while those
@@ -295,27 +354,119 @@ class _Search:
     plus ``_lower_bound`` against its target reaches the pair's best is
     skipped, and its meetings lower that best before the next node. Chunks
     of nodes run with their pairs' best at the chunk's start; where a node
-    lowers it, the pair's later nodes run again: no pair depends on another."""
+    lowers it, the pair's later nodes run again: no pair depends on another,
+    so each gets the distance and generated count it gets alone."""
 
-    def __init__(self, xs: list, ys: list, upper: np.ndarray, lower: np.ndarray):
+    def __init__(self):
+        slots = _SEARCH_BLOCK
+        self.queued_x, self.queued_y, self.count = [], [], 0  # pairs not yet bracketed
+        # open pairs waiting for a slot: x, y, and their numbers and brackets
+        self.waiting_x, self.waiting_y = [], []
+        self.waiting = np.zeros((3, 0), np.int64)  # number, upper, lower
+        self.pair = np.full(slots, -1)  # the number of each slot's pair, -1 when free
+        self.target = (np.zeros(2 * slots, np.int64),
+                       *(np.zeros((2 * slots, k), np.uint8) for k in (4, _SYMBOLS**2)))
+        self.best, self.lower, self.len_lo, self.len_hi, self.generated = np.zeros(
+            (5, slots), np.int64)
+        self.depth = np.zeros(2 * slots, np.int64)  # of each group's frontier
+        self.visited, self.visited_depth, self.frontier = np.zeros((3, 0), np.int64)
+        # each slot's ``_open`` as the last step left it
+        self.open, self.side = np.zeros(slots, bool), np.zeros(slots, np.intp)
+
+    def push(self, xs, ys) -> None:
+        """Queue the pairs (xs[i], ys[i]); they take the next numbers."""
+        xs, ys = _pair_lists(xs, ys)
+        self.queued_x += xs
+        self.queued_y += ys
+        self.count += len(xs)
+
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bracket the queued pairs, fill free slots, expand one level, and
+        return the (numbers, distances) of the pairs that finished: those
+        whose bounds meet and those whose search ended on the level. Raises
+        BudgetExceededError once a pair has generated over NODE_BUDGET child
+        strings, and ValueError as ``pair_bounds`` does."""
+        closed, upper = self._bound()
+        started = self._fill()  # one root a side: open while their limit is above 0
+        self.open[started], self.side[started] = self.limit()[started] > 0, 0
+        held = np.bincount(self.visited >> (_NODE_BITS + 1), minlength=len(self.pair))
+        order = np.argsort(self.pair)  # free slots first, which hold no nodes
+        before = np.empty_like(held)
+        before[order] = np.cumsum(held[order]) - held[order]
+        # open pairs expand in the order they came while the pairs before them
+        # hold fewer than _SEARCH_KEYS visited nodes; the rest wait
+        going = np.flatnonzero(self.open & (before < _SEARCH_KEYS))
+        if len(going):
+            self._level(2 * going + self.side[going])
+        self.open, self.side = self._open()
+        ids, distances = self._finish(np.flatnonzero((self.pair >= 0) & ~self.open))
+        return np.concatenate([closed, ids]), np.concatenate([upper, distances])
+
+    def _bound(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bracket the queued pairs and move the open ones to the waiting
+        list. Returns the numbers and distances of those whose bounds meet."""
+        xs, ys = self.queued_x, self.queued_y
+        ids = np.arange(self.count - len(xs), self.count)
+        upper, lower = pair_bounds(xs, ys)
+        self.queued_x, self.queued_y = [], []
+        at = np.flatnonzero(upper > lower)
+        self.waiting_x += [xs[i] for i in at.tolist()]
+        self.waiting_y += [ys[i] for i in at.tolist()]
+        self.waiting = np.concatenate([self.waiting, np.stack([ids, upper, lower])[:, at]], 1)
+        closed = upper <= lower
+        return ids[closed], upper[closed]
+
+    def _fill(self) -> np.ndarray:
+        """Start the first waiting pairs in free slots while the search holds
+        fewer than _SEARCH_KEYS visited nodes; return those slots."""
+        free = np.flatnonzero(self.pair < 0)[: len(self.waiting_x)]
+        if not len(free) or len(self.visited) >= _SEARCH_KEYS:
+            return free[:0]
+        k = len(free)
+        self._start(free, self.waiting_x[:k], self.waiting_y[:k], *self.waiting[:, :k])
+        del self.waiting_x[:k], self.waiting_y[:k]
+        self.waiting = self.waiting[:, k:]
+        return free
+
+    def _start(self, slots, xs, ys, ids, upper, lower) -> None:
+        """Put pair (xs[i], ys[i]), its number and its bracket in slot
+        slots[i], its roots x and y visited at depth 0."""
         roots = [s for xy in zip(xs, ys) for s in xy]
+        groups = (2 * slots[:, None] + np.arange(2)).ravel()
         lengths = np.array(list(map(len, roots)))
-        keys = np.arange(len(roots)) * _SIDE
-        counts, bigrams = (np.empty((len(roots), k), np.uint8) for k in (4, _SYMBOLS**2))
-        for n in set(lengths.tolist()):
-            at = np.flatnonzero(lengths == n)
-            codes = encode([roots[i] for i in at], n)
-            keys[at] += (codes << np.arange(2 * n - 2, -1, -2)).sum(1) + (1 << 2 * n)
-            counts[at], bigrams[at] = _profile(codes)
-        swap = np.arange(len(roots)).reshape(-1, 2)[:, ::-1].ravel()  # the other root
-        self.target = lengths[swap], counts[swap], bigrams[swap]
-        self.best, self.lower = upper.copy(), lower
+        # the sentinel, then the letters as base-4 digits
+        keys = groups * _SIDE + [int("1" + s.translate(_DIGITS), 4) for s in roots]
+        # each root is the other side's target
+        self.target[0][groups ^ 1] = lengths
+        self.target[1][groups ^ 1], self.target[2][groups ^ 1] = _key_profile(
+            _slots(keys, lengths), lengths)
+        self.pair[slots], self.best[slots], self.lower[slots] = ids, upper, lower
         # any optimal intermediate stays within `best` length steps of both ends
-        self.len_lo = np.maximum(0, lengths.reshape(-1, 2).min(1) - upper)
-        self.len_hi = lengths.reshape(-1, 2).max(1) + upper
-        self.depth = np.zeros(len(roots), np.int64)  # of each group's frontier
-        self.generated = np.zeros(len(xs), np.int64)
-        self.visited, self.visited_depth, self.frontier = keys, np.zeros(len(keys), np.int64), keys
+        ends = lengths.reshape(-1, 2)
+        self.len_lo[slots] = np.maximum(0, ends.min(1) - self.best[slots])
+        self.len_hi[slots] = ends.max(1) + self.best[slots]
+        self.depth[groups], self.generated[slots] = 0, 0
+        self._insert(np.sort(keys), 0)
+
+    def _open(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which slots hold a pair whose search goes on, and each slot's side
+        to expand: the smaller frontier, ties to x. A pair whose side has no
+        frontier left has its answer."""
+        sizes = np.bincount(self.frontier >> _NODE_BITS, minlength=len(self.depth)).reshape(-1, 2)
+        side = (sizes[:, 0] > sizes[:, 1]).astype(np.intp)
+        return (self.limit() > 0) & (sizes[np.arange(len(side)), side] > 0), side
+
+    def _finish(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Free ``slots`` and drop their nodes; return their pairs' numbers
+        and distances."""
+        ids, distances = self.pair[slots], self.best[slots]
+        self.pair[slots], self.best[slots] = -1, 0  # a free slot's limit is 0
+        if len(slots):
+            taken = self.pair >= 0
+            live = taken[self.visited >> (_NODE_BITS + 1)]
+            self.visited, self.visited_depth = self.visited[live], self.visited_depth[live]
+            self.frontier = self.frontier[taken[self.frontier >> (_NODE_BITS + 1)]]
+        return ids, distances
 
     def limit(self) -> np.ndarray:
         """Each pair's best while it can still fall, else 0. At depths (dx, dy)
@@ -325,61 +476,46 @@ class _Search:
         reach = self.depth.reshape(-1, 2).sum(1) + 1
         return np.where(self.best > np.maximum(self.lower, reach), self.best, 0)
 
-    def run(self) -> np.ndarray:
-        pairs = np.arange(len(self.best))
-        while True:
-            sizes = np.bincount(self.frontier >> _NODE_BITS, minlength=2 * len(pairs))
-            side = (sizes[0::2] > sizes[1::2]).astype(np.intp)
-            open_ = (self.limit() > 0) & (sizes[2 * pairs + side] > 0)
-            if not open_.any():
-                return self.best
-            live = open_[self.visited >> (_NODE_BITS + 1)]
-            if not live.all():
-                self.visited, self.visited_depth = self.visited[live], self.visited_depth[live]
-                self.frontier = self.frontier[open_[self.frontier >> (_NODE_BITS + 1)]]
-            # open pairs expand in order while the pairs before them hold fewer
-            # than _SEARCH_KEYS visited nodes; the rest wait for those to finish
-            held = np.bincount(self.visited >> (_NODE_BITS + 1), minlength=len(pairs))
-            going = open_ & (np.cumsum(held) - held < _SEARCH_KEYS)
-            self._level((2 * pairs + side)[going])
-
     def _level(self, expanding: np.ndarray) -> None:
         """Expand each group of ``expanding`` one level; on its last level
-        (best <= dx + dy + 2: the search then stops) a pair adds no nodes."""
+        (best <= dx + dy + 2: the search then stops) a pair adds no nodes.
+        Nodes of all lengths go through numpy together, in key order, which
+        is each pair's order by length and then letters."""
         last = self.best <= self.depth.reshape(-1, 2).sum(1) + 2
         pick = (np.bincount(expanding, minlength=len(self.depth)) > 0)[self.frontier >> _NODE_BITS]
         nodes = self.frontier[pick]
         self.frontier = self.frontier[np.logical_not(pick, out=pick)]
         lengths = np.searchsorted(_SENTINELS, nodes & _NODE_MASK, "right") - 1
-        order = np.argsort(lengths, kind="stable")  # by length, each pair's in key order
-        nodes, lengths = nodes[order], lengths[order]
         pairs = nodes >> (_NODE_BITS + 1)
         # each node's depth plus bound, and its most children: 8n + 4 letter edits
         # and its moves where lc lets them (its bigram counts weigh ~32 children)
         bound, cost = np.empty((2, len(nodes)), np.int64)
-        for at, n in self._chunks(np.arange(len(nodes)), lengths, np.full(len(nodes), 32)):
+        step = max(1, _CHILD_BLOCK >> 5)
+        for lo in range(0, len(nodes), step):
+            at = slice(lo, lo + step)
             depth = self.depth[nodes[at] >> _NODE_BITS]
-            lower, lc = self._node_bounds(nodes[at], n)
+            lower, lc = self._node_bounds(nodes[at], lengths[at])
             bound[at] = depth + lower
-            moves = (depth + 1 + lc < self.best[pairs[at]]) * _move_masks(n).shape[1]
-            cost[at] = moves + 8 * n + 4
+            moves = (depth + 1 + lc < self.best[pairs[at]]) * _MOVES[lengths[at]]
+            cost[at] = moves + 8 * lengths[at] + 4
         fresh = []  # children new to their side, merged once they pass a quarter of visited
         todo = np.arange(len(nodes))
         while len(todo):
             todo = todo[bound[todo] < self.limit()[pairs[todo]]]
             held = np.zeros(len(self.best), bool)  # pairs whose best fell in this pass
             again = np.zeros(len(nodes), bool)  # nodes for the next pass
-            for chunk, n in self._chunks(todo, lengths, cost):
+            for chunk in self._chunks(todo, cost):
                 again[chunk[held[pairs[chunk]]]] = True
                 chunk = chunk[~held[pairs[chunk]]]
                 if len(chunk):
-                    done, new = self._expand_chunk(nodes[chunk], pairs[chunk], n, last, held)
+                    done, new = self._expand_chunk(nodes[chunk], lengths[chunk], pairs[chunk],
+                                                   last, held)
                     again[chunk[~done]] = True
                     fresh.append(new)
                     if sum(map(len, fresh)) > len(self.visited) >> 2:
                         self._merge(fresh)
             todo = np.flatnonzero(again)
-        del pick, order, nodes, lengths, pairs, bound, cost, again  # before the copies below
+        del pick, nodes, lengths, pairs, bound, cost, again  # before the copies below
         self._merge(fresh)
         self.depth[expanding] += 1
 
@@ -390,35 +526,41 @@ class _Search:
         if fresh:
             new = _distinct(np.concatenate(fresh))
             fresh.clear()
-            at = np.searchsorted(self.visited, new)
-            self.visited = np.insert(self.visited, at, new)
-            self.visited_depth = np.insert(self.visited_depth, at,
-                                           self.depth[new >> _NODE_BITS] + 1)
-            self.frontier = np.insert(self.frontier, np.searchsorted(self.frontier, new), new)
+            self._insert(new, self.depth[new >> _NODE_BITS] + 1)
+
+    def _insert(self, keys: np.ndarray, depth) -> None:
+        """Add sorted ``keys``, new to the visited set, to it at ``depth`` and
+        to the frontier."""
+        at = np.searchsorted(self.visited, keys) + np.arange(len(keys))
+        self.visited = _inserted(self.visited, at, keys)
+        self.visited_depth = _inserted(self.visited_depth, at, depth)
+        at = np.searchsorted(self.frontier, keys) + np.arange(len(keys))
+        self.frontier = _inserted(self.frontier, at, keys)
 
     @staticmethod
-    def _chunks(todo: np.ndarray, lengths: np.ndarray, cost: np.ndarray):
-        """(indices, n): ``todo``, sorted by length, in runs of one length n (none
-        if it is empty) cut where their ``cost`` passes a multiple of _CHILD_BLOCK."""
-        length = lengths[todo]
-        for run in np.split(todo, np.flatnonzero(length[1:] != length[:-1]) + 1)[:len(todo)]:
-            total = np.cumsum(cost[run])
-            for part in np.split(run, np.searchsorted(
-                    total, np.arange(_CHILD_BLOCK, total[-1], _CHILD_BLOCK), "right")):
-                if len(part):
-                    yield part, int(lengths[part[0]])
+    def _chunks(todo: np.ndarray, cost: np.ndarray):
+        """``todo`` in runs cut where their ``cost`` passes a multiple of
+        _CHILD_BLOCK (none if it is empty)."""
+        if not len(todo):
+            return
+        total = np.cumsum(cost[todo])
+        cuts = np.searchsorted(total, np.arange(_CHILD_BLOCK, total[-1], _CHILD_BLOCK), "right")
+        for a, b in itertools.pairwise([0, *cuts.tolist(), len(todo)]):
+            if b > a:
+                yield todo[a:b]
 
-    def _node_bounds(self, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``_lower_bounds`` of length-n nodes against their sides' targets."""
+    def _node_bounds(self, keys: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_lower_bounds`` of nodes against their sides' targets."""
         m, counts, bigrams = (t[keys >> _NODE_BITS] for t in self.target)
-        return _lower_bounds(n, _profile(_letters(keys, n)), m, (counts, bigrams))
+        return _lower_bounds(lengths, _key_profile(_slots(keys, lengths), lengths), m,
+                             (counts, bigrams))
 
-    def _expand_chunk(self, keys, owner, n, last, held) -> tuple[np.ndarray, np.ndarray]:
-        """Expand length-n nodes of pairs ``owner``; return which count and
-        their children new to their side (none on a pair's ``last`` level).
-        A pair's nodes count up to the first whose meetings lower its best,
+    def _expand_chunk(self, keys, lengths, owner, last, held) -> tuple[np.ndarray, np.ndarray]:
+        """Expand nodes of pairs ``owner``; return which count and their
+        children new to their side (none on a pair's ``last`` level). A
+        pair's nodes count up to the first whose meetings lower its best,
         which marks it ``held``: its later nodes run again with the new best."""
-        children, parent = self._children(keys, n)
+        children, parent = self._children(keys, lengths)
         other = children + (_SIDE - 2 * (keys & _SIDE))[parent]  # the other side's key
         at = np.minimum(np.searchsorted(self.visited, other), len(self.visited) - 1)
         met = np.flatnonzero(self.visited[at] == other)
@@ -441,46 +583,52 @@ class _Search:
         at = np.minimum(np.searchsorted(self.visited, new), len(self.visited) - 1)
         return done, new[self.visited[at] != new]
 
-    def _children(self, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The children of length-n nodes and each one's parent, but none
-        whose depth plus letter-count bound h reaches the best:
+    def _children(self, keys: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children of nodes of the given lengths and each one's parent,
+        but none whose depth plus letter-count bound h reaches the best:
         h = max(|s|, m) - c, with c letters in common with the target,
         and c falls with a letter o the target has no fewer of ("spare"),
-        rises with a letter it has more of ("short"), and moves keep it."""
+        rises with a letter it has more of ("short"), and moves keep it.
+        Letters are read by slot (``_slots``): slot j sits at bits 2j."""
         groups = keys >> _NODE_BITS
         pairs = groups >> 1
         m, target = self.target[0][groups], self.target[1][groups]
-        letters = _letters(keys, n)
-        counts = _row_counts(letters, len(ALPHABET))
+        slots = _slots(keys, lengths)
+        cut = 2 * np.arange(slots.shape[1] + 1)  # bits below slot j
+        inside = cut[1:] <= 2 * lengths[:, None]
+        counts = _row_counts(np.where(inside, slots, len(ALPHABET)), len(ALPHABET) + 1)[:, :-1]
         short, spare = counts < target, counts <= target
         # how far an edit may raise h above the node's own: depth + 1 + h < best
-        slack = (self.best[pairs] - self.depth[groups] - 1 - np.maximum(n, m)
+        slack = (self.best[pairs] - self.depth[groups] - 1 - np.maximum(lengths, m)
                  + np.minimum(counts, target).sum(1))
-        spare_old = spare[np.arange(len(keys))[:, None], letters]
+        spare_old = spare[np.arange(len(keys))[:, None], slots]
         head, node = keys & ~_NODE_MASK, keys & _NODE_MASK
-        cut = 2 * np.arange(n, -1, -1)  # bits below letter q, q = 0..n
         low = (1 << cut) - 1
-        keep, left, left_shift, right, right_shift = moves = _move_masks(n)
-        at = np.flatnonzero(slack > 0)
-        moved = keys[at, None]
-        children = [((moved & keep) + ((moved & left) << left_shift)
-                     + ((moved & right) >> right_shift)).ravel()]
-        parents = [np.repeat(at, moves.shape[1])]
-        # letter q becomes c
-        at, q, c = np.nonzero((spare_old[:, :, None] < (slack[:, None] + short)[:, None])
-                              & (letters[:, :, None] != np.arange(len(ALPHABET))))
-        children.append(keys[at] + ((c - letters[at, q]) << cut[q + 1]))
+        children, parents = [], []
+        # moves, by length: their tables differ in size
+        for n in set(lengths[slack > 0].tolist()):
+            at = np.flatnonzero((slack > 0) & (lengths == n))
+            keep, left, left_shift, right, right_shift = moves = _move_masks(n)
+            moved = keys[at, None]
+            children.append(((moved & keep) + ((moved & left) << left_shift)
+                             + ((moved & right) >> right_shift)).ravel())
+            parents.append(np.repeat(at, moves.shape[1]))
+        # slot j becomes c
+        at, j, c = np.nonzero((spare_old[:, :, None] < (slack[:, None] + short)[:, None])
+                              & (slots[:, :, None] != np.arange(len(ALPHABET)))
+                              & inside[:, :, None])
+        children.append(keys[at] + ((c - slots[at, j]) << cut[j]))
         parents.append(at)
-        # c goes before letter q, for every q
-        at, c = np.nonzero(((n >= m)[:, None] < slack[:, None] + short)
-                           & (n < self.len_hi[pairs])[:, None])
+        # c goes in as slot j, for every j up to the length
+        at, c = np.nonzero(((lengths >= m)[:, None] < slack[:, None] + short)
+                           & (lengths < self.len_hi[pairs])[:, None])
         joined = head[at, None] + (node[at, None] & low) + ((node[at, None] >> cut) << (cut + 2))
-        children.append((joined + (c[:, None] << cut)).ravel())
-        parents.append(np.repeat(at, n + 1))
-        # letter q goes
-        at, q = np.nonzero((spare_old < (slack + (n > m))[:, None])
-                           & (n > self.len_lo[pairs])[:, None])
-        children.append(head[at] + (node[at] & low[q + 1]) + ((node[at] >> cut[q]) << cut[q + 1]))
+        children.append((joined + (c[:, None] << cut))[cut <= 2 * lengths[at, None]])
+        parents.append(np.repeat(at, lengths[at] + 1))
+        # slot j goes
+        at, j = np.nonzero((spare_old < (slack + (lengths > m))[:, None]) & inside
+                           & (lengths > self.len_lo[pairs])[:, None])
+        children.append(head[at] + (node[at] & low[j]) + ((node[at] >> cut[j + 1]) << cut[j]))
         parents.append(at)
         return np.concatenate(children), np.concatenate(parents)
 
@@ -488,18 +636,21 @@ class _Search:
 def exact_distances(xs, ys) -> np.ndarray:
     """Exact edit distance with moves of each pair (xs[i], ys[i]).
 
-    A pair whose ``pair_bounds`` meet has its answer; open pairs are searched
-    together, _SEARCH_BLOCK at a time (``_Search``). Raises BudgetExceededError
-    once a pair has generated over NODE_BUDGET child strings (per expanded node,
-    duplicates included), and ValueError as ``pair_bounds`` does.
+    The pairs stream through one ``_Search``: a pair whose ``pair_bounds``
+    meet has its answer, and open pairs are searched together, up to
+    _SEARCH_BLOCK at a time. Raises BudgetExceededError once a pair has
+    generated over NODE_BUDGET child strings (per expanded node, duplicates
+    included), and ValueError as ``pair_bounds`` does.
     """
-    xs, ys = list(xs), list(ys)
-    upper, lower = pair_bounds(xs, ys)
-    open_ = np.flatnonzero(upper > lower)
-    for lo in range(0, len(open_), _SEARCH_BLOCK):
-        at = open_[lo : lo + _SEARCH_BLOCK]
-        upper[at] = _Search([xs[i] for i in at], [ys[i] for i in at], upper[at], lower[at]).run()
-    return upper
+    search = _Search()
+    search.push(xs, ys)
+    distances = np.empty(search.count, np.int64)
+    left = search.count
+    while left:
+        ids, found = search.step()
+        distances[ids] = found
+        left -= len(ids)
+    return distances
 
 
 def edm_exact(x: str, y: str, bounds=None) -> int:

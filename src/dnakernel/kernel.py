@@ -514,9 +514,19 @@ def kernel_values_and_loss_gradient(codes_x, codes_y, cotangent, params: KernelP
     ring, pair, work = block[:2], block[2:4], block[4:]
     tables = (_rotations(canon, params), *_rnx_rz(params, n))
     states = _forward(canon, params, ring, work, tables)
+    # gather indices and y states in blocks of as many rows as VALUE_BYTES
+    # holds states, as in kernel_values: a row's result is its own either way
+    block_rows, partner = max(1, VALUE_BYTES >> (n + 4)), np.roll(row_state, half)
     rows = np.empty((2 * half, states.shape[1]), np.complex128)
-    _gather(states.reshape(-1), np.roll(row_state, half), frame, rows, np.empty_like(rows, np.intp))
-    c = _dots(np.take(states, row_state[half:], axis=0), rows[half:])
+    index = np.empty((min(2 * half, block_rows), states.shape[1]), np.intp)
+    for lo in range(0, 2 * half, block_rows):
+        at = slice(lo, lo + block_rows)
+        _gather(states.reshape(-1), partner[at], frame[at], rows[at], index[: len(rows[at])])
+    del index
+    c = np.empty(half, np.complex128)
+    for lo in range(0, half, block_rows):
+        at = slice(half + lo, half + lo + block_rows)
+        c[lo : lo + block_rows] = _dots(np.take(states, row_state[at], axis=0), rows[at])
     values = np.abs(c) ** 2
     w = cotangent(values)
     rows *= np.concatenate([w * c, w * np.conj(c)])[:, None]

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnakernel import dataset
+from dnakernel import dataset, edm
+from dnakernel.circuits import encode
 from dnakernel.dataset import (
     BATCH_LINES,
     DatasetError,
@@ -25,7 +26,7 @@ from dnakernel.dataset import (
     random_sequence,
     save_triplets,
 )
-from dnakernel.edm import edm_exact
+from dnakernel.edm import edm_exact, exact_distances
 
 ACCEPT_DIR = Path(__file__).resolve().parents[1] / "results" / "acceptance"
 
@@ -36,6 +37,26 @@ def same_triplets(s, t) -> bool:
     if isinstance(s, TripletSet) and isinstance(t, TripletSet):
         return np.array_equal(s.codes, t.codes) and np.array_equal(s.distances, t.distances)
     return s == t
+
+
+def round_by_round_labels(seed, count, length):
+    """Reference labelling, round by round: every open triplet draws an
+    attempt (a, b, c) from its own stream, one exact_distances call labels
+    the round's pairs, and the triplets whose distances tie draw again in
+    the next round. Returns the (count, 3, length) codes and the (count, 2)
+    distances that generate_triplets must give at any jobs."""
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(count)]
+    letters = [""] * count
+    distances = np.empty((count, 2), np.int64)
+    open_ = np.arange(count)
+    while len(open_):
+        for i in open_:
+            letters[i] = random_sequence(rngs[i], 3 * length)
+        xs = [letters[i][:length] for i in open_ for _ in range(2)]
+        ys = [letters[i][lo : lo + length] for i in open_ for lo in (length, 2 * length)]
+        distances[open_] = exact_distances(xs, ys).reshape(-1, 2)
+        open_ = open_[distances[open_, 0] == distances[open_, 1]]
+    return encode(letters, 3 * length).reshape(count, 3, length), distances
 
 
 @pytest.fixture
@@ -125,6 +146,33 @@ class TestGenerateTriplets:
 
         monkeypatch.setattr(LabeledTriplet, "__init__", refuse)
         assert same_triplets(generate_triplets(seed=13, count=9, length=5), expected)
+
+    @pytest.mark.parametrize("seed, count, length, jobs", [
+        (31, 1, 1, 1), (32, 300, 2, 1), (33, 150, 3, 2), (34, 200, 4, 1), (35, 97, 5, 2),
+        (36, 120, 6, 1), (37, 60, 7, 2), (38, 30, 8, 1), (39, 64, 8, 2),
+    ])
+    def test_matches_round_by_round_labelling(self, seed, count, length, jobs):
+        # tie redraws join the running search instead of waiting for a
+        # round; every triplet still sees the same draws and distances
+        codes, distances = round_by_round_labels(seed, count, length)
+        got = generate_triplets(seed, count, length, jobs)
+        assert got.codes.tobytes() == codes.tobytes()
+        assert got.distances.tobytes() == distances.tobytes()
+
+    def test_one_search_per_chunk(self, monkeypatch):
+        # a chunk labels all its triplets, redraws included, through one
+        # streaming search; labelling round by round started five searches
+        # on this seed, one per round
+        starts = []
+        start = edm._Search.__init__
+
+        def counted(search):
+            starts.append(search)
+            start(search)
+
+        monkeypatch.setattr(edm._Search, "__init__", counted)
+        generate_triplets(seed=40, count=100, length=6)
+        assert len(starts) == 1
 
     def test_real_pool_matches_serial(self):
         # 10 triplets over 3 workers: chunks of 3, 3 and 4

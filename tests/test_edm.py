@@ -121,13 +121,30 @@ def lower_oracle(x, y):
     return lc + -(-max(0, b - 4 * lc) // 6)
 
 
-def searched(xs, ys):
+def searched(xs, ys, stagger=0):
     """(indices, distances, generated children) of the open pairs among
-    (xs, ys), searched as one block from their ``pair_bounds`` brackets."""
-    upper, lower = pair_bounds(xs, ys)
-    at = np.flatnonzero(upper > lower)
-    search = edm._Search([xs[i] for i in at], [ys[i] for i in at], upper[at], lower[at])
-    return at, search.run().tolist(), search.generated.tolist()
+    (xs, ys), streamed through one ``_Search``: all queued at once, or pair
+    i queued after i * ``stagger`` steps, mid-stream. A pair is open when it
+    takes a slot, and its generated count is read as its slot frees."""
+    search, seen = edm._Search(), {}
+    finish = search._finish
+
+    def spy(slots):
+        seen.update(zip(search.pair[slots].tolist(),
+                        zip(search.best[slots].tolist(), search.generated[slots].tolist())))
+        return finish(slots)
+
+    search._finish = spy
+    distances, steps = {}, 0
+    while len(distances) < len(xs):
+        if steps % max(stagger, 1) == 0:
+            upto = search.count + 1 if stagger else len(xs)
+            search.push(xs[search.count : upto], ys[search.count : upto])
+        distances.update(zip(*(a.tolist() for a in search.step())))
+        steps += 1
+    at = sorted(seen)
+    assert all(distances[i] == seen[i][0] for i in at)
+    return np.array(at, np.int64), [seen[i][0] for i in at], [seen[i][1] for i in at]
 
 
 def bfs_edm_oracle(x, y):
@@ -501,24 +518,43 @@ class TestExactDistances:
         for vx, vy in variants:
             assert exact_distances(vx, vy).tolist() == expected
 
-    def test_generated_counts_do_not_depend_on_the_batch(self):
-        # each pinned pair, and random length-7 and length-8 pairs, generates
-        # as many children and gets the same distance alone, in one block and
-        # in a shuffled block
+    @pytest.fixture(scope="class")
+    def alone(self):
+        """The open pinned pairs and random length-7 and length-8 pairs, each
+        with its (distance, generated children) searched alone."""
         pairs, pinned = self.pinned_pairs()
         rng = np.random.default_rng(22)
         pairs += [(random_string(rng, n), random_string(rng, n)) for n in (7, 8) for _ in range(12)]
         pairs = [(x, y) for x, y in pairs if len(searched([x], [y])[0])]  # open brackets
-        alone = [searched([x], [y])[1:] for x, y in pairs]
-        assert [g for _, (g,) in alone[: len(pinned)]] == pinned
+        alone = [tuple(v for (v,) in searched([x], [y])[1:]) for x, y in pairs]
+        assert [g for _, g in alone[: len(pinned)]] == pinned
+        return pairs, alone
+
+    @staticmethod
+    def assert_streams_match(pairs, expected, seed):
+        """Each pair gets its (distance, generated children) ``expected`` in
+        one stream: queued at once, shuffled, and queued one every level
+        or every other level, mid-stream."""
         xs, ys = map(list, zip(*pairs))
-        at, distances, generated = searched(xs, ys)
-        assert at.tolist() == list(range(len(pairs)))
-        assert list(zip(distances, generated)) == [(d, g) for (d,), (g,) in alone]
-        order = rng.permutation(len(pairs))
-        at, distances, generated = searched([xs[i] for i in order], [ys[i] for i in order])
-        assert list(zip(distances, generated)) == [(d, g) for (d,), (g,) in
-                                                    (alone[i] for i in order)]
+        for stagger in (0, 1, 2):
+            at, distances, generated = searched(xs, ys, stagger)
+            assert at.tolist() == list(range(len(pairs)))
+            assert list(zip(distances, generated)) == expected, stagger
+        order = np.random.default_rng(seed).permutation(len(pairs))
+        _, distances, generated = searched([xs[i] for i in order], [ys[i] for i in order])
+        assert list(zip(distances, generated)) == [expected[i] for i in order]
+
+    def test_generated_counts_do_not_depend_on_the_batch(self, alone):
+        # each pair generates as many children and gets the same distance
+        # alone as among the others, however they join the stream
+        self.assert_streams_match(*alone, seed=22)
+
+    @pytest.mark.parametrize("block", [3, 1])
+    def test_pairs_waiting_for_a_slot_get_the_same_counts(self, monkeypatch, alone, block):
+        # with 3 slots or 1, open pairs wait for a slot to free up, then
+        # generate what they generate alone
+        monkeypatch.setattr(edm, "_SEARCH_BLOCK", block)
+        self.assert_streams_match(*alone, seed=block)
 
     @pytest.mark.parametrize("keys", [1, 1 << 40])
     def test_waiting_pairs_get_the_same_counts(self, monkeypatch, keys):
@@ -558,6 +594,26 @@ class TestExactDistances:
         ys.insert(where, over[0][1])
         with pytest.raises(BudgetExceededError, match=f"budget of {count - 1}"):
             exact_distances(xs, ys)
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_over_budget_pair_queued_mid_stream_raises(self, monkeypatch, levels):
+        # line 1, queued while other pairs are mid-search, raises as it does
+        # alone on a budget one below its 13,577 children
+        pairs, _ = self.pinned_pairs(lines={2, 4, 5, 6, 9, 10, 14, 17})
+        (over,), (count,) = self.pinned_pairs(lines={1})
+        monkeypatch.setattr(edm, "NODE_BUDGET", count - 1)
+        with pytest.raises(BudgetExceededError) as alone:
+            edm_exact(*over)
+        search = edm._Search()
+        search.push(*map(list, zip(*pairs)))
+        for _ in range(levels):
+            search.step()
+        assert (search.pair >= 0).any()  # pairs mid-search
+        search.push([over[0]], [over[1]])
+        with pytest.raises(BudgetExceededError) as streamed:
+            for _ in range(100):
+                search.step()
+        assert str(streamed.value) == str(alone.value)
 
 
 class TestPairBounds:
@@ -639,13 +695,16 @@ class TestPairBounds:
     @staticmethod
     def node_bounds(xs, ys):
         """The search's (bound, lc) of each x as a node key against its y,
-        from the roots of one ``_Search`` block."""
-        search = edm._Search(xs, ys, *pair_bounds(xs, ys))
-        roots = search.visited[0::2]  # the x side's root keys, in pair order
+        from the roots of ``_Search`` slots, one search per _SEARCH_BLOCK pairs."""
+        upper, lower = pair_bounds(xs, ys)
         bound, lc = np.empty((2, len(xs)), np.int64)
-        for n in set(map(len, xs)):
-            at = np.flatnonzero([len(x) == n for x in xs])
-            bound[at], lc[at] = search._node_bounds(roots[at], n)
+        for lo in range(0, len(xs), edm._SEARCH_BLOCK):
+            at = np.arange(lo, min(lo + edm._SEARCH_BLOCK, len(xs)))
+            search = edm._Search()
+            search._start(at - lo, [xs[i] for i in at], [ys[i] for i in at], at, upper[at],
+                          lower[at])
+            roots = search.visited[0::2]  # the x side's root keys, in slot order
+            bound[at], lc[at] = search._node_bounds(roots, np.array([len(xs[i]) for i in at]))
         return bound.tolist(), lc.tolist()
 
     def test_node_bound_matches_batch_bound(self):

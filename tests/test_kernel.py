@@ -1050,6 +1050,25 @@ class TestLossGradient:
         assert peak - tables <= 10 * len(canon) * state_bytes, (
             (peak - tables) / state_bytes / len(canon))
 
+    def test_traced_peak_gathers_in_value_blocks(self):
+        # a warm 3,200-pair call keeps its pair rows (25 MiB here), and
+        # builds their gather indices and takes the y states VALUE_BYTES of
+        # rows at a time: 30.5 MiB traced, where whole-batch indices and
+        # y states traced 43.5
+        rng = np.random.default_rng(63)
+        model = QuantumKernelModel(8, 24)
+        theta = random_params(rng, 24).flat()
+        cx, cy = rng.integers(0, len(ALPHABET), (2, 3200, 8))
+        targets = rng.uniform(0.0, 1.0, 3200)
+        model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
+        tracemalloc.start()
+        try:
+            model.kernel_and_grad_batch(theta, cx, cy, training.mse(targets))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33 << 20, peak / 2**20
+
     def test_unaligned_batches_rejected(self):
         model = QuantumKernelModel(2, 1)
         for cotangent in (None, training.mse(np.zeros(2))):
